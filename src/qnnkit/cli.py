@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch import ArchitectureParseError, ArchitectureSpec, load_architecture
+from .arch import ArchitectureParseError, load_architecture
 from .data import make_xor_dataset, mnist_task
 from .model import (
     TrainConfig,
@@ -41,6 +41,9 @@ from .rules import validate_architecture
 from .statevec import ResourceLimitError
 
 CSV_SCHEMA_VERSION = 1
+
+# verify: a top output matched this closely by another class is no argmax
+TIE_ATOL = 1e-12
 
 RESULTS_COLUMNS = [
     "schema",
@@ -79,8 +82,18 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _load_arch(path: str) -> ArchitectureSpec:
-    return load_architecture(path)
+def _read_checkpoint(path: str):
+    """(arch, params) from ``path``, or None after a one-line error."""
+    try:
+        return load_checkpoint(path)
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except KeyError as exc:
+        reason = f"missing field {exc}"
+    except ValueError as exc:
+        reason = exc
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _dataset(args):
@@ -117,7 +130,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_check(args) -> int:
     try:
-        arch = _load_arch(args.arch)
+        arch = load_architecture(args.arch)
     except ArchitectureParseError as exc:
         print(f"error: {args.arch}: {exc}", file=sys.stderr)
         return 2
@@ -131,7 +144,7 @@ def cmd_check(args) -> int:
 
 
 def _run_training(args):
-    arch = _load_arch(args.arch)
+    arch = load_architecture(args.arch)
     if args.r is not None:
         for layer in arch.layers:
             if layer.kind == "v":
@@ -196,7 +209,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    arch, params = load_checkpoint(args.checkpoint)
+    loaded = _read_checkpoint(args.checkpoint)
+    if loaded is None:
+        return 2
+    arch, params = loaded
     train_ds, test_ds, label = _dataset(args)
     test_acc = accuracy(arch, params, test_ds.images, test_ds.labels)
     out_dir = Path(args.out)
@@ -221,31 +237,39 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        arch = _load_arch(args.arch)
+        arch = load_architecture(args.arch)
     except ArchitectureParseError as exc:
         print(f"error: {args.arch}: {exc}", file=sys.stderr)
         return 2
     if args.checkpoint:
-        arch, params = load_checkpoint(args.checkpoint)
+        loaded = _read_checkpoint(args.checkpoint)
+        if loaded is None:
+            return 2
+        saved, params = loaded
+        if saved != arch:
+            print(f"error: {args.checkpoint} holds {saved.name}, not {args.arch}", file=sys.stderr)
+            return 2
     else:
         params = init_parameters(arch, args.seed)
 
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    agree = 0
+    agree = ties = 0
     try:
         for i in range(args.samples):
             x = rng.uniform(0.01, 1.0, size=arch.input_dim)
             factorized = forward(arch, params, x).probs[0]
             exact = circuit_inference(arch, params, x, max_qubits=args.max_qubits)
             deviation = float(np.max(np.abs(factorized - exact)))
-            match = int(np.argmax(factorized) == np.argmax(exact))
+            tie = any(np.sum(p >= p.max() - TIE_ATOL) > 1 for p in (factorized, exact))
+            match = int(not tie and np.argmax(factorized) == np.argmax(exact))
             rows.append(
                 {"sample": i, "max_abs_deviation": deviation, "argmax_agree": match}
             )
             worst = max(worst, deviation)
             agree += match
+            ties += tie
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -258,7 +282,7 @@ def cmd_verify(args) -> int:
     _write_manifest(out_dir, "verify", vars(args))
     print(
         f"verify: {args.samples} samples, max deviation {worst:.3e}, "
-        f"argmax agreement {agree}/{args.samples}"
+        f"argmax agreement {agree}/{args.samples} ({ties} tied, not counted)"
     )
     if args.demo_path6:
         demo = path6_demo()

@@ -92,22 +92,6 @@ class ParameterStore:
 
 
 @dataclass
-class Gradients:
-    v_thetas: np.ndarray
-    uw_latent: np.ndarray | None
-    n_thetas: list[np.ndarray]
-    pw_latent: list[np.ndarray]
-
-    def arrays(self) -> list[np.ndarray]:
-        out = [self.v_thetas]
-        if self.uw_latent is not None:
-            out.append(self.uw_latent)
-        out.extend(self.n_thetas)
-        out.extend(self.pw_latent)
-        return out
-
-
-@dataclass
 class _Pipeline:
     """Template view of an architecture: v blocks, optional u, prob layers."""
 
@@ -298,8 +282,8 @@ def backward_batch(
     trace: ForwardTrace,
     labels: np.ndarray,
     temperature: float = 0.25,
-) -> Gradients:
-    """Exact reverse-mode gradients; binary weights get straight-through."""
+) -> ParameterStore:
+    """Exact reverse-mode gradients as a ParameterStore; binary weights get straight-through."""
     labels = np.asarray(labels, dtype=int)
     pipe = pipeline(arch)
     B, C = trace.probs.shape
@@ -308,12 +292,9 @@ def backward_batch(
     onehot[np.arange(B), labels] = 1.0
     grad = (sm - onehot) / (temperature * B)  # dL/dprobs
 
-    grads = Gradients(
-        v_thetas=np.zeros_like(params.v_thetas),
-        uw_latent=None if params.uw_latent is None else np.zeros_like(params.uw_latent),
-        n_thetas=[np.zeros_like(t) for t in params.n_thetas],
-        pw_latent=[np.zeros_like(w) for w in params.pw_latent],
-    )
+    grads = params.copy()  # same fields and shapes, zeroed
+    for g in grads.arrays():
+        g.fill(0.0)
 
     if pipe.readout == "v":
         bits = _bit_matrix(arch.n_qubits)[:, : arch.num_classes]
@@ -373,7 +354,7 @@ def backward(
     trace: ForwardTrace,
     label: int,
     temperature: float = 0.25,
-) -> Gradients:
+) -> ParameterStore:
     return backward_batch(arch, params, trace, np.array([label]), temperature)
 
 
@@ -650,10 +631,11 @@ def save_checkpoint(path, arch: ArchitectureSpec, params: ParameterStore) -> Non
 
 
 def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
+    """ValueError unless each parameter has the shape init_parameters gives."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     arch_d = payload["architecture"]
@@ -673,6 +655,11 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
         [np.array(t, dtype=float) for t in p["n_thetas"]],
         [np.array(w, dtype=float) for w in p["pw_latent"]],
     )
+    want = init_parameters(arch)
+    shapes = [a.shape for a in params.arrays()]
+    needed = [a.shape for a in want.arrays()]
+    if shapes != needed or (params.uw_latent is None) != (want.uw_latent is None):
+        raise ValueError(f"parameter shapes {shapes} do not fit {arch.name}, which needs {needed}")
     return arch, params
 
 

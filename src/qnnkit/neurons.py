@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .statevec import CX, CZ, CircuitFragment, H, StateVector, X, Z, mcx, rx, ry
+from .statevec import apply_1q, controlled_x, ry_entries
 
 # ---------------------------------------------------------------------------
 # weight helpers
@@ -83,8 +84,8 @@ def v_forward(x, thetas) -> np.ndarray:
     """Apply the composed V-block unitary to amplitude vector ``x``.
 
     ``thetas`` is one angle vector (2n,) or a stack (blocks, 2n). All the
-    gates involved are real, so this runs on the fast real-valued kernels
-    shared with training; the complex simulator is the test oracle.
+    gates involved are real, so this runs the shared gate kernels on a
+    real batch of one, as training does; the complex simulator checks it.
     """
     x = np.asarray(x, dtype=float)
     out, _ = v_stage_forward(x[None, :], _as_blocks(x.shape[0], thetas))
@@ -92,13 +93,13 @@ def v_forward(x, thetas) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# V: batched real kernels with reverse-mode gradients
+# V: batched forward and reverse-mode gradients
 # ---------------------------------------------------------------------------
 #
 # All V-stage gates (RY, CX) are real orthogonal, so batches of states are
-# (B, 2^n) float arrays. The backward pass re-derives intermediate states
-# by running the inverse circuit alongside the adjoint, so nothing but
-# the final state is stored.
+# (B, 2^n) float arrays run through the simulator's gate kernels. The
+# backward pass re-derives intermediate states by running the inverse
+# circuit alongside the adjoint, so nothing but the final state is stored.
 
 
 def _as_blocks(dim: int, thetas) -> np.ndarray:
@@ -109,40 +110,6 @@ def _as_blocks(dim: int, thetas) -> np.ndarray:
     if t.ndim != 2 or t.shape[1] != 2 * n:
         raise ValueError(f"expected (blocks, {2 * n}) angles, got shape {t.shape}")
     return t
-
-
-def _ry_batch(a: np.ndarray, q: int, n: int, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    v = a.reshape(a.shape[0], 2**q, 2, -1)
-    x0, x1 = v[:, :, 0, :], v[:, :, 1, :]
-    new0 = c * x0 - s * x1
-    new1 = s * x0 + c * x1
-    v[:, :, 0, :] = new0
-    v[:, :, 1, :] = new1
-    return a
-
-
-def _ry_dtheta_batch(a: np.ndarray, q: int, n: int, theta: float) -> np.ndarray:
-    # d(RY)/dtheta = 0.5 * [[-sin t/2, -cos t/2], [cos t/2, -sin t/2]]
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    v = a.reshape(a.shape[0], 2**q, 2, -1)
-    x0, x1 = v[:, :, 0, :], v[:, :, 1, :]
-    out = np.empty_like(v)
-    out[:, :, 0, :] = 0.5 * (-s * x0 - c * x1)
-    out[:, :, 1, :] = 0.5 * (c * x0 - s * x1)
-    return out.reshape(a.shape)
-
-
-def _cx_batch(a: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    v = a.reshape([a.shape[0]] + [2] * n)
-    sel0: list = [slice(None)] * (n + 1)
-    sel0[1 + control] = 1
-    sel1 = list(sel0)
-    sel0[1 + target], sel1[1 + target] = 0, 1
-    tmp = v[tuple(sel0)].copy()
-    v[tuple(sel0)] = v[tuple(sel1)]
-    v[tuple(sel1)] = tmp
-    return a
 
 
 def _v_stage_ops(n: int, blocks: int) -> list[tuple]:
@@ -166,9 +133,9 @@ def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict
     ops = _v_stage_ops(n, thetas.shape[0])
     for kind, p, q in ops:
         if kind == "ry":
-            _ry_batch(a, p, n, thetas[q])
+            apply_1q(a, p, *ry_entries(thetas[q]))
         else:
-            _cx_batch(a, p, q, n)
+            controlled_x(a, (p,), (1,), q)
     tape = {"ops": ops, "thetas": thetas, "n": n, "out": a}
     return a, tape
 
@@ -176,19 +143,21 @@ def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict
 def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint pass: gradients w.r.t. every angle and the input batch."""
     thetas = tape["thetas"]
-    n = tape["n"]
     a = tape["out"].copy()
     lam = np.array(grad_out, dtype=float)
     grad_theta = np.zeros_like(thetas)
     for kind, p, q in reversed(tape["ops"]):
         if kind == "ry":
             theta = thetas[q]
-            _ry_batch(a, p, n, -theta)  # rewind the state
-            grad_theta[q] += float(np.sum(lam * _ry_dtheta_batch(a, p, n, theta)))
-            _ry_batch(lam, p, n, -theta)  # RY^T = RY(-theta)
+            inverse = ry_entries(-theta)  # RY^-1 = RY^T = RY(-theta)
+            apply_1q(a, p, *inverse)  # rewind the state
+            d = a.copy()  # d RY(theta) / d theta = RY(theta + pi) / 2
+            apply_1q(d, p, *ry_entries(theta + math.pi))
+            grad_theta[q] += 0.5 * float(np.sum(lam * d))
+            apply_1q(lam, p, *inverse)
         else:
-            _cx_batch(a, p, q, n)  # CX is its own inverse and transpose
-            _cx_batch(lam, p, q, n)
+            controlled_x(a, (p,), (1,), q)  # CX is its own inverse and transpose
+            controlled_x(lam, (p,), (1,), q)
     return grad_theta, lam
 
 

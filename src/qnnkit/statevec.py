@@ -9,9 +9,12 @@ Conventions used across the package:
   ``RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]`` and
   ``RX(t) = [[cos t/2, -i sin t/2], [-i sin t/2, cos t/2]]``.
 
-Gate application is in place and stride-based: one gate costs O(2^n),
-never O(4^n). A StateVector is exclusively owned while mutated; nothing
-here shares state between threads.
+The gate kernels ``apply_1q``, ``controlled_x`` and ``phase_flip`` work
+in place on a batch of states, a ``(B, 2^n)`` array of any dtype, and
+cost O(2^n) per state, never O(4^n). The simulator and the trainer share
+them: a StateVector is a batch of one complex state, and the trainer's
+V stage runs them on real batches. A StateVector is exclusively owned
+while mutated; nothing here shares state between threads.
 """
 
 from __future__ import annotations
@@ -169,9 +172,64 @@ class CircuitFragment:
         out.ops = [(g.inverse(), qs) for g, qs in reversed(self.ops)]
         return out
 
-    @property
-    def gate_count(self) -> int:
-        return len(self.ops)
+
+# Batched gate kernels: each row of ``a`` is one state, mutated in place.
+
+
+def apply_1q(a: np.ndarray, q: int, m00, m01, m10, m11) -> None:
+    """Apply the 2x2 matrix [[m00, m01], [m10, m11]] to qubit ``q``."""
+    v = a.reshape(a.shape[0], 2**q, 2, -1)
+    x0, x1 = v[:, :, 0], v[:, :, 1]
+    # fresh temporaries: in-place ops on the strided x0, x1 are slower on small batches
+    new0 = m00 * x0
+    new0 += m01 * x1
+    new1 = m10 * x0
+    new1 += m11 * x1
+    x0[...] = new0
+    x1[...] = new1
+
+
+def _axes(a: np.ndarray, fixed) -> tuple[np.ndarray, list]:
+    """One axis per qubit, and an index pinning each (qubit, bit) in ``fixed``."""
+    n = a.shape[1].bit_length() - 1
+    sel: list = [slice(None)] * (n + 1)
+    for q, bit in fixed:
+        sel[1 + q] = bit
+    return a.reshape((a.shape[0],) + (2,) * n), sel
+
+
+def controlled_x(a: np.ndarray, controls, polarities, target: int) -> None:
+    """Flip ``target`` where control i holds ``polarities[i]`` (CX, MCX)."""
+    view, sel0 = _axes(a, zip(controls, polarities))
+    sel1 = list(sel0)
+    sel0[1 + target], sel1[1 + target] = 0, 1
+    sel0, sel1 = tuple(sel0), tuple(sel1)
+    tmp = view[sel0].copy()
+    view[sel0] = view[sel1]
+    view[sel1] = tmp
+
+
+def phase_flip(a: np.ndarray, qubits) -> None:
+    """Negate the amplitudes where every qubit in ``qubits`` is 1 (CZ)."""
+    view, sel = _axes(a, ((q, 1) for q in qubits))
+    view[tuple(sel)] *= -1
+
+
+def ry_entries(theta: float) -> tuple[float, float, float, float]:
+    """The 2x2 entries of RY(theta), in ``apply_1q`` order."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return c, -s, s, c
+
+
+def _entries(gate: Gate) -> tuple:
+    """The 2x2 entries of a one-qubit gate as scalars, real where they can be."""
+    if gate.kind == "RY":
+        return ry_entries(gate.theta)
+    if gate.kind == "RX":
+        c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
+        return c, -1j * s, -1j * s, c
+    r = _SQRT2_INV
+    return {"H": (r, r, r, -r), "X": (0.0, 1.0, 1.0, 0.0), "Z": (1.0, 0.0, 0.0, -1.0)}[gate.kind]
 
 
 class StateVector:
@@ -205,15 +263,13 @@ class StateVector:
         if any(q < 0 or q >= self.n_qubits for q in qubits):
             raise ValueError(f"qubit index out of range 0..{self.n_qubits - 1}: {qubits}")
 
+        a = self.amps[None]
         if gate.arity == 1:
-            self._apply_1q(gate.matrix(), qubits[0])
-        elif gate.kind == "CX":
-            self._flip_target({qubits[0]: 1}, qubits[1])
+            apply_1q(a, qubits[0], *_entries(gate))
         elif gate.kind == "CZ":
-            self._phase_flip({qubits[0]: 1, qubits[1]: 1})
-        else:  # MCX
-            controls = dict(zip(qubits[:-1], gate.polarities))
-            self._flip_target(controls, qubits[-1])
+            phase_flip(a, qubits)
+        else:  # CX fires on control 1; MCX carries its polarities
+            controlled_x(a, qubits[:-1], gate.polarities or (1,), qubits[-1])
         return self
 
     def run(self, fragment: CircuitFragment) -> "StateVector":
@@ -225,32 +281,6 @@ class StateVector:
         for gate, qubits in fragment.ops:
             self.apply(gate, qubits)
         return self
-
-    def _apply_1q(self, m: np.ndarray, q: int) -> None:
-        a = self.amps.reshape(2**q, 2, -1)
-        x0, x1 = a[:, 0, :], a[:, 1, :]
-        new0 = m[0, 0] * x0 + m[0, 1] * x1
-        new1 = m[1, 0] * x0 + m[1, 1] * x1
-        a[:, 0, :] = new0
-        a[:, 1, :] = new1
-
-    def _flip_target(self, controls: dict[int, int], target: int) -> None:
-        view = self.amps.reshape([2] * self.n_qubits)
-        sel0: list = [slice(None)] * self.n_qubits
-        for q, pol in controls.items():
-            sel0[q] = pol
-        sel1 = list(sel0)
-        sel0[target], sel1[target] = 0, 1
-        tmp = view[tuple(sel0)].copy()
-        view[tuple(sel0)] = view[tuple(sel1)]
-        view[tuple(sel1)] = tmp
-
-    def _phase_flip(self, controls: dict[int, int]) -> None:
-        view = self.amps.reshape([2] * self.n_qubits)
-        sel: list = [slice(None)] * self.n_qubits
-        for q, pol in controls.items():
-            sel[q] = pol
-        view[tuple(sel)] *= -1
 
     # -- readout ----------------------------------------------------------
 
@@ -296,15 +326,3 @@ def new_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVecto
             f"{max_qubits} qubits"
         )
     return StateVector(n_qubits)
-
-
-def apply(state: StateVector, gate: Gate, qubits) -> StateVector:
-    return state.apply(gate, qubits)
-
-
-def marginal_prob_one(state: StateVector, qubit: int) -> float:
-    return state.marginal_prob_one(qubit)
-
-
-def is_product_qubit(state: StateVector, qubit: int, tol: float = 1e-9) -> bool:
-    return state.is_product_qubit(qubit, tol)

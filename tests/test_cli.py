@@ -34,6 +34,16 @@ layer u width=1
 layer n width=1
 """
 
+# Every u and p ancilla is dephased, so the circuit's two outputs are
+# 0.25 each for every input: a tie on every sample.
+TIED_ARCH = """\
+input_dim 4
+classes 2
+layer v width=2
+layer u width=2
+layer p width=2
+"""
+
 XOR_TRAIN = [
     "--dataset", "xor",
     "--epochs", "3",
@@ -178,6 +188,39 @@ def test_eval_roundtrips_checkpoint(tmp_path, capsys):
     )
 
 
+def test_eval_missing_checkpoint_exits_two(tmp_path, capsys):
+    no_params = tmp_path / "no_params.json"
+    no_params.write_text(
+        '{"format": "qnnkit-checkpoint", "version": 1, "architecture": {"input_dim": 4,'
+        ' "num_classes": 2, "layers": [{"kind": "v", "width": 2, "repeat": 1,'
+        ' "theta_mode": "shared"}]}}'
+    )
+    cases = [(tmp_path / "missing.json", "No such file"), (no_params, "missing field 'parameters'")]
+    for path, reason in cases:
+        code = main(["eval", "--checkpoint", str(path), "--dataset", "xor", "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
+
+
+def test_verify_checkpoint_with_wrong_shapes_exits_two(tmp_path, capsys):
+    from qnnkit.arch import parse_architecture
+    from qnnkit.model import init_parameters, save_checkpoint
+
+    spec = parse_architecture(FEASIBLE_ARCH)
+    params = init_parameters(spec, seed=0)
+    params.v_thetas = params.v_thetas[:, :-1]  # every row one angle short
+    ckpt = tmp_path / "short.json"
+    save_checkpoint(ckpt, spec, params)
+    arch = write(tmp_path, "ok.arch", FEASIBLE_ARCH)
+    code = main(["verify", "--arch", arch, "--checkpoint", str(ckpt), "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "shapes" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -192,6 +235,37 @@ def test_verify_single_neuron_chain_is_exact(tmp_path, capsys):
     assert len(rows) == 10
     assert all(float(r["max_abs_deviation"]) < 1e-9 for r in rows)
     assert all(r["argmax_agree"] == "1" for r in rows)
+
+
+def test_verify_rejects_checkpoint_of_another_architecture(tmp_path, capsys):
+    from qnnkit.arch import parse_architecture
+    from qnnkit.model import init_parameters, save_checkpoint
+
+    arch = write(tmp_path, "ok.arch", FEASIBLE_ARCH)
+    same = parse_architecture(FEASIBLE_ARCH)
+    ckpt = tmp_path / "same.json"
+    save_checkpoint(ckpt, same, init_parameters(same, seed=0))
+    assert main(["verify", "--arch", arch, "--checkpoint", str(ckpt), "--samples", "2",
+                 "--out", str(tmp_path / "same")]) == 0
+    capsys.readouterr()
+
+    other = parse_architecture(VUN_ARCH)
+    ckpt = tmp_path / "vun.json"
+    save_checkpoint(ckpt, other, init_parameters(other, seed=0))
+    code = main(["verify", "--arch", arch, "--checkpoint", str(ckpt), "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "v" / "verify.csv").exists()
+
+
+def test_verify_does_not_count_ties_as_agreement(tmp_path, capsys):
+    arch = write(tmp_path, "tied.arch", TIED_ARCH)
+    out = tmp_path / "verify"
+    code = main(["verify", "--arch", arch, "--samples", "5", "--out", str(out)])
+    assert code == 0
+    assert "argmax agreement 0/5 (5 tied" in capsys.readouterr().out
+    assert [r["argmax_agree"] for r in read_csv(out / "verify.csv")] == ["0"] * 5
 
 
 def test_verify_demo_path6_reports_large_deviation(tmp_path, capsys):

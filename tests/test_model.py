@@ -357,9 +357,10 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError, match="not a qnnkit-checkpoint"):
-        load_checkpoint(path)
+    for text in ('{"format": "something-else"}', "[1, 2]"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a qnnkit-checkpoint"):
+            load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

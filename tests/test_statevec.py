@@ -20,8 +20,11 @@ from qnnkit.statevec import (
     StateVector,
     X,
     Z,
+    apply_1q,
+    controlled_x,
     mcx,
     new_state,
+    phase_flip,
     rx,
     ry,
 )
@@ -57,6 +60,19 @@ def random_gate(rng) -> tuple[Gate, int]:
     else:
         g = {"H": H, "X": X, "Z": Z, "CX": CX, "CZ": CZ}[kind]
     return g, g.arity
+
+
+def apply_kernel(batch: np.ndarray, gate: Gate, positions) -> None:
+    """Dispatch one gate to the batch kernels, entries from its dense matrix."""
+    if gate.arity == 1:
+        m = gate.matrix()
+        entries = m.ravel() if np.iscomplexobj(batch) else m.real.ravel()
+        apply_1q(batch, positions[0], *entries)
+    elif gate.kind == "CZ":
+        phase_flip(batch, positions)
+    else:
+        polarities = gate.polarities or (1,)
+        controlled_x(batch, positions[:-1], polarities, positions[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +225,18 @@ def test_inplace_application_matches_kron_oracle():
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
 
-        expected = embed_oracle(gate.matrix(), positions, n) @ amps
+        oracle = embed_oracle(gate.matrix(), positions, n)
         got = StateVector(n, amps.copy()).apply(gate, positions).amps
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        np.testing.assert_allclose(got, oracle @ amps, atol=1e-12)
+
+        # the same gate through the shared batch kernels, on complex rows
+        # and, for real gates, on real rows
+        rows = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+        batches = [rows] if gate.kind == "RX" else [rows, rows.real.copy()]
+        for batch in batches:
+            expected = batch @ oracle.T
+            apply_kernel(batch, gate, positions)
+            np.testing.assert_allclose(batch, expected, atol=1e-12)
 
 
 def test_norm_preserved_over_random_circuits():
