@@ -9,13 +9,14 @@ Every run writes a ``manifest.json`` (full config, seed, package
 version, CSV schema version) next to its outputs; re-running with the
 same manifest reproduces the metrics bit-identically. Exit codes:
 0 success / feasible, 1 infeasible or failed run, 2 bad usage or
-unparseable input files.
+unreadable input (reported by ``main`` as one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -33,7 +34,6 @@ from .model import (
     init_parameters,
     load_checkpoint,
     path6_demo,
-    predict_probs,
     save_checkpoint,
     train,
 )
@@ -59,6 +59,10 @@ RESULTS_COLUMNS = [
 ]
 
 
+class UsageError(Exception):
+    """Input the user can fix; ``main`` reports it as one line, exit 2."""
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
     plain = {
         k: v
@@ -82,31 +86,55 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
+def _write_results(out_dir: Path, args, arch, label: str, test_acc: float, metrics=None) -> dict:
+    """Write the one-row results.csv of a train run (with ``metrics``) or an eval run."""
+    mnist = args.dataset == "mnist"
+    last = metrics[-1] if metrics else {}
+    row = {
+        "schema": CSV_SCHEMA_VERSION,
+        "architecture": arch.name,
+        "dataset": label,
+        "classes": args.classes if mnist else "0,1",
+        "resolution": args.resolution if mnist else "",
+        "seed": args.seed,
+        "epochs": args.epochs if metrics else "",
+        "train_accuracy": last.get("train_accuracy", ""),
+        "test_accuracy": test_acc,
+        "final_loss": last.get("train_loss", ""),
+    }
+    _write_csv(out_dir / "results.csv", RESULTS_COLUMNS, [row])
+    return row
+
+
 def _read_checkpoint(path: str):
-    """(arch, params) from ``path``, or None after a one-line error."""
+    """(arch, params) from ``path``; a missing file is left to ``main``."""
     try:
         return load_checkpoint(path)
-    except OSError as exc:
-        reason = exc.strerror or exc
     except KeyError as exc:
-        reason = f"missing field {exc}"
+        raise UsageError(f"{path}: missing field {exc}") from None
     except ValueError as exc:
-        reason = exc
-    print(f"error: {path}: {reason}", file=sys.stderr)
-    return None
+        raise UsageError(f"{path}: {exc}") from None
 
 
-def _dataset(args):
-    """Resolve the dataset selection into (train, test, label)."""
+def _dataset(args, arch):
+    """Resolve the dataset selection into (train, test, label) that fits ``arch``."""
     if args.dataset == "xor":
-        return (
-            make_xor_dataset(240, seed=args.seed),
-            make_xor_dataset(120, seed=args.seed + 1),
-            "xor",
+        train_ds = make_xor_dataset(240, seed=args.seed)
+        test_ds = make_xor_dataset(120, seed=args.seed + 1)
+        label = "xor"
+    else:
+        classes = [int(c) for c in args.classes.split(",")]
+        train_ds, test_ds = mnist_task(classes, args.resolution, args.data_dir)
+        label = f"mnist-{len(classes)}"
+    width = train_ds.images.shape[1]
+    if width != arch.input_dim:
+        raise UsageError(
+            f"{arch.name} takes input_dim {arch.input_dim}, but {label} rows have {width} values"
         )
-    classes = [int(c) for c in args.classes.split(",")]
-    train_ds, test_ds = mnist_task(classes, args.resolution, args.data_dir)
-    return train_ds, test_ds, f"mnist-{len(classes)}"
+    n_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
+    if n_classes > arch.num_classes:
+        raise UsageError(f"{arch.name} has {arch.num_classes} classes, {label} has {n_classes}")
+    return train_ds, test_ds, label
 
 
 def _train_config(args) -> TrainConfig:
@@ -129,11 +157,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_check(args) -> int:
-    try:
-        arch = load_architecture(args.arch)
-    except ArchitectureParseError as exc:
-        print(f"error: {args.arch}: {exc}", file=sys.stderr)
-        return 2
+    arch = load_architecture(args.arch)
     report = validate_architecture(arch)
     print(report.render_text())
     out_dir = Path(args.out)
@@ -143,8 +167,8 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _run_training(args):
-    arch = load_architecture(args.arch)
+def _run_training(args, arch, train_ds, test_ds):
+    """(params, metrics) with the v repeats set to ``args.r``; None if infeasible."""
     if args.r is not None:
         for layer in arch.layers:
             if layer.kind == "v":
@@ -154,29 +178,24 @@ def _run_training(args):
         print(report.render_text(), file=sys.stderr)
         print("error: infeasible architecture, refusing to train", file=sys.stderr)
         return None
-    train_ds, test_ds, label = _dataset(args)
-    config = _train_config(args)
-    params, metrics = train(
+    return train(
         arch,
         init_parameters(arch, args.seed),
         train_ds.images,
         train_ds.labels,
-        config,
+        _train_config(args),
         test_ds.images,
         test_ds.labels,
     )
-    return arch, params, metrics, train_ds, test_ds, label, config
 
 
 def cmd_train(args) -> int:
-    try:
-        result = _run_training(args)
-    except ArchitectureParseError as exc:
-        print(f"error: {args.arch}: {exc}", file=sys.stderr)
-        return 2
+    arch = load_architecture(args.arch)
+    train_ds, test_ds, label = _dataset(args, arch)
+    result = _run_training(args, arch, train_ds, test_ds)
     if result is None:
         return 1
-    arch, params, metrics, train_ds, test_ds, label, config = result
+    params, metrics = result
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,21 +205,10 @@ def cmd_train(args) -> int:
         [{k: row.get(k, "") for k in ("epoch", "train_loss", "train_accuracy", "test_accuracy")} for row in metrics],
     )
     test_acc = accuracy(arch, params, test_ds.images, test_ds.labels)
-    row = {
-        "schema": CSV_SCHEMA_VERSION,
-        "architecture": arch.name,
-        "dataset": label,
-        "classes": args.classes if args.dataset == "mnist" else "0,1",
-        "resolution": args.resolution if args.dataset == "mnist" else "",
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "train_accuracy": metrics[-1]["train_accuracy"],
-        "test_accuracy": test_acc,
-        "final_loss": metrics[-1]["train_loss"],
-    }
-    _write_csv(out_dir / "results.csv", RESULTS_COLUMNS, [row])
+    row = _write_results(out_dir, args, arch, label, test_acc, metrics)
     save_checkpoint(out_dir / "checkpoint.json", arch, params)
-    _write_manifest(out_dir, "train", {**vars(args), "train_config": config.to_dict()})
+    config = dataclasses.asdict(_train_config(args))
+    _write_manifest(out_dir, "train", {**vars(args), "train_config": config})
     print(
         f"{row['architecture']},{row['dataset']},{row['resolution']},"
         f"test_accuracy={test_acc:.4f}"
@@ -209,46 +217,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    loaded = _read_checkpoint(args.checkpoint)
-    if loaded is None:
-        return 2
-    arch, params = loaded
-    train_ds, test_ds, label = _dataset(args)
+    arch, params = _read_checkpoint(args.checkpoint)
+    train_ds, test_ds, label = _dataset(args, arch)
     test_acc = accuracy(arch, params, test_ds.images, test_ds.labels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    row = {
-        "schema": CSV_SCHEMA_VERSION,
-        "architecture": arch.name,
-        "dataset": label,
-        "classes": args.classes if args.dataset == "mnist" else "0,1",
-        "resolution": args.resolution if args.dataset == "mnist" else "",
-        "seed": args.seed,
-        "epochs": "",
-        "train_accuracy": "",
-        "test_accuracy": test_acc,
-        "final_loss": "",
-    }
-    _write_csv(out_dir / "results.csv", RESULTS_COLUMNS, [row])
+    _write_results(out_dir, args, arch, label, test_acc)
     _write_manifest(out_dir, "eval", vars(args))
     print(f"{arch.name},{label},test_accuracy={test_acc:.4f}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        arch = load_architecture(args.arch)
-    except ArchitectureParseError as exc:
-        print(f"error: {args.arch}: {exc}", file=sys.stderr)
-        return 2
+    arch = load_architecture(args.arch)
     if args.checkpoint:
-        loaded = _read_checkpoint(args.checkpoint)
-        if loaded is None:
-            return 2
-        saved, params = loaded
+        saved, params = _read_checkpoint(args.checkpoint)
         if saved != arch:
-            print(f"error: {args.checkpoint} holds {saved.name}, not {args.arch}", file=sys.stderr)
-            return 2
+            raise UsageError(f"{args.checkpoint} holds {saved.name}, not {args.arch}")
     else:
         params = init_parameters(arch, args.seed)
 
@@ -297,8 +282,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.r_min > args.r_max:
-        print("error: --r-min must be <= --r-max", file=sys.stderr)
-        return 2
+        raise UsageError("--r-min must be <= --r-max")
+    arch = load_architecture(args.arch)
+    train_ds, test_ds, _ = _dataset(args, arch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -306,10 +292,7 @@ def cmd_sweep(args) -> int:
     for r in range(args.r_min, args.r_max + 1):
         args.r = r
         try:
-            result = _run_training(args)
-        except ArchitectureParseError as exc:
-            print(f"error: {args.arch}: {exc}", file=sys.stderr)
-            return 2
+            result = _run_training(args, arch, train_ds, test_ds)
         except Exception as exc:  # abort but keep partial results
             print(f"error: run r={r} failed: {exc}", file=sys.stderr)
             status = 1
@@ -317,7 +300,7 @@ def cmd_sweep(args) -> int:
         if result is None:
             status = 1
             break
-        arch, params, metrics, train_ds, test_ds, label, config = result
+        params, metrics = result
         test_acc = accuracy(arch, params, test_ds.images, test_ds.labels)
         rows.append(
             {
@@ -343,6 +326,21 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """argparse type of every count option: a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _digits(text: str) -> str:
+    """argparse type of --classes: distinct digits 0-9, kept as typed for the CSV."""
+    digits = [c.strip() for c in text.split(",")]
+    if len(set(digits)) != len(digits) or not all(len(c) == 1 and c.isdecimal() for c in digits):
+        raise argparse.ArgumentTypeError(f"expected distinct comma-separated digits, got {text!r}")
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs", help="output directory")
@@ -350,20 +348,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_dataset(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", choices=["mnist", "xor"], default="mnist")
-    p.add_argument("--classes", default="3,6", help="comma-separated digits")
+    p.add_argument("--classes", type=_digits, default="3,6", help="comma-separated digits")
     p.add_argument("--resolution", type=int, default=4, choices=[4, 8, 16])
     p.add_argument("--data-dir", default=None, help="MNIST cache directory")
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_count, default=30)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_count, default=32)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--temperature", type=float, default=0.25)
     p.add_argument("--lr-decay", type=float, default=1.0)
     p.add_argument("--keep-best", action="store_true")
-    p.add_argument("--r", type=int, default=None, help="override v-layer repeats")
+    p.add_argument("--r", type=_count, default=None, help="override v-layer repeats")
     p.add_argument("--verbose", action="store_true")
 
 
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare factorized model with the full circuit")
     p.add_argument("--arch", required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--max-qubits", type=int, default=24)
     p.add_argument("--demo-path6", action="store_true")
     _add_common(p)
@@ -405,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train across a range of v-block repeats")
     p.add_argument("--arch", required=True)
-    p.add_argument("--r-min", type=int, default=1)
-    p.add_argument("--r-max", type=int, default=3)
+    p.add_argument("--r-min", type=_count, default=1)
+    p.add_argument("--r-max", type=_count, default=3)
     _add_dataset(p)
     _add_training(p)
     _add_common(p)
@@ -416,7 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ArchitectureParseError as exc:
+        reason = f"{args.arch}: {exc}"
+    except OSError as exc:  # missing or unreadable files, MNIST included
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+    except UsageError as exc:
+        reason = exc
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

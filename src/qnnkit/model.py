@@ -11,7 +11,9 @@ Two semantics coexist on purpose:
   a fresh register per u neuron and no measurement anywhere except the
   final output qubits, then reads class probabilities as marginals.
 
-The two agree exactly through v, u and n stages; p layers consuming
+Each factorized stage runs its neuron's batched closed form from
+``neurons`` (the same forms criterion 1 checks against the gadgets), so
+the two agree exactly through v, u and n stages; p layers consuming
 qubits that earlier gadgets have already entangled are the approximate
 case, and `cmd verify` exists to measure that gap rather than hide it.
 
@@ -30,12 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ArchitectureSpec, ArchitectureError, LayerSpec
-from .encoding import amplitude_encoding_fragment
+from .encoding import amplitude_encoding_fragment, decode_probabilities
 from .neurons import (
     binarize,
     build_p_neuron,
     build_u_neuron,
     build_v_block,
+    n_forward_batch,
+    p_forward_batch,
+    u_forward_batch,
     v_stage_backward,
     v_stage_forward,
 )
@@ -98,7 +103,6 @@ class _Pipeline:
     v_blocks: int
     u_width: int | None
     prob_layers: list[LayerSpec]
-    readout: str  # "u", "prob", or "v"
 
 
 def pipeline(arch: ArchitectureSpec) -> _Pipeline:
@@ -122,13 +126,7 @@ def pipeline(arch: ArchitectureSpec) -> _Pipeline:
             "after the v/u stage only n- and p-layers are trainable; "
             f"got sequence {kinds}"
         )
-    if prob_layers:
-        readout = "prob"
-    elif u_width is not None:
-        readout = "u"
-    else:
-        readout = "v"
-    return _Pipeline(v_blocks, u_width, prob_layers, readout)
+    return _Pipeline(v_blocks, u_width, prob_layers)
 
 
 def init_parameters(arch: ArchitectureSpec, seed: int = 0) -> ParameterStore:
@@ -165,7 +163,6 @@ def init_parameters(arch: ArchitectureSpec, seed: int = 0) -> ParameterStore:
 class ForwardTrace:
     """Everything the backward pass needs: per-stage activations."""
 
-    x_enc: np.ndarray  # (B, input_dim), unit rows
     v_tape: dict
     v_out: np.ndarray  # (B, input_dim)
     stages: list[dict] = field(default_factory=list)
@@ -192,56 +189,34 @@ def forward_batch(
     if X.shape[1] != arch.input_dim:
         raise ValueError(f"expected input dim {arch.input_dim}, got {X.shape[1]}")
     pipe = pipeline(arch)
-    n = arch.n_qubits
 
-    x_enc = _normalize_rows(X)
-    v_out, v_tape = v_stage_forward(x_enc, params.v_thetas)
-    trace = ForwardTrace(x_enc=x_enc, v_tape=v_tape, v_out=v_out)
-
-    if pipe.readout == "v":
-        bits = _bit_matrix(n)[:, : arch.num_classes]
-        trace.probs = (v_out**2) @ bits
-        return trace
+    v_out, v_tape = v_stage_forward(_normalize_rows(X), params.v_thetas)
+    trace = ForwardTrace(v_tape=v_tape, v_out=v_out)
 
     if pipe.u_width is not None:
-        W = params.u_weights()
-        d = v_out @ W.T  # (B, k)
-        acts = d**2 / arch.input_dim
+        acts, d = u_forward_batch(v_out, params.u_weights())
         trace.stages.append({"kind": "u", "input": v_out, "dot": d, "output": acts})
     else:
-        bits = _bit_matrix(n)
-        acts = (v_out**2) @ bits  # probability view of the v stage
+        # probability view of the v stage; with no layer after it, the
+        # first num_classes qubits are the class outputs
+        bits = _bit_matrix(arch.n_qubits)
+        if not pipe.prob_layers:
+            bits = bits[:, : arch.num_classes]
+        acts = (v_out**2) @ bits
         trace.stages.append({"kind": "view", "input": v_out, "output": acts})
 
-    n_idx = 0
-    p_idx = 0
+    n_idx = p_idx = 0
     for layer in pipe.prob_layers:
+        stage = {"kind": layer.kind, "input": acts}
         if layer.kind == "n":
-            theta = params.n_thetas[n_idx]
-            c = np.cos(theta)
-            out = np.sin(theta / 2) ** 2 + acts * c
-            trace.stages.append(
-                {"kind": "n", "index": n_idx, "input": acts, "output": out}
-            )
+            stage.update(index=n_idx, output=n_forward_batch(acts, params.n_thetas[n_idx]))
             n_idx += 1
         else:
-            W = params.p_weights(p_idx)  # (k, m)
-            # clip guards fp spill just outside [0, 1] (e.g. d^2/N = 1 + eps)
-            s = np.sqrt(np.clip(acts * (1.0 - acts), 0.0, None))  # (B, m)
-            factors = (1.0 + 2.0 * s[:, None, :] * W[None, :, :]) / 2.0  # (B, k, m)
-            out = factors.prod(axis=2)
-            trace.stages.append(
-                {
-                    "kind": "p",
-                    "index": p_idx,
-                    "input": acts,
-                    "s": s,
-                    "factors": factors,
-                    "output": out,
-                }
-            )
+            out, s, factors = p_forward_batch(acts, params.p_weights(p_idx))
+            stage.update(index=p_idx, output=out, s=s, factors=factors)
             p_idx += 1
-        acts = out
+        trace.stages.append(stage)
+        acts = stage["output"]
     trace.probs = acts
     return trace
 
@@ -285,7 +260,6 @@ def backward_batch(
 ) -> ParameterStore:
     """Exact reverse-mode gradients as a ParameterStore; binary weights get straight-through."""
     labels = np.asarray(labels, dtype=int)
-    pipe = pipeline(arch)
     B, C = trace.probs.shape
     sm = _softmax(trace.probs / temperature)
     onehot = np.zeros_like(sm)
@@ -295,12 +269,6 @@ def backward_batch(
     grads = params.copy()  # same fields and shapes, zeroed
     for g in grads.arrays():
         g.fill(0.0)
-
-    if pipe.readout == "v":
-        bits = _bit_matrix(arch.n_qubits)[:, : arch.num_classes]
-        grad_amps = 2.0 * trace.v_out * (grad @ bits.T)
-        grads.v_thetas, _ = v_stage_backward(trace.v_tape, grad_amps)
-        return grads
 
     for stage in reversed(trace.stages):
         kind = stage["kind"]
@@ -340,7 +308,7 @@ def backward_batch(
             grads.uw_latent += gd.T @ stage["input"]
             grad = gd @ W  # dL/d v_out
         else:  # probability view of the v stage
-            bits = _bit_matrix(arch.n_qubits)
+            bits = _bit_matrix(arch.n_qubits)[:, : stage["output"].shape[1]]
             grad = 2.0 * stage["input"] * (grad @ bits.T)
 
     gtheta, _ = v_stage_backward(trace.v_tape, grad)
@@ -375,25 +343,9 @@ class TrainConfig:
     seed: int = 0
     verbose: bool = False
 
-    def to_dict(self) -> dict:
-        return dict(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            momentum=self.momentum,
-            temperature=self.temperature,
-            lr_decay=self.lr_decay,
-            keep_best=self.keep_best,
-            seed=self.seed,
-        )
-
-
-def predict_probs(arch, params, X) -> np.ndarray:
-    return forward_batch(arch, params, X).probs
-
 
 def accuracy(arch, params, X, y) -> float:
-    probs = predict_probs(arch, params, X)
+    probs = forward_batch(arch, params, X).probs
     return float(np.mean(np.argmax(probs, axis=1) == np.asarray(y)))
 
 
@@ -575,7 +527,7 @@ def build_network_circuit(
             stage_qubits = new_qubits
             p_idx += 1
 
-    if pipe.readout == "v":
+    if pipe.u_width is None and not pipe.prob_layers:
         stage_qubits = stage_qubits[: arch.num_classes]
     return NetworkCircuit(frag, total, stage_qubits)
 
@@ -587,14 +539,10 @@ def circuit_inference(
     max_qubits: int = 24,
 ) -> np.ndarray:
     """Class probabilities from exact simulation of the compiled network."""
-    x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x)
-    if norm == 0:
-        raise ValueError("cannot amplitude-encode an all-zero input")
-    circuit = build_network_circuit(arch, params, x / norm, max_qubits)
+    circuit = build_network_circuit(arch, params, x, max_qubits)
     state = StateVector(circuit.n_qubits)
     state.run(circuit.fragment)
-    return np.array([state.marginal_prob_one(q) for q in circuit.output_qubits])
+    return decode_probabilities(state, circuit.output_qubits)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each neuron has two faces that must agree (the simulator is ground truth):
 
 - a circuit builder returning a CircuitFragment, and
-- an analytical forward function used for classical training.
+- a batched closed form, the one the trainer runs; the single-sample
+  ``*_forward`` helpers are batch-of-one calls of it.
 
 Kinds and their I/O encodings:
 
@@ -221,13 +222,19 @@ def build_u_neuron(n: int, w) -> CircuitFragment:
     return frag
 
 
+def u_forward_batch(X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(out, dot): (X W^T)^2 / N and X W^T for rows X (B, N), +-1 rows W (k, N)."""
+    dot = X @ W.T
+    return dot**2 / X.shape[1], dot
+
+
 def u_forward(x, w) -> float:
     """(sum_k w_k x_k)^2 / N for an L2-normalized amplitude vector x."""
     x = np.asarray(x, dtype=float)
     w = check_binary_weights(w)
     if len(x) != len(w):
         raise ValueError(f"length mismatch: {len(x)} inputs vs {len(w)} weights")
-    return float(np.dot(w, x) ** 2 / len(x))
+    return float(u_forward_batch(x[None, :], w[None, :])[0][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +267,17 @@ def build_p_neuron(m: int, w) -> CircuitFragment:
     return frag
 
 
+def p_forward_batch(P: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(out, s, factors) of p_forward for rows P (B, m), +-1 rows W (k, m).
+
+    out is (B, k), s = sqrt(p(1-p)) is (B, m), factors is (B, k, m).
+    """
+    # clip guards fp spill just outside [0, 1] (e.g. d^2/N = 1 + eps)
+    s = np.sqrt(np.clip(P * (1.0 - P), 0.0, None))
+    factors = (1.0 + 2.0 * s[:, None, :] * W[None, :, :]) / 2.0
+    return factors.prod(axis=2), s, factors
+
+
 def p_forward(p, w) -> float:
     """Product of per-input factors (1 + 2 w_i sqrt(p_i (1 - p_i))) / 2.
 
@@ -272,7 +290,7 @@ def p_forward(p, w) -> float:
         raise ValueError(f"length mismatch: {len(p)} inputs vs {len(w)} weights")
     if np.any((p < 0) | (p > 1)):
         raise ValueError("P neuron inputs are probabilities in [0, 1]")
-    return float(np.prod((1.0 + 2.0 * w * np.sqrt(p * (1.0 - p))) / 2.0))
+    return float(p_forward_batch(p[None, :], w[None, :])[0][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +303,14 @@ def build_n_neuron(theta: float) -> CircuitFragment:
     return CircuitFragment(1).append(rx(theta), 0)
 
 
+def n_forward_batch(P: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """n_forward as sin^2(theta/2) + p cos(theta); theta is (1,) or one per column."""
+    return np.sin(theta / 2) ** 2 + P * np.cos(theta)
+
+
 def n_forward(p: float, theta: float) -> float:
     """p cos^2(theta/2) + (1 - p) sin^2(theta/2)."""
-    c2 = math.cos(theta / 2) ** 2
-    return p * c2 + (1.0 - p) * (1.0 - c2)
+    return float(n_forward_batch(float(p), float(theta)))
 
 
 # ---------------------------------------------------------------------------

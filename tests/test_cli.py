@@ -222,6 +222,54 @@ def test_verify_checkpoint_with_wrong_shapes_exits_two(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# bad input: one error line, exit 2
+# ---------------------------------------------------------------------------
+
+WIDE_ARCH = "input_dim 16\nclasses 2\nlayer v width=4\nlayer u width=2\n"
+
+BAD_INPUT_CASES = {
+    "check-missing-arch": (["check", "--arch", "{tmp}/none.arch"], "No such file"),
+    "verify-missing-arch": (["verify", "--arch", "{tmp}/none.arch"], "No such file"),
+    "train-missing-arch": (["train", "--arch", "{tmp}/none.arch", *XOR_TRAIN], "No such file"),
+    "sweep-missing-arch": (["sweep", "--arch", "{tmp}/none.arch", *XOR_TRAIN], "No such file"),
+    "train-missing-mnist": (["train", "--arch", "{tmp}/wide.arch", "--data-dir", "{tmp}/empty"], "MNIST"),
+    "eval-missing-mnist": (["eval", "--checkpoint", "{tmp}/wide.json", "--data-dir", "{tmp}/empty"], "MNIST"),
+    "train-input-dim-mismatch": (["train", "--arch", "{tmp}/wide.arch", *XOR_TRAIN], "input_dim 16"),
+    "train-too-few-classes": (["train", "--arch", "{tmp}/vun.arch", *XOR_TRAIN], "1 classes"),
+    "epochs-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--epochs", "0"], "positive integer"),
+    "batch-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--batch", "0"], "positive integer"),
+    "samples-negative": (["verify", "--arch", "{tmp}/ok.arch", "--samples", "-1"], "positive integer"),
+    "classes-not-digits": (["train", "--arch", "{tmp}/ok.arch", "--classes", "3,x"], "digits"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT_CASES))
+def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
+    from qnnkit.arch import parse_architecture
+    from qnnkit.data import mnist_available
+    from qnnkit.model import init_parameters, save_checkpoint
+
+    argv, reason = BAD_INPUT_CASES[case]
+    if "mnist" in case and mnist_available(tmp_path / "empty"):
+        pytest.skip("MNIST or its mlxtend fallback is installed")
+    write(tmp_path, "ok.arch", FEASIBLE_ARCH)
+    write(tmp_path, "wide.arch", WIDE_ARCH)
+    write(tmp_path, "vun.arch", VUN_ARCH)
+    wide = parse_architecture(WIDE_ARCH)
+    save_checkpoint(tmp_path / "wide.json", wide, init_parameters(wide))
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad option value itself
+        code = exc.code
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert len(lines) == 1 or lines[0].startswith("usage:")
+    assert reason in lines[-1]
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 

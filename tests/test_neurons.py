@@ -18,10 +18,13 @@ from qnnkit.neurons import (
     build_u_neuron,
     build_v_block,
     n_forward,
+    n_forward_batch,
     p_forward,
+    p_forward_batch,
     simulate_p_neuron,
     simulate_u_neuron,
     u_forward,
+    u_forward_batch,
     v_forward,
     v_stage_backward,
     v_stage_forward,
@@ -183,6 +186,14 @@ def test_u_forward_matches_gadget_on_random_draws():
             x = np.abs(random_unit(rng, 2**n))  # pixel-like non-negative
             w = random_weights(rng, 2**n)
             assert abs(u_forward(x, w) - simulate_u_neuron(x, w)) < 1e-9
+        # the batched form the trainer runs: B=3 inputs against k=2 weight rows
+        X = np.abs(np.stack([random_unit(rng, 2**n) for _ in range(3)]))
+        W = random_weights(rng, (2, 2**n))
+        out, dot = u_forward_batch(X, W)
+        assert out.shape == dot.shape == (3, 2)
+        for b in range(3):
+            for j in range(2):
+                assert abs(out[b, j] - simulate_u_neuron(X[b], W[j])) < 1e-9
 
 
 def test_u_forward_invariant_under_global_sign_flip():
@@ -224,6 +235,14 @@ def test_p_forward_matches_gadget_on_random_draws():
             p = rng.uniform(0, 1, size=m)
             w = random_weights(rng, m)
             assert abs(p_forward(p, w) - simulate_p_neuron(p, w)) < 1e-9
+        # the batched form the trainer runs: B=3 inputs against k=2 weight rows
+        P = rng.uniform(0, 1, size=(3, m))
+        W = random_weights(rng, (2, m))
+        out, s, factors = p_forward_batch(P, W)
+        assert out.shape == (3, 2) and s.shape == (3, m) and factors.shape == (3, 2, m)
+        for b in range(3):
+            for j in range(2):
+                assert abs(out[b, j] - simulate_p_neuron(P[b], W[j])) < 1e-9
 
 
 def test_p_neuron_weight_sign_matters():
@@ -296,6 +315,16 @@ def test_n_forward_matches_gadget_on_random_draws():
         _, state = probability_encode([p])
         state.run(build_n_neuron(theta))
         assert abs(n_forward(p, theta) - state.marginal_prob_one(0)) < 1e-9
+    # the batched form the trainer runs: one angle per qubit, three qubits
+    for _ in range(20):
+        p = rng.uniform(0, 1, size=3)
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=3)
+        out = n_forward_batch(p[None, :], theta)
+        assert out.shape == (1, 3)
+        for i in range(3):
+            _, state = probability_encode([p[i]])
+            state.run(build_n_neuron(theta[i]))
+            assert abs(out[0, i] - state.marginal_prob_one(0)) < 1e-9
 
 
 def test_n_forward_output_is_convex_between_p_and_its_complement():
