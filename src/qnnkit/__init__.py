@@ -51,6 +51,7 @@ from .model import (
     loss,
     path6_demo,
     save_checkpoint,
+    simulated_qubit_count,
     train,
 )
 from .neurons import (

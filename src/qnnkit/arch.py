@@ -271,5 +271,13 @@ def serialize_architecture(arch: ArchitectureSpec) -> str:
 
 
 def load_architecture(path) -> ArchitectureSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_architecture(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ArchitectureParseError(
+            line_no, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})"
+        ) from None
+    return parse_architecture(text)

@@ -30,11 +30,13 @@ from .model import (
     TrainConfig,
     accuracy,
     circuit_inference,
+    expected_qubit_count,
     forward,
     init_parameters,
     load_checkpoint,
     path6_demo,
     save_checkpoint,
+    simulated_qubit_count,
     train,
 )
 from .rules import validate_architecture
@@ -63,7 +65,8 @@ class UsageError(Exception):
     """Input the user can fix; ``main`` reports it as one line, exit 2."""
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, **facts) -> None:
+    """``config`` is what the run was asked to do; ``facts`` go next to it."""
     plain = {
         k: v
         for k, v in config.items()
@@ -74,6 +77,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
         "package_version": __version__,
         "csv_schema": CSV_SCHEMA_VERSION,
         "config": plain,
+        **facts,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
@@ -264,7 +268,13 @@ def cmd_verify(args) -> int:
     _write_csv(
         out_dir / "verify.csv", ["sample", "max_abs_deviation", "argmax_agree"], rows
     )
-    _write_manifest(out_dir, "verify", vars(args))
+    _write_manifest(
+        out_dir,
+        "verify",
+        vars(args),
+        compiled_qubits=expected_qubit_count(arch),
+        simulated_qubits=simulated_qubit_count(arch),
+    )
     print(
         f"verify: {args.samples} samples, max deviation {worst:.3e}, "
         f"argmax agreement {agree}/{args.samples} ({ties} tied, not counted)"
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--samples", type=_count, default=20)
-    p.add_argument("--max-qubits", type=int, default=24)
+    p.add_argument("--max-qubits", type=_count, default=24)
     p.add_argument("--demo-path6", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

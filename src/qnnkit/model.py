@@ -7,9 +7,14 @@ Two semantics coexist on purpose:
   classical vectors (amplitudes through the v stage, per-qubit
   probabilities afterwards). It is the training-time semantics and is
   what every accuracy number refers to.
-- ``circuit_inference`` compiles the whole network into one circuit with
-  a fresh register per u neuron and no measurement anywhere except the
-  final output qubits, then reads class probabilities as marginals.
+- ``build_network_circuit`` compiles the whole network into one circuit
+  with a fresh register per u neuron and no measurement anywhere except
+  the final output qubits. ``circuit_inference`` reads that circuit's
+  output marginals by exact register-factored simulation: each u
+  register runs alone on n + 1 qubits and hands on only a two-qubit
+  purification of its ancilla. ``max_qubits`` therefore bounds
+  ``simulated_qubit_count`` (for k u neurons the larger of n + 1 and
+  2k + the p widths), not the compiled register.
 
 Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets), so
@@ -450,13 +455,78 @@ class NetworkCircuit:
         return 0
 
 
+def _p_width(pipe: _Pipeline) -> int:
+    return sum(l.width for l in pipe.prob_layers if l.kind == "p")
+
+
 def expected_qubit_count(arch: ArchitectureSpec) -> int:
     """Closed-form register size of the compiled network."""
     pipe = pipeline(arch)
     n = arch.n_qubits
     total = pipe.u_width * (n + 1) if pipe.u_width is not None else n
-    total += sum(l.width for l in pipe.prob_layers if l.kind == "p")
-    return total
+    return total + _p_width(pipe)
+
+
+def simulated_qubit_count(arch: ArchitectureSpec) -> int:
+    """Closed-form width of the widest register ``circuit_inference`` simulates.
+
+    With a u layer: the larger of one u register (n + 1 qubits) and the
+    n/p step (two qubits per purified u ancilla, plus the p outputs).
+    Without one: the v register widened by the p outputs.
+    """
+    pipe = pipeline(arch)
+    n = arch.n_qubits
+    if pipe.u_width is None:
+        return n + _p_width(pipe)
+    return max(n + 1, 2 * pipe.u_width + _p_width(pipe))
+
+
+def _input_register(params: ParameterStore, x) -> CircuitFragment:
+    """Amplitude-encoding preparation followed by every v block, on n qubits."""
+    register, _ = amplitude_encoding_fragment(np.asarray(x, dtype=float))
+    for theta in params.v_thetas:
+        register = register.compose(build_v_block(register.qubit_span, theta))
+    return register
+
+
+def _prob_layers_fragment(
+    arch: ArchitectureSpec,
+    params: ParameterStore,
+    stage_qubits: list[int],
+    span: int,
+) -> tuple[CircuitFragment, list[int]]:
+    """The n and p layers' gates on a ``span``-qubit register laid out by the caller.
+
+    ``stage_qubits`` hold the stage the first n/p layer reads. n layers
+    rotate their inputs in place; the p neurons write the top qubits of
+    the register, one each, in order. Returns the fragment and the
+    output qubits.
+    """
+    pipe = pipeline(arch)
+    next_free = span - _p_width(pipe)
+    frag = CircuitFragment(span)
+    n_idx = p_idx = 0
+    for layer in pipe.prob_layers:
+        if layer.kind == "n":
+            theta = params.n_thetas[n_idx]
+            for c, q in enumerate(stage_qubits):
+                frag.append(rx(theta[0] if theta.size == 1 else theta[c]), q)
+            n_idx += 1
+        else:
+            W = params.p_weights(p_idx)
+            m = len(stage_qubits)
+            new_qubits = []
+            for j in range(layer.width):
+                mapping = {q: stage_qubits[q] for q in range(m)}
+                mapping[m] = next_free
+                frag.ops += build_p_neuron(m, W[j]).remapped(mapping, span).ops
+                new_qubits.append(next_free)
+                next_free += 1
+            stage_qubits = new_qubits
+            p_idx += 1
+    if pipe.u_width is None and not pipe.prob_layers:
+        stage_qubits = stage_qubits[: arch.num_classes]
+    return frag, stage_qubits
 
 
 def build_network_circuit(
@@ -471,7 +541,6 @@ def build_network_circuit(
     register (quantum states cannot be copied, but their known classical
     preparation can be repeated), so u outputs stay mutually independent.
     """
-    x = np.asarray(x, dtype=float)
     pipe = pipeline(arch)
     n = arch.n_qubits
     total = expected_qubit_count(arch)
@@ -480,56 +549,28 @@ def build_network_circuit(
             f"compiled network needs {total} qubits, cap is {max_qubits}"
         )
 
-    prep, _ = amplitude_encoding_fragment(x)
-    v_stage = CircuitFragment(n)
-    for b in range(params.v_thetas.shape[0]):
-        v_stage = v_stage.compose(build_v_block(n, params.v_thetas[b]))
-    register = prep.compose(v_stage)
-
+    register = _input_register(params, x)
     frag = CircuitFragment(total)
     if pipe.u_width is not None:
         k = pipe.u_width
-        W = params.u_weights()
-        stage_qubits = []
-        for j in range(k):
+        for j, w in enumerate(params.u_weights()):
             frag = frag.compose(register.shifted(j * n))
-            gadget = build_u_neuron(n, W[j])
             mapping = {q: j * n + q for q in range(n)}
             mapping[n] = k * n + j
-            frag = frag.compose(gadget.remapped(mapping, total))
-            stage_qubits.append(k * n + j)
-        next_free = k * n + k
+            frag = frag.compose(build_u_neuron(n, w).remapped(mapping, total))
+        stage_qubits = list(range(k * n, k * n + k))
     else:
         frag = frag.compose(register)
         stage_qubits = list(range(n))
-        next_free = n
+    tail, outputs = _prob_layers_fragment(arch, params, stage_qubits, total)
+    return NetworkCircuit(frag.compose(tail), total, outputs)
 
-    n_idx = 0
-    p_idx = 0
-    for layer in pipe.prob_layers:
-        if layer.kind == "n":
-            theta = params.n_thetas[n_idx]
-            for c, q in enumerate(stage_qubits):
-                angle = theta[0] if theta.size == 1 else theta[c]
-                frag.append(rx(angle), q)
-            n_idx += 1
-        else:
-            W = params.p_weights(p_idx)
-            m = len(stage_qubits)
-            new_qubits = []
-            for j in range(layer.width):
-                gadget = build_p_neuron(m, W[j])
-                mapping = {q: stage_qubits[q] for q in range(m)}
-                mapping[m] = next_free
-                frag = frag.compose(gadget.remapped(mapping, total))
-                new_qubits.append(next_free)
-                next_free += 1
-            stage_qubits = new_qubits
-            p_idx += 1
 
-    if pipe.u_width is None and not pipe.prob_layers:
-        stage_qubits = stage_qubits[: arch.num_classes]
-    return NetworkCircuit(frag, total, stage_qubits)
+def _with_zeros(amps: np.ndarray, extra: int) -> np.ndarray:
+    """The amplitudes of ``amps`` followed by ``extra`` fresh qubits in |0...0>."""
+    out = np.zeros(amps.size << extra, dtype=complex)
+    out[:: 1 << extra] = amps
+    return out
 
 
 def circuit_inference(
@@ -538,11 +579,45 @@ def circuit_inference(
     x,
     max_qubits: int = 24,
 ) -> np.ndarray:
-    """Class probabilities from exact simulation of the compiled network."""
-    circuit = build_network_circuit(arch, params, x, max_qubits)
-    state = StateVector(circuit.n_qubits)
-    state.run(circuit.fragment)
-    return decode_probabilities(state, circuit.output_qubits)
+    """Class probabilities from exact, register-factored simulation of the
+    network that ``build_network_circuit`` compiles.
+
+    After its u gadget, a u register is touched only through its
+    ancilla. So the encoded input and the v stage run once on n qubits;
+    each u neuron runs alone on that state plus its ancilla; and the
+    register is replaced by the two-qubit Schmidt purification
+    ``U diag(s)`` of its ancilla, from the SVD of the 2 x 2^n
+    ancilla-by-rest amplitude matrix. The n and p layers then run on the
+    k purified pairs (ancilla first) plus the p outputs. This is exact:
+    the purification differs from the register by an isometry on qubits
+    no later gate touches, so every output marginal is unchanged. Without
+    a u layer, the v register widened by the p outputs runs the n/p step.
+    ``max_qubits`` caps the widest register simulated, which is
+    ``simulated_qubit_count(arch)``.
+    """
+    pipe = pipeline(arch)
+    width = simulated_qubit_count(arch)
+    if width > max_qubits:
+        raise ResourceLimitError(
+            f"factored simulation needs {width} qubits, cap is {max_qubits}"
+        )
+    n = arch.n_qubits
+    psi = StateVector(n).run(_input_register(params, x)).amps
+    if pipe.u_width is None:
+        amps, stage_qubits = psi, list(range(n))
+    else:
+        amps = np.ones(1, dtype=complex)
+        for w in params.u_weights():
+            register = StateVector(n + 1, _with_zeros(psi, 1)).run(build_u_neuron(n, w))
+            # rows: the ancilla (the last qubit) at 0 and 1; columns: the n others
+            u, s, _ = np.linalg.svd(register.amps.reshape(-1, 2).T, full_matrices=False)
+            amps = np.kron(amps, (u * s).reshape(-1))
+        stage_qubits = list(range(0, 2 * pipe.u_width, 2))
+    p_width = _p_width(pipe)
+    state = StateVector(int(math.log2(amps.size)) + p_width, _with_zeros(amps, p_width))
+    tail, outputs = _prob_layers_fragment(arch, params, stage_qubits, state.n_qubits)
+    state.run(tail)
+    return decode_probabilities(state, outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qnnkit.cli import main
+
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 FEASIBLE_ARCH = """\
 input_dim 4
@@ -240,6 +243,8 @@ BAD_INPUT_CASES = {
     "batch-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--batch", "0"], "positive integer"),
     "samples-negative": (["verify", "--arch", "{tmp}/ok.arch", "--samples", "-1"], "positive integer"),
     "classes-not-digits": (["train", "--arch", "{tmp}/ok.arch", "--classes", "3,x"], "digits"),
+    "check-non-utf8-arch": (["check", "--arch", "{tmp}/binary.arch"], "not UTF-8"),
+    "max-qubits-negative": (["verify", "--arch", "{tmp}/ok.arch", "--max-qubits", "-3"], "positive integer"),
 }
 
 
@@ -255,6 +260,7 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "ok.arch", FEASIBLE_ARCH)
     write(tmp_path, "wide.arch", WIDE_ARCH)
     write(tmp_path, "vun.arch", VUN_ARCH)
+    (tmp_path / "binary.arch").write_bytes(b"\x80\x81")
     wide = parse_architecture(WIDE_ARCH)
     save_checkpoint(tmp_path / "wide.json", wide, init_parameters(wide))
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
@@ -348,7 +354,18 @@ def test_verify_respects_qubit_cap(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "needs 40 qubits" in capsys.readouterr().err
+    # compiled, this net has 40 qubits; the factored simulation needs 2 x 8
+    assert "needs 16 qubits" in capsys.readouterr().err
+
+
+def test_verify_runs_a_net_too_wide_to_compile_within_the_cap(tmp_path, capsys):
+    out = tmp_path / "verify"
+    code = main(["verify", "--arch", str(NETS / "mnist4-vu.arch"), "--samples", "2",
+                 "--out", str(out)])
+    assert code == 0
+    assert all(float(r["max_abs_deviation"]) <= 1e-9 for r in read_csv(out / "verify.csv"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,27 @@
 """Model tests: factorized forward, gradients, training, circuits, checkpoints."""
 
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qnnkit import statevec
 from qnnkit.arch import (
+    THETA_MODES,
     ArchitectureError,
     ArchitectureSpec,
     LayerSpec,
+    load_architecture,
     vp_architecture,
     vqc_architecture,
     vu_architecture,
     vup_architecture,
 )
+from qnnkit.encoding import decode_probabilities
 from qnnkit.model import (
     TrainConfig,
     TrainingDiverged,
@@ -30,10 +38,13 @@ from qnnkit.model import (
     loss_batch,
     path6_demo,
     save_checkpoint,
+    simulated_qubit_count,
     train,
 )
 from qnnkit.neurons import u_forward
-from qnnkit.statevec import Gate, ResourceLimitError
+from qnnkit.statevec import Gate, ResourceLimitError, StateVector
+
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 
 def small_random_archs():
@@ -328,10 +339,115 @@ def test_circuit_contains_only_unitary_gates_and_final_measurement():
 
 
 def test_circuit_inference_respects_qubit_cap():
-    arch = vu_architecture(64, 10, r1=1)  # 10 registers of 7 qubits
+    # ten u registers of 7 qubits compile to 70 qubits, but the factored
+    # simulation runs one register at a time and then 2 x 10 ancilla qubits
+    arch = vu_architecture(64, 10, r1=1)
     params = init_parameters(arch, seed=0)
-    with pytest.raises(ResourceLimitError, match="needs 70"):
-        circuit_inference(arch, params, np.ones(64))
+    x = np.linspace(0.1, 1.0, 64)
+    np.testing.assert_allclose(
+        circuit_inference(arch, params, x), forward(arch, params, x).probs[0], atol=1e-9
+    )
+    wide = ArchitectureSpec(4, 2, [LayerSpec("v", 2), LayerSpec("u", 12), LayerSpec("p", 2)])
+    assert simulated_qubit_count(wide) == 26
+    with pytest.raises(ResourceLimitError, match="needs 26 qubits"):
+        circuit_inference(wide, init_parameters(wide, seed=0), np.ones(4))
+
+
+def full_simulation(arch, params, x):
+    """Output marginals from one run of the whole compiled circuit."""
+    circuit = build_network_circuit(arch, params, x)
+    state = StateVector(circuit.n_qubits).run(circuit.fragment)
+    return decode_probabilities(state, circuit.output_qubits)
+
+
+COMPILED_NETS = ["mixed", "mnist2-vu", "mnist2-vup", "vun"]  # within 24 qubits
+
+
+def oracle_cases():
+    for i, arch in enumerate(small_random_archs()):
+        yield pytest.param(arch, id=f"random{i}-{arch.name}")
+    for name in COMPILED_NETS:
+        yield pytest.param(load_architecture(NETS / f"{name}.arch"), id=name)
+
+
+@pytest.mark.parametrize("arch", oracle_cases())
+def test_factored_inference_matches_full_simulation(arch):
+    rng = np.random.default_rng(61)
+    # a 22-qubit full run takes about 20 s, so those nets get one sample
+    samples = 1 if expected_qubit_count(arch) > 16 else 3
+    for seed in range(samples):
+        params = init_parameters(arch, seed=seed)
+        x = rng.uniform(0.01, 1.0, size=arch.input_dim)
+        np.testing.assert_allclose(
+            circuit_inference(arch, params, x), full_simulation(arch, params, x),
+            rtol=0, atol=1e-12,
+        )
+
+
+@st.composite
+def factored_archs(draw):
+    """v+ u [n|p]+ architectures that compile to at most 16 qubits."""
+    n = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 3))
+    layers = [LayerSpec("v", n, repeat=draw(st.integers(1, 2))), LayerSpec("u", width)]
+    for kind in draw(st.lists(st.sampled_from("np"), min_size=1, max_size=2)):
+        if kind == "n":
+            layers.append(LayerSpec("n", width, theta_mode=draw(st.sampled_from(THETA_MODES))))
+        else:
+            width = draw(st.integers(1, 2))
+            layers.append(LayerSpec("p", width))
+    return ArchitectureSpec(2**n, width, layers)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(arch=factored_archs(), seed=st.integers(0, 2**16))
+def test_factored_inference_matches_full_simulation_on_random_archs(arch, seed):
+    params = init_parameters(arch, seed=seed)
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=arch.input_dim) + 1e-3
+    np.testing.assert_allclose(
+        circuit_inference(arch, params, x), full_simulation(arch, params, x),
+        rtol=0, atol=1e-12,
+    )
+
+
+def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
+    calls = Counter()
+    for name in ("apply_1q", "controlled_x", "phase_flip"):
+        kernel = getattr(statevec, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(statevec, name, counted)
+    rng = np.random.default_rng(67)
+    for net in ("mixed", "mnist2-vu"):
+        arch = load_architecture(NETS / f"{net}.arch")
+        params = init_parameters(arch, seed=0)
+        per_sample = []
+        for x in (rng.uniform(0.01, 1.0, 16), np.eye(16)[5], np.linspace(0.0, 1.0, 16)):
+            calls.clear()
+            circuit_inference(arch, params, x)
+            per_sample.append(dict(calls))
+        assert per_sample[0]["apply_1q"] > 0
+        assert all(c == per_sample[0] for c in per_sample), (net, per_sample)
+
+
+def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
+    widths = []
+    init = StateVector.__init__
+
+    def recording(self, n_qubits, amps=None):
+        widths.append(n_qubits)
+        init(self, n_qubits, amps)
+
+    monkeypatch.setattr(StateVector, "__init__", recording)
+    nets = [load_architecture(path) for path in sorted(NETS.glob("*.arch"))]
+    for arch in small_random_archs() + nets:
+        widths.clear()
+        x = np.linspace(0.1, 1.0, arch.input_dim)
+        circuit_inference(arch, init_parameters(arch, seed=0), x)
+        assert max(widths) == simulated_qubit_count(arch), arch.name
 
 
 # ---------------------------------------------------------------------------
