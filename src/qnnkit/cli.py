@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .arch import ArchitectureParseError, load_architecture
 from .data import make_xor_dataset, mnist_task
 from .model import (
     TrainConfig,
+    TrainingDiverged,
     accuracy,
     circuit_inference,
     expected_qubit_count,
@@ -182,15 +184,18 @@ def _run_training(args, arch, train_ds, test_ds):
         print(report.render_text(), file=sys.stderr)
         print("error: infeasible architecture, refusing to train", file=sys.stderr)
         return None
-    return train(
-        arch,
-        init_parameters(arch, args.seed),
-        train_ds.images,
-        train_ds.labels,
-        _train_config(args),
-        test_ds.images,
-        test_ds.labels,
-    )
+    # train raises TrainingDiverged on a non-finite loss, and main reports
+    # it in one line; numpy's overflow warnings on the way would add more
+    with np.errstate(over="ignore", invalid="ignore"):
+        return train(
+            arch,
+            init_parameters(arch, args.seed),
+            train_ds.images,
+            train_ds.labels,
+            _train_config(args),
+            test_ds.images,
+            test_ds.labels,
+        )
 
 
 def cmd_train(args) -> int:
@@ -343,6 +348,27 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _real(text: str, zero_ok: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type of --lr and --temperature: a finite number > 0."""
+    return _real(text, zero_ok=False)
+
+
+def _nonnegative(text: str) -> float:
+    """argparse type of --momentum and --lr-decay: a finite number >= 0."""
+    return _real(text, zero_ok=True)
+
+
 def _digits(text: str) -> str:
     """argparse type of --classes: distinct digits 0-9, kept as typed for the CSV."""
     digits = [c.strip() for c in text.split(",")]
@@ -365,11 +391,11 @@ def _add_dataset(p: argparse.ArgumentParser) -> None:
 
 def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=_count, default=30)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_positive, default=0.05)
     p.add_argument("--batch", type=_count, default=32)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--temperature", type=float, default=0.25)
-    p.add_argument("--lr-decay", type=float, default=1.0)
+    p.add_argument("--momentum", type=_nonnegative, default=0.9)
+    p.add_argument("--temperature", type=_positive, default=0.25)
+    p.add_argument("--lr-decay", type=_nonnegative, default=1.0)
     p.add_argument("--keep-best", action="store_true")
     p.add_argument("--r", type=_count, default=None, help="override v-layer repeats")
     p.add_argument("--verbose", action="store_true")
@@ -426,6 +452,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except TrainingDiverged as exc:  # a failed run, not bad usage
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 1
     except ArchitectureParseError as exc:
         reason = f"{args.arch}: {exc}"
     except OSError as exc:  # missing or unreadable files, MNIST included

@@ -130,5 +130,11 @@ def probability_encode(data) -> tuple[CircuitFragment, StateVector]:
 
 
 def decode_probabilities(state: StateVector, qubits) -> np.ndarray:
-    """Vector of marginal Pr[1] for each listed qubit."""
-    return np.array([state.marginal_prob_one(q) for q in qubits], dtype=float)
+    """Vector of marginal Pr[1] for each listed qubit, from one probabilities() pass."""
+    probs = state.probabilities()
+    out = []
+    for q in qubits:
+        if q < 0 or q >= state.n_qubits:
+            raise ValueError(f"qubit {q} out of range 0..{state.n_qubits - 1}")
+        out.append(probs.reshape(2**q, 2, -1)[:, 1].sum())  # the half where q reads 1
+    return np.array(out, dtype=float)

@@ -24,6 +24,7 @@ are unconstrained radians.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,8 +86,8 @@ def v_forward(x, thetas) -> np.ndarray:
     """Apply the composed V-block unitary to amplitude vector ``x``.
 
     ``thetas`` is one angle vector (2n,) or a stack (blocks, 2n). All the
-    gates involved are real, so this runs the shared gate kernels on a
-    real batch of one, as training does; the complex simulator checks it.
+    gates involved are real, so this runs the trainer's v stage on a real
+    batch of one; the complex simulator checks it.
     """
     x = np.asarray(x, dtype=float)
     out, _ = v_stage_forward(x[None, :], _as_blocks(x.shape[0], thetas))
@@ -98,9 +99,13 @@ def v_forward(x, thetas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # All V-stage gates (RY, CX) are real orthogonal, so batches of states are
-# (B, 2^n) float arrays run through the simulator's gate kernels. The
-# backward pass re-derives intermediate states by running the inverse
-# circuit alongside the adjoint, so nothing but the final state is stored.
+# (B, 2^n) float arrays. Each RY runs through the simulator's 1-qubit
+# kernel; a block's CX ring only permutes basis states, so it is one index
+# gather, exact like the CX gates it replaces. The forward pass tapes the
+# input of every RY layer. The backward pass is adjoint differentiation
+# one layer at a time: it pulls the adjoint back through the layer's RYs
+# and reads all n angle gradients of the layer off one contraction with
+# the taped input (see v_stage_backward).
 
 
 def _as_blocks(dim: int, thetas) -> np.ndarray:
@@ -113,7 +118,32 @@ def _as_blocks(dim: int, thetas) -> np.ndarray:
     return t
 
 
-def _v_stage_ops(n: int, blocks: int) -> list[tuple]:
+@functools.cache
+def _v_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables of an n-qubit V block: (ring, unring, pair, sign).
+
+    ``a[:, ring]`` applies the CX ring and ``a[:, unring]`` undoes it. For
+    a (2^n, 2^n) matrix G, ``G.ravel()[pair[q, i]]`` is G[i, i ^ bit_q],
+    where bit_q is qubit q's bit of the index, and ``sign[q, i]`` is +1
+    where i has that bit set, -1 where it has not.
+    """
+    idx = np.arange(2**n)
+    ring = idx[None, :].copy()  # the ring run on the indices themselves
+    for c, t in entangler_pairs(n):
+        controlled_x(ring, (c,), (1,), t)
+    ring = ring[0]
+    bit = 1 << (n - 1 - np.arange(n))[:, None]  # qubit 0 is the MSB
+    pair = idx * 2**n + (idx ^ bit)
+    sign = np.where(idx & bit, 1.0, -1.0)
+    tables = (ring, np.argsort(ring), pair, sign)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.cache
+def _v_stage_ops(n: int, blocks: int) -> tuple[tuple, ...]:
+    """The logical gate list of ``blocks`` V blocks, as in build_v_block."""
     ops: list[tuple] = []
     for b in range(blocks):
         for q in range(n):
@@ -122,43 +152,58 @@ def _v_stage_ops(n: int, blocks: int) -> list[tuple]:
             ops.append(("cx", c, t))
         for q in range(n):
             ops.append(("ry", q, (b, n + q)))
-    return ops
+    return tuple(ops)
 
 
 def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run all V blocks over a batch (B, 2^n); returns (out, tape)."""
+    """Run all V blocks over a batch (B, 2^n); returns (out, tape).
+
+    The tape holds the angles, the logical gate list ``ops`` and
+    ``inputs``: the (B, 2^n) input of each of the 2 * blocks RY layers,
+    the first being ``x`` itself (kept by reference, not copied).
+    """
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     n = int(math.log2(x.shape[1]))
-    a = x.copy()
-    ops = _v_stage_ops(n, thetas.shape[0])
-    for kind, p, q in ops:
-        if kind == "ry":
-            apply_1q(a, p, *ry_entries(thetas[q]))
-        else:
-            controlled_x(a, (p,), (1,), q)
-    tape = {"ops": ops, "thetas": thetas, "n": n, "out": a}
+    ring = _v_tables(n)[0]
+    inputs = []
+    a = x
+    for block in thetas:
+        for layer, angles in enumerate((block[:n], block[n:])):
+            if layer:
+                a = a[:, ring]
+            inputs.append(a)
+            a = a.copy()
+            for q, theta in enumerate(angles):
+                apply_1q(a, q, *ry_entries(theta))
+    tape = {"ops": _v_stage_ops(n, len(thetas)), "thetas": thetas, "inputs": inputs}
     return a, tape
 
 
 def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint pass: gradients w.r.t. every angle and the input batch."""
+    """Adjoint pass: gradients w.r.t. every angle and the input batch.
+
+    A layer maps its taped input psi to R psi, with R the RYs of its n
+    angles. dRY/dtheta = RY K for K = [[0, -1], [1, 0]] / 2, and K on qubit
+    q commutes with the RYs on the other qubits, so with mu = R^T lambda
+    the gradient of angle q is sum_b mu_b . K_q psi_b = 1/2 sum_i
+    sign_q[i] G[i, i ^ bit_q] for G = mu^T psi. mu is then the adjoint of
+    the layer's input.
+    """
     thetas = tape["thetas"]
-    a = tape["out"].copy()
+    n = thetas.shape[1] // 2
+    _, unring, pair, sign = _v_tables(n)
     lam = np.array(grad_out, dtype=float)
-    grad_theta = np.zeros_like(thetas)
-    for kind, p, q in reversed(tape["ops"]):
-        if kind == "ry":
-            theta = thetas[q]
-            inverse = ry_entries(-theta)  # RY^-1 = RY^T = RY(-theta)
-            apply_1q(a, p, *inverse)  # rewind the state
-            d = a.copy()  # d RY(theta) / d theta = RY(theta + pi) / 2
-            apply_1q(d, p, *ry_entries(theta + math.pi))
-            grad_theta[q] += 0.5 * float(np.sum(lam * d))
-            apply_1q(lam, p, *inverse)
-        else:
-            controlled_x(a, (p,), (1,), q)  # CX is its own inverse and transpose
-            controlled_x(lam, (p,), (1,), q)
+    grad_theta = np.empty_like(thetas)
+    for k in reversed(range(len(tape["inputs"]))):
+        b, layer = divmod(k, 2)
+        angles = slice(layer * n, (layer + 1) * n)
+        for q, theta in enumerate(thetas[b, angles]):
+            apply_1q(lam, q, *ry_entries(-theta))  # RY^-1 = RY^T = RY(-theta)
+        G = lam.T @ tape["inputs"][k]
+        grad_theta[b, angles] = 0.5 * np.einsum("qi,qi->q", G.ravel()[pair], sign)
+        if layer:
+            lam = lam[:, unring]
     return grad_theta, lam
 
 

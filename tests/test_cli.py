@@ -245,6 +245,13 @@ BAD_INPUT_CASES = {
     "classes-not-digits": (["train", "--arch", "{tmp}/ok.arch", "--classes", "3,x"], "digits"),
     "check-non-utf8-arch": (["check", "--arch", "{tmp}/binary.arch"], "not UTF-8"),
     "max-qubits-negative": (["verify", "--arch", "{tmp}/ok.arch", "--max-qubits", "-3"], "positive integer"),
+    "temperature-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--temperature", "0"], "> 0"),
+    "temperature-nan": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--temperature", "nan"], "> 0"),
+    "temperature-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--temperature", "-1"], "> 0"),
+    "lr-infinite": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--lr", "inf"], "> 0"),
+    "sweep-lr-zero": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--lr", "0"], "> 0"),
+    "momentum-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--momentum", "-0.5"], ">= 0"),
+    "lr-decay-infinite": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--lr-decay", "inf"], ">= 0"),
 }
 
 
@@ -268,11 +275,23 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
         code = main(argv)
     except SystemExit as exc:  # argparse rejects a bad option value itself
         code = exc.code
+    assert_one_error_line(capsys, code, 2, reason)
+
+
+def assert_one_error_line(capsys, code, expected_code, reason):
     lines = capsys.readouterr().err.splitlines()
-    assert code == 2
+    assert code == expected_code
     assert [line for line in lines if "error:" in line] == lines[-1:]
     assert len(lines) == 1 or lines[0].startswith("usage:")
     assert reason in lines[-1]
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would be extra lines
+def test_diverged_training_exits_one_with_one_error_line(tmp_path, capsys):
+    # a subnormal temperature is valid input, but probs / temperature overflows
+    arch = write(tmp_path, "ok.arch", FEASIBLE_ARCH)
+    argv = ["train", "--arch", arch, *XOR_TRAIN, "--temperature", "1e-320", "--out", str(tmp_path / "out")]
+    assert_one_error_line(capsys, main(argv), 1, "training diverged: non-finite loss at epoch 0")
 
 
 # ---------------------------------------------------------------------------

@@ -161,5 +161,20 @@ def test_probability_registers_are_product_states():
         assert state.is_product_qubit(q, tol=1e-10)
 
 
+def test_decode_matches_per_qubit_marginals_on_random_states():
+    rng = np.random.default_rng(24)
+    for n in (1, 3, 6):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        qubits = list(rng.permutation(n))
+        expected = [state.marginal_prob_one(q) for q in qubits]
+        np.testing.assert_allclose(decode_probabilities(state, qubits), expected, rtol=0, atol=1e-12)
+
+
+def test_decode_rejects_a_qubit_outside_the_register():
+    with pytest.raises(ValueError, match="out of range"):
+        decode_probabilities(new_state(2), [0, 2])
+
+
 def test_decode_ground_state():
     np.testing.assert_allclose(decode_probabilities(new_state(1), [0]), [0.0])

@@ -29,7 +29,15 @@ from qnnkit.neurons import (
     v_stage_backward,
     v_stage_forward,
 )
-from qnnkit.statevec import CircuitFragment, StateVector, new_state, rx
+from qnnkit.statevec import (
+    CircuitFragment,
+    StateVector,
+    apply_1q,
+    controlled_x,
+    new_state,
+    ry_entries,
+    rx,
+)
 
 
 def random_unit(rng, size):
@@ -370,14 +378,35 @@ def test_v_stage_batch_agrees_with_single_samples():
         np.testing.assert_allclose(out[i], v_forward(batch[i], thetas), atol=1e-12)
 
 
-def test_v_stage_gradients_match_finite_differences():
-    rng = np.random.default_rng(16)
-    thetas = rng.uniform(-1, 1, size=(2, 4))
-    batch = np.stack([random_unit(rng, 4) for _ in range(3)])
-    target = rng.normal(size=(3, 4))
+def test_v_stage_forward_is_the_block_circuit_bit_for_bit():
+    # The ring gather must reproduce the CX gates exactly, and the RYs must
+    # run the same kernel arithmetic as the circuit's gate list.
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 6):
+        thetas = rng.uniform(-np.pi, np.pi, size=(3, 2 * n))
+        batch = np.stack([random_unit(rng, 2**n) for _ in range(4)])
+        expected = batch.copy()
+        for theta in thetas:
+            for gate, qubits in build_v_block(n, theta).ops:
+                if gate.kind == "RY":
+                    apply_1q(expected, qubits[0], *ry_entries(gate.theta))
+                else:
+                    controlled_x(expected, qubits[:1], (1,), qubits[1])
+        out, _ = v_stage_forward(batch, thetas)
+        assert np.array_equal(out, expected)
 
-    def loss_at(t):
-        out, _ = v_stage_forward(batch, t)
+
+@pytest.mark.parametrize("blocks", [1, 3], ids=lambda b: f"blocks{b}")
+@pytest.mark.parametrize("n", [1, 2, 3, 6], ids=lambda n: f"n{n}")
+def test_v_stage_gradients_match_finite_differences(n, blocks):
+    # n = 1 has no entangler, n = 2 a single CX, n >= 3 a closed ring
+    rng = np.random.default_rng(16 + 10 * n + blocks)
+    thetas = rng.uniform(-1, 1, size=(blocks, 2 * n))
+    batch = np.stack([random_unit(rng, 2**n) for _ in range(3)])
+    target = rng.normal(size=batch.shape)
+
+    def loss_at(t, x=batch):
+        out, _ = v_stage_forward(x, t)
         return float(np.sum(out * target))
 
     out, tape = v_stage_forward(batch, thetas)
@@ -391,15 +420,12 @@ def test_v_stage_gradients_match_finite_differences():
         fd = (loss_at(tp) - loss_at(tm)) / (2 * h)
         assert abs(fd - grad_theta[idx]) < 1e-6
 
-    for i, j in [(0, 1), (2, 3)]:
+    for idx in np.ndindex(*batch.shape):
         bp, bm = batch.copy(), batch.copy()
-        bp[i, j] += h
-        bm[i, j] -= h
-        fd = (
-            float(np.sum(v_stage_forward(bp, thetas)[0] * target))
-            - float(np.sum(v_stage_forward(bm, thetas)[0] * target))
-        ) / (2 * h)
-        assert abs(fd - grad_x[i, j]) < 1e-6
+        bp[idx] += h
+        bm[idx] -= h
+        fd = (loss_at(thetas, bp) - loss_at(thetas, bm)) / (2 * h)
+        assert abs(fd - grad_x[idx]) < 1e-6
 
 
 def test_binarize_maps_zero_to_plus_one():
