@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Tour of the dense state-vector simulator.
 
-Register allocation, gate application, marginals, and the entanglement
-probe used by the design-rule engine.
+Register allocation, gate application, marginals, and the purity-based
+entanglement probe. The design-rule engine does not use the probe: it
+decides entanglement statically, from the layer sequence alone.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ print("ground state:", state.amps)
 # Hadamard then CX entangles the pair into a Bell state.
 state.apply(H, [0]).apply(CX, [0, 1])
 print("bell state:", np.round(state.amps, 6))
-print("qubit 0 marginal Pr[1]:", state.marginal_prob_one(0))
+print("marginal Pr[1] of qubits 0 and 1:", state.marginals([0, 1]))
 print("qubit 0 unentangled?", state.is_product_qubit(0))
 
 # Product states report purity 1 on every qubit.

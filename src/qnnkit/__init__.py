@@ -22,7 +22,6 @@ from .arch import (
     LayerSpec,
     load_architecture,
     parse_architecture,
-    serialize_architecture,
     vp_architecture,
     vqc_architecture,
     vu_architecture,
@@ -32,7 +31,6 @@ from .encoding import (
     EncodingKind,
     amplitude_encode,
     amplitude_encoding_fragment,
-    decode_probabilities,
     probability_encode,
 )
 from .model import (

@@ -258,18 +258,6 @@ def _parse_int(line_no: int, key: str, value: str) -> int:
         raise ArchitectureParseError(line_no, f"{key} must be an integer, got {value!r}")
 
 
-def serialize_architecture(arch: ArchitectureSpec) -> str:
-    lines = [f"input_dim {arch.input_dim}", f"classes {arch.num_classes}"]
-    for layer in arch.layers:
-        parts = [f"layer {layer.kind} width={layer.width}"]
-        if layer.repeat != 1:
-            parts.append(f"r={layer.repeat}")
-        if layer.kind == "n" and layer.theta_mode != "per-channel":
-            parts.append(f"theta={layer.theta_mode}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 def load_architecture(path) -> ArchitectureSpec:
     with open(path, "rb") as fh:
         raw = fh.read()

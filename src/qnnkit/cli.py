@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch import ArchitectureParseError, load_architecture
+from .arch import ArchitectureError, ArchitectureParseError, load_architecture
 from .data import make_xor_dataset, mnist_task
 from .model import (
     TrainConfig,
@@ -37,12 +37,13 @@ from .model import (
     init_parameters,
     load_checkpoint,
     path6_demo,
+    pipeline,
     save_checkpoint,
     simulated_qubit_count,
     train,
 )
 from .rules import validate_architecture
-from .statevec import ResourceLimitError
+from .statevec import DEFAULT_MAX_QUBITS, ResourceLimitError
 
 CSV_SCHEMA_VERSION = 1
 
@@ -118,6 +119,8 @@ def _read_checkpoint(path: str):
         return load_checkpoint(path)
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}") from None
+    except TypeError as exc:  # a field holds the wrong JSON type
+        raise UsageError(f"{path}: a field has the wrong type ({exc})") from None
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -299,6 +302,7 @@ def cmd_sweep(args) -> int:
     if args.r_min > args.r_max:
         raise UsageError("--r-min must be <= --r-max")
     arch = load_architecture(args.arch)
+    pipeline(arch)  # every r trains the same layer sequence, so check it once
     train_ds, test_ds, _ = _dataset(args, arch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,12 +394,13 @@ def _add_dataset(p: argparse.ArgumentParser) -> None:
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=_count, default=30)
-    p.add_argument("--lr", type=_positive, default=0.05)
-    p.add_argument("--batch", type=_count, default=32)
-    p.add_argument("--momentum", type=_nonnegative, default=0.9)
-    p.add_argument("--temperature", type=_positive, default=0.25)
-    p.add_argument("--lr-decay", type=_nonnegative, default=1.0)
+    d = TrainConfig()
+    p.add_argument("--epochs", type=_count, default=d.epochs)
+    p.add_argument("--lr", type=_positive, default=d.lr)
+    p.add_argument("--batch", type=_count, default=d.batch_size)
+    p.add_argument("--momentum", type=_nonnegative, default=d.momentum)
+    p.add_argument("--temperature", type=_positive, default=d.temperature)
+    p.add_argument("--lr-decay", type=_nonnegative, default=d.lr_decay)
     p.add_argument("--keep-best", action="store_true")
     p.add_argument("--r", type=_count, default=None, help="override v-layer repeats")
     p.add_argument("--verbose", action="store_true")
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--samples", type=_count, default=20)
-    p.add_argument("--max-qubits", type=_count, default=24)
+    p.add_argument("--max-qubits", type=_count, default=DEFAULT_MAX_QUBITS)
     p.add_argument("--demo-path6", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -455,7 +460,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:  # a failed run, not bad usage
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 1
-    except ArchitectureParseError as exc:
+    except (ArchitectureParseError, ArchitectureError) as exc:
         reason = f"{args.arch}: {exc}"
     except OSError as exc:  # missing or unreadable files, MNIST included
         reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc

@@ -54,10 +54,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.images)
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
-
 
 # ---------------------------------------------------------------------------
 # IDX parsing / writing
@@ -259,24 +255,12 @@ def select_subset(ds: Dataset, classes) -> Dataset:
 _CROP_FOR = {4: 28, 8: 24, 16: 16}
 
 
-def downsample_image(image: np.ndarray, target: int) -> np.ndarray:
-    """Average-pool one 28x28 image to target x target.
+def downsample(ds: Dataset, target: int) -> Dataset:
+    """Average-pool every image of a 28x28 dataset to target x target.
 
     28 is not divisible by 8 or 16, so those targets first center-crop to
-    the largest divisible square (24 and 16).
+    the largest divisible square (24 and 16). Output stays in [0, 1].
     """
-    if target not in _CROP_FOR:
-        raise ValueError(f"unsupported target resolution {target}, pick 4, 8 or 16")
-    image = np.asarray(image, dtype=float).reshape(28, 28)
-    crop = _CROP_FOR[target]
-    off = (28 - crop) // 2
-    cropped = image[off : off + crop, off : off + crop]
-    tile = crop // target
-    return cropped.reshape(target, tile, target, tile).mean(axis=(1, 3))
-
-
-def downsample(ds: Dataset, target: int) -> Dataset:
-    """Downsample every image of a 28x28 dataset; output stays in [0, 1]."""
     if target not in _CROP_FOR:
         raise ValueError(f"unsupported target resolution {target}, pick 4, 8 or 16")
     if ds.meta.get("rows", 28) != 28:
@@ -291,31 +275,24 @@ def downsample(ds: Dataset, target: int) -> Dataset:
     return Dataset(pooled.reshape(len(ds.images), target * target), ds.labels.copy(), meta)
 
 
-def prepare(ds: Dataset, encoding: str = "amplitude") -> Dataset:
-    """Make vectors model-ready for the given encoding.
+def prepare(ds: Dataset) -> Dataset:
+    """Make vectors model-ready for amplitude encoding.
 
-    Amplitude: L2-normalize each row (scales recorded in meta); an
-    all-zero image becomes the uniform unit vector and is logged.
-    Probability: clamp into [0, 1].
+    L2-normalizes each row (scales recorded in meta); an all-zero image
+    becomes the uniform unit vector and is logged.
     """
     images = np.asarray(ds.images, dtype=float)
-    if encoding == "amplitude":
-        scales = np.linalg.norm(images, axis=1)
-        zero_rows = np.flatnonzero(scales == 0)
-        if len(zero_rows):
-            logger.warning(
-                "%d all-zero image(s) replaced by the uniform vector", len(zero_rows)
-            )
-        safe = np.where(scales == 0, 1.0, scales)
-        out = images / safe[:, None]
-        dim = images.shape[1]
-        out[zero_rows] = 1.0 / np.sqrt(dim)
-        meta = dict(ds.meta, normalization="amplitude", scales=scales)
-    elif encoding == "probability":
-        out = np.clip(images, 0.0, 1.0)
-        meta = dict(ds.meta, normalization="probability")
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
+    scales = np.linalg.norm(images, axis=1)
+    zero_rows = np.flatnonzero(scales == 0)
+    if len(zero_rows):
+        logger.warning(
+            "%d all-zero image(s) replaced by the uniform vector", len(zero_rows)
+        )
+    safe = np.where(scales == 0, 1.0, scales)
+    out = images / safe[:, None]
+    dim = images.shape[1]
+    out[zero_rows] = 1.0 / np.sqrt(dim)
+    meta = dict(ds.meta, normalization="amplitude", scales=scales)
     return Dataset(out, ds.labels.copy(), meta)
 
 
@@ -328,7 +305,7 @@ def mnist_task(
         ds = load_mnist(data_dir, split)
         ds = select_subset(ds, classes)
         ds = downsample(ds, resolution)
-        out.append(prepare(ds, "amplitude"))
+        out.append(prepare(ds))
     return out[0], out[1]
 
 

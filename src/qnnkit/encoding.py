@@ -8,8 +8,6 @@ Two encodings are supported:
   (valid for non-negative data, which covers pixel intensities).
 - *Probability*: each value d in [0, 1] becomes one qubit rotated to
   sqrt(1-d)|0> + sqrt(d)|1>, so Pr[1] = d exactly.
-
-Decoding reads per-qubit marginals back out of a state.
 """
 
 from __future__ import annotations
@@ -128,13 +126,3 @@ def probability_encode(data) -> tuple[CircuitFragment, StateVector]:
     state = StateVector(m).run(frag)
     return frag, state
 
-
-def decode_probabilities(state: StateVector, qubits) -> np.ndarray:
-    """Vector of marginal Pr[1] for each listed qubit, from one probabilities() pass."""
-    probs = state.probabilities()
-    out = []
-    for q in qubits:
-        if q < 0 or q >= state.n_qubits:
-            raise ValueError(f"qubit {q} out of range 0..{state.n_qubits - 1}")
-        out.append(probs.reshape(2**q, 2, -1)[:, 1].sum())  # the half where q reads 1
-    return np.array(out, dtype=float)

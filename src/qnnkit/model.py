@@ -20,7 +20,7 @@ Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets), so
 the two agree exactly through v, u and n stages; p layers consuming
 qubits that earlier gadgets have already entangled are the approximate
-case, and `cmd verify` exists to measure that gap rather than hide it.
+case, and `qnnkit verify` exists to measure that gap rather than hide it.
 
 Binary weights train through latent real shadows: the forward pass
 always consumes sign(latent), gradients pass straight through the sign
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ArchitectureSpec, ArchitectureError, LayerSpec
-from .encoding import amplitude_encoding_fragment, decode_probabilities
+from .encoding import amplitude_encoding_fragment
 from .neurons import (
     binarize,
     build_p_neuron,
@@ -50,7 +50,7 @@ from .neurons import (
     v_stage_forward,
 )
 from .rules import validate_architecture
-from .statevec import CircuitFragment, ResourceLimitError, StateVector, rx
+from .statevec import DEFAULT_MAX_QUBITS, CircuitFragment, ResourceLimitError, StateVector, rx
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -533,7 +533,7 @@ def build_network_circuit(
     arch: ArchitectureSpec,
     params: ParameterStore,
     x,
-    max_qubits: int = 24,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> NetworkCircuit:
     """Compile encoding + every gadget into one measurement-free fragment.
 
@@ -554,8 +554,8 @@ def build_network_circuit(
     if pipe.u_width is not None:
         k = pipe.u_width
         for j, w in enumerate(params.u_weights()):
-            frag = frag.compose(register.shifted(j * n))
             mapping = {q: j * n + q for q in range(n)}
+            frag = frag.compose(register.remapped(mapping, total))
             mapping[n] = k * n + j
             frag = frag.compose(build_u_neuron(n, w).remapped(mapping, total))
         stage_qubits = list(range(k * n, k * n + k))
@@ -577,7 +577,7 @@ def circuit_inference(
     arch: ArchitectureSpec,
     params: ParameterStore,
     x,
-    max_qubits: int = 24,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
     """Class probabilities from exact, register-factored simulation of the
     network that ``build_network_circuit`` compiles.
@@ -617,7 +617,7 @@ def circuit_inference(
     state = StateVector(int(math.log2(amps.size)) + p_width, _with_zeros(amps, p_width))
     tail, outputs = _prob_layers_fragment(arch, params, stage_qubits, state.n_qubits)
     state.run(tail)
-    return decode_probabilities(state, outputs)
+    return state.marginals(outputs)
 
 
 # ---------------------------------------------------------------------------

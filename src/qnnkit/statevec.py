@@ -58,11 +58,6 @@ class Gate:
             return len(self.polarities) + 1
         raise ValueError(f"unknown gate kind {self.kind!r}")
 
-    def inverse(self) -> "Gate":
-        if self.kind in ("RX", "RY"):
-            return Gate(self.kind, -self.theta)
-        return self  # H, X, Z, CX, CZ, MCX are involutions
-
     def matrix(self) -> np.ndarray:
         """Dense unitary of this gate on its own qubits (2^arity square).
 
@@ -154,22 +149,11 @@ class CircuitFragment:
         out.ops = list(self.ops) + list(other.ops)
         return out
 
-    def shifted(self, offset: int) -> "CircuitFragment":
-        """Same circuit moved up by ``offset`` qubits (for register packing)."""
-        out = CircuitFragment(self.qubit_span + offset)
-        out.ops = [(g, tuple(q + offset for q in qs)) for g, qs in self.ops]
-        return out
-
     def remapped(self, mapping: dict[int, int], span: int) -> "CircuitFragment":
         """Rewire fragment qubits through ``mapping`` into a wider register."""
         out = CircuitFragment(span)
         for g, qs in self.ops:
             out.append(g, *(mapping.get(q, q) for q in qs))
-        return out
-
-    def inverse(self) -> "CircuitFragment":
-        out = CircuitFragment(self.qubit_span)
-        out.ops = [(g.inverse(), qs) for g, qs in reversed(self.ops)]
         return out
 
 
@@ -199,7 +183,7 @@ def _axes(a: np.ndarray, fixed) -> tuple[np.ndarray, list]:
 
 
 def controlled_x(a: np.ndarray, controls, polarities, target: int) -> None:
-    """Flip ``target`` where control i holds ``polarities[i]`` (CX, MCX)."""
+    """Flip ``target`` where control i holds ``polarities[i]`` (X, CX, MCX)."""
     view, sel0 = _axes(a, zip(controls, polarities))
     sel1 = list(sel0)
     sel0[1 + target], sel1[1 + target] = 0, 1
@@ -210,7 +194,7 @@ def controlled_x(a: np.ndarray, controls, polarities, target: int) -> None:
 
 
 def phase_flip(a: np.ndarray, qubits) -> None:
-    """Negate the amplitudes where every qubit in ``qubits`` is 1 (CZ)."""
+    """Negate the amplitudes where every qubit in ``qubits`` is 1 (Z, CZ)."""
     view, sel = _axes(a, ((q, 1) for q in qubits))
     view[tuple(sel)] *= -1
 
@@ -222,14 +206,14 @@ def ry_entries(theta: float) -> tuple[float, float, float, float]:
 
 
 def _entries(gate: Gate) -> tuple:
-    """The 2x2 entries of a one-qubit gate as scalars, real where they can be."""
+    """The 2x2 entries of H, RX or RY as scalars, real where they can be."""
     if gate.kind == "RY":
         return ry_entries(gate.theta)
     if gate.kind == "RX":
         c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
         return c, -1j * s, -1j * s, c
     r = _SQRT2_INV
-    return {"H": (r, r, r, -r), "X": (0.0, 1.0, 1.0, 0.0), "Z": (1.0, 0.0, 0.0, -1.0)}[gate.kind]
+    return r, r, r, -r
 
 
 class StateVector:
@@ -264,12 +248,12 @@ class StateVector:
             raise ValueError(f"qubit index out of range 0..{self.n_qubits - 1}: {qubits}")
 
         a = self.amps[None]
-        if gate.arity == 1:
+        if gate.kind in ("H", "RX", "RY"):
             apply_1q(a, qubits[0], *_entries(gate))
-        elif gate.kind == "CZ":
+        elif gate.kind in ("Z", "CZ"):
             phase_flip(a, qubits)
-        else:  # CX fires on control 1; MCX carries its polarities
-            controlled_x(a, qubits[:-1], gate.polarities or (1,), qubits[-1])
+        else:  # X has no controls, CX fires on control 1, MCX carries its polarities
+            controlled_x(a, qubits[:-1], gate.polarities or (1,) * (len(qubits) - 1), qubits[-1])
         return self
 
     def run(self, fragment: CircuitFragment) -> "StateVector":
@@ -284,14 +268,19 @@ class StateVector:
 
     # -- readout ----------------------------------------------------------
 
+    def marginals(self, qubits) -> np.ndarray:
+        """Pr[measuring 1] of each listed qubit, from one pass over |amp|^2."""
+        probs = self.probabilities()
+        out = []
+        for q in qubits:
+            if q < 0 or q >= self.n_qubits:
+                raise ValueError(f"qubit {q} out of range 0..{self.n_qubits - 1}")
+            out.append(probs.reshape(2**q, 2, -1)[:, 1].sum())  # the half where q reads 1
+        return np.array(out, dtype=float)
+
     def marginal_prob_one(self, qubit: int) -> float:
-        """Pr[measuring ``qubit`` as 1] = sum of |amp|^2 where its bit is set."""
-        if qubit < 0 or qubit >= self.n_qubits:
-            raise ValueError(f"qubit {qubit} out of range 0..{self.n_qubits - 1}")
-        probs = np.abs(self.amps) ** 2
-        probs = probs.reshape([2] * self.n_qubits)
-        axes = tuple(i for i in range(self.n_qubits) if i != qubit)
-        return float(probs.sum(axis=axes)[1]) if axes else float(probs[1])
+        """Pr[measuring ``qubit`` as 1]."""
+        return float(self.marginals([qubit])[0])
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -307,12 +296,6 @@ class StateVector:
         rho = self.reduced_density_matrix(qubit)
         purity = float(np.real(np.trace(rho @ rho)))
         return purity >= 1.0 - tol
-
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amps) ** 2)) - 1.0)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
 
 
 def new_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:

@@ -230,6 +230,22 @@ def test_verify_checkpoint_with_wrong_shapes_exits_two(tmp_path, capsys):
 
 WIDE_ARCH = "input_dim 16\nclasses 2\nlayer v width=4\nlayer u width=2\n"
 
+# Outside the trainable template v+ u? [np]*, though the file parses.
+U_FIRST_ARCH = "input_dim 4\nclasses 2\nlayer u width=2\n"
+VPU_ARCH = "input_dim 4\nclasses 2\nlayer v width=2\nlayer p width=2\nlayer u width=2\n"
+
+# Checkpoints whose keys are right but one value has the wrong JSON type.
+_GOOD_CHECKPOINT_ARCH = {
+    "input_dim": 4,
+    "num_classes": 2,
+    "layers": [{"kind": "v", "width": 2, "repeat": 1, "theta_mode": "per-channel"}],
+}
+BAD_TYPE_CHECKPOINTS = {
+    "arch-list": [],
+    "layer-int": dict(_GOOD_CHECKPOINT_ARCH, layers=[7]),
+    "input-dim-str": dict(_GOOD_CHECKPOINT_ARCH, input_dim="16"),
+}
+
 BAD_INPUT_CASES = {
     "check-missing-arch": (["check", "--arch", "{tmp}/none.arch"], "No such file"),
     "verify-missing-arch": (["verify", "--arch", "{tmp}/none.arch"], "No such file"),
@@ -252,6 +268,21 @@ BAD_INPUT_CASES = {
     "sweep-lr-zero": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--lr", "0"], "> 0"),
     "momentum-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--momentum", "-0.5"], ">= 0"),
     "lr-decay-infinite": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--lr-decay", "inf"], ">= 0"),
+    "train-u-first": (["train", "--arch", "{tmp}/ufirst.arch", *XOR_TRAIN], "ufirst.arch: trainable networks start"),
+    "verify-v-p-u": (["verify", "--arch", "{tmp}/vpu.arch"], "vpu.arch: after the v/u stage"),
+    "sweep-v-p-u": (["sweep", "--arch", "{tmp}/vpu.arch", *XOR_TRAIN], "vpu.arch: after the v/u stage"),
+    "eval-checkpoint-arch-list": (
+        ["eval", "--checkpoint", "{tmp}/arch-list.json", "--dataset", "xor"],
+        "arch-list.json: a field has the wrong type",
+    ),
+    "eval-checkpoint-layer-int": (
+        ["eval", "--checkpoint", "{tmp}/layer-int.json", "--dataset", "xor"],
+        "layer-int.json: a field has the wrong type",
+    ),
+    "verify-checkpoint-input-dim-str": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/input-dim-str.json"],
+        "input-dim-str.json: a field has the wrong type",
+    ),
 }
 
 
@@ -267,9 +298,15 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "ok.arch", FEASIBLE_ARCH)
     write(tmp_path, "wide.arch", WIDE_ARCH)
     write(tmp_path, "vun.arch", VUN_ARCH)
+    write(tmp_path, "ufirst.arch", U_FIRST_ARCH)
+    write(tmp_path, "vpu.arch", VPU_ARCH)
     (tmp_path / "binary.arch").write_bytes(b"\x80\x81")
     wide = parse_architecture(WIDE_ARCH)
     save_checkpoint(tmp_path / "wide.json", wide, init_parameters(wide))
+    for name, architecture in BAD_TYPE_CHECKPOINTS.items():
+        payload = {"format": "qnnkit-checkpoint", "version": 1, "architecture": architecture}
+        payload["parameters"] = {"v_thetas": [[0.0] * 4], "uw_latent": None, "n_thetas": [], "pw_latent": []}
+        write(tmp_path, f"{name}.json", json.dumps(payload))
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
     try:
         code = main(argv)
@@ -284,6 +321,17 @@ def assert_one_error_line(capsys, code, expected_code, reason):
     assert [line for line in lines if "error:" in line] == lines[-1:]
     assert len(lines) == 1 or lines[0].startswith("usage:")
     assert reason in lines[-1]
+
+
+def test_option_defaults_read_train_config_and_the_qubit_cap():
+    from qnnkit.cli import _train_config, build_parser
+    from qnnkit.model import TrainConfig
+    from qnnkit.statevec import DEFAULT_MAX_QUBITS
+
+    parser = build_parser()
+    for command in ("train", "sweep"):
+        assert _train_config(parser.parse_args([command, "--arch", "a.arch"])) == TrainConfig()
+    assert parser.parse_args(["verify", "--arch", "a.arch"]).max_qubits == DEFAULT_MAX_QUBITS
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would be extra lines

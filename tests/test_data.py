@@ -10,7 +10,6 @@ from qnnkit.data import (
     Dataset,
     IdxFormatError,
     downsample,
-    downsample_image,
     load_idx,
     load_mnist,
     make_xor_dataset,
@@ -125,14 +124,22 @@ def test_duplicate_classes_rejected():
 # ---------------------------------------------------------------------------
 
 
+def pool_one(image: np.ndarray, target: int) -> np.ndarray:
+    """``downsample`` of a one-image dataset, as a target x target array."""
+    ds = Dataset(np.asarray(image, dtype=float).reshape(1, 784), np.zeros(1, dtype=int))
+    out = downsample(ds, target)
+    assert out.images.shape == (1, target * target)
+    return out.images[0].reshape(target, target)
+
+
 def test_constant_image_stays_constant():
     for k in (4, 8, 16):
-        out = downsample_image(np.full((28, 28), 0.7), k)
+        out = pool_one(np.full((28, 28), 0.7), k)
         np.testing.assert_allclose(out, 0.7, atol=1e-12)
 
 
 def test_all_zero_image_stays_zero():
-    np.testing.assert_array_equal(downsample_image(np.zeros((28, 28)), 4), 0.0)
+    np.testing.assert_array_equal(pool_one(np.zeros((28, 28)), 4), 0.0)
 
 
 def test_checkerboard_tile_means():
@@ -147,35 +154,25 @@ def test_checkerboard_tile_means():
             expected[ti, tj] = tile.sum() / 49.0
     assert expected[0, 0] == pytest.approx(24 / 49)
     assert expected[0, 1] == pytest.approx(25 / 49)
-    np.testing.assert_allclose(downsample_image(board, 4), expected, atol=1e-12)
+    np.testing.assert_allclose(pool_one(board, 4), expected, atol=1e-12)
 
 
 def test_pooling_is_mean_preserving_over_the_crop():
     rng = np.random.default_rng(7)
-    image = rng.uniform(0, 1, size=(28, 28))
+    images = rng.uniform(0, 1, size=(3, 28, 28))
+    ds = Dataset(images.reshape(3, 784), np.zeros(3, dtype=int))
     for k, crop in ((4, 28), (8, 24), (16, 16)):
         off = (28 - crop) // 2
-        cropped = image[off : off + crop, off : off + crop]
-        pooled = downsample_image(image, k)
-        assert pooled.mean() == pytest.approx(cropped.mean(), abs=1e-12)
-        assert pooled.max() <= image.max() + 1e-12
+        # each row must pool its own image, not a mix of the batch
+        for image, pooled in zip(images, downsample(ds, k).images):
+            cropped = image[off : off + crop, off : off + crop]
+            assert pooled.mean() == pytest.approx(cropped.mean(), abs=1e-12)
+            assert pooled.max() <= image.max() + 1e-12
 
 
 def test_unsupported_resolution():
     with pytest.raises(ValueError, match="unsupported target"):
-        downsample_image(np.zeros((28, 28)), 5)
-
-
-def test_dataset_downsample_matches_per_image():
-    rng = np.random.default_rng(9)
-    images = rng.uniform(0, 1, size=(5, 784))
-    ds = Dataset(images, np.arange(5), {"rows": 28, "cols": 28})
-    out = downsample(ds, 8)
-    assert out.images.shape == (5, 64)
-    for i in range(5):
-        np.testing.assert_allclose(
-            out.images[i].reshape(8, 8), downsample_image(images[i], 8), atol=1e-12
-        )
+        pool_one(np.zeros((28, 28)), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +183,7 @@ def test_dataset_downsample_matches_per_image():
 def test_amplitude_prepare_gives_unit_rows_and_records_scales():
     rng = np.random.default_rng(11)
     ds = Dataset(rng.uniform(0, 1, size=(6, 16)), np.zeros(6, dtype=int))
-    out = prepare(ds, "amplitude")
+    out = prepare(ds)
     np.testing.assert_allclose(np.linalg.norm(out.images, axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(
         out.meta["scales"], np.linalg.norm(ds.images, axis=1), atol=1e-12
@@ -196,15 +193,9 @@ def test_amplitude_prepare_gives_unit_rows_and_records_scales():
 def test_zero_image_falls_back_to_uniform_vector(caplog):
     ds = Dataset(np.zeros((1, 4)), np.zeros(1, dtype=int))
     with caplog.at_level("WARNING", logger="qnnkit.data"):
-        out = prepare(ds, "amplitude")
+        out = prepare(ds)
     np.testing.assert_allclose(out.images[0], 0.5)
     assert "all-zero" in caplog.text
-
-
-def test_probability_prepare_clamps_range():
-    ds = Dataset(np.array([[-0.2, 0.5, 1.3]]), np.zeros(1, dtype=int))
-    out = prepare(ds, "probability")
-    np.testing.assert_array_equal(out.images[0], [0.0, 0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------

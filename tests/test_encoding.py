@@ -8,7 +8,6 @@ import pytest
 from qnnkit.encoding import (
     amplitude_encode,
     amplitude_encoding_fragment,
-    decode_probabilities,
     multiplexed_ry,
     probability_encode,
 )
@@ -139,9 +138,7 @@ def test_out_of_range_datum_is_rejected():
 
 def test_encode_decode_round_trip():
     _, state = probability_encode([0.1, 0.9])
-    np.testing.assert_allclose(
-        decode_probabilities(state, [0, 1]), [0.1, 0.9], atol=1e-12
-    )
+    np.testing.assert_allclose(state.marginals([0, 1]), [0.1, 0.9], atol=1e-12)
 
 
 def test_round_trip_is_identity_on_random_vectors():
@@ -149,9 +146,7 @@ def test_round_trip_is_identity_on_random_vectors():
     for _ in range(20):
         d = rng.uniform(0, 1, size=int(rng.integers(1, 6)))
         _, state = probability_encode(d)
-        np.testing.assert_allclose(
-            decode_probabilities(state, range(len(d))), d, atol=1e-12
-        )
+        np.testing.assert_allclose(state.marginals(range(len(d))), d, atol=1e-12)
 
 
 def test_probability_registers_are_product_states():
@@ -167,14 +162,16 @@ def test_decode_matches_per_qubit_marginals_on_random_states():
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(n, amps / np.linalg.norm(amps))
         qubits = list(rng.permutation(n))
-        expected = [state.marginal_prob_one(q) for q in qubits]
-        np.testing.assert_allclose(decode_probabilities(state, qubits), expected, rtol=0, atol=1e-12)
+        probs = np.abs(state.amps) ** 2
+        bits = (np.arange(2**n)[:, None] >> (n - 1 - np.array(qubits))) & 1
+        expected = probs @ bits  # Pr[1] of q: the basis states whose bit q is set
+        np.testing.assert_allclose(state.marginals(qubits), expected, rtol=0, atol=1e-12)
 
 
 def test_decode_rejects_a_qubit_outside_the_register():
     with pytest.raises(ValueError, match="out of range"):
-        decode_probabilities(new_state(2), [0, 2])
+        new_state(2).marginals([0, 2])
 
 
 def test_decode_ground_state():
-    np.testing.assert_allclose(decode_probabilities(new_state(1), [0]), [0.0])
+    np.testing.assert_allclose(new_state(1).marginals([0]), [0.0])

@@ -21,7 +21,6 @@ from qnnkit.arch import (
     vu_architecture,
     vup_architecture,
 )
-from qnnkit.encoding import decode_probabilities
 from qnnkit.model import (
     TrainConfig,
     TrainingDiverged,
@@ -357,7 +356,7 @@ def full_simulation(arch, params, x):
     """Output marginals from one run of the whole compiled circuit."""
     circuit = build_network_circuit(arch, params, x)
     state = StateVector(circuit.n_qubits).run(circuit.fragment)
-    return decode_probabilities(state, circuit.output_qubits)
+    return state.marginals(circuit.output_qubits)
 
 
 COMPILED_NETS = ["mixed", "mnist2-vu", "mnist2-vup", "vun"]  # within 24 qubits

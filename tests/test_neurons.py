@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qnnkit.encoding import decode_probabilities, probability_encode
+from qnnkit.encoding import probability_encode
 from qnnkit.neurons import (
     amplitude_sign_flips,
     binarize,

@@ -200,7 +200,7 @@ def test_product_of_superpositions():
 
 
 # ---------------------------------------------------------------------------
-# properties: unitarity, embedding, norm, inverses
+# properties: unitarity, embedding, norm
 # ---------------------------------------------------------------------------
 
 
@@ -249,22 +249,7 @@ def test_norm_preserved_over_random_circuits():
             qubits = list(rng.choice(n, size=arity, replace=False))
             s.apply(gate, qubits)
             applied += 1
-        assert s.norm_error() < 1e-9
-
-
-def test_gate_then_inverse_restores_state():
-    rng = np.random.default_rng(19)
-    for _ in range(40):
-        n = 3
-        gate, arity = random_gate(rng)
-        if arity > n:
-            continue
-        qubits = list(rng.choice(n, size=arity, replace=False))
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        amps /= np.linalg.norm(amps)
-        s = StateVector(n, amps.copy())
-        s.apply(gate, qubits).apply(gate.inverse(), qubits)
-        np.testing.assert_allclose(s.amps, amps, atol=1e-10)
+        assert abs(s.probabilities().sum() - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +271,9 @@ def test_fragment_rejects_out_of_span_indices():
 
 
 def test_fragment_shift_moves_all_indices():
-    f = CircuitFragment(2).append(CX, 0, 1).shifted(3)
+    f = CircuitFragment(2).append(CX, 0, 1).remapped({0: 3, 1: 4}, 5)
     assert f.qubit_span == 5
     assert f.ops[0][1] == (3, 4)
-
-
-def test_fragment_inverse_undoes_fragment():
-    rng = np.random.default_rng(23)
-    frag = CircuitFragment(3)
-    for _ in range(30):
-        gate, arity = random_gate(rng)
-        if arity > 3:
-            continue
-        frag.append(gate, *rng.choice(3, size=arity, replace=False))
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    s = StateVector(3, amps.copy()).run(frag).run(frag.inverse())
-    np.testing.assert_allclose(s.amps, amps, atol=1e-10)
 
 
 def test_run_rejects_fragment_wider_than_register():
