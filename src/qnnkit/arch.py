@@ -6,8 +6,8 @@ An architecture is a list of layers over a power-of-two input dimension:
   ``repeat`` stacks blocks (more trainable angles).
 - ``u``: weighted-sum neurons consuming the amplitude stage; at most one,
   directly after the v stage.
-- ``n``: per-channel normalization; width always equals the previous
-  layer's width.
+- ``n``: normalization, one trainable RX angle per channel; width always
+  equals the previous layer's width.
 - ``p``: probability-product neurons; may alternate with ``n``.
 
 The file format is line-oriented and hand-writable::
@@ -17,8 +17,8 @@ The file format is line-oriented and hand-writable::
     layer v width=4 r=2
     layer u width=2
 
-Header keys come first; each ``layer`` line takes ``width=``, optional
-``r=`` (v only) and optional ``theta=shared|per-channel`` (n only).
+Header keys come first; each ``layer`` line takes ``width=`` and, on v
+layers only, an optional ``r=``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 VALID_KINDS = ("v", "u", "n", "p")
-THETA_MODES = ("per-channel", "shared")
 
 
 class ArchitectureError(ValueError):
@@ -47,7 +46,6 @@ class LayerSpec:
     kind: str
     width: int
     repeat: int = 1
-    theta_mode: str = "per-channel"
 
 
 @dataclass
@@ -90,8 +88,6 @@ class ArchitectureSpec:
                 raise ArchitectureError(f"{layer.kind}-layer repeat must be >= 1")
             if layer.repeat > 1 and layer.kind != "v":
                 raise ArchitectureError("only v-layers take a repeat count")
-            if layer.theta_mode not in THETA_MODES:
-                raise ArchitectureError(f"bad theta mode {layer.theta_mode!r}")
 
         # Width bookkeeping; junction feasibility and the stricter trainer
         # pipeline shape are checked elsewhere, so that the rule engine can
@@ -216,7 +212,6 @@ def parse_architecture(text: str) -> ArchitectureSpec:
                 raise ArchitectureParseError(line_no, f"unknown layer kind {kind!r}")
             width = None
             repeat = 1
-            theta_mode = "per-channel"
             for tok in tokens[2:]:
                 if "=" not in tok:
                     raise ArchitectureParseError(line_no, f"expected key=value, got {tok!r}")
@@ -225,17 +220,11 @@ def parse_architecture(text: str) -> ArchitectureSpec:
                     width = _parse_int(line_no, "width", v)
                 elif k == "r":
                     repeat = _parse_int(line_no, "r", v)
-                elif k == "theta":
-                    if v not in THETA_MODES:
-                        raise ArchitectureParseError(
-                            line_no, f"theta must be shared or per-channel, got {v!r}"
-                        )
-                    theta_mode = v
                 else:
                     raise ArchitectureParseError(line_no, f"unknown layer option {k!r}")
             if width is None:
                 raise ArchitectureParseError(line_no, "layer is missing width=")
-            layers.append(LayerSpec(kind, width, repeat=repeat, theta_mode=theta_mode))
+            layers.append(LayerSpec(kind, width, repeat=repeat))
         else:
             raise ArchitectureParseError(line_no, f"unknown directive {key!r}")
 

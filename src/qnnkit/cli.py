@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -156,7 +157,6 @@ def _train_config(args) -> TrainConfig:
         lr_decay=args.lr_decay,
         keep_best=args.keep_best,
         seed=args.seed,
-        verbose=args.verbose,
     )
 
 
@@ -177,11 +177,7 @@ def cmd_check(args) -> int:
 
 
 def _run_training(args, arch, train_ds, test_ds):
-    """(params, metrics) with the v repeats set to ``args.r``; None if infeasible."""
-    if args.r is not None:
-        for layer in arch.layers:
-            if layer.kind == "v":
-                layer.repeat = args.r
+    """(params, metrics) of ``arch`` trained as ``args`` say; None if infeasible."""
     report = validate_architecture(arch)
     if not report.passed:
         print(report.render_text(), file=sys.stderr)
@@ -309,9 +305,10 @@ def cmd_sweep(args) -> int:
     rows = []
     status = 0
     for r in range(args.r_min, args.r_max + 1):
-        args.r = r
+        layers = [dataclasses.replace(l, repeat=r) if l.kind == "v" else l for l in arch.layers]
+        run_arch = dataclasses.replace(arch, layers=layers)
         try:
-            result = _run_training(args, arch, train_ds, test_ds)
+            result = _run_training(args, run_arch, train_ds, test_ds)
         except Exception as exc:  # abort but keep partial results
             print(f"error: run r={r} failed: {exc}", file=sys.stderr)
             status = 1
@@ -320,7 +317,7 @@ def cmd_sweep(args) -> int:
             status = 1
             break
         params, metrics = result
-        test_acc = accuracy(arch, params, test_ds.images, test_ds.labels)
+        test_acc = accuracy(run_arch, params, test_ds.images, test_ds.labels)
         rows.append(
             {
                 "r": r,
@@ -349,6 +346,13 @@ def _count(text: str) -> int:
     """argparse type of every count option: a positive integer."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy's generators need."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -382,7 +386,7 @@ def _digits(text: str) -> str:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="runs", help="output directory")
 
 
@@ -402,38 +406,39 @@ def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=_positive, default=d.temperature)
     p.add_argument("--lr-decay", type=_nonnegative, default=d.lr_decay)
     p.add_argument("--keep-best", action="store_true")
-    p.add_argument("--r", type=_count, default=None, help="override v-layer repeats")
-    p.add_argument("--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: `train --r 4` must not pass for `--resolution 4`
     parser = argparse.ArgumentParser(
         prog="qnnkit",
+        allow_abbrev=False,
         description="mixed quantum neural networks: feasibility checks, "
         "training, circuit verification",
     )
     parser.add_argument("--version", action="version", version=f"qnnkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("check", help="validate an architecture's junctions")
+    p = add_parser("check", help="validate an architecture's junctions")
     p.add_argument("--arch", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("train", help="train an architecture on a dataset")
+    p = add_parser("train", help="train an architecture on a dataset")
     p.add_argument("--arch", required=True)
     _add_dataset(p)
     _add_training(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
+    p = add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     _add_dataset(p)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("verify", help="compare factorized model with the full circuit")
+    p = add_parser("verify", help="compare factorized model with the full circuit")
     p.add_argument("--arch", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--samples", type=_count, default=20)
@@ -442,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="train across a range of v-block repeats")
+    p = add_parser("sweep", help="train across a range of v-block repeats")
     p.add_argument("--arch", required=True)
     p.add_argument("--r-min", type=_count, default=1)
     p.add_argument("--r-max", type=_count, default=3)

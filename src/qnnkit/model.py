@@ -18,9 +18,11 @@ Two semantics coexist on purpose:
 
 Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets), so
-the two agree exactly through v, u and n stages; p layers consuming
-qubits that earlier gadgets have already entangled are the approximate
-case, and `qnnkit verify` exists to measure that gap rather than hide it.
+the two agree exactly through v, u and n stages (a run of n layers is one
+stage: its RX gates compose to one RX with the summed angle); p layers
+consuming qubits that earlier gadgets have already entangled are the
+approximate case, and `qnnkit verify` exists to measure that gap rather
+than hide it.
 
 Binary weights train through latent real shadows: the forward pass
 always consumes sign(latent), gradients pass straight through the sign
@@ -149,10 +151,9 @@ def init_parameters(arch: ArchitectureSpec, seed: int = 0) -> ParameterStore:
     pw: list[np.ndarray] = []
     for layer in pipe.prob_layers:
         if layer.kind == "n":
-            size = 1 if layer.theta_mode == "shared" else layer.width
             # theta = 0 is a stationary point of the n-layer (the gradient
             # carries a sin(theta) factor), so start slightly off it
-            n_thetas.append(rng.normal(0.0, 0.1, size=size))
+            n_thetas.append(rng.normal(0.0, 0.1, size=layer.width))
         else:
             pw.append(rng.uniform(-1.0, 1.0, size=(layer.width, width)))
             width = layer.width
@@ -214,7 +215,14 @@ def forward_batch(
     for layer in pipe.prob_layers:
         stage = {"kind": layer.kind, "input": acts}
         if layer.kind == "n":
-            stage.update(index=n_idx, output=n_forward_batch(acts, params.n_thetas[n_idx]))
+            theta, indices = params.n_thetas[n_idx], [n_idx]
+            if trace.stages[-1]["kind"] == "n":
+                # RX(a) RX(b) = RX(a + b): a run of n layers is one stage
+                # whose angle is the sum of the run's angles
+                run = trace.stages.pop()
+                stage["input"] = run["input"]
+                theta, indices = run["theta"] + theta, run["indices"] + indices
+            stage.update(indices=indices, theta=theta, output=n_forward_batch(stage["input"], theta))
             n_idx += 1
         else:
             out, s, factors = p_forward_batch(acts, params.p_weights(p_idx))
@@ -298,13 +306,10 @@ def backward_batch(
             gs = np.einsum("bkm,km->bm", gfactor, W)
             grad = gs * (1.0 - 2.0 * p_in) / (2.0 * s)
         elif kind == "n":
-            theta = params.n_thetas[stage["index"]]
-            p_in = stage["input"]
-            gtheta = grad * (1.0 - 2.0 * p_in) * np.sin(theta) / 2.0
-            if theta.size == 1:
-                grads.n_thetas[stage["index"]] += gtheta.sum(keepdims=True).reshape(1)
-            else:
-                grads.n_thetas[stage["index"]] += gtheta.sum(axis=0)
+            theta = stage["theta"]
+            gtheta = (grad * (1.0 - 2.0 * stage["input"]) * np.sin(theta) / 2.0).sum(axis=0)
+            for i in stage["indices"]:  # each angle of the run moves the summed angle
+                grads.n_thetas[i] += gtheta
             grad = grad * np.cos(theta)
         elif kind == "u":
             W = params.u_weights()
@@ -346,7 +351,6 @@ class TrainConfig:
     lr_decay: float = 1.0  # multiplicative per-epoch decay
     keep_best: bool = False  # return the best-test-accuracy epoch's weights
     seed: int = 0
-    verbose: bool = False
 
 
 def accuracy(arch, params, X, y) -> float:
@@ -424,14 +428,6 @@ def train(
                 best_score = score
                 best_params = params.copy()
         lr *= config.lr_decay
-        if config.verbose:
-            msg = (
-                f"epoch {epoch:3d}  loss {row['train_loss']:.4f}  "
-                f"train {row['train_accuracy']:.4f}"
-            )
-            if "test_accuracy" in row:
-                msg += f"  test {row['test_accuracy']:.4f}"
-            print(msg)
     if config.keep_best and best_params is not None:
         params = best_params
     return params, metrics
@@ -510,7 +506,7 @@ def _prob_layers_fragment(
         if layer.kind == "n":
             theta = params.n_thetas[n_idx]
             for c, q in enumerate(stage_qubits):
-                frag.append(rx(theta[0] if theta.size == 1 else theta[c]), q)
+                frag.append(rx(theta[c]), q)
             n_idx += 1
         else:
             W = params.p_weights(p_idx)
@@ -633,13 +629,7 @@ def save_checkpoint(path, arch: ArchitectureSpec, params: ParameterStore) -> Non
             "input_dim": arch.input_dim,
             "num_classes": arch.num_classes,
             "layers": [
-                {
-                    "kind": l.kind,
-                    "width": l.width,
-                    "repeat": l.repeat,
-                    "theta_mode": l.theta_mode,
-                }
-                for l in arch.layers
+                {"kind": l.kind, "width": l.width, "repeat": l.repeat} for l in arch.layers
             ],
         },
         "parameters": {
@@ -654,7 +644,7 @@ def save_checkpoint(path, arch: ArchitectureSpec, params: ParameterStore) -> Non
 
 
 def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
-    """ValueError unless each parameter has the shape init_parameters gives."""
+    """ValueError unless each parameter is finite and has the shape init_parameters gives."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -665,10 +655,7 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
     arch = ArchitectureSpec(
         arch_d["input_dim"],
         arch_d["num_classes"],
-        [
-            LayerSpec(l["kind"], l["width"], l["repeat"], l["theta_mode"])
-            for l in arch_d["layers"]
-        ],
+        [LayerSpec(l["kind"], l["width"], l["repeat"]) for l in arch_d["layers"]],
     )
     arch.validate_shape()
     p = payload["parameters"]
@@ -683,6 +670,8 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
     needed = [a.shape for a in want.arrays()]
     if shapes != needed or (params.uw_latent is None) != (want.uw_latent is None):
         raise ValueError(f"parameter shapes {shapes} do not fit {arch.name}, which needs {needed}")
+    if not all(np.all(np.isfinite(a)) for a in params.arrays()):
+        raise ValueError("a parameter value is not finite")
     return arch, params
 
 

@@ -349,7 +349,7 @@ def build_n_neuron(theta: float) -> CircuitFragment:
 
 
 def n_forward_batch(P: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """n_forward as sin^2(theta/2) + p cos(theta); theta is (1,) or one per column."""
+    """n_forward as sin^2(theta/2) + p cos(theta); theta holds one angle per column."""
     return np.sin(theta / 2) ** 2 + P * np.cos(theta)
 
 

@@ -1,16 +1,19 @@
 """CLI tests, driven through main() with temp directories."""
 
+import argparse
 import csv
 import json
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnnkit.cli import main
+from qnnkit.cli import build_parser, main
 
-NETS = Path(__file__).resolve().parent.parent / "nets"
+ROOT = Path(__file__).resolve().parent.parent
+NETS = ROOT / "nets"
 
 FEASIBLE_ARCH = """\
 input_dim 4
@@ -172,23 +175,21 @@ def test_eval_roundtrips_checkpoint(tmp_path, capsys):
     out = tmp_path / "run"
     main(["train", "--arch", arch, *XOR_TRAIN, "--out", str(out)])
     trained = read_csv(out / "results.csv")[0]
+    # older checkpoints store a "theta_mode" on every layer; it is ignored
+    payload = json.loads((out / "checkpoint.json").read_text())
+    for layer in payload["architecture"]["layers"]:
+        layer["theta_mode"] = "per-channel"
+    older = write(tmp_path, "older.json", json.dumps(payload))
 
-    code = main(
-        [
-            "eval",
-            "--checkpoint",
-            str(out / "checkpoint.json"),
-            "--dataset",
-            "xor",
-            "--out",
-            str(tmp_path / "eval"),
-        ]
-    )
-    assert code == 0
-    evaluated = read_csv(tmp_path / "eval" / "results.csv")[0]
-    assert float(evaluated["test_accuracy"]) == pytest.approx(
-        float(trained["test_accuracy"])
-    )
+    for checkpoint in (str(out / "checkpoint.json"), older):
+        code = main(
+            ["eval", "--checkpoint", checkpoint, "--dataset", "xor", "--out", str(tmp_path / "eval")]
+        )
+        assert code == 0
+        evaluated = read_csv(tmp_path / "eval" / "results.csv")[0]
+        assert float(evaluated["test_accuracy"]) == pytest.approx(
+            float(trained["test_accuracy"])
+        )
 
 
 def test_eval_missing_checkpoint_exits_two(tmp_path, capsys):
@@ -233,6 +234,8 @@ WIDE_ARCH = "input_dim 16\nclasses 2\nlayer v width=4\nlayer u width=2\n"
 # Outside the trainable template v+ u? [np]*, though the file parses.
 U_FIRST_ARCH = "input_dim 4\nclasses 2\nlayer u width=2\n"
 VPU_ARCH = "input_dim 4\nclasses 2\nlayer v width=2\nlayer p width=2\nlayer u width=2\n"
+# n layers have one angle per channel; there is no theta= option
+THETA_ARCH = FEASIBLE_ARCH.replace("layer n width=4", "layer n width=4 theta=shared")
 
 # Checkpoints whose keys are right but one value has the wrong JSON type.
 _GOOD_CHECKPOINT_ARCH = {
@@ -283,6 +286,21 @@ BAD_INPUT_CASES = {
         ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/input-dim-str.json"],
         "input-dim-str.json: a field has the wrong type",
     ),
+    "eval-checkpoint-nan": (
+        ["eval", "--checkpoint", "{tmp}/nan.json", "--dataset", "xor"],
+        "nan.json: a parameter value is not finite",
+    ),
+    "verify-checkpoint-nan": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/nan.json"],
+        "nan.json: a parameter value is not finite",
+    ),
+    "train-seed-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--seed", "-1"], "non-negative integer"),
+    "verify-seed-negative": (["verify", "--arch", "{tmp}/ok.arch", "--seed", "-1"], "non-negative integer"),
+    "train-theta-option": (["train", "--arch", "{tmp}/theta.arch", *XOR_TRAIN], "theta.arch: line 5: unknown layer option 'theta'"),
+    # removed options, not abbreviations of --resolution or --r-min/--r-max
+    "train-r": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--r", "4"], "unrecognized arguments: --r 4"),
+    "sweep-r": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--r", "2"], "unrecognized arguments: --r 2"),
+    "train-verbose": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--verbose"], "unrecognized arguments: --verbose"),
 }
 
 
@@ -300,9 +318,14 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "vun.arch", VUN_ARCH)
     write(tmp_path, "ufirst.arch", U_FIRST_ARCH)
     write(tmp_path, "vpu.arch", VPU_ARCH)
+    write(tmp_path, "theta.arch", THETA_ARCH)
     (tmp_path / "binary.arch").write_bytes(b"\x80\x81")
     wide = parse_architecture(WIDE_ARCH)
     save_checkpoint(tmp_path / "wide.json", wide, init_parameters(wide))
+    ok = parse_architecture(FEASIBLE_ARCH)
+    nan_params = init_parameters(ok)
+    nan_params.v_thetas[0, 0] = np.nan
+    save_checkpoint(tmp_path / "nan.json", ok, nan_params)
     for name, architecture in BAD_TYPE_CHECKPOINTS.items():
         payload = {"format": "qnnkit-checkpoint", "version": 1, "architecture": architecture}
         payload["parameters"] = {"v_thetas": [[0.0] * 4], "uw_latent": None, "n_thetas": [], "pw_latent": []}
@@ -324,7 +347,7 @@ def assert_one_error_line(capsys, code, expected_code, reason):
 
 
 def test_option_defaults_read_train_config_and_the_qubit_cap():
-    from qnnkit.cli import _train_config, build_parser
+    from qnnkit.cli import _train_config
     from qnnkit.model import TrainConfig
     from qnnkit.statevec import DEFAULT_MAX_QUBITS
 
@@ -332,6 +355,24 @@ def test_option_defaults_read_train_config_and_the_qubit_cap():
     for command in ("train", "sweep"):
         assert _train_config(parser.parse_args([command, "--arch", "a.arch"])) == TrainConfig()
     assert parser.parse_args(["verify", "--arch", "a.arch"]).max_qubits == DEFAULT_MAX_QUBITS
+
+
+def test_readme_names_every_option_and_only_real_ones():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert sorted(o for o in options if f"`{o}`" not in readme) == []
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert sorted(named - options - {"--version", "--help"}) == []
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would be extra lines
@@ -470,6 +511,19 @@ def test_sweep_single_value_gives_single_row(tmp_path):
          "--out", str(out)]
     )
     assert len(read_csv(out / "sweep.csv")) == 1
+
+
+def test_sweep_row_matches_a_train_run_at_that_r(tmp_path, capsys):
+    one = write(tmp_path, "r1.arch", FEASIBLE_ARCH.replace(" r=2", ""))
+    main(["train", "--arch", one, *XOR_TRAIN, "--out", str(tmp_path / "t")])
+    two = write(tmp_path, "r2.arch", FEASIBLE_ARCH)
+    main(["sweep", "--arch", two, "--r-min", "1", "--r-max", "1", *XOR_TRAIN,
+          "--out", str(tmp_path / "s")])
+    trained = read_csv(tmp_path / "t" / "results.csv")[0]
+    (row,) = read_csv(tmp_path / "s" / "sweep.csv")
+    assert (row["train_accuracy"], row["test_accuracy"]) == (
+        trained["train_accuracy"], trained["test_accuracy"]
+    )
 
 
 def test_sweep_rejects_inverted_range(tmp_path, capsys):
