@@ -39,14 +39,12 @@ from .model import (
     TrainConfig,
     TrainingDiverged,
     accuracy,
-    backward,
     build_network_circuit,
     circuit_inference,
     expected_qubit_count,
     forward,
     init_parameters,
     load_checkpoint,
-    loss,
     path6_demo,
     save_checkpoint,
     simulated_qubit_count,

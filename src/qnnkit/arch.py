@@ -19,6 +19,10 @@ The file format is line-oriented and hand-writable::
 
 Header keys come first; each ``layer`` line takes ``width=`` and, on v
 layers only, an optional ``r=``.
+
+Specs are frozen and check their shape on construction, so every
+``ArchitectureSpec`` in hand has a valid shape; whether its junctions are
+feasible is ``qnnkit.rules``' question.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ class ArchitectureParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSpec:
     kind: str
     width: int
     repeat: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchitectureSpec:
     input_dim: int
     num_classes: int
@@ -66,7 +70,7 @@ class ArchitectureSpec:
             parts.append(f"{layer.kind}*{layer.repeat}" if layer.repeat > 1 else layer.kind)
         return "+".join(parts)
 
-    def validate_shape(self) -> None:
+    def __post_init__(self) -> None:
         """Structural checks; junction feasibility lives in qnnkit.rules."""
         if self.input_dim < 2 or 2 ** self.n_qubits != self.input_dim:
             raise ArchitectureError(
@@ -128,9 +132,7 @@ class ArchitectureSpec:
 def vqc_architecture(input_dim: int, num_classes: int, r1: int = 1) -> ArchitectureSpec:
     """Pure variational baseline; classes read off the first qubits."""
     n = int(math.log2(input_dim))
-    arch = ArchitectureSpec(input_dim, num_classes, [LayerSpec("v", n, repeat=r1)])
-    arch.validate_shape()
-    return arch
+    return ArchitectureSpec(input_dim, num_classes, [LayerSpec("v", n, repeat=r1)])
 
 
 def vu_architecture(
@@ -141,9 +143,7 @@ def vu_architecture(
     layers = [LayerSpec("v", n, repeat=r1), LayerSpec("u", num_classes)]
     if include_n:
         layers.append(LayerSpec("n", num_classes))
-    arch = ArchitectureSpec(input_dim, num_classes, layers)
-    arch.validate_shape()
-    return arch
+    return ArchitectureSpec(input_dim, num_classes, layers)
 
 
 def vup_architecture(
@@ -159,9 +159,7 @@ def vup_architecture(
     if include_n:
         layers.append(LayerSpec("n", hidden))
     layers.append(LayerSpec("p", num_classes))
-    arch = ArchitectureSpec(input_dim, num_classes, layers)
-    arch.validate_shape()
-    return arch
+    return ArchitectureSpec(input_dim, num_classes, layers)
 
 
 def vp_architecture(
@@ -173,9 +171,7 @@ def vp_architecture(
     if include_n:
         layers.append(LayerSpec("n", n))
     layers.append(LayerSpec("p", num_classes))
-    arch = ArchitectureSpec(input_dim, num_classes, layers)
-    arch.validate_shape()
-    return arch
+    return ArchitectureSpec(input_dim, num_classes, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +228,10 @@ def parse_architecture(text: str) -> ArchitectureSpec:
         raise ArchitectureParseError(1, "missing input_dim header")
     if num_classes is None:
         raise ArchitectureParseError(1, "missing classes header")
-    arch = ArchitectureSpec(input_dim, num_classes, layers)
     try:
-        arch.validate_shape()
+        return ArchitectureSpec(input_dim, num_classes, layers)
     except ArchitectureError as exc:
         raise ArchitectureParseError(1, str(exc)) from exc
-    return arch
 
 
 def _parse_int(line_no: int, key: str, value: str) -> int:

@@ -8,8 +8,9 @@ Five subcommands: ``check`` (junction feasibility, no simulation),
 Every run writes a ``manifest.json`` (full config, seed, package
 version, CSV schema version) next to its outputs; re-running with the
 same manifest reproduces the metrics bit-identically. Exit codes:
-0 success / feasible, 1 infeasible or failed run, 2 bad usage or
-unreadable input (reported by ``main`` as one ``error:`` line).
+0 success / feasible, 1 infeasible (``check``) or failed run, 2 bad
+usage or unreadable input, a non-template architecture included
+(reported by ``main`` as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -177,12 +178,7 @@ def cmd_check(args) -> int:
 
 
 def _run_training(args, arch, train_ds, test_ds):
-    """(params, metrics) of ``arch`` trained as ``args`` say; None if infeasible."""
-    report = validate_architecture(arch)
-    if not report.passed:
-        print(report.render_text(), file=sys.stderr)
-        print("error: infeasible architecture, refusing to train", file=sys.stderr)
-        return None
+    """(params, metrics) of ``arch`` trained as ``args`` say."""
     # train raises TrainingDiverged on a non-finite loss, and main reports
     # it in one line; numpy's overflow warnings on the way would add more
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,11 +195,9 @@ def _run_training(args, arch, train_ds, test_ds):
 
 def cmd_train(args) -> int:
     arch = load_architecture(args.arch)
+    pipeline(arch)  # the template; whatever fits it passes the five rules
     train_ds, test_ds, label = _dataset(args, arch)
-    result = _run_training(args, arch, train_ds, test_ds)
-    if result is None:
-        return 1
-    params, metrics = result
+    params, metrics = _run_training(args, arch, train_ds, test_ds)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,15 +302,11 @@ def cmd_sweep(args) -> int:
         layers = [dataclasses.replace(l, repeat=r) if l.kind == "v" else l for l in arch.layers]
         run_arch = dataclasses.replace(arch, layers=layers)
         try:
-            result = _run_training(args, run_arch, train_ds, test_ds)
+            params, metrics = _run_training(args, run_arch, train_ds, test_ds)
         except Exception as exc:  # abort but keep partial results
             print(f"error: run r={r} failed: {exc}", file=sys.stderr)
             status = 1
             break
-        if result is None:
-            status = 1
-            break
-        params, metrics = result
         test_acc = accuracy(run_arch, params, test_ds.images, test_ds.labels)
         rows.append(
             {

@@ -114,7 +114,6 @@ class _Pipeline:
 
 def pipeline(arch: ArchitectureSpec) -> _Pipeline:
     """Check the layer sequence fits the trainable template v+ u? [np]*."""
-    arch.validate_shape()
     kinds = [l.kind for l in arch.layers]
     i = 0
     v_blocks = 0
@@ -260,10 +259,6 @@ def loss_batch(probs: np.ndarray, labels: np.ndarray, temperature: float = 0.25)
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
-def loss(trace: ForwardTrace, label: int, temperature: float = 0.25) -> float:
-    return loss_batch(trace.probs, np.array([label]), temperature)
-
-
 def backward_batch(
     arch: ArchitectureSpec,
     params: ParameterStore,
@@ -288,10 +283,8 @@ def backward_batch(
         if kind == "p":
             W = params.p_weights(stage["index"])
             factors = stage["factors"]  # (B, k, m)
-            out = stage["output"]  # (B, k)
             # leave-one-out products via prefix/suffix scans (no division,
             # so zero factors are handled exactly)
-            k_, m_ = W.shape
             prefix = np.ones_like(factors)
             suffix = np.ones_like(factors)
             np.cumprod(factors[:, :, :-1], axis=2, out=prefix[:, :, 1:])
@@ -324,16 +317,6 @@ def backward_batch(
     gtheta, _ = v_stage_backward(trace.v_tape, grad)
     grads.v_thetas = gtheta
     return grads
-
-
-def backward(
-    arch: ArchitectureSpec,
-    params: ParameterStore,
-    trace: ForwardTrace,
-    label: int,
-    temperature: float = 0.25,
-) -> ParameterStore:
-    return backward_batch(arch, params, trace, np.array([label]), temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +508,7 @@ def _prob_layers_fragment(
     return frag, stage_qubits
 
 
-def build_network_circuit(
-    arch: ArchitectureSpec,
-    params: ParameterStore,
-    x,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> NetworkCircuit:
+def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> NetworkCircuit:
     """Compile encoding + every gadget into one measurement-free fragment.
 
     Each u neuron re-prepares the encoded input and v stage on its own
@@ -540,11 +518,6 @@ def build_network_circuit(
     pipe = pipeline(arch)
     n = arch.n_qubits
     total = expected_qubit_count(arch)
-    if total > max_qubits:
-        raise ResourceLimitError(
-            f"compiled network needs {total} qubits, cap is {max_qubits}"
-        )
-
     register = _input_register(params, x)
     frag = CircuitFragment(total)
     if pipe.u_width is not None:
@@ -657,7 +630,6 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
         arch_d["num_classes"],
         [LayerSpec(l["kind"], l["width"], l["repeat"]) for l in arch_d["layers"]],
     )
-    arch.validate_shape()
     p = payload["parameters"]
     params = ParameterStore(
         np.array(p["v_thetas"], dtype=float),

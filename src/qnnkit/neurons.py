@@ -359,7 +359,7 @@ def n_forward(p: float, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# simulation helpers used by tests and by full-network circuit inference
+# single-neuron simulation helpers, used by the criterion-1 tests and demo 02
 # ---------------------------------------------------------------------------
 
 

@@ -231,7 +231,6 @@ def validate_architecture(arch: ArchitectureSpec) -> ValidationReport:
     later measure exclusively at the very end, which the report records
     as a zero mid-circuit measurement count.
     """
-    arch.validate_shape()
     report = ValidationReport(architecture=arch.name)
 
     # The encoded input acts as a pseudo-producer: fresh, unentangled, and

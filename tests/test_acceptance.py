@@ -28,10 +28,10 @@ from qnnkit.encoding import EncodingKind, probability_encode
 from qnnkit.model import (
     TrainConfig,
     accuracy,
-    backward,
+    backward_batch,
     forward,
     init_parameters,
-    loss,
+    loss_batch,
     train,
 )
 from qnnkit.neurons import (
@@ -246,7 +246,7 @@ def test_criterion_3_gradient_check():
         x = rng.uniform(0.05, 1.0, size=arch.input_dim)
         label = int(rng.integers(0, arch.num_classes))
         trace = forward(arch, params, x)
-        grads = backward(arch, params, trace, label)
+        grads = backward_batch(arch, params, trace, [label])
 
         param_arrays = [params.v_thetas] + list(params.n_thetas)
         grad_arrays = [grads.v_thetas] + list(grads.n_thetas)
@@ -255,9 +255,9 @@ def test_criterion_3_gradient_check():
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + h
-                up = loss(forward(arch, params, x), label)
+                up = loss_batch(forward(arch, params, x).probs, [label])
                 flat_p[i] = orig - h
-                down = loss(forward(arch, params, x), label)
+                down = loss_batch(forward(arch, params, x).probs, [label])
                 flat_p[i] = orig
                 fd = (up - down) / (2 * h)
                 rel = abs(flat_g[i] - fd) / max(abs(flat_g[i]), abs(fd), 1e-8)

@@ -1,0 +1,59 @@
+"""Architecture spec tests: shape checks on construction, frozen specs, the file format."""
+
+import dataclasses
+import re
+
+import pytest
+
+from qnnkit.arch import (
+    ArchitectureError,
+    ArchitectureParseError,
+    ArchitectureSpec,
+    LayerSpec,
+    parse_architecture,
+    vu_architecture,
+    vup_architecture,
+)
+
+# one case per message the shape check gives: (input_dim, num_classes, layers, message)
+BAD_SHAPES = {
+    "input-dim-not-power-of-two": (6, 2, [LayerSpec("v", 2)], "power of two"),
+    "input-dim-one": (1, 1, [LayerSpec("v", 1)], "power of two"),
+    "no-outputs": (4, 0, [LayerSpec("v", 2)], "at least 1 output"),
+    "no-layers": (4, 2, [], "no layers"),
+    "unknown-kind": (4, 2, [LayerSpec("v", 2), LayerSpec("q", 2)], "unknown layer kind 'q'"),
+    "zero-width": (4, 2, [LayerSpec("v", 2), LayerSpec("u", 0)], "u-layer width must be >= 1"),
+    "zero-repeat": (4, 2, [LayerSpec("v", 2, repeat=0)], "v-layer repeat must be >= 1"),
+    "repeat-on-u": (4, 2, [LayerSpec("v", 2), LayerSpec("u", 2, repeat=2)], "only v-layers"),
+    "v-width": (4, 2, [LayerSpec("v", 3)], "v-layer width must be log2(input_dim) = 2"),
+    "n-width": (4, 2, [LayerSpec("v", 2), LayerSpec("u", 3), LayerSpec("n", 2)], "n-layer width must match its input (3)"),
+    "v-final-too-many-classes": (4, 3, [LayerSpec("v", 2)], "3 classes need >= 3 qubits"),
+    "last-width": (4, 2, [LayerSpec("v", 2), LayerSpec("u", 3)], "last layer width must equal num_classes (2)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SHAPES))
+def test_a_bad_shape_fails_on_construction(case):
+    input_dim, num_classes, layers, message = BAD_SHAPES[case]
+    with pytest.raises(ArchitectureError, match=re.escape(message)):
+        ArchitectureSpec(input_dim, num_classes, layers)
+
+
+def test_a_bad_shape_in_a_file_is_a_line_one_parse_error():
+    with pytest.raises(ArchitectureParseError, match="line 1: last layer width"):
+        parse_architecture("input_dim 4\nclasses 2\nlayer v width=2\nlayer u width=3\n")
+
+
+def test_specs_are_frozen():
+    arch = vup_architecture(8, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arch.num_classes = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arch.layers[0].width = 2
+
+
+def test_replace_checks_the_new_shape():
+    arch = vu_architecture(4, 2)
+    assert dataclasses.replace(arch, layers=[LayerSpec("v", 2, repeat=3), arch.layers[1]]).name == "v*3+u"
+    with pytest.raises(ArchitectureError, match="last layer width"):
+        dataclasses.replace(arch, num_classes=3)

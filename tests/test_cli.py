@@ -135,13 +135,6 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert (out / "checkpoint.json").exists()
 
 
-def test_train_refuses_infeasible_architecture(tmp_path, capsys):
-    arch = write(tmp_path, "bad.arch", INFEASIBLE_ARCH)
-    code = main(["train", "--arch", arch, *XOR_TRAIN, "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert "refusing to train" in capsys.readouterr().err
-
-
 def test_train_is_bit_identical_across_reruns(tmp_path):
     arch = write(tmp_path, "ok.arch", FEASIBLE_ARCH)
     main(["train", "--arch", arch, *XOR_TRAIN, "--out", str(tmp_path / "a")])
@@ -274,6 +267,9 @@ BAD_INPUT_CASES = {
     "train-u-first": (["train", "--arch", "{tmp}/ufirst.arch", *XOR_TRAIN], "ufirst.arch: trainable networks start"),
     "verify-v-p-u": (["verify", "--arch", "{tmp}/vpu.arch"], "vpu.arch: after the v/u stage"),
     "sweep-v-p-u": (["sweep", "--arch", "{tmp}/vpu.arch", *XOR_TRAIN], "vpu.arch: after the v/u stage"),
+    # outside the template and infeasible: train checks the template first
+    "train-v-u-u": (["train", "--arch", "{tmp}/vuu.arch", *XOR_TRAIN], "vuu.arch: after the v/u stage"),
+    "train-v-p-u": (["train", "--arch", "{tmp}/vpu.arch", *XOR_TRAIN], "vpu.arch: after the v/u stage"),
     "eval-checkpoint-arch-list": (
         ["eval", "--checkpoint", "{tmp}/arch-list.json", "--dataset", "xor"],
         "arch-list.json: a field has the wrong type",
@@ -318,6 +314,7 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "vun.arch", VUN_ARCH)
     write(tmp_path, "ufirst.arch", U_FIRST_ARCH)
     write(tmp_path, "vpu.arch", VPU_ARCH)
+    write(tmp_path, "vuu.arch", INFEASIBLE_ARCH)
     write(tmp_path, "theta.arch", THETA_ARCH)
     (tmp_path / "binary.arch").write_bytes(b"\x80\x81")
     wide = parse_architecture(WIDE_ARCH)
@@ -336,6 +333,14 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     except SystemExit as exc:  # argparse rejects a bad option value itself
         code = exc.code
     assert_one_error_line(capsys, code, 2, reason)
+
+
+def test_check_exits_one_on_v_p_u(tmp_path, capsys):
+    # check judges the junctions (p -> u is path 7) and exits 1; train,
+    # verify and sweep refuse the same file with exit 2 (BAD_INPUT_CASES)
+    arch = write(tmp_path, "vpu.arch", VPU_ARCH)
+    assert main(["check", "--arch", arch, "--out", str(tmp_path / "out")]) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
 
 
 def assert_one_error_line(capsys, code, expected_code, reason):

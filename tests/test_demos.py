@@ -1,9 +1,9 @@
 """The quick demos run to completion.
 
 Each demo runs as its own process, the way a reader would start it, and
-must exit 0. These four call the simulator, the neuron closed forms and
-the compiled circuit, and take well under a second each. Left out:
-``04_xor_training.py`` (about 4 s of training) and
+must exit 0. These five call the simulator, the neuron closed forms, the
+compiled circuit and the trainer (``04_xor_training.py``, about 1.3 s on
+a 2-core machine; the others well under a second each). Left out:
 ``05_mnist_benchmark.py`` / ``06_depth_sweep.py`` (they need MNIST).
 """
 
@@ -19,6 +19,7 @@ QUICK_DEMOS = [
     "01_statevector_basics.py",
     "02_neuron_gadgets.py",
     "03_connection_rules.py",
+    "04_xor_training.py",
     "07_circuit_verification.py",
 ]
 

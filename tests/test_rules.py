@@ -7,6 +7,7 @@ import pytest
 
 from qnnkit.arch import ArchitectureSpec, LayerSpec, vp_architecture, vup_architecture
 from qnnkit.encoding import EncodingKind
+from qnnkit.model import pipeline
 from qnnkit.rules import (
     ConsumerOp,
     Feasibility,
@@ -145,6 +146,31 @@ def test_u_into_u_fails_at_principle_4():
     assert u_to_u.verdict.status is Feasibility.INFEASIBLE
     assert u_to_u.verdict.principle == 4
     assert report.encoding_flags  # U canonically consumes amplitudes
+
+
+def template_kind_sequences():
+    """Every v+ u? [np]* sequence with 1-2 v layers, an optional u and up to 3 n/p layers."""
+    for v_layers in (1, 2):
+        for u in ((), ("u",)):
+            for tail_len in range(4):
+                for tail in itertools.product("np", repeat=tail_len):
+                    yield ("v",) * v_layers + u + tail
+
+
+def test_every_template_architecture_passes_the_rules():
+    # the CLI checks only the template before training, relying on this
+    sequences = list(template_kind_sequences())
+    assert len(sequences) == 60
+    for kinds in sequences:
+        width = 2  # v: log2(input_dim); u, n and p widths do not matter to the rules
+        layers = []
+        for kind in kinds:
+            width = {"v": 2, "u": 3, "n": width, "p": 2}[kind]
+            layers.append(LayerSpec(kind, width))
+        arch = ArchitectureSpec(4, 2 if kinds[-1] == "v" else width, layers)
+        pipeline(arch)
+        report = validate_architecture(arch)
+        assert report.passed, report.render_text()
 
 
 def test_report_text_rendering_mentions_every_junction():
