@@ -67,10 +67,8 @@ p = rng.uniform(0, 1, size=3)
 w1 = np.array([1.0, -1.0, 1.0])
 w2 = np.array([-1.0, 1.0, 1.0])
 frag_enc, _ = probability_encode(p)
-shared = StateVector(5).run(CircuitFragment(5).compose(frag_enc))
-shared.run(CircuitFragment(5).compose(build_p_neuron(3, w1)))
-second = build_p_neuron(3, w2).remapped({3: 4}, 5)
-shared.run(second)
+shared = StateVector(5).run(frag_enc).run(build_p_neuron(3, w1))  # ancilla at qubit 3
+shared.run(CircuitFragment(5).extend(build_p_neuron(3, w2), {3: 4}))  # ancilla at qubit 4
 print("sibling P marginals:", round(shared.marginal_prob_one(3), 10),
       round(shared.marginal_prob_one(4), 10))
 print("their closed forms: ", round(p_forward(p, w1), 10), round(p_forward(p, w2), 10))

@@ -28,7 +28,7 @@ feasible is ``qnnkit.rules``' question.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 VALID_KINDS = ("v", "u", "n", "p")
 
@@ -56,7 +56,7 @@ class LayerSpec:
 class ArchitectureSpec:
     input_dim: int
     num_classes: int
-    layers: list[LayerSpec] = field(default_factory=list)
+    layers: tuple[LayerSpec, ...] = ()
 
     @property
     def n_qubits(self) -> int:
@@ -72,6 +72,7 @@ class ArchitectureSpec:
 
     def __post_init__(self) -> None:
         """Structural checks; junction feasibility lives in qnnkit.rules."""
+        object.__setattr__(self, "layers", tuple(self.layers))  # callers may pass a list
         if self.input_dim < 2 or 2 ** self.n_qubits != self.input_dim:
             raise ArchitectureError(
                 f"input_dim must be a power of two >= 2, got {self.input_dim}"

@@ -38,7 +38,6 @@ from .model import (
     forward,
     init_parameters,
     load_checkpoint,
-    path6_demo,
     pipeline,
     save_checkpoint,
     simulated_qubit_count,
@@ -277,14 +276,6 @@ def cmd_verify(args) -> int:
         f"verify: {args.samples} samples, max deviation {worst:.3e}, "
         f"argmax agreement {agree}/{args.samples} ({ties} tied, not counted)"
     )
-    if args.demo_path6:
-        demo = path6_demo()
-        (out_dir / "path6_demo.json").write_text(json.dumps(demo, indent=1))
-        print(
-            "path-6 counterexample: factorized "
-            f"{demo['factorized']:.3f} vs exact {demo['exact']:.3f} "
-            f"(deviation {demo['deviation']:.3f})"
-        )
     return 0
 
 
@@ -433,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--max-qubits", type=_count, default=DEFAULT_MAX_QUBITS)
-    p.add_argument("--demo-path6", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

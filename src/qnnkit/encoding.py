@@ -12,12 +12,13 @@ Two encodings are supported:
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
 import numpy as np
 
-from .statevec import CircuitFragment, StateVector, ry
+from .statevec import CX, CircuitFragment, StateVector, ry
 
 
 class EncodingKind(Enum):
@@ -25,11 +26,16 @@ class EncodingKind(Enum):
     PROBABILITY = "probability"
 
 
-def _pad_to_power_of_two(data: np.ndarray) -> np.ndarray:
-    n = max(1, math.ceil(math.log2(len(data)))) if len(data) > 1 else 1
-    padded = np.zeros(2**n, dtype=float)
+def _normalized(data: np.ndarray) -> tuple[np.ndarray, float]:
+    """``data`` zero-padded to a power of two (at least 2) and L2-normalized, and its norm."""
+    if data.ndim != 1 or len(data) < 1:
+        raise ValueError("amplitude encoding takes a non-empty 1-D vector")
+    scale = float(np.linalg.norm(data))
+    if scale == 0.0:
+        raise ValueError("cannot amplitude-encode an all-zero vector")
+    padded = np.zeros(2 ** max(1, math.ceil(math.log2(len(data)))))
     padded[: len(data)] = data
-    return padded
+    return padded / scale, scale
 
 
 def amplitude_encode(data) -> tuple[StateVector, float]:
@@ -38,15 +44,18 @@ def amplitude_encode(data) -> tuple[StateVector, float]:
     Data is zero-padded to the next power of two and L2-normalized; the
     returned scale times the amplitudes reproduces the padded input.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 1 or len(data) < 1:
-        raise ValueError("amplitude_encode takes a non-empty 1-D vector")
-    scale = float(np.linalg.norm(data))
-    if scale == 0.0:
-        raise ValueError("cannot amplitude-encode an all-zero vector")
-    padded = _pad_to_power_of_two(data)
-    n_qubits = int(math.log2(len(padded)))
-    return StateVector(n_qubits, (padded / scale).astype(complex)), scale
+    v, scale = _normalized(np.asarray(data, dtype=float))
+    return StateVector(int(math.log2(len(v))), v.astype(complex)), scale
+
+
+@functools.cache
+def _walsh(k: int) -> np.ndarray:
+    """Read-only 2^k Walsh-Hadamard matrix W[p, j] = (-1)^popcount(p & j), by Sylvester."""
+    walsh = np.ones((1, 1))
+    for _ in range(k):
+        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+    walsh.setflags(write=False)
+    return walsh
 
 
 def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> CircuitFragment:
@@ -63,19 +72,13 @@ def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> Circu
     if k == 0:
         return frag.append(ry(angles[0]), target)
 
-    from .statevec import CX  # local import keeps module top uncluttered
-
     size = 2**k
     gray = [i ^ (i >> 1) for i in range(size)]
     # Rotation angles in the ladder: beta = (1/2^k) A^T alpha with
     # A[p, i] = (-1)^popcount(p & gray(i)); each CX flips the sign of all
-    # later rotations on patterns where its control bit is set.
-    beta = np.empty(size)
-    for i in range(size):
-        signs = np.array(
-            [(-1) ** bin(p & gray[i]).count("1") for p in range(size)], dtype=float
-        )
-        beta[i] = float(signs @ angles) / size
+    # later rotations on patterns where its control bit is set. A is the
+    # Walsh-Hadamard matrix with its columns in Gray order.
+    beta = (_walsh(k) @ angles)[gray] / size
     for i in range(size):
         frag.append(ry(beta[i]), target)
         diff = gray[i] ^ gray[(i + 1) % size]
@@ -94,20 +97,15 @@ def amplitude_encoding_fragment(data) -> tuple[CircuitFragment, float]:
     data = np.asarray(data, dtype=float)
     if np.any(data < 0):
         raise ValueError("state preparation circuit requires non-negative data")
-    _, scale = amplitude_encode(data)  # validates and fixes the scale
-    v = _pad_to_power_of_two(data) / scale
+    v, scale = _normalized(data)
     n = int(math.log2(len(v)))
 
     frag = CircuitFragment(n)
     for level in range(n):
-        half = len(v) >> (level + 1)
-        angles = np.empty(2**level)
-        for p in range(2**level):
-            lo = p * 2 * half
-            left = np.linalg.norm(v[lo : lo + half])
-            right = np.linalg.norm(v[lo + half : lo + 2 * half])
-            angles[p] = 2.0 * math.atan2(right, left)
-        frag = frag.compose(multiplexed_ry(angles, list(range(level)), level, n))
+        # row p: the norms of the two halves of the block under prefix p
+        left, right = np.linalg.norm(v.reshape(2**level, 2, -1), axis=2).T
+        angles = 2.0 * np.arctan2(right, left)
+        frag.extend(multiplexed_ry(angles, list(range(level)), level, n))
     return frag, scale
 
 

@@ -52,7 +52,8 @@ from .neurons import (
     v_stage_forward,
 )
 from .rules import validate_architecture
-from .statevec import DEFAULT_MAX_QUBITS, CircuitFragment, ResourceLimitError, StateVector, rx
+from .statevec import DEFAULT_MAX_QUBITS, CircuitFragment, ResourceLimitError, StateVector
+from .statevec import rx, with_zeros
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -464,26 +465,24 @@ def _input_register(params: ParameterStore, x) -> CircuitFragment:
     """Amplitude-encoding preparation followed by every v block, on n qubits."""
     register, _ = amplitude_encoding_fragment(np.asarray(x, dtype=float))
     for theta in params.v_thetas:
-        register = register.compose(build_v_block(register.qubit_span, theta))
+        register.extend(build_v_block(register.qubit_span, theta))
     return register
 
 
-def _prob_layers_fragment(
+def _append_prob_layers(
+    frag: CircuitFragment,
     arch: ArchitectureSpec,
     params: ParameterStore,
     stage_qubits: list[int],
-    span: int,
-) -> tuple[CircuitFragment, list[int]]:
-    """The n and p layers' gates on a ``span``-qubit register laid out by the caller.
+) -> list[int]:
+    """Append the n and p layers' gates to ``frag``, on a register laid out by the caller.
 
     ``stage_qubits`` hold the stage the first n/p layer reads. n layers
     rotate their inputs in place; the p neurons write the top qubits of
-    the register, one each, in order. Returns the fragment and the
-    output qubits.
+    the fragment's span, one each, in order. Returns the output qubits.
     """
     pipe = pipeline(arch)
-    next_free = span - _p_width(pipe)
-    frag = CircuitFragment(span)
+    next_free = frag.qubit_span - _p_width(pipe)
     n_idx = p_idx = 0
     for layer in pipe.prob_layers:
         if layer.kind == "n":
@@ -498,14 +497,14 @@ def _prob_layers_fragment(
             for j in range(layer.width):
                 mapping = {q: stage_qubits[q] for q in range(m)}
                 mapping[m] = next_free
-                frag.ops += build_p_neuron(m, W[j]).remapped(mapping, span).ops
+                frag.extend(build_p_neuron(m, W[j]), mapping)
                 new_qubits.append(next_free)
                 next_free += 1
             stage_qubits = new_qubits
             p_idx += 1
     if pipe.u_width is None and not pipe.prob_layers:
         stage_qubits = stage_qubits[: arch.num_classes]
-    return frag, stage_qubits
+    return stage_qubits
 
 
 def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> NetworkCircuit:
@@ -524,22 +523,15 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
         k = pipe.u_width
         for j, w in enumerate(params.u_weights()):
             mapping = {q: j * n + q for q in range(n)}
-            frag = frag.compose(register.remapped(mapping, total))
+            frag.extend(register, mapping)
             mapping[n] = k * n + j
-            frag = frag.compose(build_u_neuron(n, w).remapped(mapping, total))
+            frag.extend(build_u_neuron(n, w), mapping)
         stage_qubits = list(range(k * n, k * n + k))
     else:
-        frag = frag.compose(register)
+        frag.extend(register)
         stage_qubits = list(range(n))
-    tail, outputs = _prob_layers_fragment(arch, params, stage_qubits, total)
-    return NetworkCircuit(frag.compose(tail), total, outputs)
-
-
-def _with_zeros(amps: np.ndarray, extra: int) -> np.ndarray:
-    """The amplitudes of ``amps`` followed by ``extra`` fresh qubits in |0...0>."""
-    out = np.zeros(amps.size << extra, dtype=complex)
-    out[:: 1 << extra] = amps
-    return out
+    outputs = _append_prob_layers(frag, arch, params, stage_qubits)
+    return NetworkCircuit(frag, total, outputs)
 
 
 def circuit_inference(
@@ -577,16 +569,15 @@ def circuit_inference(
     else:
         amps = np.ones(1, dtype=complex)
         for w in params.u_weights():
-            register = StateVector(n + 1, _with_zeros(psi, 1)).run(build_u_neuron(n, w))
+            register = with_zeros(psi, 1).run(build_u_neuron(n, w))
             # rows: the ancilla (the last qubit) at 0 and 1; columns: the n others
             u, s, _ = np.linalg.svd(register.amps.reshape(-1, 2).T, full_matrices=False)
             amps = np.kron(amps, (u * s).reshape(-1))
         stage_qubits = list(range(0, 2 * pipe.u_width, 2))
-    p_width = _p_width(pipe)
-    state = StateVector(int(math.log2(amps.size)) + p_width, _with_zeros(amps, p_width))
-    tail, outputs = _prob_layers_fragment(arch, params, stage_qubits, state.n_qubits)
-    state.run(tail)
-    return state.marginals(outputs)
+    state = with_zeros(amps, _p_width(pipe))
+    tail = CircuitFragment(state.n_qubits)
+    outputs = _append_prob_layers(tail, arch, params, stage_qubits)
+    return state.run(tail).marginals(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +657,7 @@ def path6_demo() -> dict:
     state = new_state(3).apply(H, [0]).apply(CX, [0, 1])
     marginals = np.array([state.marginal_prob_one(0), state.marginal_prob_one(1)])
     factorized = p_forward(marginals, w)
-    state.run(CircuitFragment(3).compose(build_p_neuron(2, w)))
+    state.run(build_p_neuron(2, w))
     exact = state.marginal_prob_one(2)
     return {
         "factorized": float(factorized),

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .statevec import CX, CZ, CircuitFragment, H, StateVector, X, Z, mcx, rx, ry
-from .statevec import apply_1q, controlled_x, ry_entries
+from .statevec import apply_1q, controlled_x, ry_entries, with_zeros
 
 # ---------------------------------------------------------------------------
 # weight helpers
@@ -259,8 +259,7 @@ def build_u_neuron(n: int, w) -> CircuitFragment:
     w = check_binary_weights(w)
     if len(w) != 2**n:
         raise ValueError(f"U neuron on {n} qubits needs {2**n} weights, got {len(w)}")
-    frag = amplitude_sign_flips(w)
-    frag = CircuitFragment(n + 1).compose(frag)
+    frag = CircuitFragment(n + 1).extend(amplitude_sign_flips(w))
     for q in range(n):
         frag.append(H, q)
     frag.append(mcx((0,) * n), *range(n), n)
@@ -367,12 +366,7 @@ def simulate_u_neuron(x, w) -> float:
     """Ancilla marginal from an exact run of the U gadget on amplitudes x."""
     x = np.asarray(x, dtype=float)
     n = int(math.log2(len(x)))
-    state = StateVector(n + 1)
-    reg = np.zeros(2 ** (n + 1), dtype=complex)
-    reg[::2] = x  # amplitudes on the input register, ancilla |0>
-    state.amps = reg
-    state.run(build_u_neuron(n, w))
-    return state.marginal_prob_one(n)
+    return with_zeros(x, 1).run(build_u_neuron(n, w)).marginal_prob_one(n)
 
 
 def simulate_p_neuron(p, w) -> float:
@@ -382,7 +376,4 @@ def simulate_p_neuron(p, w) -> float:
     p = np.asarray(p, dtype=float)
     m = len(p)
     frag, _ = probability_encode(p)
-    state = StateVector(m + 1)
-    state.run(CircuitFragment(m + 1).compose(frag))
-    state.run(build_p_neuron(m, w))
-    return state.marginal_prob_one(m)
+    return StateVector(m + 1).run(frag).run(build_p_neuron(m, w)).marginal_prob_one(m)

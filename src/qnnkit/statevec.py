@@ -15,6 +15,12 @@ cost O(2^n) per state, never O(4^n). The simulator and the trainer share
 them: a StateVector is a batch of one complex state, and the trainer's
 V stage runs them on real batches. A StateVector is exclusively owned
 while mutated; nothing here shares state between threads.
+
+A CircuitFragment is built one way: ``append`` is where every gate
+joins, and it checks the gate's qubits once, with the same
+``check_qubits`` that ``StateVector.apply`` runs. ``extend`` splices one
+fragment into another in place, renaming qubits through ``append`` when
+given a mapping.
 """
 
 from __future__ import annotations
@@ -121,40 +127,52 @@ def mcx(polarities: tuple[int, ...] | list[int]) -> Gate:
     return Gate("MCX", polarities=pol)
 
 
+def check_qubits(gate: Gate, qubits: tuple[int, ...], n: int) -> None:
+    """ValueError unless ``qubits`` are ``gate.arity`` distinct indices in 0..n-1."""
+    if len(qubits) != gate.arity:
+        raise ValueError(f"{gate.kind} takes {gate.arity} qubit(s), got {len(qubits)}")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubit indices: {qubits}")
+    if min(qubits) < 0 or max(qubits) >= n:
+        raise ValueError(f"qubit index out of range for a {n}-qubit span: {qubits}")
+
+
 @dataclass
 class CircuitFragment:
-    """Ordered gate list over a contiguous block of qubits.
+    """Ordered gate list over ``qubit_span`` qubits, checked once on append.
 
-    ``qubit_span`` is the number of qubits the fragment addresses;
-    composition concatenates ops and takes the max span. Fragments hold
-    unitary gates only -- there is no measurement instruction, which is
-    what makes 'no mid-circuit measurement' statically checkable.
+    ``append`` is the only way a gate joins, so every op fits the span;
+    ``extend`` splices another fragment in place. Fragments hold unitary
+    gates only -- there is no measurement instruction, which is what
+    makes 'no mid-circuit measurement' statically checkable.
     """
 
     qubit_span: int
-    ops: list[tuple[Gate, tuple[int, ...]]] = field(default_factory=list)
+    ops: list[tuple[Gate, tuple[int, ...]]] = field(default_factory=list, init=False)
 
     def append(self, gate: Gate, *qubits: int) -> "CircuitFragment":
-        if len(qubits) != gate.arity:
-            raise ValueError(
-                f"{gate.kind} takes {gate.arity} qubit(s), got {len(qubits)}"
-            )
-        if any(q < 0 or q >= self.qubit_span for q in qubits):
-            raise ValueError(f"qubit index out of span {self.qubit_span}: {qubits}")
-        self.ops.append((gate, tuple(qubits)))
+        check_qubits(gate, qubits, self.qubit_span)
+        self.ops.append((gate, qubits))
         return self
 
-    def compose(self, other: "CircuitFragment") -> "CircuitFragment":
-        out = CircuitFragment(max(self.qubit_span, other.qubit_span))
-        out.ops = list(self.ops) + list(other.ops)
-        return out
+    def extend(
+        self, other: "CircuitFragment", mapping: dict[int, int] | None = None
+    ) -> "CircuitFragment":
+        """Append ``other``'s gates in place, its qubit q renamed to ``mapping.get(q, q)``.
 
-    def remapped(self, mapping: dict[int, int], span: int) -> "CircuitFragment":
-        """Rewire fragment qubits through ``mapping`` into a wider register."""
-        out = CircuitFragment(span)
-        for g, qs in self.ops:
-            out.append(g, *(mapping.get(q, q) for q in qs))
-        return out
+        Without a mapping the already-checked gates are concatenated, so
+        ``other`` may not span more qubits than this fragment.
+        """
+        if mapping is None:
+            if other.qubit_span > self.qubit_span:
+                raise ValueError(
+                    f"fragment spans {other.qubit_span} qubits, this one {self.qubit_span}"
+                )
+            self.ops.extend(other.ops)
+        else:
+            for gate, qubits in other.ops:
+                self.append(gate, *(mapping.get(q, q) for q in qubits))
+        return self
 
 
 # Batched gate kernels: each row of ``a`` is one state, mutated in place.
@@ -238,14 +256,7 @@ class StateVector:
     def apply(self, gate: Gate, qubits: tuple[int, ...] | list[int]) -> "StateVector":
         """Apply ``gate`` at ``qubits`` (controls first, target last) in place."""
         qubits = tuple(qubits)
-        if len(qubits) != gate.arity:
-            raise ValueError(
-                f"{gate.kind} takes {gate.arity} qubit(s), got {len(qubits)}"
-            )
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubit indices: {qubits}")
-        if any(q < 0 or q >= self.n_qubits for q in qubits):
-            raise ValueError(f"qubit index out of range 0..{self.n_qubits - 1}: {qubits}")
+        check_qubits(gate, qubits, self.n_qubits)
 
         a = self.amps[None]
         if gate.kind in ("H", "RX", "RY"):
@@ -296,6 +307,13 @@ class StateVector:
         rho = self.reduced_density_matrix(qubit)
         purity = float(np.real(np.trace(rho @ rho)))
         return purity >= 1.0 - tol
+
+
+def with_zeros(amps, extra: int) -> StateVector:
+    """A register holding ``amps`` followed by ``extra`` fresh qubits in |0...0>."""
+    out = np.zeros(np.size(amps) << extra, dtype=complex)
+    out[:: 1 << extra] = amps
+    return StateVector(out.size.bit_length() - 1, out)
 
 
 def new_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:

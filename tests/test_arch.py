@@ -11,6 +11,7 @@ from qnnkit.arch import (
     ArchitectureSpec,
     LayerSpec,
     parse_architecture,
+    vqc_architecture,
     vu_architecture,
     vup_architecture,
 )
@@ -57,3 +58,18 @@ def test_replace_checks_the_new_shape():
     assert dataclasses.replace(arch, layers=[LayerSpec("v", 2, repeat=3), arch.layers[1]]).name == "v*3+u"
     with pytest.raises(ArchitectureError, match="last layer width"):
         dataclasses.replace(arch, num_classes=3)
+
+
+def test_layers_cannot_be_reassigned_in_place():
+    arch = vu_architecture(4, 2)
+    assert isinstance(arch.layers, tuple)
+    with pytest.raises(TypeError):
+        arch.layers[1] = LayerSpec("u", 5)
+    assert arch.layers[1] == LayerSpec("u", 2)
+
+
+def test_equal_specs_hash_equal():
+    a = vu_architecture(4, 2)
+    b = ArchitectureSpec(4, 2, [LayerSpec("v", 2), LayerSpec("u", 2)])  # a list is accepted
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, vqc_architecture(4, 2)}) == 2

@@ -435,18 +435,6 @@ def test_verify_does_not_count_ties_as_agreement(tmp_path, capsys):
     assert [r["argmax_agree"] for r in read_csv(out / "verify.csv")] == ["0"] * 5
 
 
-def test_verify_demo_path6_reports_large_deviation(tmp_path, capsys):
-    arch = write(tmp_path, "vun.arch", VUN_ARCH)
-    out = tmp_path / "verify"
-    code = main(
-        ["verify", "--arch", arch, "--samples", "2", "--demo-path6", "--out", str(out)]
-    )
-    assert code == 0
-    demo = json.loads((out / "path6_demo.json").read_text())
-    assert demo["deviation"] > 0.01
-    assert "counterexample" in capsys.readouterr().out
-
-
 def test_verify_respects_qubit_cap(tmp_path, capsys):
     arch = write(
         tmp_path,

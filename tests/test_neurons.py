@@ -274,16 +274,10 @@ def test_sibling_p_neurons_share_inputs_exactly():
         w1, w2 = random_weights(rng, m), random_weights(rng, m)
 
         frag_enc, _ = probability_encode(p)
-        state = StateVector(m + 2)
-        state.run(CircuitFragment(m + 2).compose(frag_enc))
-
-        g1 = build_p_neuron(m, w1)  # ancilla at qubit m
-        state.run(CircuitFragment(m + 2).compose(g1))
-        g2 = build_p_neuron(m, w2)  # rewire its ancilla to qubit m + 1
-        g2 = CircuitFragment(m + 2, [
-            (g, tuple(m + 1 if q == m else q for q in qs)) for g, qs in g2.ops
-        ])
-        state.run(g2)
+        state = StateVector(m + 2).run(frag_enc)
+        state.run(build_p_neuron(m, w1))  # ancilla at qubit m
+        # the second ancilla moves to qubit m + 1
+        state.run(CircuitFragment(m + 2).extend(build_p_neuron(m, w2), {m: m + 1}))
 
         assert abs(state.marginal_prob_one(m) - p_forward(p, w1)) < 1e-10
         assert abs(state.marginal_prob_one(m + 1) - p_forward(p, w2)) < 1e-10

@@ -258,11 +258,12 @@ def test_norm_preserved_over_random_circuits():
 
 
 def test_fragment_compose_concatenates_and_takes_max_span():
-    a = CircuitFragment(2).append(H, 0)
-    b = CircuitFragment(3).append(CX, 1, 2)
-    c = a.compose(b)
-    assert c.qubit_span == 3
-    assert [g.kind for g, _ in c.ops] == ["H", "CX"]
+    a = CircuitFragment(3).append(H, 0)
+    b = CircuitFragment(2).append(CX, 0, 1)
+    assert a.extend(b) is a  # in place
+    assert a.qubit_span == 3
+    assert [g.kind for g, _ in a.ops] == ["H", "CX"]
+    assert len(b.ops) == 1
 
 
 def test_fragment_rejects_out_of_span_indices():
@@ -270,10 +271,45 @@ def test_fragment_rejects_out_of_span_indices():
         CircuitFragment(2).append(X, 2)
 
 
+def test_fragment_append_rejects_duplicate_qubits():
+    with pytest.raises(ValueError, match="duplicate"):
+        CircuitFragment(2).append(CX, 1, 1)
+
+
+def test_fragment_append_rejects_wrong_arity():
+    with pytest.raises(ValueError, match="takes 1 qubit"):
+        CircuitFragment(2).append(H, 0, 1)
+
+
 def test_fragment_shift_moves_all_indices():
-    f = CircuitFragment(2).append(CX, 0, 1).remapped({0: 3, 1: 4}, 5)
+    f = CircuitFragment(5).extend(CircuitFragment(2).append(CX, 0, 1), {0: 3, 1: 4})
     assert f.qubit_span == 5
     assert f.ops[0][1] == (3, 4)
+
+
+def test_fragment_extend_with_a_mapping_renames_only_the_listed_qubits():
+    p = CircuitFragment(3).append(H, 0).append(mcx((0, 1)), 0, 1, 2)
+    f = CircuitFragment(4).extend(p, {2: 3})
+    assert [qs for _, qs in f.ops] == [(0,), (0, 1, 3)]
+
+
+def test_fragment_extend_checks_each_renamed_gate():
+    with pytest.raises(ValueError, match="duplicate"):
+        CircuitFragment(3).extend(CircuitFragment(2).append(CX, 0, 1), {0: 1})
+    with pytest.raises(ValueError, match="span"):
+        CircuitFragment(3).extend(CircuitFragment(2).append(X, 1), {1: 3})
+
+
+def test_fragment_extend_rejects_a_wider_fragment():
+    with pytest.raises(ValueError, match="spans 3"):
+        CircuitFragment(2).extend(CircuitFragment(3).append(H, 2))
+
+
+def test_fragment_ops_are_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        CircuitFragment(1, ops=[(H, (0,))])
+    with pytest.raises(TypeError):
+        CircuitFragment(1, [(H, (0,))])
 
 
 def test_run_rejects_fragment_wider_than_register():
