@@ -41,13 +41,12 @@ from .model import (
     accuracy,
     build_network_circuit,
     circuit_inference,
-    expected_qubit_count,
     forward,
     init_parameters,
     load_checkpoint,
     path6_demo,
+    pipeline,
     save_checkpoint,
-    simulated_qubit_count,
     train,
 )
 from .neurons import (

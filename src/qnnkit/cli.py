@@ -34,13 +34,11 @@ from .model import (
     TrainingDiverged,
     accuracy,
     circuit_inference,
-    expected_qubit_count,
     forward,
     init_parameters,
     load_checkpoint,
     pipeline,
     save_checkpoint,
-    simulated_qubit_count,
     train,
 )
 from .rules import validate_architecture
@@ -231,6 +229,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     arch = load_architecture(args.arch)
+    plan = pipeline(arch)
+    plan.check_qubit_cap(args.max_qubits)  # before any parameter or input is drawn
     if args.checkpoint:
         saved, params = _read_checkpoint(args.checkpoint)
         if saved != arch:
@@ -242,23 +242,17 @@ def cmd_verify(args) -> int:
     rows = []
     worst = 0.0
     agree = ties = 0
-    try:
-        for i in range(args.samples):
-            x = rng.uniform(0.01, 1.0, size=arch.input_dim)
-            factorized = forward(arch, params, x).probs[0]
-            exact = circuit_inference(arch, params, x, max_qubits=args.max_qubits)
-            deviation = float(np.max(np.abs(factorized - exact)))
-            tie = any(np.sum(p >= p.max() - TIE_ATOL) > 1 for p in (factorized, exact))
-            match = int(not tie and np.argmax(factorized) == np.argmax(exact))
-            rows.append(
-                {"sample": i, "max_abs_deviation": deviation, "argmax_agree": match}
-            )
-            worst = max(worst, deviation)
-            agree += match
-            ties += tie
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for i in range(args.samples):
+        x = rng.uniform(0.01, 1.0, size=arch.input_dim)
+        factorized = forward(arch, params, x).probs[0]
+        exact = circuit_inference(arch, params, x, max_qubits=args.max_qubits)
+        deviation = float(np.max(np.abs(factorized - exact)))
+        tie = any(np.sum(p >= p.max() - TIE_ATOL) > 1 for p in (factorized, exact))
+        match = int(not tie and np.argmax(factorized) == np.argmax(exact))
+        rows.append({"sample": i, "max_abs_deviation": deviation, "argmax_agree": match})
+        worst = max(worst, deviation)
+        agree += match
+        ties += tie
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,8 +263,8 @@ def cmd_verify(args) -> int:
         out_dir,
         "verify",
         vars(args),
-        compiled_qubits=expected_qubit_count(arch),
-        simulated_qubits=simulated_qubit_count(arch),
+        compiled_qubits=plan.compiled_qubits,
+        simulated_qubits=plan.simulated_qubits,
     )
     print(
         f"verify: {args.samples} samples, max deviation {worst:.3e}, "
@@ -444,6 +438,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except TrainingDiverged as exc:  # a failed run, not bad usage
         print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 1
+    except (ResourceLimitError, MemoryError) as exc:  # failed runs too
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (ArchitectureParseError, ArchitectureError) as exc:
         reason = f"{args.arch}: {exc}"

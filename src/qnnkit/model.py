@@ -12,9 +12,9 @@ Two semantics coexist on purpose:
   the final output qubits. ``circuit_inference`` reads that circuit's
   output marginals by exact register-factored simulation: each u
   register runs alone on n + 1 qubits and hands on only a two-qubit
-  purification of its ancilla. ``max_qubits`` therefore bounds
-  ``simulated_qubit_count`` (for k u neurons the larger of n + 1 and
-  2k + the p widths), not the compiled register.
+  purification of its ancilla. ``max_qubits`` therefore bounds the
+  plan's ``simulated_qubits`` (for k u neurons the larger of n + 1 and
+  2k + the p widths), not its ``compiled_qubits``.
 
 Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets), so
@@ -32,6 +32,7 @@ keep responding to updates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -104,59 +105,102 @@ class ParameterStore:
         return out
 
 
-@dataclass
-class _Pipeline:
-    """Template view of an architecture: v blocks, optional u, prob layers."""
+@dataclass(frozen=True)
+class Stage:
+    """One n or p stage after the v/u stage.
+
+    ``indices`` are the stage's positions in ``ParameterStore.n_thetas`` or
+    ``pw_latent``. A run of n layers is one stage that lists each layer's
+    angle index, because RX(a) RX(b) = RX(a + b); a p stage lists one.
+    """
+
+    kind: str
+    width: int
+    indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The template layout of an architecture; ``pipeline`` derives it once."""
 
     v_blocks: int
     u_width: int | None
-    prob_layers: list[LayerSpec]
+    stages: tuple[Stage, ...]
+    p_width: int  # p outputs in all, one fresh qubit each
+    compiled_qubits: int  # register of build_network_circuit
+    simulated_qubits: int  # widest register circuit_inference runs
+    shapes: tuple  # of (v_thetas, uw_latent or None, n_thetas, pw_latent)
+
+    def check_qubit_cap(self, max_qubits: int) -> None:
+        """ResourceLimitError if the factored simulation needs more than ``max_qubits``."""
+        if self.simulated_qubits > max_qubits:
+            raise ResourceLimitError(
+                f"factored simulation needs {self.simulated_qubits} qubits, cap is {max_qubits}"
+            )
 
 
-def pipeline(arch: ArchitectureSpec) -> _Pipeline:
-    """Check the layer sequence fits the trainable template v+ u? [np]*."""
-    kinds = [l.kind for l in arch.layers]
-    i = 0
-    v_blocks = 0
-    while i < len(kinds) and kinds[i] == "v":
-        v_blocks += arch.layers[i].repeat
-        i += 1
-    if v_blocks == 0:
+def pipeline(arch: ArchitectureSpec) -> Plan:
+    """The plan of an architecture that fits the trainable template v+ u? [np]*.
+
+    With k u neurons on n qubits the compiled register holds k registers
+    of n + 1 qubits (n without a u layer) plus the p outputs. The factored
+    simulation runs one u register at a time, then two qubits per purified
+    u ancilla plus the p outputs; without a u layer, the v register
+    widened by the p outputs.
+    """
+    kinds = "".join(l.kind for l in arch.layers)
+    v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers
+    if v == 0:
         raise ArchitectureError("trainable networks start with at least one v-layer")
-    u_width = None
-    if i < len(kinds) and kinds[i] == "u":
-        u_width = arch.layers[i].width
-        i += 1
-    prob_layers = arch.layers[i:]
-    if any(l.kind not in ("n", "p") for l in prob_layers):
+    tail = v + kinds.startswith("u", v)  # the first n or p layer
+    if set(kinds[tail:]) - {"n", "p"}:
         raise ArchitectureError(
             "after the v/u stage only n- and p-layers are trainable; "
-            f"got sequence {kinds}"
+            f"got sequence {list(kinds)}"
         )
-    return _Pipeline(v_blocks, u_width, prob_layers)
+    n = arch.n_qubits
+    u_width = arch.layers[v].width if tail > v else None
+    width = n if u_width is None else u_width
+    stages: list[Stage] = []
+    n_shapes: list[tuple] = []
+    p_shapes: list[tuple] = []
+    for layer in arch.layers[tail:]:
+        group = n_shapes if layer.kind == "n" else p_shapes
+        indices = (len(group),)
+        group.append((layer.width,) if layer.kind == "n" else (layer.width, width))
+        if layer.kind == "n" and stages and stages[-1].kind == "n":
+            indices = stages.pop().indices + indices
+        stages.append(Stage(layer.kind, layer.width, indices))
+        width = layer.width
+    p_width = sum(s.width for s in stages if s.kind == "p")
+    if u_width is None:
+        compiled = simulated = n + p_width
+    else:
+        compiled = u_width * (n + 1) + p_width
+        simulated = max(n + 1, 2 * u_width + p_width)
+    u_shape = None if u_width is None else (u_width, arch.input_dim)
+    v_blocks = sum(l.repeat for l in arch.layers[:v])
+    shapes = ((v_blocks, 2 * n), u_shape, tuple(n_shapes), tuple(p_shapes))
+    return Plan(v_blocks, u_width, tuple(stages), p_width, compiled, simulated, shapes)
 
 
 def init_parameters(arch: ArchitectureSpec, seed: int = 0) -> ParameterStore:
     """Near-identity angles, random latent signs; deterministic in ``seed``."""
-    pipe = pipeline(arch)
+    plan = pipeline(arch)
+    v_shape, u_shape, n_shapes, p_shapes = plan.shapes
     rng = np.random.default_rng(seed)
-    n = arch.n_qubits
-    v_thetas = rng.normal(0.0, 0.1, size=(pipe.v_blocks, 2 * n))
-    uw = None
-    width = n
-    if pipe.u_width is not None:
-        uw = rng.uniform(-1.0, 1.0, size=(pipe.u_width, arch.input_dim))
-        width = pipe.u_width
+    v_thetas = rng.normal(0.0, 0.1, size=v_shape)
+    uw = None if u_shape is None else rng.uniform(-1.0, 1.0, size=u_shape)
     n_thetas: list[np.ndarray] = []
     pw: list[np.ndarray] = []
-    for layer in pipe.prob_layers:
-        if layer.kind == "n":
-            # theta = 0 is a stationary point of the n-layer (the gradient
-            # carries a sin(theta) factor), so start slightly off it
-            n_thetas.append(rng.normal(0.0, 0.1, size=layer.width))
-        else:
-            pw.append(rng.uniform(-1.0, 1.0, size=(layer.width, width)))
-            width = layer.width
+    for stage in plan.stages:  # drawn in layer order
+        for i in stage.indices:
+            if stage.kind == "n":
+                # theta = 0 is a stationary point of the n-layer (the gradient
+                # carries a sin(theta) factor), so start slightly off it
+                n_thetas.append(rng.normal(0.0, 0.1, size=n_shapes[i]))
+            else:
+                pw.append(rng.uniform(-1.0, 1.0, size=p_shapes[i]))
     return ParameterStore(v_thetas, uw, n_thetas, pw)
 
 
@@ -194,42 +238,33 @@ def forward_batch(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != arch.input_dim:
         raise ValueError(f"expected input dim {arch.input_dim}, got {X.shape[1]}")
-    pipe = pipeline(arch)
+    plan = pipeline(arch)
 
     v_out, v_tape = v_stage_forward(_normalize_rows(X), params.v_thetas)
     trace = ForwardTrace(v_tape=v_tape, v_out=v_out)
 
-    if pipe.u_width is not None:
+    if plan.u_width is not None:
         acts, d = u_forward_batch(v_out, params.u_weights())
         trace.stages.append({"kind": "u", "input": v_out, "dot": d, "output": acts})
     else:
         # probability view of the v stage; with no layer after it, the
         # first num_classes qubits are the class outputs
         bits = _bit_matrix(arch.n_qubits)
-        if not pipe.prob_layers:
+        if not plan.stages:
             bits = bits[:, : arch.num_classes]
         acts = (v_out**2) @ bits
         trace.stages.append({"kind": "view", "input": v_out, "output": acts})
 
-    n_idx = p_idx = 0
-    for layer in pipe.prob_layers:
-        stage = {"kind": layer.kind, "input": acts}
-        if layer.kind == "n":
-            theta, indices = params.n_thetas[n_idx], [n_idx]
-            if trace.stages[-1]["kind"] == "n":
-                # RX(a) RX(b) = RX(a + b): a run of n layers is one stage
-                # whose angle is the sum of the run's angles
-                run = trace.stages.pop()
-                stage["input"] = run["input"]
-                theta, indices = run["theta"] + theta, run["indices"] + indices
-            stage.update(indices=indices, theta=theta, output=n_forward_batch(stage["input"], theta))
-            n_idx += 1
+    for stage in plan.stages:
+        record = {"kind": stage.kind, "input": acts, "indices": stage.indices}
+        if stage.kind == "n":
+            record["theta"] = functools.reduce(np.add, (params.n_thetas[i] for i in stage.indices))
+            record["output"] = n_forward_batch(acts, record["theta"])
         else:
-            out, s, factors = p_forward_batch(acts, params.p_weights(p_idx))
-            stage.update(index=p_idx, output=out, s=s, factors=factors)
-            p_idx += 1
-        trace.stages.append(stage)
-        acts = stage["output"]
+            out, s, factors = p_forward_batch(acts, params.p_weights(stage.indices[0]))
+            record.update(output=out, s=s, factors=factors)
+        trace.stages.append(record)
+        acts = record["output"]
     trace.probs = acts
     return trace
 
@@ -282,7 +317,8 @@ def backward_batch(
     for stage in reversed(trace.stages):
         kind = stage["kind"]
         if kind == "p":
-            W = params.p_weights(stage["index"])
+            index = stage["indices"][0]
+            W = params.p_weights(index)
             factors = stage["factors"]  # (B, k, m)
             # leave-one-out products via prefix/suffix scans (no division,
             # so zero factors are handled exactly)
@@ -294,7 +330,7 @@ def backward_batch(
             gfactor = grad[:, :, None] * loo  # (B, k, m)
             p_in = stage["input"]
             s = np.maximum(stage["s"], _P_GRAD_EPS)
-            grads.pw_latent[stage["index"]] += np.einsum(
+            grads.pw_latent[index] += np.einsum(
                 "bkm,bm->km", gfactor, stage["s"]
             )
             gs = np.einsum("bkm,km->bm", gfactor, W)
@@ -302,7 +338,7 @@ def backward_batch(
         elif kind == "n":
             theta = stage["theta"]
             gtheta = (grad * (1.0 - 2.0 * stage["input"]) * np.sin(theta) / 2.0).sum(axis=0)
-            for i in stage["indices"]:  # each angle of the run moves the summed angle
+            for i in stage["indices"]:  # each angle of an n run moves the summed angle
                 grads.n_thetas[i] += gtheta
             grad = grad * np.cos(theta)
         elif kind == "u":
@@ -435,32 +471,6 @@ class NetworkCircuit:
         return 0
 
 
-def _p_width(pipe: _Pipeline) -> int:
-    return sum(l.width for l in pipe.prob_layers if l.kind == "p")
-
-
-def expected_qubit_count(arch: ArchitectureSpec) -> int:
-    """Closed-form register size of the compiled network."""
-    pipe = pipeline(arch)
-    n = arch.n_qubits
-    total = pipe.u_width * (n + 1) if pipe.u_width is not None else n
-    return total + _p_width(pipe)
-
-
-def simulated_qubit_count(arch: ArchitectureSpec) -> int:
-    """Closed-form width of the widest register ``circuit_inference`` simulates.
-
-    With a u layer: the larger of one u register (n + 1 qubits) and the
-    n/p step (two qubits per purified u ancilla, plus the p outputs).
-    Without one: the v register widened by the p outputs.
-    """
-    pipe = pipeline(arch)
-    n = arch.n_qubits
-    if pipe.u_width is None:
-        return n + _p_width(pipe)
-    return max(n + 1, 2 * pipe.u_width + _p_width(pipe))
-
-
 def _input_register(params: ParameterStore, x) -> CircuitFragment:
     """Amplitude-encoding preparation followed by every v block, on n qubits."""
     register, _ = amplitude_encoding_fragment(np.asarray(x, dtype=float))
@@ -472,39 +482,33 @@ def _input_register(params: ParameterStore, x) -> CircuitFragment:
 def _append_prob_layers(
     frag: CircuitFragment,
     arch: ArchitectureSpec,
+    plan: Plan,
     params: ParameterStore,
     stage_qubits: list[int],
 ) -> list[int]:
-    """Append the n and p layers' gates to ``frag``, on a register laid out by the caller.
+    """Append the n and p stages' gates to ``frag``, on a register laid out by the caller.
 
     ``stage_qubits`` hold the stage the first n/p layer reads. n layers
-    rotate their inputs in place; the p neurons write the top qubits of
-    the fragment's span, one each, in order. Returns the output qubits.
+    rotate their inputs in place, one RX per layer and qubit; the p
+    neurons write the top ``plan.p_width`` qubits of the fragment's span,
+    one each, in order. Returns the output qubits.
     """
-    pipe = pipeline(arch)
-    next_free = frag.qubit_span - _p_width(pipe)
-    n_idx = p_idx = 0
-    for layer in pipe.prob_layers:
-        if layer.kind == "n":
-            theta = params.n_thetas[n_idx]
-            for c, q in enumerate(stage_qubits):
-                frag.append(rx(theta[c]), q)
-            n_idx += 1
+    next_free = frag.qubit_span - plan.p_width
+    for stage in plan.stages:
+        if stage.kind == "n":
+            for i in stage.indices:
+                for q, theta in zip(stage_qubits, params.n_thetas[i]):
+                    frag.append(rx(theta), q)
         else:
-            W = params.p_weights(p_idx)
             m = len(stage_qubits)
-            new_qubits = []
-            for j in range(layer.width):
-                mapping = {q: stage_qubits[q] for q in range(m)}
-                mapping[m] = next_free
-                frag.extend(build_p_neuron(m, W[j]), mapping)
-                new_qubits.append(next_free)
-                next_free += 1
-            stage_qubits = new_qubits
-            p_idx += 1
-    if pipe.u_width is None and not pipe.prob_layers:
-        stage_qubits = stage_qubits[: arch.num_classes]
-    return stage_qubits
+            targets = list(range(next_free, next_free + stage.width))
+            for w, target in zip(params.p_weights(stage.indices[0]), targets):
+                frag.extend(build_p_neuron(m, w), {**dict(enumerate(stage_qubits)), m: target})
+            stage_qubits = targets
+            next_free += stage.width
+    # a v-final net reads its first num_classes qubits; every other last
+    # stage is num_classes wide already
+    return stage_qubits[: arch.num_classes]
 
 
 def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> NetworkCircuit:
@@ -514,13 +518,12 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
     register (quantum states cannot be copied, but their known classical
     preparation can be repeated), so u outputs stay mutually independent.
     """
-    pipe = pipeline(arch)
+    plan = pipeline(arch)
     n = arch.n_qubits
-    total = expected_qubit_count(arch)
     register = _input_register(params, x)
-    frag = CircuitFragment(total)
-    if pipe.u_width is not None:
-        k = pipe.u_width
+    frag = CircuitFragment(plan.compiled_qubits)
+    if plan.u_width is not None:
+        k = plan.u_width
         for j, w in enumerate(params.u_weights()):
             mapping = {q: j * n + q for q in range(n)}
             frag.extend(register, mapping)
@@ -530,8 +533,8 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
     else:
         frag.extend(register)
         stage_qubits = list(range(n))
-    outputs = _append_prob_layers(frag, arch, params, stage_qubits)
-    return NetworkCircuit(frag, total, outputs)
+    outputs = _append_prob_layers(frag, arch, plan, params, stage_qubits)
+    return NetworkCircuit(frag, plan.compiled_qubits, outputs)
 
 
 def circuit_inference(
@@ -554,17 +557,13 @@ def circuit_inference(
     no later gate touches, so every output marginal is unchanged. Without
     a u layer, the v register widened by the p outputs runs the n/p step.
     ``max_qubits`` caps the widest register simulated, which is
-    ``simulated_qubit_count(arch)``.
+    ``pipeline(arch).simulated_qubits``.
     """
-    pipe = pipeline(arch)
-    width = simulated_qubit_count(arch)
-    if width > max_qubits:
-        raise ResourceLimitError(
-            f"factored simulation needs {width} qubits, cap is {max_qubits}"
-        )
+    plan = pipeline(arch)
+    plan.check_qubit_cap(max_qubits)
     n = arch.n_qubits
     psi = StateVector(n).run(_input_register(params, x)).amps
-    if pipe.u_width is None:
+    if plan.u_width is None:
         amps, stage_qubits = psi, list(range(n))
     else:
         amps = np.ones(1, dtype=complex)
@@ -573,10 +572,10 @@ def circuit_inference(
             # rows: the ancilla (the last qubit) at 0 and 1; columns: the n others
             u, s, _ = np.linalg.svd(register.amps.reshape(-1, 2).T, full_matrices=False)
             amps = np.kron(amps, (u * s).reshape(-1))
-        stage_qubits = list(range(0, 2 * pipe.u_width, 2))
-    state = with_zeros(amps, _p_width(pipe))
+        stage_qubits = list(range(0, 2 * plan.u_width, 2))
+    state = with_zeros(amps, plan.p_width)
     tail = CircuitFragment(state.n_qubits)
-    outputs = _append_prob_layers(tail, arch, params, stage_qubits)
+    outputs = _append_prob_layers(tail, arch, plan, params, stage_qubits)
     return state.run(tail).marginals(outputs)
 
 
@@ -608,7 +607,7 @@ def save_checkpoint(path, arch: ArchitectureSpec, params: ParameterStore) -> Non
 
 
 def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
-    """ValueError unless each parameter is finite and has the shape init_parameters gives."""
+    """ValueError unless each parameter is finite and has the shape the plan gives."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -628,10 +627,14 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
         [np.array(t, dtype=float) for t in p["n_thetas"]],
         [np.array(w, dtype=float) for w in p["pw_latent"]],
     )
-    want = init_parameters(arch)
-    shapes = [a.shape for a in params.arrays()]
-    needed = [a.shape for a in want.arrays()]
-    if shapes != needed or (params.uw_latent is None) != (want.uw_latent is None):
+    needed = pipeline(arch).shapes
+    shapes = (
+        params.v_thetas.shape,
+        None if params.uw_latent is None else params.uw_latent.shape,
+        tuple(t.shape for t in params.n_thetas),
+        tuple(w.shape for w in params.pw_latent),
+    )
+    if shapes != needed:
         raise ValueError(f"parameter shapes {shapes} do not fit {arch.name}, which needs {needed}")
     if not all(np.all(np.isfinite(a)) for a in params.arrays()):
         raise ValueError("a parameter value is not finite")

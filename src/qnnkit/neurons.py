@@ -373,7 +373,6 @@ def simulate_p_neuron(p, w) -> float:
     """Ancilla marginal from an exact run of the P gadget on fresh encodings."""
     from .encoding import probability_encode
 
-    p = np.asarray(p, dtype=float)
     m = len(p)
-    frag, _ = probability_encode(p)
-    return StateVector(m + 1).run(frag).run(build_p_neuron(m, w)).marginal_prob_one(m)
+    _, state = probability_encode(p)
+    return with_zeros(state.amps, 1).run(build_p_neuron(m, w)).marginal_prob_one(m)

@@ -1,14 +1,19 @@
 """CLI tests, driven through main() with temp directories."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnnkit.cli import build_parser, main
 
@@ -230,16 +235,19 @@ VPU_ARCH = "input_dim 4\nclasses 2\nlayer v width=2\nlayer p width=2\nlayer u wi
 # n layers have one angle per channel; there is no theta= option
 THETA_ARCH = FEASIBLE_ARCH.replace("layer n width=4", "layer n width=4 theta=shared")
 
-# Checkpoints whose keys are right but one value has the wrong JSON type.
+# Checkpoints whose keys are right but one value is wrong: it has the
+# wrong JSON type, or it asks for 10^11 v blocks, whose 2.91 TiB of angles
+# the file does not hold and no loader should draw.
 _GOOD_CHECKPOINT_ARCH = {
     "input_dim": 4,
     "num_classes": 2,
     "layers": [{"kind": "v", "width": 2, "repeat": 1, "theta_mode": "per-channel"}],
 }
-BAD_TYPE_CHECKPOINTS = {
+BAD_CHECKPOINTS = {
     "arch-list": [],
     "layer-int": dict(_GOOD_CHECKPOINT_ARCH, layers=[7]),
     "input-dim-str": dict(_GOOD_CHECKPOINT_ARCH, input_dim="16"),
+    "huge-repeat": dict(_GOOD_CHECKPOINT_ARCH, layers=[{"kind": "v", "width": 2, "repeat": 10**11}]),
 }
 
 BAD_INPUT_CASES = {
@@ -277,6 +285,10 @@ BAD_INPUT_CASES = {
     "eval-checkpoint-layer-int": (
         ["eval", "--checkpoint", "{tmp}/layer-int.json", "--dataset", "xor"],
         "layer-int.json: a field has the wrong type",
+    ),
+    "eval-checkpoint-huge-repeat": (
+        ["eval", "--checkpoint", "{tmp}/huge-repeat.json", "--dataset", "xor"],
+        "huge-repeat.json: parameter shapes",
     ),
     "verify-checkpoint-input-dim-str": (
         ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/input-dim-str.json"],
@@ -323,7 +335,7 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     nan_params = init_parameters(ok)
     nan_params.v_thetas[0, 0] = np.nan
     save_checkpoint(tmp_path / "nan.json", ok, nan_params)
-    for name, architecture in BAD_TYPE_CHECKPOINTS.items():
+    for name, architecture in BAD_CHECKPOINTS.items():
         payload = {"format": "qnnkit-checkpoint", "version": 1, "architecture": architecture}
         payload["parameters"] = {"v_thetas": [[0.0] * 4], "uw_latent": None, "n_thetas": [], "pw_latent": []}
         write(tmp_path, f"{name}.json", json.dumps(payload))
@@ -459,6 +471,29 @@ def test_verify_respects_qubit_cap(tmp_path, capsys):
     assert "needs 16 qubits" in capsys.readouterr().err
 
 
+def test_verify_checks_the_cap_before_drawing_anything(tmp_path, capsys):
+    # one input of this net alone would take 8 TiB
+    arch = write(tmp_path, "huge.arch", "input_dim 1099511627776\nclasses 1\nlayer v width=40\n")
+    code = main(["verify", "--arch", arch, "--samples", "1", "--out", str(tmp_path / "v")])
+    assert_one_error_line(capsys, code, 1, "needs 40 qubits, cap is 24")
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 2.91 TiB for an array", ""])
+def test_memory_error_exits_one_with_one_error_line(tmp_path, capsys, monkeypatch, message):
+    import qnnkit.cli
+
+    def refuse(arch, seed=0):
+        raise MemoryError(message)
+
+    # train on a file with r=100000000000 reaches init_parameters like this,
+    # however the host answers the allocation
+    monkeypatch.setattr(qnnkit.cli, "init_parameters", refuse)
+    arch = write(tmp_path, "huge.arch", FEASIBLE_ARCH.replace("r=2", "r=100000000000"))
+    code = main(["train", "--arch", arch, *XOR_TRAIN, "--out", str(tmp_path / "out")])
+    assert_one_error_line(capsys, code, 1, f"error: {message or 'out of memory'}")
+
+
 def test_verify_runs_a_net_too_wide_to_compile_within_the_cap(tmp_path, capsys):
     out = tmp_path / "verify"
     code = main(["verify", "--arch", str(NETS / "mnist4-vu.arch"), "--samples", "2",
@@ -526,3 +561,77 @@ def test_sweep_rejects_inverted_range(tmp_path, capsys):
          str(tmp_path / "s")]
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzed architecture files: exit 0, 1 or 2, and exit 2 in one error line
+# ---------------------------------------------------------------------------
+
+# small values, the huge ones of the robustness cases, and non-numbers
+_FUZZ_VALUES = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.sampled_from(["0", "6", "8", "16", "40", "64", str(2**40), str(10**11)]),
+    st.sampled_from(["x", "1.5", "0x10", "-", "2e3"]),
+)
+_FUZZ_JUNK = st.sampled_from(
+    ["bogus 1", "layer v", "layer q width=2", "input_dim", "classes 1 2", "layer v r=2"]
+)
+# every state verify simulates then has at most 16 qubits (1 MiB)
+_FUZZ_CAP = 16
+
+
+@st.composite
+def arch_files(draw):
+    """Files on 1 to 40 qubits, some swapping values or adding a line for fuzz."""
+    n = draw(st.sampled_from([1, 2, 3, 6, 40]))
+    width = n
+    layers = [("v", n, draw(st.integers(1, 3)))]
+    for kind in draw(st.lists(st.sampled_from("vunp"), max_size=4)):
+        width = n if kind == "v" else width if kind == "n" else draw(st.integers(1, 4))
+        layers.append((kind, width, 1))
+    lines = [["input_dim", str(2**n)], ["classes", str(width)]]
+    lines += [["layer", kind, f"width={w}", f"r={r}"] for kind, w, r in layers]
+    values = [(line, i) for line in lines for i in range(1, len(line)) if (line[0], i) != ("layer", 1)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        line, i = draw(st.sampled_from(values))
+        key = line[i].split("=")[0] + "=" if "=" in line[i] else ""
+        line[i] = key + draw(_FUZZ_VALUES)
+    if draw(st.integers(0, 3)) == 3:
+        lines.insert(draw(st.integers(0, len(lines))), [draw(_FUZZ_JUNK)])
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+def _verify_is_cheap(text) -> bool:
+    """Small enough to simulate, or refused before anything is drawn."""
+    from qnnkit.arch import parse_architecture
+    from qnnkit.model import pipeline
+
+    try:
+        arch = parse_architecture(text)
+        plan = pipeline(arch)
+    except ValueError:  # verify exits 2 at once
+        return True
+    small = arch.input_dim <= 64 and all(l.repeat <= 3 for l in arch.layers)
+    return small or plan.simulated_qubits > _FUZZ_CAP
+
+
+def _exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=arch_files())
+def test_fuzzed_arch_files_keep_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        arch = write(Path(tmp), "fuzz.arch", text)
+        runs = [["check", "--arch", arch]]
+        if _verify_is_cheap(text):
+            runs.append(["verify", "--arch", arch, "--samples", "1", "--max-qubits", str(_FUZZ_CAP)])
+        for argv in runs:
+            code, lines = _exit_code_and_stderr(argv + ["--out", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2), (argv[0], text)
+            if code == 2:
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv[0], text, lines)

@@ -27,15 +27,14 @@ from qnnkit.model import (
     backward_batch,
     build_network_circuit,
     circuit_inference,
-    expected_qubit_count,
     forward,
     forward_batch,
     init_parameters,
     load_checkpoint,
     loss_batch,
     path6_demo,
+    pipeline,
     save_checkpoint,
-    simulated_qubit_count,
     train,
 )
 from qnnkit.neurons import u_forward
@@ -366,12 +365,59 @@ def test_vu_argmax_agreement_on_random_instances():
     assert agree >= 99
 
 
-def test_qubit_count_formula_matches_built_circuit():
-    for arch in small_random_archs():
+def test_every_compiled_qubit_is_touched_and_outputs_are_in_range():
+    nets = [load_architecture(path) for path in sorted(NETS.glob("*.arch"))]
+    archs = [a for a in small_random_archs() + nets if pipeline(a).compiled_qubits <= 24]
+    assert len(archs) == 11  # the three 64-input nets compile to 28-60 qubits
+    for arch in archs:
         params = init_parameters(arch, seed=0)
-        x = np.linspace(0.1, 1.0, arch.input_dim)
-        circ = build_network_circuit(arch, params, x / np.linalg.norm(x))
-        assert circ.n_qubits == expected_qubit_count(arch)
+        circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
+        touched = {q for _, qubits in circ.fragment.ops for q in qubits}
+        assert touched == set(range(circ.n_qubits)) == set(range(circ.fragment.qubit_span))
+        assert len(set(circ.output_qubits)) == len(circ.output_qubits) == arch.num_classes
+        assert set(circ.output_qubits) <= touched
+
+
+def test_each_walker_derives_the_plan_once(monkeypatch):
+    from qnnkit import model
+
+    arch = load_architecture(NETS / "mixed.arch")
+    params = init_parameters(arch, seed=0)
+    x = np.linspace(0.1, 1.0, arch.input_dim)
+    trace = forward_batch(arch, params, x[None, :])
+    calls = []
+    derive = model.pipeline
+    monkeypatch.setattr(model, "pipeline", lambda a: calls.append(a) or derive(a))
+    walkers = {
+        "forward_batch": lambda: forward_batch(arch, params, x[None, :]),
+        "circuit_inference": lambda: circuit_inference(arch, params, x),
+        "build_network_circuit": lambda: build_network_circuit(arch, params, x),
+        "init_parameters": lambda: init_parameters(arch, seed=1),
+    }
+    for name, walk in walkers.items():
+        calls.clear()
+        walk()
+        assert len(calls) == 1, name
+    calls.clear()
+    backward_batch(arch, params, trace, np.array([0]))
+    assert calls == []
+
+
+def test_plan_merges_n_runs_and_counts_qubits():
+    arch = ArchitectureSpec(
+        4, 2,
+        [LayerSpec("v", 2, repeat=3), LayerSpec("u", 3), LayerSpec("n", 3), LayerSpec("n", 3),
+         LayerSpec("p", 2), LayerSpec("n", 2), LayerSpec("p", 2)],
+    )
+    plan = pipeline(arch)
+    assert [(s.kind, s.width, s.indices) for s in plan.stages] == [
+        ("n", 3, (0, 1)), ("p", 2, (0,)), ("n", 2, (2,)), ("p", 2, (1,)),
+    ]
+    assert (plan.v_blocks, plan.u_width, plan.p_width) == (3, 3, 4)
+    assert (plan.compiled_qubits, plan.simulated_qubits) == (3 * 3 + 4, 2 * 3 + 4)
+    assert plan.shapes == ((3, 4), (3, 4), ((3,), (3,), (2,)), ((2, 3), (2, 2)))
+    params = init_parameters(arch, seed=0)
+    assert [a.shape for a in params.arrays()] == [(3, 4), (3, 4), (3,), (3,), (2,), (2, 3), (2, 2)]
 
 
 def test_circuit_contains_only_unitary_gates_and_final_measurement():
@@ -394,7 +440,7 @@ def test_circuit_inference_respects_qubit_cap():
         circuit_inference(arch, params, x), forward(arch, params, x).probs[0], atol=1e-9
     )
     wide = ArchitectureSpec(4, 2, [LayerSpec("v", 2), LayerSpec("u", 12), LayerSpec("p", 2)])
-    assert simulated_qubit_count(wide) == 26
+    assert pipeline(wide).simulated_qubits == 26
     with pytest.raises(ResourceLimitError, match="needs 26 qubits"):
         circuit_inference(wide, init_parameters(wide, seed=0), np.ones(4))
 
@@ -420,7 +466,7 @@ def oracle_cases():
 def test_factored_inference_matches_full_simulation(arch):
     rng = np.random.default_rng(61)
     # a 22-qubit full run takes about 20 s, so those nets get one sample
-    samples = 1 if expected_qubit_count(arch) > 16 else 3
+    samples = 1 if pipeline(arch).compiled_qubits > 16 else 3
     for seed in range(samples):
         params = init_parameters(arch, seed=seed)
         x = rng.uniform(0.01, 1.0, size=arch.input_dim)
@@ -493,7 +539,7 @@ def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
         widths.clear()
         x = np.linspace(0.1, 1.0, arch.input_dim)
         circuit_inference(arch, init_parameters(arch, seed=0), x)
-        assert max(widths) == simulated_qubit_count(arch), arch.name
+        assert max(widths) == pipeline(arch).simulated_qubits, arch.name
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,17 @@ def test_p_neuron_weight_sign_matters():
     assert abs(simulate_p_neuron(p, [-1]) - p_forward(p, [-1])) < 1e-12
 
 
+def test_simulate_p_neuron_runs_the_encoding_once(monkeypatch):
+    p, w = [0.2, 0.7], [1, -1]
+    frag, _ = probability_encode(p)
+    rerun = StateVector(3).run(frag).run(build_p_neuron(2, w)).marginal_prob_one(2)
+    runs = []
+    run = StateVector.run
+    monkeypatch.setattr(StateVector, "run", lambda self, f: runs.append(f) or run(self, f))
+    assert simulate_p_neuron(p, w) == rerun  # bit for bit
+    assert len(runs) == 2  # the encoding, then the gadget on the widened state
+
+
 def test_sibling_p_neurons_share_inputs_exactly():
     # Two P neurons run sequentially on the same input register must each
     # match their own closed form; this is what lets one layer hold many
