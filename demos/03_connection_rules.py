@@ -7,7 +7,7 @@ Bell-state counterexample where the factorized model errs by 0.5.
 
 import itertools
 
-from qnnkit.arch import parse_architecture, vup_architecture, vp_architecture
+from qnnkit.arch import from_kinds, parse_architecture
 from qnnkit.encoding import EncodingKind
 from qnnkit.model import path6_demo
 from qnnkit.rules import (
@@ -39,12 +39,12 @@ for out_enc, ent, in_enc in itertools.product((A, P), (False, True), (A, P)):
 
 # The full mixed template validates end to end.
 print()
-print(validate_architecture(vup_architecture(16, 2, r1=2, hidden=4)).render_text())
+print(validate_architecture(from_kinds(16, 2, "vunp", repeat=2)).render_text())
 
 # Skipping the u-layer forces the v stage into its probability view; the
 # junction becomes path 8 and stays feasible.
 print()
-print(validate_architecture(vp_architecture(16, 2, r1=1)).render_text())
+print(validate_architecture(from_kinds(16, 2, "vp")).render_text())
 
 # Wiring one u-layer into another is the classic infeasible case: the
 # producer's outputs live on fresh ancillas (no qubit reuse), so rule 4

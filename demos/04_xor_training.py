@@ -9,7 +9,7 @@ nonlinearity that compounds with depth, not the only route to XOR.
 This script trains all three and prints what happens.
 """
 
-from qnnkit.arch import vqc_architecture, vu_architecture, vup_architecture
+from qnnkit.arch import from_kinds
 from qnnkit.data import make_xor_dataset
 from qnnkit.model import TrainConfig, accuracy, init_parameters, train
 
@@ -18,9 +18,9 @@ test_ds = make_xor_dataset(n=120, seed=2)
 config = TrainConfig(epochs=120, batch_size=16, lr=0.05, temperature=0.1, seed=3)
 
 candidates = [
-    ("v-only (r1=2)", vqc_architecture(4, 2, r1=2)),
-    ("v+u", vu_architecture(4, 2, r1=2)),
-    ("v+u+n+p", vup_architecture(4, 2, r1=2, hidden=4, include_n=True)),
+    ("v-only (r1=2)", from_kinds(4, 2, "v", repeat=2)),
+    ("v+u", from_kinds(4, 2, "vu", repeat=2)),
+    ("v+u+n+p", from_kinds(4, 2, "vunp", repeat=2)),
 ]
 
 print(f"XOR blobs: {len(train_ds)} train / {len(test_ds)} test, shared config")

@@ -7,7 +7,7 @@ test accuracy per architecture. Uses full MNIST when the IDX files are
 in the cache directory, otherwise the bundled 5000-image subset.
 """
 
-from qnnkit.arch import vp_architecture, vqc_architecture, vu_architecture, vup_architecture
+from qnnkit.arch import from_kinds
 from qnnkit.data import mnist_task
 from qnnkit.model import TrainConfig, accuracy, init_parameters, train
 
@@ -34,10 +34,10 @@ for label, classes, resolution, dim, k in TASKS:
     tr, te = mnist_task(classes, resolution)
     print(f"\n{label}  ({len(tr)} train / {len(te)} test)")
     rows = [
-        ("vqc (v*2)", vqc_architecture(dim, k, r1=2)),
-        ("v+u (r1=2)", vu_architecture(dim, k, r1=2)),
-        ("v+u+n+p", vup_architecture(dim, k, r1=2, hidden=8, include_n=True)),
-        ("v+n+p", vp_architecture(dim, k, r1=2, include_n=True)),
+        ("vqc (v*2)", from_kinds(dim, k, "v", repeat=2)),
+        ("v+u (r1=2)", from_kinds(dim, k, "vu", repeat=2)),
+        ("v+u+n+p", from_kinds(dim, k, "vunp", repeat=2, hidden=8)),
+        ("v+n+p", from_kinds(dim, k, "vnp", repeat=2)),
     ]
     for name, arch in rows:
         print(f"  {name:12s} best test accuracy {best_accuracy(arch, tr, te):.4f}")

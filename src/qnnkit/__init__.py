@@ -20,12 +20,9 @@ from .arch import (
     ArchitectureParseError,
     ArchitectureSpec,
     LayerSpec,
+    from_kinds,
     load_architecture,
     parse_architecture,
-    vp_architecture,
-    vqc_architecture,
-    vu_architecture,
-    vup_architecture,
 )
 from .encoding import (
     EncodingKind,

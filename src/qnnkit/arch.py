@@ -18,7 +18,13 @@ The file format is line-oriented and hand-writable::
     layer u width=2
 
 Header keys come first; each ``layer`` line takes ``width=`` and, on v
-layers only, an optional ``r=``.
+layers only, an optional ``r=`` (``LayerSpec.repeat``).
+
+In code, ``from_kinds(input_dim, num_classes, "vunp", repeat=2, hidden=4)``
+builds the spec of a kind sequence by one width rule: v layers are
+log2(input_dim) wide and repeat ``repeat`` times; an n layer is as wide
+as its input; u and p layers are ``hidden`` wide, except the last u or p
+layer, which is ``num_classes`` wide.
 
 Specs are frozen and check their shape on construction, so every
 ``ArchitectureSpec`` in hand has a valid shape; whether its junctions are
@@ -28,6 +34,7 @@ feasible is ``qnnkit.rules``' question.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 VALID_KINDS = ("v", "u", "n", "p")
@@ -126,52 +133,26 @@ class ArchitectureSpec:
 
 
 # ---------------------------------------------------------------------------
-# templates
+# kind sequences
 # ---------------------------------------------------------------------------
 
 
-def vqc_architecture(input_dim: int, num_classes: int, r1: int = 1) -> ArchitectureSpec:
-    """Pure variational baseline; classes read off the first qubits."""
-    n = int(math.log2(input_dim))
-    return ArchitectureSpec(input_dim, num_classes, [LayerSpec("v", n, repeat=r1)])
-
-
-def vu_architecture(
-    input_dim: int, num_classes: int, r1: int = 1, include_n: bool = False
+def from_kinds(
+    input_dim: int, num_classes: int, kinds: Sequence[str], repeat: int = 1, hidden: int = 4
 ) -> ArchitectureSpec:
-    """v*r1 + u(classes), optionally with a trailing normalization layer."""
-    n = int(math.log2(input_dim))
-    layers = [LayerSpec("v", n, repeat=r1), LayerSpec("u", num_classes)]
-    if include_n:
-        layers.append(LayerSpec("n", num_classes))
-    return ArchitectureSpec(input_dim, num_classes, layers)
+    """The spec of a kind sequence such as ``"vunp"``, by the module's width rule.
 
-
-def vup_architecture(
-    input_dim: int,
-    num_classes: int,
-    r1: int = 1,
-    hidden: int = 4,
-    include_n: bool = True,
-) -> ArchitectureSpec:
-    """v*r1 + u(hidden) [+ n(hidden)] + p(classes)."""
-    n = int(math.log2(input_dim))
-    layers = [LayerSpec("v", n, repeat=r1), LayerSpec("u", hidden)]
-    if include_n:
-        layers.append(LayerSpec("n", hidden))
-    layers.append(LayerSpec("p", num_classes))
-    return ArchitectureSpec(input_dim, num_classes, layers)
-
-
-def vp_architecture(
-    input_dim: int, num_classes: int, r1: int = 1, include_n: bool = False
-) -> ArchitectureSpec:
-    """v*r1 (probability view) [+ n] + p(classes)."""
-    n = int(math.log2(input_dim))
-    layers = [LayerSpec("v", n, repeat=r1)]
-    if include_n:
-        layers.append(LayerSpec("n", n))
-    layers.append(LayerSpec("p", num_classes))
+    The spec's own construction checks the result.
+    """
+    n = input_dim.bit_length() - 1  # log2 of a power of two; the spec rejects any other
+    last_up = max((i for i, kind in enumerate(kinds) if kind in ("u", "p")), default=None)
+    layers, width = [], n
+    for i, kind in enumerate(kinds):
+        if kind == "v":
+            width = n
+        elif kind in ("u", "p"):
+            width = num_classes if i == last_up else hidden
+        layers.append(LayerSpec(kind, width, repeat if kind == "v" else 1))
     return ArchitectureSpec(input_dim, num_classes, layers)
 
 

@@ -17,7 +17,7 @@ import gzip
 import logging
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.images)
@@ -80,8 +79,7 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
-    Pixels are scaled to [0, 1]; images come out flattened with the
-    source resolution recorded in ``meta``.
+    Pixels are scaled to [0, 1]; images come out flattened, rows * cols wide.
     """
     with _open_maybe_gzip(labels_path) as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, labels_path, "magic"))
@@ -112,11 +110,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxFormatError(
             f"count mismatch: {n_images} images vs {n_labels} labels"
         )
-    return Dataset(
-        images=images.astype(float) / 255.0,
-        labels=labels,
-        meta={"rows": int(rows), "cols": int(cols), "source_resolution": int(rows)},
-    )
+    return Dataset(images.astype(float) / 255.0, labels)
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -225,10 +219,7 @@ def load_mnist(data_dir=None, split: str = "train") -> Dataset:
                 f"the location) or `pip install qnnkit[mnist]`."
             )
         paths = [_resolve(directory, n) for n in names]
-    ds = load_idx(paths[0], paths[1])
-    ds.meta["split"] = split
-    ds.meta["data_dir"] = str(directory)
-    return ds
+    return load_idx(paths[0], paths[1])
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +239,7 @@ def select_subset(ds: Dataset, classes) -> Dataset:
     mask = np.isin(ds.labels, classes)
     remap = {c: i for i, c in enumerate(classes)}
     labels = np.array([remap[c] for c in ds.labels[mask]], dtype=int)
-    meta = dict(ds.meta, class_subset=classes)
-    return Dataset(ds.images[mask], labels, meta)
+    return Dataset(ds.images[mask], labels)
 
 
 _CROP_FOR = {4: 28, 8: 24, 16: 16}
@@ -263,23 +253,24 @@ def downsample(ds: Dataset, target: int) -> Dataset:
     """
     if target not in _CROP_FOR:
         raise ValueError(f"unsupported target resolution {target}, pick 4, 8 or 16")
-    if ds.meta.get("rows", 28) != 28:
-        raise ValueError("downsample expects 28x28 source images")
+    if ds.images.shape[1] != 784:
+        raise ValueError(
+            f"downsample expects 28x28 = 784-pixel source images, got {ds.images.shape[1]}"
+        )
     images = ds.images.reshape(-1, 28, 28)
     crop = _CROP_FOR[target]
     off = (28 - crop) // 2
     cropped = images[:, off : off + crop, off : off + crop]
     tile = crop // target
     pooled = cropped.reshape(-1, target, tile, target, tile).mean(axis=(2, 4))
-    meta = dict(ds.meta, target_resolution=target, rows=target, cols=target)
-    return Dataset(pooled.reshape(len(ds.images), target * target), ds.labels.copy(), meta)
+    return Dataset(pooled.reshape(len(ds.images), target * target), ds.labels.copy())
 
 
 def prepare(ds: Dataset) -> Dataset:
     """Make vectors model-ready for amplitude encoding.
 
-    L2-normalizes each row (scales recorded in meta); an all-zero image
-    becomes the uniform unit vector and is logged.
+    L2-normalizes each row; an all-zero image becomes the uniform unit
+    vector and is logged.
     """
     images = np.asarray(ds.images, dtype=float)
     scales = np.linalg.norm(images, axis=1)
@@ -292,8 +283,7 @@ def prepare(ds: Dataset) -> Dataset:
     out = images / safe[:, None]
     dim = images.shape[1]
     out[zero_rows] = 1.0 / np.sqrt(dim)
-    meta = dict(ds.meta, normalization="amplitude", scales=scales)
-    return Dataset(out, ds.labels.copy(), meta)
+    return Dataset(out, ds.labels.copy())
 
 
 def mnist_task(
@@ -314,7 +304,10 @@ def mnist_task(
 # ---------------------------------------------------------------------------
 
 
-def make_xor_dataset(n: int = 300, seed: int = 0, spread: float = 0.08) -> Dataset:
+_XOR_SPREAD = 0.08  # standard deviation of each blob around its corner
+
+
+def make_xor_dataset(n: int = 300, seed: int = 0) -> Dataset:
     """Two-class XOR blobs embedded for amplitude encoding.
 
     Points cluster near the four corners of [0, 1]^2; the label is the
@@ -325,7 +318,7 @@ def make_xor_dataset(n: int = 300, seed: int = 0, spread: float = 0.08) -> Datas
     rng = np.random.default_rng(seed)
     corners = rng.integers(0, 2, size=(n, 2))
     centers = np.where(corners == 1, 0.85, 0.15)
-    uv = np.clip(centers + rng.normal(0.0, spread, size=(n, 2)), 0.0, 1.0)
+    uv = np.clip(centers + rng.normal(0.0, _XOR_SPREAD, size=(n, 2)), 0.0, 1.0)
     images = np.concatenate([uv, 1.0 - uv], axis=1)
     labels = (corners[:, 0] ^ corners[:, 1]).astype(int)
-    return Dataset(images, labels, {"kind": "xor", "seed": seed, "spread": spread})
+    return Dataset(images, labels)

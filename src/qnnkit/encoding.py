@@ -87,7 +87,7 @@ def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> Circu
     return frag
 
 
-def amplitude_encoding_fragment(data) -> tuple[CircuitFragment, float]:
+def amplitude_encoding_fragment(data) -> CircuitFragment:
     """Exact state-preparation circuit for non-negative ``data``.
 
     Recursive construction: qubit l gets a multiplexed RY whose angle for
@@ -97,7 +97,7 @@ def amplitude_encoding_fragment(data) -> tuple[CircuitFragment, float]:
     data = np.asarray(data, dtype=float)
     if np.any(data < 0):
         raise ValueError("state preparation circuit requires non-negative data")
-    v, scale = _normalized(data)
+    v, _ = _normalized(data)
     n = int(math.log2(len(v)))
 
     frag = CircuitFragment(n)
@@ -106,7 +106,7 @@ def amplitude_encoding_fragment(data) -> tuple[CircuitFragment, float]:
         left, right = np.linalg.norm(v.reshape(2**level, 2, -1), axis=2).T
         angles = 2.0 * np.arctan2(right, left)
         frag.extend(multiplexed_ry(angles, list(range(level)), level, n))
-    return frag, scale
+    return frag
 
 
 def probability_encode(data) -> tuple[CircuitFragment, StateVector]:

@@ -460,20 +460,19 @@ def train(
 
 @dataclass
 class NetworkCircuit:
-    fragment: CircuitFragment
-    n_qubits: int
-    output_qubits: list[int]
+    """A compiled network: unitary gates only, so no mid-circuit measurement.
 
-    @property
-    def mid_circuit_measurements(self) -> int:
-        # Fragments carry unitary gates only; measurement happens once, on
-        # the output qubits, after the fragment has run.
-        return 0
+    Measurement happens once, on ``output_qubits``, after ``fragment`` has
+    run on ``fragment.qubit_span`` qubits.
+    """
+
+    fragment: CircuitFragment
+    output_qubits: list[int]
 
 
 def _input_register(params: ParameterStore, x) -> CircuitFragment:
     """Amplitude-encoding preparation followed by every v block, on n qubits."""
-    register, _ = amplitude_encoding_fragment(np.asarray(x, dtype=float))
+    register = amplitude_encoding_fragment(np.asarray(x, dtype=float))
     for theta in params.v_thetas:
         register.extend(build_v_block(register.qubit_span, theta))
     return register
@@ -534,7 +533,7 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
         frag.extend(register)
         stage_qubits = list(range(n))
     outputs = _append_prob_layers(frag, arch, plan, params, stage_qubits)
-    return NetworkCircuit(frag, plan.compiled_qubits, outputs)
+    return NetworkCircuit(frag, outputs)
 
 
 def circuit_inference(

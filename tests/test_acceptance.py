@@ -14,14 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qnnkit.arch import (
-    ArchitectureSpec,
-    LayerSpec,
-    vp_architecture,
-    vqc_architecture,
-    vu_architecture,
-    vup_architecture,
-)
+from qnnkit.arch import ArchitectureSpec, from_kinds
 from qnnkit.cli import main as cli_main
 from qnnkit.data import make_xor_dataset, mnist_available, mnist_task
 from qnnkit.encoding import EncodingKind, probability_encode
@@ -92,14 +85,14 @@ def mnist4_menu(mnist4):
     """
     tr, te = mnist4
     archs = {
-        "vqc_r1": vqc_architecture(64, 4, r1=1),
-        "vqc_r2": vqc_architecture(64, 4, r1=2),
-        "vqc_r3": vqc_architecture(64, 4, r1=3),
-        "vu_r1": vu_architecture(64, 4, r1=1),
-        "vu_r2": vu_architecture(64, 4, r1=2),
-        "vu_r3": vu_architecture(64, 4, r1=3),
-        "vp": vp_architecture(64, 4, r1=2, include_n=True),
-        "vup": vup_architecture(64, 4, r1=2, hidden=8, include_n=True),
+        "vqc_r1": from_kinds(64, 4, "v"),
+        "vqc_r2": from_kinds(64, 4, "v", repeat=2),
+        "vqc_r3": from_kinds(64, 4, "v", repeat=3),
+        "vu_r1": from_kinds(64, 4, "vu"),
+        "vu_r2": from_kinds(64, 4, "vu", repeat=2),
+        "vu_r3": from_kinds(64, 4, "vu", repeat=3),
+        "vp": from_kinds(64, 4, "vnp", repeat=2),
+        "vup": from_kinds(64, 4, "vunp", repeat=2, hidden=8),
     }
     results = {}
     for name, arch in archs.items():
@@ -220,18 +213,16 @@ def test_criterion_2_mixer_truth_table():
 
 def random_architecture(rng) -> ArchitectureSpec:
     input_dim = int(rng.choice([4, 8]))
-    family = rng.choice(["vqc", "vu", "vup", "vp"])
-    r1 = int(rng.integers(1, 3))
+    kinds = str(rng.choice(["v", "vu", "vup", "vp"]))
+    repeat = int(rng.integers(1, 3))
     classes = int(rng.integers(2, 4))
-    if family == "vqc":
-        return vqc_architecture(input_dim, 2, r1=r1)
-    if family == "vu":
-        return vu_architecture(input_dim, classes, r1=r1, include_n=bool(rng.integers(2)))
-    if family == "vup":
-        return vup_architecture(input_dim, classes, r1=r1,
-                                hidden=int(rng.integers(2, 5)),
-                                include_n=bool(rng.integers(2)))
-    return vp_architecture(input_dim, classes, r1=r1, include_n=bool(rng.integers(2)))
+    if kinds == "v":
+        return from_kinds(input_dim, 2, kinds, repeat=repeat)
+    hidden = int(rng.integers(2, 5)) if kinds == "vup" else 4
+    if rng.integers(2):  # an n layer after the u layer, or after v without one
+        at = 2 if "u" in kinds else 1
+        kinds = kinds[:at] + "n" + kinds[at:]
+    return from_kinds(input_dim, classes, kinds, repeat=repeat, hidden=hidden)
 
 
 def test_criterion_3_gradient_check():
@@ -282,12 +273,12 @@ def test_criterion_4_xor_separability():
     train_ds = make_xor_dataset(240, seed=1)
     test_ds = make_xor_dataset(120, seed=2)
 
-    v_arch = vqc_architecture(4, 2, r1=2)
+    v_arch = from_kinds(4, 2, "v", repeat=2)
     v_params, _ = train(v_arch, init_parameters(v_arch, XOR_CFG.seed),
                         train_ds.images, train_ds.labels, XOR_CFG)
     v_acc = accuracy(v_arch, v_params, test_ds.images, test_ds.labels)
 
-    mixed_arch = vup_architecture(4, 2, r1=2, hidden=4, include_n=True)
+    mixed_arch = from_kinds(4, 2, "vunp", repeat=2)
     m_params, _ = train(mixed_arch, init_parameters(mixed_arch, XOR_CFG.seed),
                         train_ds.images, train_ds.labels, XOR_CFG)
     m_acc = accuracy(mixed_arch, m_params, test_ds.images, test_ds.labels)
@@ -297,7 +288,7 @@ def test_criterion_4_xor_separability():
     report(4, ok, f"v-only test accuracy {v_acc:.3f} (<= 0.60 required), "
                   f"v+u+p {m_acc:.3f} (>= 0.95 required) ({elapsed:.1f}s)")
     # Known-honest failure mode: a trained v-only network separates XOR
-    # through its quadratic probability readout; see the decisions ledger.
+    # through its quadratic probability readout; demos/04_xor_training.py explains it.
     assert m_acc >= 0.95
     assert elapsed < 60
     assert v_acc <= 0.60
@@ -312,7 +303,7 @@ def test_criterion_4_xor_separability():
 def test_criterion_5_mnist2_vu():
     start = time.monotonic()
     tr, te = mnist_task([3, 6], 4)
-    arch = vu_architecture(16, 2, r1=1)
+    arch = from_kinds(16, 2, "vu")
     params, _ = train(arch, init_parameters(arch, 0), tr.images, tr.labels,
                       DEFAULT_CFG, te.images, te.labels)
     acc = accuracy(arch, params, te.images, te.labels)
@@ -354,7 +345,7 @@ def test_criterion_7_architecture_ordering(mnist4_menu):
 @needs_mnist
 def test_criterion_8_extended_full_mnist():
     tr, te = mnist_task(list(range(10)), 16)
-    arch = vup_architecture(256, 10, r1=2, hidden=32, include_n=True)
+    arch = from_kinds(256, 10, "vunp", repeat=2, hidden=32)
     cfg = TrainConfig(epochs=120, lr=0.01, temperature=1e-3, lr_decay=0.98,
                       keep_best=True, seed=0)
     params, _ = train(arch, init_parameters(arch, 0), tr.images, tr.labels,

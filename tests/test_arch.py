@@ -10,10 +10,8 @@ from qnnkit.arch import (
     ArchitectureParseError,
     ArchitectureSpec,
     LayerSpec,
+    from_kinds,
     parse_architecture,
-    vqc_architecture,
-    vu_architecture,
-    vup_architecture,
 )
 
 # one case per message the shape check gives: (input_dim, num_classes, layers, message)
@@ -45,8 +43,22 @@ def test_a_bad_shape_in_a_file_is_a_line_one_parse_error():
         parse_architecture("input_dim 4\nclasses 2\nlayer v width=2\nlayer u width=3\n")
 
 
+def test_from_kinds_widths_follow_one_rule():
+    arch = from_kinds(16, 3, "vvunpnp", repeat=2, hidden=5)
+    assert [(l.kind, l.width, l.repeat) for l in arch.layers] == [
+        ("v", 4, 2), ("v", 4, 2), ("u", 5, 1), ("n", 5, 1), ("p", 5, 1), ("n", 5, 1), ("p", 3, 1),
+    ]
+    assert [l.width for l in from_kinds(16, 4, "vn").layers] == [4, 4]
+    assert [l.width for l in from_kinds(16, 3, "vun").layers] == [4, 3, 3]
+    # the spec's own construction does the checking
+    for input_dim, kinds, message in ((6, "vu", "power of two"), (0, "v", "power of two"),
+                                      (4, "vq", "unknown layer kind"), (16, "vn", "last layer width")):
+        with pytest.raises(ArchitectureError, match=message):
+            from_kinds(input_dim, 2, kinds)
+
+
 def test_specs_are_frozen():
-    arch = vup_architecture(8, 2)
+    arch = from_kinds(8, 2, "vunp")
     with pytest.raises(dataclasses.FrozenInstanceError):
         arch.num_classes = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -54,14 +66,14 @@ def test_specs_are_frozen():
 
 
 def test_replace_checks_the_new_shape():
-    arch = vu_architecture(4, 2)
+    arch = from_kinds(4, 2, "vu")
     assert dataclasses.replace(arch, layers=[LayerSpec("v", 2, repeat=3), arch.layers[1]]).name == "v*3+u"
     with pytest.raises(ArchitectureError, match="last layer width"):
         dataclasses.replace(arch, num_classes=3)
 
 
 def test_layers_cannot_be_reassigned_in_place():
-    arch = vu_architecture(4, 2)
+    arch = from_kinds(4, 2, "vu")
     assert isinstance(arch.layers, tuple)
     with pytest.raises(TypeError):
         arch.layers[1] = LayerSpec("u", 5)
@@ -69,7 +81,7 @@ def test_layers_cannot_be_reassigned_in_place():
 
 
 def test_equal_specs_hash_equal():
-    a = vu_architecture(4, 2)
+    a = from_kinds(4, 2, "vu")
     b = ArchitectureSpec(4, 2, [LayerSpec("v", 2), LayerSpec("u", 2)])  # a list is accepted
     assert a == b and hash(a) == hash(b)
-    assert len({a, b, vqc_architecture(4, 2)}) == 2
+    assert len({a, b, from_kinds(4, 2, "v")}) == 2

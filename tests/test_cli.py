@@ -153,10 +153,10 @@ def test_train_is_bit_identical_across_reruns(tmp_path):
 
 
 def test_eval_untrained_checkpoint_sits_near_chance(tmp_path, capsys):
-    from qnnkit.arch import vu_architecture
+    from qnnkit.arch import from_kinds
     from qnnkit.model import init_parameters, save_checkpoint
 
-    arch = vu_architecture(4, 2, r1=1)
+    arch = from_kinds(4, 2, "vu")
     ckpt = tmp_path / "fresh.json"
     save_checkpoint(ckpt, arch, init_parameters(arch, seed=0))
     code = main(
@@ -552,6 +552,25 @@ def test_sweep_row_matches_a_train_run_at_that_r(tmp_path, capsys):
     assert (row["train_accuracy"], row["test_accuracy"]) == (
         trained["train_accuracy"], trained["test_accuracy"]
     )
+
+
+def test_sweep_keeps_the_finished_rows_when_a_run_fails(tmp_path, capsys, monkeypatch):
+    import qnnkit.cli
+
+    run = qnnkit.cli._run_training
+
+    def fail_at_two(args, arch, train_ds, test_ds):
+        if arch.layers[0].repeat == 2:
+            raise FloatingPointError("no r=2 today")
+        return run(args, arch, train_ds, test_ds)
+
+    monkeypatch.setattr(qnnkit.cli, "_run_training", fail_at_two)
+    arch = write(tmp_path, "ok.arch", FEASIBLE_ARCH)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--arch", arch, "--r-min", "1", "--r-max", "3", *XOR_TRAIN,
+                 "--out", str(out)])
+    assert_one_error_line(capsys, code, 1, "error: run r=2 failed: no r=2 today")
+    assert [r["r"] for r in read_csv(out / "sweep.csv")] == ["1"]
 
 
 def test_sweep_rejects_inverted_range(tmp_path, capsys):

@@ -42,7 +42,6 @@ def test_idx_round_trip(idx_pair):
     assert ds.images.shape == (10, 784)
     np.testing.assert_allclose(ds.images, images.reshape(10, 784) / 255.0)
     np.testing.assert_array_equal(ds.labels, labels)
-    assert ds.meta["rows"] == 28
 
 
 def test_bad_magic_is_reported_with_observed_value(tmp_path):
@@ -52,6 +51,11 @@ def test_bad_magic_is_reported_with_observed_value(tmp_path):
     lpath.write_bytes(struct.pack(">II", 0x00000801, 1) + b"\x00")
     with pytest.raises(IdxFormatError, match="0xdeadbeef"):
         load_idx(path, lpath)
+    good = tmp_path / "imgs-idx3-ubyte"
+    good.write_bytes(struct.pack(">IIII", 0x00000803, 1, 2, 2) + b"\x00" * 4)
+    lpath.write_bytes(struct.pack(">II", 0x00000803, 1) + b"\x00")  # the image magic
+    with pytest.raises(IdxFormatError, match="bad label magic 0x00000803"):
+        load_idx(good, lpath)
 
 
 def test_truncated_file_is_detected(tmp_path):
@@ -93,14 +97,17 @@ def make_toy_dataset():
     rng = np.random.default_rng(3)
     labels = np.repeat(np.arange(10), 20)
     images = rng.uniform(0, 1, size=(200, 16))
-    return Dataset(images, labels, {"rows": 4, "cols": 4})
+    return Dataset(images, labels)
 
 
 def test_select_two_classes_relabels_by_position():
-    ds = select_subset(make_toy_dataset(), [3, 6])
+    toy = make_toy_dataset()
+    ds = select_subset(toy, [3, 6])
     assert set(ds.labels) == {0, 1}
     assert len(ds) == 40
-    assert ds.meta["class_subset"] == [3, 6]
+    assert ds.images.shape == (40, 16)
+    np.testing.assert_array_equal(ds.images[ds.labels == 0], toy.images[toy.labels == 3])
+    np.testing.assert_array_equal(ds.images[ds.labels == 1], toy.images[toy.labels == 6])
 
 
 def test_select_preserves_per_class_counts():
@@ -175,19 +182,27 @@ def test_unsupported_resolution():
         pool_one(np.zeros((28, 28)), 5)
 
 
+def test_downsample_rejects_images_that_are_not_28x28():
+    ds = Dataset(np.zeros((2, 256)), np.zeros(2, dtype=int))
+    with pytest.raises(ValueError, match="784-pixel source images, got 256"):
+        downsample(ds, 4)
+
+
 # ---------------------------------------------------------------------------
 # preparation
 # ---------------------------------------------------------------------------
 
 
-def test_amplitude_prepare_gives_unit_rows_and_records_scales():
+def test_amplitude_prepare_gives_unit_rows_along_each_image():
     rng = np.random.default_rng(11)
-    ds = Dataset(rng.uniform(0, 1, size=(6, 16)), np.zeros(6, dtype=int))
+    ds = Dataset(rng.uniform(0, 1, size=(6, 16)), np.arange(6))
     out = prepare(ds)
+    assert out.images.shape == (6, 16)
     np.testing.assert_allclose(np.linalg.norm(out.images, axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(
-        out.meta["scales"], np.linalg.norm(ds.images, axis=1), atol=1e-12
+        out.images * np.linalg.norm(ds.images, axis=1)[:, None], ds.images, atol=1e-12
     )
+    np.testing.assert_array_equal(out.labels, ds.labels)
 
 
 def test_zero_image_falls_back_to_uniform_vector(caplog):

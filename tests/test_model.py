@@ -1,5 +1,7 @@
 """Model tests: factorized forward, gradients, training, circuits, checkpoints."""
 
+import dataclasses
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -14,11 +16,8 @@ from qnnkit.arch import (
     ArchitectureError,
     ArchitectureSpec,
     LayerSpec,
+    from_kinds,
     load_architecture,
-    vp_architecture,
-    vqc_architecture,
-    vu_architecture,
-    vup_architecture,
 )
 from qnnkit.model import (
     TrainConfig,
@@ -46,14 +45,14 @@ NETS = Path(__file__).resolve().parent.parent / "nets"
 def small_random_archs():
     """A grab bag of trainable architectures for property sweeps."""
     return [
-        vqc_architecture(4, 2, r1=1),
-        vqc_architecture(8, 2, r1=2),
-        vu_architecture(4, 2, r1=1),
-        vu_architecture(8, 3, r1=2, include_n=True),
-        vup_architecture(4, 2, r1=1, hidden=3),
-        vup_architecture(8, 2, r1=2, hidden=4, include_n=True),
-        vp_architecture(4, 2, r1=1),
-        vp_architecture(8, 3, r1=1, include_n=True),
+        from_kinds(4, 2, "v"),
+        from_kinds(8, 2, "v", repeat=2),
+        from_kinds(4, 2, "vu"),
+        from_kinds(8, 3, "vun", repeat=2),
+        from_kinds(4, 2, "vunp", hidden=3),
+        from_kinds(8, 2, "vunp", repeat=2),
+        from_kinds(4, 2, "vp"),
+        from_kinds(8, 3, "vnp"),
     ]
 
 
@@ -72,7 +71,7 @@ def grad_views(grads):
 
 
 def test_identity_network_keeps_ground_state_probabilities():
-    arch = vqc_architecture(4, 2, r1=1)
+    arch = from_kinds(4, 2, "v")
     params = init_parameters(arch, seed=0)
     params.v_thetas[:] = 0.0
     trace = forward(arch, params, [1.0, 0.0, 0.0, 0.0])
@@ -80,7 +79,7 @@ def test_identity_network_keeps_ground_state_probabilities():
 
 
 def test_uniform_input_saturates_all_plus_u_layer():
-    arch = vu_architecture(4, 2, r1=1)
+    arch = from_kinds(4, 2, "vu")
     params = init_parameters(arch, seed=0)
     params.v_thetas[:] = 0.0
     params.uw_latent[:] = 1.0
@@ -106,7 +105,7 @@ def test_probability_stage_outputs_stay_in_range():
 
 
 def test_forward_rejects_wrong_input_dim():
-    arch = vqc_architecture(4, 2)
+    arch = from_kinds(4, 2, "v")
     with pytest.raises(ValueError, match="input dim"):
         forward(arch, init_parameters(arch), [1.0, 0.0])
 
@@ -225,7 +224,7 @@ def test_a_run_of_n_layers_has_the_circuits_gradients(arch, params):
 
 
 def test_gradient_zero_at_stationary_n_theta():
-    arch = vu_architecture(4, 2, r1=1, include_n=True)
+    arch = from_kinds(4, 2, "vun")
     params = init_parameters(arch, seed=0)
     params.n_thetas[0][:] = 0.0  # sin(theta) factor kills the gradient here
     trace = forward(arch, params, [0.3, 0.5, 0.1, 0.7])
@@ -234,7 +233,7 @@ def test_gradient_zero_at_stationary_n_theta():
 
 
 def test_gradients_finite_at_confident_fixed_point():
-    arch = vup_architecture(4, 2, r1=1, hidden=2)
+    arch = from_kinds(4, 2, "vunp", hidden=2)
     params = init_parameters(arch, seed=3)
     trace = forward(arch, params, [1.0, 0.0, 0.0, 0.0])
     grads = backward_batch(arch, params, trace, [0])
@@ -245,7 +244,7 @@ def test_gradients_finite_at_confident_fixed_point():
 def test_straight_through_flips_weights_consistently():
     # Flipping a latent's sign flips the binarized weight and moves the
     # u output exactly as the closed form says.
-    arch = vu_architecture(4, 2, r1=1)
+    arch = from_kinds(4, 2, "vu")
     params = init_parameters(arch, seed=7)
     params.v_thetas[:] = 0.0
     # zero angles leave the CX(0,1) entangler, which fixes this vector
@@ -275,7 +274,7 @@ def two_blob_dataset(rng, n=120, dim=4):
 def test_training_is_deterministic_given_seed():
     rng = np.random.default_rng(41)
     X, y = two_blob_dataset(rng)
-    arch = vu_architecture(4, 2, r1=1)
+    arch = from_kinds(4, 2, "vu")
     cfg = TrainConfig(epochs=3, batch_size=16, lr=0.05, seed=9)
     p1, m1 = train(arch, init_parameters(arch, 9), X, y, cfg)
     p2, m2 = train(arch, init_parameters(arch, 9), X, y, cfg)
@@ -287,16 +286,34 @@ def test_training_is_deterministic_given_seed():
 def test_training_improves_over_chance_on_separable_data():
     rng = np.random.default_rng(43)
     X, y = two_blob_dataset(rng, n=200)
-    arch = vu_architecture(4, 2, r1=2)
+    arch = from_kinds(4, 2, "vu", repeat=2)
     cfg = TrainConfig(epochs=15, batch_size=16, lr=0.1, seed=1)
     params, metrics = train(arch, init_parameters(arch, 1), X, y, cfg)
     assert metrics[-1]["train_accuracy"] > 0.8
     assert accuracy(arch, params, X, y) > 0.8
 
 
+def test_keep_best_returns_the_best_epochs_parameters():
+    rng = np.random.default_rng(47)
+    X, y = two_blob_dataset(rng, n=80)
+    Xt, yt = two_blob_dataset(rng, n=40)
+    arch = from_kinds(4, 2, "vu")
+    cfg = TrainConfig(epochs=6, batch_size=16, lr=0.5, keep_best=True, seed=3)
+    # an epoch scores its test accuracy, or minus its loss without a test set;
+    # here the two pick different epochs, and neither picks the last one
+    for test_set, best_epoch in (((Xt, yt), 1), ((None, None), 4)):
+        best, metrics = train(arch, init_parameters(arch, 3), X, y, cfg, *test_set)
+        scores = [row.get("test_accuracy", -row["train_loss"]) for row in metrics]
+        assert int(np.argmax(scores)) == best_epoch
+        shorter = dataclasses.replace(cfg, epochs=best_epoch + 1, keep_best=False)
+        at_best, _ = train(arch, init_parameters(arch, 3), X, y, shorter, *test_set)
+        for a, b in zip(best.arrays(), at_best.arrays()):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_training_refuses_infeasible_architecture():
     bad = ArchitectureSpec(4, 2, [LayerSpec("v", 2), LayerSpec("u", 3), LayerSpec("u", 2)])
-    good = vu_architecture(4, 2)
+    good = from_kinds(4, 2, "vu")
     with pytest.raises(ArchitectureError, match="infeasible"):
         train(bad, init_parameters(good), np.ones((4, 4)), np.zeros(4, dtype=int))
 
@@ -304,14 +321,14 @@ def test_training_refuses_infeasible_architecture():
 def test_divergence_detection_aborts_with_diagnostic():
     rng = np.random.default_rng(47)
     X, y = two_blob_dataset(rng, n=64)
-    arch = vu_architecture(4, 2)
+    arch = from_kinds(4, 2, "vu")
     cfg = TrainConfig(epochs=1, lr=float("nan"), seed=0)
     with pytest.raises(TrainingDiverged, match="epoch 0"):
         train(arch, init_parameters(arch), X, y, cfg)
 
 
 def test_empty_dataset_is_rejected():
-    arch = vu_architecture(4, 2)
+    arch = from_kinds(4, 2, "vu")
     with pytest.raises(ValueError, match="empty"):
         train(arch, init_parameters(arch), np.zeros((0, 4)), np.zeros(0, dtype=int))
 
@@ -324,7 +341,7 @@ def test_empty_dataset_is_rejected():
 def test_v_only_circuit_matches_factorized_exactly():
     rng = np.random.default_rng(51)
     for _ in range(10):
-        arch = vqc_architecture(8, 2, r1=int(rng.integers(1, 3)))
+        arch = from_kinds(8, 2, "v", repeat=int(rng.integers(1, 3)))
         params = init_parameters(arch, seed=int(rng.integers(1000)))
         x = rng.uniform(0.01, 1.0, size=8)
         factorized = forward(arch, params, x).probs[0]
@@ -347,7 +364,7 @@ def test_single_neuron_v_u_n_chain_matches_circuit():
 
 def test_vu_argmax_agreement_on_random_instances():
     rng = np.random.default_rng(57)
-    arch = vu_architecture(4, 2, r1=1)
+    arch = from_kinds(4, 2, "vu")
     agree = 0
     checked = 0
     trial = 0
@@ -373,7 +390,7 @@ def test_every_compiled_qubit_is_touched_and_outputs_are_in_range():
         params = init_parameters(arch, seed=0)
         circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
         touched = {q for _, qubits in circ.fragment.ops for q in qubits}
-        assert touched == set(range(circ.n_qubits)) == set(range(circ.fragment.qubit_span))
+        assert touched == set(range(circ.fragment.qubit_span))
         assert len(set(circ.output_qubits)) == len(circ.output_qubits) == arch.num_classes
         assert set(circ.output_qubits) <= touched
 
@@ -421,19 +438,18 @@ def test_plan_merges_n_runs_and_counts_qubits():
 
 
 def test_circuit_contains_only_unitary_gates_and_final_measurement():
-    arch = vup_architecture(4, 2, r1=1, hidden=2)
+    arch = from_kinds(4, 2, "vunp", hidden=2)
     params = init_parameters(arch, seed=0)
     x = np.array([0.2, 0.4, 0.6, 0.8])
     circ = build_network_circuit(arch, params, x / np.linalg.norm(x))
-    assert circ.mid_circuit_measurements == 0
     assert all(isinstance(g, Gate) for g, _ in circ.fragment.ops)
-    assert set(circ.output_qubits) <= set(range(circ.n_qubits))
+    assert set(circ.output_qubits) <= set(range(circ.fragment.qubit_span))
 
 
 def test_circuit_inference_respects_qubit_cap():
     # ten u registers of 7 qubits compile to 70 qubits, but the factored
     # simulation runs one register at a time and then 2 x 10 ancilla qubits
-    arch = vu_architecture(64, 10, r1=1)
+    arch = from_kinds(64, 10, "vu")
     params = init_parameters(arch, seed=0)
     x = np.linspace(0.1, 1.0, 64)
     np.testing.assert_allclose(
@@ -448,7 +464,7 @@ def test_circuit_inference_respects_qubit_cap():
 def full_simulation(arch, params, x):
     """Output marginals from one run of the whole compiled circuit."""
     circuit = build_network_circuit(arch, params, x)
-    state = StateVector(circuit.n_qubits).run(circuit.fragment)
+    state = StateVector(circuit.fragment.qubit_span).run(circuit.fragment)
     return state.marginals(circuit.output_qubits)
 
 
@@ -548,7 +564,7 @@ def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    arch = vup_architecture(8, 3, r1=2, hidden=4, include_n=True)
+    arch = from_kinds(8, 3, "vunp", repeat=2)
     params = init_parameters(arch, seed=13)
     path = tmp_path / "model.qnn.json"
     save_checkpoint(path, arch, params)
@@ -569,6 +585,13 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match="not a qnnkit-checkpoint"):
             load_checkpoint(path)
+    arch = from_kinds(4, 2, "vu")
+    save_checkpoint(path, arch, init_parameters(arch, seed=0))
+    payload = json.loads(path.read_text())
+    payload["version"] = 2
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

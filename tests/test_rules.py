@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from qnnkit.arch import ArchitectureSpec, LayerSpec, vp_architecture, vup_architecture
+from qnnkit.arch import ArchitectureSpec, LayerSpec, from_kinds
 from qnnkit.encoding import EncodingKind
 from qnnkit.model import pipeline
 from qnnkit.rules import (
@@ -118,7 +118,7 @@ def test_consumer_ops_must_be_non_empty():
 
 
 def test_full_mixed_template_is_feasible():
-    arch = vup_architecture(16, 2, r1=2, hidden=4)  # v*2 + u + n + p
+    arch = from_kinds(16, 2, "vunp", repeat=2)  # v*2 + u + n + p
     report = validate_architecture(arch)
     assert report.passed
     assert report.mid_circuit_measurements == 0
@@ -127,7 +127,7 @@ def test_full_mixed_template_is_feasible():
 
 
 def test_v_into_p_uses_probability_view_via_path8():
-    arch = vp_architecture(16, 2, r1=1)  # v + p, probability view of v
+    arch = from_kinds(16, 2, "vp")  # v + p, probability view of v
     report = validate_architecture(arch)
     assert report.passed
     v_to_p = report.junctions[1]
@@ -162,26 +162,21 @@ def test_every_template_architecture_passes_the_rules():
     sequences = list(template_kind_sequences())
     assert len(sequences) == 60
     for kinds in sequences:
-        width = 2  # v: log2(input_dim); u, n and p widths do not matter to the rules
-        layers = []
-        for kind in kinds:
-            width = {"v": 2, "u": 3, "n": width, "p": 2}[kind]
-            layers.append(LayerSpec(kind, width))
-        arch = ArchitectureSpec(4, 2 if kinds[-1] == "v" else width, layers)
+        arch = from_kinds(4, 2, kinds, hidden=3)  # u, n and p widths do not matter to the rules
         pipeline(arch)
         report = validate_architecture(arch)
         assert report.passed, report.render_text()
 
 
 def test_report_text_rendering_mentions_every_junction():
-    report = validate_architecture(vup_architecture(16, 2, r1=1, hidden=4))
+    report = validate_architecture(from_kinds(16, 2, "vunp"))
     text = report.render_text()
     assert "PASS" in text
     assert text.count("path") == len(report.junctions)
 
 
 def test_report_dict_round_trip_fields():
-    report = validate_architecture(vup_architecture(16, 3, r1=1, hidden=8))
+    report = validate_architecture(from_kinds(16, 3, "vunp", hidden=8))
     d = report.to_dict()
     assert d["passed"] is True
     assert d["mid_circuit_measurements"] == 0
