@@ -18,7 +18,7 @@ test_ds = make_xor_dataset(n=120, seed=2)
 config = TrainConfig(epochs=120, batch_size=16, lr=0.05, temperature=0.1, seed=3)
 
 candidates = [
-    ("v-only (r1=2)", from_kinds(4, 2, "v", repeat=2)),
+    ("v-only (r=2)", from_kinds(4, 2, "v", repeat=2)),
     ("v+u", from_kinds(4, 2, "vu", repeat=2)),
     ("v+u+n+p", from_kinds(4, 2, "vunp", repeat=2)),
 ]

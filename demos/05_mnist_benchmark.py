@@ -35,7 +35,7 @@ for label, classes, resolution, dim, k in TASKS:
     print(f"\n{label}  ({len(tr)} train / {len(te)} test)")
     rows = [
         ("vqc (v*2)", from_kinds(dim, k, "v", repeat=2)),
-        ("v+u (r1=2)", from_kinds(dim, k, "vu", repeat=2)),
+        ("v+u (r=2)", from_kinds(dim, k, "vu", repeat=2)),
         ("v+u+n+p", from_kinds(dim, k, "vunp", repeat=2, hidden=8)),
         ("v+n+p", from_kinds(dim, k, "vnp", repeat=2)),
     ]

@@ -139,6 +139,7 @@ class Plan:
             )
 
 
+@functools.cache  # specs and plans are frozen, so equal specs share one plan
 def pipeline(arch: ArchitectureSpec) -> Plan:
     """The plan of an architecture that fits the trainable template v+ u? [np]*.
 
@@ -570,7 +571,7 @@ def circuit_inference(
             register = with_zeros(psi, 1).run(build_u_neuron(n, w))
             # rows: the ancilla (the last qubit) at 0 and 1; columns: the n others
             u, s, _ = np.linalg.svd(register.amps.reshape(-1, 2).T, full_matrices=False)
-            amps = np.kron(amps, (u * s).reshape(-1))
+            amps = np.outer(amps, u * s).ravel()  # the Kronecker product of the vectors
         stage_qubits = list(range(0, 2 * plan.u_width, 2))
     state = with_zeros(amps, plan.p_width)
     tail = CircuitFragment(state.n_qubits)

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .statevec import CX, CZ, CircuitFragment, H, StateVector, X, Z, mcx, rx, ry
-from .statevec import apply_1q, controlled_x, ry_entries, with_zeros
+from .statevec import controlled_x, with_zeros
 
 # ---------------------------------------------------------------------------
 # weight helpers
@@ -99,13 +99,16 @@ def v_forward(x, thetas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # All V-stage gates (RY, CX) are real orthogonal, so batches of states are
-# (B, 2^n) float arrays. Each RY runs through the simulator's 1-qubit
-# kernel; a block's CX ring only permutes basis states, so it is one index
-# gather, exact like the CX gates it replaces. The forward pass tapes the
-# input of every RY layer. The backward pass is adjoint differentiation
-# one layer at a time: it pulls the adjoint back through the layer's RYs
-# and reads all n angle gradients of the layer off one contraction with
-# the taped input (see v_stage_backward).
+# (B, 2^n) float arrays. An RY on qubit q mixes each amplitude with its
+# partner across bit q, so it is one gather of the partners and then the
+# simulator's 1-qubit kernel arithmetic: products, then one sum (see _ry),
+# byte-identical to apply_1q in five numpy calls on whole rows. A block's
+# CX ring only permutes basis states, so it is one index gather, exact
+# like the CX gates it replaces. The forward pass tapes the input of every
+# RY layer. The backward pass is adjoint differentiation one layer at a
+# time: it pulls the adjoint back through the layer's RYs and reads all n
+# angle gradients of the layer off one contraction with the taped input
+# (see v_stage_backward).
 
 
 def _as_blocks(dim: int, thetas) -> np.ndarray:
@@ -119,13 +122,14 @@ def _as_blocks(dim: int, thetas) -> np.ndarray:
 
 
 @functools.cache
-def _v_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables of an n-qubit V block: (ring, unring, pair, sign).
+def _v_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables of an n-qubit V block: (ring, unring, partner, pair, sign).
 
-    ``a[:, ring]`` applies the CX ring and ``a[:, unring]`` undoes it. For
-    a (2^n, 2^n) matrix G, ``G.ravel()[pair[q, i]]`` is G[i, i ^ bit_q],
-    where bit_q is qubit q's bit of the index, and ``sign[q, i]`` is +1
-    where i has that bit set, -1 where it has not.
+    ``a[:, ring]`` applies the CX ring and ``a[:, unring]`` undoes it.
+    ``partner[q, i]`` is i ^ bit_q, where bit_q is qubit q's bit of the
+    index, and ``sign[q, i]`` is +1 where i has that bit set, -1 where it
+    has not. For a (2^n, 2^n) matrix G, ``G.ravel()[pair[q, i]]`` is
+    G[i, partner[q, i]].
     """
     idx = np.arange(2**n)
     ring = idx[None, :].copy()  # the ring run on the indices themselves
@@ -133,12 +137,29 @@ def _v_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         controlled_x(ring, (c,), (1,), t)
     ring = ring[0]
     bit = 1 << (n - 1 - np.arange(n))[:, None]  # qubit 0 is the MSB
-    pair = idx * 2**n + (idx ^ bit)
+    partner = idx ^ bit
     sign = np.where(idx & bit, 1.0, -1.0)
-    tables = (ring, np.argsort(ring), pair, sign)
+    tables = (ring, np.argsort(ring), partner, idx * 2**n + partner, sign)
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _ry(
+    a: np.ndarray, partner: np.ndarray, sign: np.ndarray, theta: float, order="K"
+) -> np.ndarray:
+    """RY(theta) on the qubit of ``partner``/``sign`` rows, as a new array.
+
+    Amplitude i becomes c a[i] + (s sign[i]) a[i ^ bit]: with bit clear
+    that is apply_1q's c x0 + (-s) x1, with it set s x0 + c x1 summed the
+    other way round, and one addition commutes exactly. ``order`` is the
+    layout of the result; the default keeps ``a``'s. Layout does not change
+    the values, but it does change how the GEMM in v_stage_backward rounds.
+    """
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    new = np.multiply(c, a, order=order)
+    new += (s * sign) * a[:, partner]
+    return new
 
 
 @functools.cache
@@ -165,7 +186,7 @@ def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     n = int(math.log2(x.shape[1]))
-    ring = _v_tables(n)[0]
+    ring, _, partner, _, sign = _v_tables(n)
     inputs = []
     a = x
     for block in thetas:
@@ -173,9 +194,9 @@ def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict
             if layer:
                 a = a[:, ring]
             inputs.append(a)
-            a = a.copy()
             for q, theta in enumerate(angles):
-                apply_1q(a, q, *ry_entries(theta))
+                # C, not a gather's F order: the next layer may tape this array
+                a = _ry(a, partner[q], sign[q], theta, order="C")
     tape = {"ops": _v_stage_ops(n, len(thetas)), "thetas": thetas, "inputs": inputs}
     return a, tape
 
@@ -192,14 +213,14 @@ def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.n
     """
     thetas = tape["thetas"]
     n = thetas.shape[1] // 2
-    _, unring, pair, sign = _v_tables(n)
+    _, unring, partner, pair, sign = _v_tables(n)
     lam = np.array(grad_out, dtype=float)
     grad_theta = np.empty_like(thetas)
     for k in reversed(range(len(tape["inputs"]))):
         b, layer = divmod(k, 2)
         angles = slice(layer * n, (layer + 1) * n)
         for q, theta in enumerate(thetas[b, angles]):
-            apply_1q(lam, q, *ry_entries(-theta))  # RY^-1 = RY^T = RY(-theta)
+            lam = _ry(lam, partner[q], sign[q], -theta)  # RY^-1 = RY^T = RY(-theta)
         G = lam.T @ tape["inputs"][k]
         grad_theta[b, angles] = 0.5 * np.einsum("qi,qi->q", G.ravel()[pair], sign)
         if layer:

@@ -175,7 +175,6 @@ class ValidationReport:
     architecture: str
     junctions: list[JunctionRecord] = field(default_factory=list)
     encoding_flags: list[str] = field(default_factory=list)
-    mid_circuit_measurements: int = 0
 
     @property
     def passed(self) -> bool:
@@ -185,7 +184,6 @@ class ValidationReport:
         return {
             "architecture": self.architecture,
             "passed": self.passed,
-            "mid_circuit_measurements": self.mid_circuit_measurements,
             "encoding_flags": list(self.encoding_flags),
             "junctions": [
                 {
@@ -202,10 +200,7 @@ class ValidationReport:
         }
 
     def render_text(self) -> str:
-        lines = [
-            f"architecture: {self.architecture}",
-            f"mid-circuit measurements: {self.mid_circuit_measurements}",
-        ]
+        lines = [f"architecture: {self.architecture}"]
         for j in self.junctions:
             extra = ""
             if j.verdict.conditions:
@@ -227,9 +222,9 @@ def validate_architecture(arch: ArchitectureSpec) -> ValidationReport:
 
     Pure bookkeeping over static per-kind traits: nothing is simulated,
     so this is safe to call before any state allocation. The overall
-    report passes only if every junction is feasible; the circuits built
-    later measure exclusively at the very end, which the report records
-    as a zero mid-circuit measurement count.
+    report passes only if every junction is feasible. The circuits built
+    later measure only at the very end: ``NetworkCircuit`` holds unitary
+    gates alone, so there is no mid-circuit measurement to count.
     """
     report = ValidationReport(architecture=arch.name)
 

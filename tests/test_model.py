@@ -420,6 +420,13 @@ def test_each_walker_derives_the_plan_once(monkeypatch):
     assert calls == []
 
 
+def test_equal_specs_get_an_equal_plan():
+    a, b = (from_kinds(16, 2, "vunp", repeat=2, hidden=3) for _ in range(2))
+    assert a is not b
+    assert pipeline(a) == pipeline(b)
+    assert pipeline(a) != pipeline(from_kinds(16, 2, "vunp"))
+
+
 def test_plan_merges_n_runs_and_counts_qubits():
     arch = ArchitectureSpec(
         4, 2,

@@ -401,6 +401,30 @@ def test_v_stage_forward_is_the_block_circuit_bit_for_bit():
         assert np.array_equal(out, expected)
 
 
+@pytest.mark.parametrize("batch_size", [1, 5, 32], ids=lambda b: f"B{b}")
+def test_v_stage_backward_is_the_adjoint_circuit_bit_for_bit(batch_size):
+    # The input adjoint must be the block circuit run backwards with the
+    # kernel's arithmetic: each RY layer as RY(-theta) in qubit order, the
+    # ring as its CX gates in reverse.
+    rng = np.random.default_rng(20 + batch_size)
+    for n in (1, 2, 3, 6):
+        thetas = rng.uniform(-np.pi, np.pi, size=(3, 2 * n))
+        batch = np.stack([random_unit(rng, 2**n) for _ in range(batch_size)])
+        grad_out = rng.normal(size=batch.shape)
+        expected = grad_out.copy()
+        for theta in thetas[::-1]:
+            ops = build_v_block(n, theta).ops
+            for gate, qubits in ops[-n:] + ops[n:-n][::-1] + ops[:n]:
+                if gate.kind == "RY":
+                    apply_1q(expected, qubits[0], *ry_entries(-gate.theta))
+                else:
+                    controlled_x(expected, qubits[:1], (1,), qubits[1])
+        out, tape = v_stage_forward(batch, thetas)
+        assert out.flags.c_contiguous
+        _, grad_x = v_stage_backward(tape, grad_out)
+        assert np.array_equal(grad_x, expected)
+
+
 @pytest.mark.parametrize("blocks", [1, 3], ids=lambda b: f"blocks{b}")
 @pytest.mark.parametrize("n", [1, 2, 3, 6], ids=lambda n: f"n{n}")
 def test_v_stage_gradients_match_finite_differences(n, blocks):
