@@ -9,8 +9,8 @@ Every run writes a ``manifest.json`` (full config, seed, package
 version, CSV schema version) next to its outputs; re-running with the
 same manifest reproduces the metrics bit-identically. Exit codes:
 0 success / feasible, 1 infeasible (``check``) or failed run, 2 bad
-usage or unreadable input, a non-template architecture included
-(reported by ``main`` as one ``error:`` line).
+usage or unreadable input, a non-template architecture and a corrupt
+IDX file included (reported by ``main`` as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .arch import ArchitectureError, ArchitectureParseError, load_architecture
-from .data import make_xor_dataset, mnist_task
+from .data import IdxFormatError, make_xor_dataset, mnist_task
 from .model import (
     TrainConfig,
     TrainingDiverged,
@@ -446,7 +446,7 @@ def main(argv=None) -> int:
         reason = f"{args.arch}: {exc}"
     except OSError as exc:  # missing or unreadable files, MNIST included
         reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
-    except UsageError as exc:
+    except (UsageError, IdxFormatError) as exc:  # the IDX message names its file
         reason = exc
     print(f"error: {reason}", file=sys.stderr)
     return 2

@@ -249,6 +249,29 @@ BAD_CHECKPOINTS = {
     "huge-repeat": dict(_GOOD_CHECKPOINT_ARCH, layers=[{"kind": "v", "width": 2, "repeat": 10**11}]),
 }
 
+
+def write_bad_mnist_dirs(tmp_path):
+    """{tmp}/bad-magic holds a plain train-images file with a wrong magic,
+    {tmp}/truncated-gz a train-labels .gz cut to 20 bytes; the rest is valid."""
+    from qnnkit import data
+
+    images = np.zeros((2, 28, 28), dtype=np.uint8)
+    labels = np.array([3, 6], dtype=np.uint8)
+    for name in ("bad-magic", "truncated-gz"):
+        directory = tmp_path / name
+        directory.mkdir()
+        for images_name, labels_name in (
+            (data.TRAIN_IMAGES, data.TRAIN_LABELS),
+            (data.TEST_IMAGES, data.TEST_LABELS),
+        ):
+            data.write_idx(
+                directory / (images_name + ".gz"), directory / (labels_name + ".gz"), images, labels
+            )
+    (tmp_path / "bad-magic" / data.TRAIN_IMAGES).write_bytes(bytes.fromhex("deadbeef") + bytes(12))
+    cut = tmp_path / "truncated-gz" / (data.TRAIN_LABELS + ".gz")
+    cut.write_bytes(cut.read_bytes()[:20])
+
+
 BAD_INPUT_CASES = {
     "check-missing-arch": (["check", "--arch", "{tmp}/none.arch"], "No such file"),
     "verify-missing-arch": (["verify", "--arch", "{tmp}/none.arch"], "No such file"),
@@ -257,6 +280,14 @@ BAD_INPUT_CASES = {
     "train-missing-mnist": (["train", "--arch", "{tmp}/wide.arch", "--data-dir", "{tmp}/empty"], "MNIST"),
     "eval-missing-mnist": (["eval", "--checkpoint", "{tmp}/wide.json", "--data-dir", "{tmp}/empty"], "MNIST"),
     "train-input-dim-mismatch": (["train", "--arch", "{tmp}/wide.arch", *XOR_TRAIN], "input_dim 16"),
+    "train-bad-idx-magic": (
+        ["train", "--arch", "{tmp}/wide.arch", "--data-dir", "{tmp}/bad-magic"],
+        "bad-magic/train-images-idx3-ubyte: bad image magic 0xdeadbeef",
+    ),
+    "train-truncated-gz": (
+        ["train", "--arch", "{tmp}/wide.arch", "--data-dir", "{tmp}/truncated-gz"],
+        "truncated-gz/train-labels-idx1-ubyte.gz: corrupt gzip stream",
+    ),
     "train-too-few-classes": (["train", "--arch", "{tmp}/vun.arch", *XOR_TRAIN], "1 classes"),
     "epochs-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--epochs", "0"], "positive integer"),
     "batch-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--batch", "0"], "positive integer"),
@@ -328,6 +359,7 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "vuu.arch", INFEASIBLE_ARCH)
     write(tmp_path, "theta.arch", THETA_ARCH)
     (tmp_path / "binary.arch").write_bytes(b"\x80\x81")
+    write_bad_mnist_dirs(tmp_path)
     wide = parse_architecture(WIDE_ARCH)
     save_checkpoint(tmp_path / "wide.json", wide, init_parameters(wide))
     ok = parse_architecture(FEASIBLE_ARCH)

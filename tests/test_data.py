@@ -65,6 +65,10 @@ def test_truncated_file_is_detected(tmp_path):
     lpath.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x00\x01")
     with pytest.raises(IdxFormatError, match="truncated"):
         load_idx(ipath, lpath)
+    # a header whose byte count no read size can hold is a truncation too
+    ipath.write_bytes(struct.pack(">IIII", 0x00000803, *[0xFFFFFFFF] * 3))
+    with pytest.raises(IdxFormatError, match="truncated"):
+        load_idx(ipath, lpath)
 
 
 def test_count_mismatch_is_detected(tmp_path):
@@ -86,6 +90,65 @@ def test_plain_and_gzip_files_both_load(idx_pair, tmp_path):
     b = load_idx(raw_i, raw_l)
     np.testing.assert_array_equal(a.images, b.images)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def test_written_gzip_header_says_fastest_level(idx_pair):
+    # XFL, byte 8 of the gzip header: 4 is "fastest" (level 1), level 9 writes 2
+    ipath, lpath, _, _ = idx_pair
+    assert ipath.read_bytes()[8] == 4
+    assert lpath.read_bytes()[8] == 4
+
+
+@pytest.mark.parametrize("keep", ["half", "no-trailer"])
+def test_truncated_gzip_is_an_idx_format_error(idx_pair, keep):
+    # without its 8-byte CRC-32/length trailer the payload still decompresses
+    # in full, so only a read to the end of the stream notices the cut
+    ipath, lpath, _, _ = idx_pair
+    blob = ipath.read_bytes()
+    ipath.write_bytes(blob[: len(blob) // 2] if keep == "half" else blob[:-8])
+    with pytest.raises(IdxFormatError, match=f"{ipath.name}: corrupt gzip stream"):
+        load_idx(ipath, lpath)
+
+
+def test_bit_flipped_gzip_payload_is_caught_by_the_crc(idx_pair):
+    # a stored (level 0) block holds the labels verbatim, so the flipped bit
+    # decompresses cleanly into a wrong label; only the CRC-32 trailer tells
+    ipath, lpath, _, labels = idx_pair
+    raw = struct.pack(">II", 0x00000801, len(labels)) + labels.tobytes()
+    blob = bytearray(gzip.compress(raw, compresslevel=0, mtime=0))
+    blob[blob.index(labels.tobytes()) + 3] ^= 0x01
+    lpath.write_bytes(bytes(blob))
+    with pytest.raises(IdxFormatError, match=f"{lpath.name}: corrupt gzip stream"):
+        load_idx(ipath, lpath)
+
+
+def test_every_single_bit_flip_of_a_gzip_file_fails_or_loads_unchanged(idx_pair):
+    ipath, lpath, _, labels = idx_pair
+    blob = lpath.read_bytes()
+    for offset in range(len(blob)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 1 << bit
+            lpath.write_bytes(bytes(flipped))
+            try:
+                ds = load_idx(ipath, lpath)
+            except IdxFormatError:
+                continue
+            np.testing.assert_array_equal(ds.labels, labels, err_msg=f"byte {offset} bit {bit}")
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_trailing_bytes_after_the_payload_are_rejected(tmp_path, gz):
+    lpath = tmp_path / "labels-idx1-ubyte"
+    raw = struct.pack(">II", 0x00000801, 2) + b"\x00\x01" + b"\x00"
+    if gz:
+        lpath = lpath.with_suffix(".gz")
+        raw = gzip.compress(raw)
+    lpath.write_bytes(raw)
+    ipath = tmp_path / "imgs-idx3-ubyte"
+    ipath.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 8)
+    with pytest.raises(IdxFormatError, match="trailing data: 1 bytes after the 2-byte payload"):
+        load_idx(ipath, lpath)
 
 
 # ---------------------------------------------------------------------------
