@@ -7,17 +7,41 @@ Bell-state counterexample where the factorized model errs by 0.5.
 
 import itertools
 
+import numpy as np
+
 from qnnkit.arch import from_kinds, parse_architecture
 from qnnkit.encoding import EncodingKind
-from qnnkit.model import path6_demo
+from qnnkit.neurons import build_p_neuron, p_forward
 from qnnkit.rules import (
     ConsumerOp,
     JunctionProfile,
     check_connection,
     validate_architecture,
 )
+from qnnkit.statevec import CX, H, new_state
 
 A, P = EncodingKind.AMPLITUDE, EncodingKind.PROBABILITY
+
+
+def path6_demo() -> dict:
+    """Why entangled amplitudes must not feed probability consumers.
+
+    A Bell pair has per-qubit marginals (1/2, 1/2), so the factorized
+    p-neuron model predicts g(1/2)^2 = 1. The exact gadget sees the joint
+    state and yields 1/2: a 0.5 probability error from one junction.
+    """
+    w = np.array([1.0, 1.0])
+    state = new_state(3).apply(H, [0]).apply(CX, [0, 1])
+    marginals = np.array([state.marginal_prob_one(0), state.marginal_prob_one(1)])
+    factorized = p_forward(marginals, w)
+    state.run(build_p_neuron(2, w))
+    exact = state.marginal_prob_one(2)
+    return {
+        "factorized": float(factorized),
+        "exact": float(exact),
+        "deviation": float(abs(factorized - exact)),
+    }
+
 
 # Full truth table over (output encoding, entangled, input encoding),
 # with a kickback-free control consumer that assumes independent inputs.

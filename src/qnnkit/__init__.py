@@ -41,7 +41,6 @@ from .model import (
     forward,
     init_parameters,
     load_checkpoint,
-    path6_demo,
     pipeline,
     save_checkpoint,
     train,

@@ -5,12 +5,12 @@ Five subcommands: ``check`` (junction feasibility, no simulation),
 ``verify`` (factorized-vs-circuit deviation report) and ``sweep``
 (accuracy vs v-block repetition count).
 
-Every run writes a ``manifest.json`` (full config, seed, package
-version, CSV schema version) next to its outputs; re-running with the
-same manifest reproduces the metrics bit-identically. Exit codes:
-0 success / feasible, 1 infeasible (``check``) or failed run, 2 bad
-usage or unreadable input, a non-template architecture and a corrupt
-IDX file included (reported by ``main`` as one ``error:`` line).
+Every run writes a ``manifest.json`` (full config, package version, CSV
+schema version) next to its outputs; re-running with the same manifest
+reproduces the metrics bit-identically. Exit codes: 0 success /
+feasible, 1 infeasible (``check``) or failed run, 2 bad usage or
+unreadable input, a non-template architecture and a corrupt IDX file
+included (reported by ``main`` as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "check_report.json").write_text(json.dumps(report.to_dict(), indent=1))
-    _write_manifest(out_dir, "check", {"arch": str(args.arch), "seed": args.seed})
+    _write_manifest(out_dir, "check", {"arch": str(args.arch)})
     return 0 if report.passed else 1
 
 
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("check", help="validate an architecture's junctions")
     p.add_argument("--arch", required=True)
-    _add_common(p)
+    p.add_argument("--out", default="runs", help="output directory")
     p.set_defaults(func=cmd_check)
 
     p = add_parser("train", help="train an architecture on a dataset")

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoding import normalize_rows
+
 logger = logging.getLogger(__name__)
 
 DATA_DIR_ENV = "QNNKIT_DATA_DIR"
@@ -293,17 +295,11 @@ def prepare(ds: Dataset) -> Dataset:
     vector and is logged.
     """
     images = np.asarray(ds.images, dtype=float)
-    scales = np.linalg.norm(images, axis=1)
-    zero_rows = np.flatnonzero(scales == 0)
-    if len(zero_rows):
-        logger.warning(
-            "%d all-zero image(s) replaced by the uniform vector", len(zero_rows)
-        )
-    safe = np.where(scales == 0, 1.0, scales)
-    out = images / safe[:, None]
-    dim = images.shape[1]
-    out[zero_rows] = 1.0 / np.sqrt(dim)
-    return Dataset(out, ds.labels.copy())
+    zero_rows = np.linalg.norm(images, axis=1) == 0
+    if zero_rows.any():
+        logger.warning("%d all-zero image(s) replaced by the uniform vector", zero_rows.sum())
+        images = np.where(zero_rows[:, None], 1.0, images)
+    return Dataset(normalize_rows(images), ds.labels.copy())
 
 
 def mnist_task(

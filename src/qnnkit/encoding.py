@@ -38,6 +38,14 @@ def _normalized(data: np.ndarray) -> tuple[np.ndarray, float]:
     return padded / scale, scale
 
 
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` (B, N) divided by its L2 norm; ValueError on an all-zero row."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("cannot amplitude-encode an all-zero input row")
+    return x / norms
+
+
 def amplitude_encode(data) -> tuple[StateVector, float]:
     """Store ``data`` as state amplitudes; returns (state, L2 scale used).
 

@@ -17,12 +17,14 @@ Two semantics coexist on purpose:
   2k + the p widths), not its ``compiled_qubits``.
 
 Each factorized stage runs its neuron's batched closed form from
-``neurons`` (the same forms criterion 1 checks against the gadgets), so
-the two agree exactly through v, u and n stages (a run of n layers is one
-stage: its RX gates compose to one RX with the summed angle); p layers
-consuming qubits that earlier gadgets have already entangled are the
-approximate case, and `qnnkit verify` exists to measure that gap rather
-than hide it.
+``neurons`` (the same forms criterion 1 checks against the gadgets) and
+that form's gradient, so ``forward_batch`` and ``backward_batch`` only
+pass arrays between stages and parameter slots; the circuit takes every
+gate from the same module's builders. The two agree exactly through v,
+u and n stages (a run of n layers is one stage: its RX gates compose to
+one RX with the summed angle); p layers consuming qubits that earlier
+gadgets have already entangled are the approximate case, and `qnnkit
+verify` exists to measure that gap rather than hide it.
 
 Binary weights train through latent real shadows: the forward pass
 always consumes sign(latent), gradients pass straight through the sign
@@ -40,28 +42,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ArchitectureSpec, ArchitectureError, LayerSpec
-from .encoding import amplitude_encoding_fragment
+from .encoding import amplitude_encoding_fragment, normalize_rows
 from .neurons import (
     binarize,
+    build_n_neuron,
     build_p_neuron,
     build_u_neuron,
     build_v_block,
+    n_backward_batch,
     n_forward_batch,
+    p_backward_batch,
     p_forward_batch,
+    u_backward_batch,
     u_forward_batch,
     v_stage_backward,
     v_stage_forward,
+    v_view_backward_batch,
+    v_view_forward_batch,
 )
 from .rules import validate_architecture
 from .statevec import DEFAULT_MAX_QUBITS, CircuitFragment, ResourceLimitError, StateVector
-from .statevec import rx, with_zeros
+from .statevec import with_zeros
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
-
-# Guards the p-layer gradient where d sqrt(p(1-p)) / dp blows up at the
-# endpoints; forward values stay exact.
-_P_GRAD_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -220,28 +224,21 @@ class ForwardTrace:
     probs: np.ndarray | None = None  # (B, num_classes)
 
 
-def _bit_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of basis-index bits, qubit 0 = MSB."""
-    idx = np.arange(2**n)
-    return ((idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(float)
-
-
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot amplitude-encode an all-zero input row")
-    return x / norms
+def _checked_input(arch: ArchitectureSpec, x) -> np.ndarray:
+    """``x`` as floats; ValueError unless its last axis holds ``arch.input_dim`` values."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != arch.input_dim:
+        raise ValueError(f"expected input dim {arch.input_dim}, got {x.shape[-1]}")
+    return x
 
 
 def forward_batch(
     arch: ArchitectureSpec, params: ParameterStore, X: np.ndarray
 ) -> ForwardTrace:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != arch.input_dim:
-        raise ValueError(f"expected input dim {arch.input_dim}, got {X.shape[1]}")
+    X = np.atleast_2d(_checked_input(arch, X))
     plan = pipeline(arch)
 
-    v_out, v_tape = v_stage_forward(_normalize_rows(X), params.v_thetas)
+    v_out, v_tape = v_stage_forward(normalize_rows(X), params.v_thetas)
     trace = ForwardTrace(v_tape=v_tape, v_out=v_out)
 
     if plan.u_width is not None:
@@ -250,10 +247,7 @@ def forward_batch(
     else:
         # probability view of the v stage; with no layer after it, the
         # first num_classes qubits are the class outputs
-        bits = _bit_matrix(arch.n_qubits)
-        if not plan.stages:
-            bits = bits[:, : arch.num_classes]
-        acts = (v_out**2) @ bits
+        acts = v_view_forward_batch(v_out, arch.n_qubits if plan.stages else arch.num_classes)
         trace.stages.append({"kind": "view", "input": v_out, "output": acts})
 
     for stage in plan.stages:
@@ -286,7 +280,19 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def loss_batch(probs: np.ndarray, labels: np.ndarray, temperature: float = 0.25) -> float:
+@dataclass
+class TrainConfig:
+    epochs: int = 30
+    batch_size: int = 32
+    lr: float = 0.05
+    momentum: float = 0.9
+    temperature: float = 0.25
+    lr_decay: float = 1.0  # multiplicative per-epoch decay
+    keep_best: bool = False  # return the best-test-accuracy epoch's weights
+    seed: int = 0
+
+
+def loss_batch(probs: np.ndarray, labels, temperature: float = TrainConfig.temperature) -> float:
     """Mean cross-entropy over softmax(probs / temperature)."""
     labels = np.asarray(labels, dtype=int)
     if np.any((labels < 0) | (labels >= probs.shape[1])):
@@ -301,7 +307,7 @@ def backward_batch(
     params: ParameterStore,
     trace: ForwardTrace,
     labels: np.ndarray,
-    temperature: float = 0.25,
+    temperature: float = TrainConfig.temperature,
 ) -> ParameterStore:
     """Exact reverse-mode gradients as a ParameterStore; binary weights get straight-through."""
     labels = np.asarray(labels, dtype=int)
@@ -316,41 +322,21 @@ def backward_batch(
         g.fill(0.0)
 
     for stage in reversed(trace.stages):
-        kind = stage["kind"]
+        kind, acts = stage["kind"], stage["input"]
         if kind == "p":
             index = stage["indices"][0]
             W = params.p_weights(index)
-            factors = stage["factors"]  # (B, k, m)
-            # leave-one-out products via prefix/suffix scans (no division,
-            # so zero factors are handled exactly)
-            prefix = np.ones_like(factors)
-            suffix = np.ones_like(factors)
-            np.cumprod(factors[:, :, :-1], axis=2, out=prefix[:, :, 1:])
-            np.cumprod(factors[:, :, :0:-1], axis=2, out=suffix[:, :, -2::-1])
-            loo = prefix * suffix  # d out_j / d factor_jm
-            gfactor = grad[:, :, None] * loo  # (B, k, m)
-            p_in = stage["input"]
-            s = np.maximum(stage["s"], _P_GRAD_EPS)
-            grads.pw_latent[index] += np.einsum(
-                "bkm,bm->km", gfactor, stage["s"]
-            )
-            gs = np.einsum("bkm,km->bm", gfactor, W)
-            grad = gs * (1.0 - 2.0 * p_in) / (2.0 * s)
+            gW, grad = p_backward_batch(grad, acts, W, stage["s"], stage["factors"])
+            grads.pw_latent[index] += gW
         elif kind == "n":
-            theta = stage["theta"]
-            gtheta = (grad * (1.0 - 2.0 * stage["input"]) * np.sin(theta) / 2.0).sum(axis=0)
+            gtheta, grad = n_backward_batch(grad, acts, stage["theta"])
             for i in stage["indices"]:  # each angle of an n run moves the summed angle
                 grads.n_thetas[i] += gtheta
-            grad = grad * np.cos(theta)
         elif kind == "u":
-            W = params.u_weights()
-            d = stage["dot"]
-            gd = grad * 2.0 * d / arch.input_dim  # (B, k)
-            grads.uw_latent += gd.T @ stage["input"]
-            grad = gd @ W  # dL/d v_out
+            gW, grad = u_backward_batch(grad, acts, params.u_weights(), stage["dot"])
+            grads.uw_latent += gW
         else:  # probability view of the v stage
-            bits = _bit_matrix(arch.n_qubits)[:, : stage["output"].shape[1]]
-            grad = 2.0 * stage["input"] * (grad @ bits.T)
+            grad = v_view_backward_batch(grad, acts)
 
     gtheta, _ = v_stage_backward(trace.v_tape, grad)
     grads.v_thetas = gtheta
@@ -360,18 +346,6 @@ def backward_batch(
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 32
-    lr: float = 0.05
-    momentum: float = 0.9
-    temperature: float = 0.25
-    lr_decay: float = 1.0  # multiplicative per-epoch decay
-    keep_best: bool = False  # return the best-test-accuracy epoch's weights
-    seed: int = 0
 
 
 def accuracy(arch, params, X, y) -> float:
@@ -471,9 +445,9 @@ class NetworkCircuit:
     output_qubits: list[int]
 
 
-def _input_register(params: ParameterStore, x) -> CircuitFragment:
+def _input_register(arch: ArchitectureSpec, params: ParameterStore, x) -> CircuitFragment:
     """Amplitude-encoding preparation followed by every v block, on n qubits."""
-    register = amplitude_encoding_fragment(np.asarray(x, dtype=float))
+    register = amplitude_encoding_fragment(_checked_input(arch, x))
     for theta in params.v_thetas:
         register.extend(build_v_block(register.qubit_span, theta))
     return register
@@ -489,7 +463,7 @@ def _append_prob_layers(
     """Append the n and p stages' gates to ``frag``, on a register laid out by the caller.
 
     ``stage_qubits`` hold the stage the first n/p layer reads. n layers
-    rotate their inputs in place, one RX per layer and qubit; the p
+    rotate their inputs in place, one n gadget per layer and qubit; the p
     neurons write the top ``plan.p_width`` qubits of the fragment's span,
     one each, in order. Returns the output qubits.
     """
@@ -498,7 +472,7 @@ def _append_prob_layers(
         if stage.kind == "n":
             for i in stage.indices:
                 for q, theta in zip(stage_qubits, params.n_thetas[i]):
-                    frag.append(rx(theta), q)
+                    frag.extend(build_n_neuron(theta), {0: q})
         else:
             m = len(stage_qubits)
             targets = list(range(next_free, next_free + stage.width))
@@ -520,7 +494,7 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
     """
     plan = pipeline(arch)
     n = arch.n_qubits
-    register = _input_register(params, x)
+    register = _input_register(arch, params, x)
     frag = CircuitFragment(plan.compiled_qubits)
     if plan.u_width is not None:
         k = plan.u_width
@@ -562,7 +536,7 @@ def circuit_inference(
     plan = pipeline(arch)
     plan.check_qubit_cap(max_qubits)
     n = arch.n_qubits
-    psi = StateVector(n).run(_input_register(params, x)).amps
+    psi = StateVector(n).run(_input_register(arch, params, x)).amps
     if plan.u_width is None:
         amps, stage_qubits = psi, list(range(n))
     else:
@@ -640,30 +614,3 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
         raise ValueError("a parameter value is not finite")
     return arch, params
 
-
-# ---------------------------------------------------------------------------
-# the path-6 counterexample
-# ---------------------------------------------------------------------------
-
-
-def path6_demo() -> dict:
-    """Why entangled amplitudes must not feed probability consumers.
-
-    A Bell pair has per-qubit marginals (1/2, 1/2), so the factorized
-    p-neuron model predicts g(1/2)^2 = 1. The exact gadget sees the joint
-    state and yields 1/2: a 0.5 probability error from one junction.
-    """
-    from .neurons import p_forward
-    from .statevec import CX, H, new_state
-
-    w = np.array([1.0, 1.0])
-    state = new_state(3).apply(H, [0]).apply(CX, [0, 1])
-    marginals = np.array([state.marginal_prob_one(0), state.marginal_prob_one(1)])
-    factorized = p_forward(marginals, w)
-    state.run(build_p_neuron(2, w))
-    exact = state.marginal_prob_one(2)
-    return {
-        "factorized": float(factorized),
-        "exact": float(exact),
-        "deviation": float(abs(factorized - exact)),
-    }

@@ -1,10 +1,13 @@
-"""The four quantum neuron designs: circuit gadgets and closed forms.
+"""The four quantum neuron designs: gadgets, forward forms and gradients.
 
-Each neuron has two faces that must agree (the simulator is ground truth):
+Each neuron has three parts, kept together in its section:
 
-- a circuit builder returning a CircuitFragment, and
-- a batched closed form, the one the trainer runs; the single-sample
-  ``*_forward`` helpers are batch-of-one calls of it.
+- a circuit builder (the gadget) returning a CircuitFragment;
+- a batched closed form, the one the trainer runs, which must agree with
+  the gadget (the simulator is ground truth); the single-sample
+  ``*_forward`` helpers are batch-of-one calls of it;
+- that form's reverse-mode gradient, ``*_backward_batch`` (the v stage's
+  ``v_stage_backward``).
 
 Kinds and their I/O encodings:
 
@@ -228,6 +231,22 @@ def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.n
     return grad_theta, lam
 
 
+def _bit_matrix(n: int) -> np.ndarray:
+    """(2^n, n) matrix of basis-index bits, qubit 0 = MSB."""
+    idx = np.arange(2**n)
+    return ((idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(float)
+
+
+def v_view_forward_batch(A: np.ndarray, width: int) -> np.ndarray:
+    """The probability view: Pr[1] of the first ``width`` qubits of each row of A (B, 2^n)."""
+    return (A**2) @ _bit_matrix(int(math.log2(A.shape[1])))[:, :width]
+
+
+def v_view_backward_batch(grad: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """dL/dA of v_view_forward_batch, from dL/dout (B, width)."""
+    return 2.0 * A * (grad @ _bit_matrix(int(math.log2(A.shape[1])))[:, : grad.shape[1]].T)
+
+
 # ---------------------------------------------------------------------------
 # U: sign-flip neuron on amplitude encodings
 # ---------------------------------------------------------------------------
@@ -293,6 +312,12 @@ def u_forward_batch(X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return dot**2 / X.shape[1], dot
 
 
+def u_backward_batch(grad, X, W, dot) -> tuple[np.ndarray, np.ndarray]:
+    """(dL/dW, dL/dX) of u_forward_batch, from dL/dout (B, k) and its ``dot``."""
+    gd = grad * 2.0 * dot / X.shape[1]
+    return gd.T @ X, gd @ W
+
+
 def u_forward(x, w) -> float:
     """(sum_k w_k x_k)^2 / N for an L2-normalized amplitude vector x."""
     x = np.asarray(x, dtype=float)
@@ -343,6 +368,22 @@ def p_forward_batch(P: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return factors.prod(axis=2), s, factors
 
 
+# Guards the gradient where d sqrt(p(1-p)) / dp blows up at 0 and 1; forward values stay exact.
+_P_GRAD_EPS = 1e-8
+
+
+def p_backward_batch(grad, P, W, s, factors) -> tuple[np.ndarray, np.ndarray]:
+    """(dL/dW, dL/dP) of p_forward_batch, from dL/dout (B, k) and its ``s`` and ``factors``."""
+    # leave-one-out products via prefix/suffix scans: no division, so zero factors stay exact
+    prefix, suffix = np.ones_like(factors), np.ones_like(factors)
+    np.cumprod(factors[:, :, :-1], axis=2, out=prefix[:, :, 1:])
+    np.cumprod(factors[:, :, :0:-1], axis=2, out=suffix[:, :, -2::-1])
+    gfactor = grad[:, :, None] * (prefix * suffix)  # (B, k, m)
+    gW = np.einsum("bkm,bm->km", gfactor, s)
+    gs = np.einsum("bkm,km->bm", gfactor, W)
+    return gW, gs * (1.0 - 2.0 * P) / (2.0 * np.maximum(s, _P_GRAD_EPS))
+
+
 def p_forward(p, w) -> float:
     """Product of per-input factors (1 + 2 w_i sqrt(p_i (1 - p_i))) / 2.
 
@@ -371,6 +412,12 @@ def build_n_neuron(theta: float) -> CircuitFragment:
 def n_forward_batch(P: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """n_forward as sin^2(theta/2) + p cos(theta); theta holds one angle per column."""
     return np.sin(theta / 2) ** 2 + P * np.cos(theta)
+
+
+def n_backward_batch(grad, P, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(dL/dtheta, dL/dP) of n_forward_batch, from dL/dout (B, width)."""
+    gtheta = (grad * (1.0 - 2.0 * P) * np.sin(theta) / 2.0).sum(axis=0)
+    return gtheta, grad * np.cos(theta)
 
 
 def n_forward(p: float, theta: float) -> float:

@@ -339,6 +339,7 @@ BAD_INPUT_CASES = {
     "train-r": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--r", "4"], "unrecognized arguments: --r 4"),
     "sweep-r": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--r", "2"], "unrecognized arguments: --r 2"),
     "train-verbose": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--verbose"], "unrecognized arguments: --verbose"),
+    "check-seed": (["check", "--arch", "{tmp}/ok.arch", "--seed", "1"], "unrecognized arguments: --seed 1"),
 }
 
 

@@ -31,7 +31,6 @@ from qnnkit.model import (
     init_parameters,
     load_checkpoint,
     loss_batch,
-    path6_demo,
     pipeline,
     save_checkpoint,
     train,
@@ -108,6 +107,16 @@ def test_forward_rejects_wrong_input_dim():
     arch = from_kinds(4, 2, "v")
     with pytest.raises(ValueError, match="input dim"):
         forward(arch, init_parameters(arch), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("width", [9, 10])
+@pytest.mark.parametrize("walker", [forward, circuit_inference, build_network_circuit])
+def test_trainer_and_oracle_reject_a_short_input_alike(walker, width):
+    # the oracle would otherwise zero-pad the input and check another one
+    arch = load_architecture(NETS / "mnist2-vu.arch")
+    x = np.linspace(0.1, 1.0, width)
+    with pytest.raises(ValueError, match=f"^expected input dim 16, got {width}$"):
+        walker(arch, init_parameters(arch, seed=0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +453,37 @@ def test_plan_merges_n_runs_and_counts_qubits():
     assert [a.shape for a in params.arrays()] == [(3, 4), (3, 4), (3,), (3,), (2,), (2, 3), (2, 2)]
 
 
+@pytest.mark.parametrize("name", ["mixed", "mnist4-vup", "vun", "small-vnp"])
+def test_the_circuit_takes_every_gate_from_the_encoding_and_the_neuron_builders(monkeypatch, name):
+    from qnnkit import model
+
+    arch = from_kinds(8, 3, "vnp") if name == "small-vnp" else load_architecture(NETS / f"{name}.arch")
+    plan = pipeline(arch)
+    copies = plan.u_width or 1  # each u register re-runs the encoding and the v blocks
+    built = Counter()
+
+    def spy(builder, times):
+        def spied(*args):
+            frag = builder(*args)
+            for _ in range(times):
+                built.update(gate for gate, _ in frag.ops)
+            return frag
+
+        return spied
+
+    for builder, times in [
+        ("amplitude_encoding_fragment", copies),
+        ("build_v_block", copies),
+        ("build_u_neuron", 1),
+        ("build_n_neuron", 1),
+        ("build_p_neuron", 1),
+    ]:
+        monkeypatch.setattr(model, builder, spy(getattr(model, builder), times))
+    params = init_parameters(arch, seed=0)
+    circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
+    assert Counter(gate for gate, _ in circ.fragment.ops) == built
+
+
 def test_circuit_contains_only_unitary_gates_and_final_measurement():
     arch = from_kinds(4, 2, "vunp", hidden=2)
     params = init_parameters(arch, seed=0)
@@ -602,15 +642,8 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the path-6 counterexample and the measured p-layer gap
+# the measured p-layer gap
 # ---------------------------------------------------------------------------
-
-
-def test_path6_demo_shows_large_deviation():
-    result = path6_demo()
-    assert result["deviation"] > 0.01
-    assert result["factorized"] == pytest.approx(1.0, abs=1e-12)
-    assert result["exact"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_p_layer_on_dephased_qubits_deviation_is_measured():

@@ -17,17 +17,22 @@ from qnnkit.neurons import (
     build_p_neuron,
     build_u_neuron,
     build_v_block,
+    n_backward_batch,
     n_forward,
     n_forward_batch,
+    p_backward_batch,
     p_forward,
     p_forward_batch,
     simulate_p_neuron,
     simulate_u_neuron,
+    u_backward_batch,
     u_forward,
     u_forward_batch,
     v_forward,
     v_stage_backward,
     v_stage_forward,
+    v_view_backward_batch,
+    v_view_forward_batch,
 )
 from qnnkit.statevec import (
     CircuitFragment,
@@ -455,6 +460,89 @@ def test_v_stage_gradients_match_finite_differences(n, blocks):
         bm[idx] -= h
         fd = (loss_at(thetas, bp) - loss_at(thetas, bm)) / (2 * h)
         assert abs(fd - grad_x[idx]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# each gradient against central differences of its own forward form
+# ---------------------------------------------------------------------------
+
+
+def central_differences(loss, x, h=1e-6):
+    """d loss / d x entry by entry, for a scalar function of the array x."""
+    grad = np.empty_like(x)
+    for idx in np.ndindex(*x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        grad[idx] = (loss(xp) - loss(xm)) / (2 * h)
+    return grad
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_v_view_gradient_matches_central_differences(width):
+    rng = np.random.default_rng(40 + width)
+    A = rng.normal(size=(4, 8))
+    grad = rng.normal(size=(4, width))
+    got = v_view_backward_batch(grad, A)
+    want = central_differences(lambda a: np.sum(grad * v_view_forward_batch(a, width)), A)
+    np.testing.assert_allclose(got, want, atol=1e-7)
+
+
+def test_u_gradients_match_central_differences():
+    rng = np.random.default_rng(44)
+    X = np.stack([random_unit(rng, 8) for _ in range(3)])
+    W = random_weights(rng, (2, 8))
+    grad = rng.normal(size=(3, 2))
+    gW, gX = u_backward_batch(grad, X, W, u_forward_batch(X, W)[1])
+
+    def loss(x, w):
+        return np.sum(grad * u_forward_batch(x, w)[0])
+
+    np.testing.assert_allclose(gW, central_differences(lambda w: loss(X, w), W), atol=1e-7)
+    np.testing.assert_allclose(gX, central_differences(lambda x: loss(x, W), X), atol=1e-7)
+
+
+def test_n_gradients_match_central_differences():
+    rng = np.random.default_rng(45)
+    P = rng.uniform(0.0, 1.0, size=(3, 4))
+    theta = rng.uniform(-np.pi, np.pi, size=4)
+    grad = rng.normal(size=(3, 4))
+    gtheta, gP = n_backward_batch(grad, P, theta)
+
+    def loss(p, t):
+        return np.sum(grad * n_forward_batch(p, t))
+
+    np.testing.assert_allclose(gtheta, central_differences(lambda t: loss(P, t), theta), atol=1e-7)
+    np.testing.assert_allclose(gP, central_differences(lambda p: loss(p, theta), P), atol=1e-7)
+
+
+def test_p_gradients_match_central_differences_and_stay_finite_at_the_endpoints():
+    rng = np.random.default_rng(46)
+    P = rng.uniform(0.1, 0.9, size=(4, 3))
+    P[0, 0], P[1, 2], P[3, 1] = 0.0, 1.0, 1.0  # where sqrt(p(1-p)) has no derivative
+    W = random_weights(rng, (2, 3))
+    grad = rng.normal(size=(4, 2))
+    _, s, factors = p_forward_batch(P, W)
+    gW, gP = p_backward_batch(grad, P, W, s, factors)
+
+    def loss(p, w):
+        return np.sum(grad * p_forward_batch(p, w)[0])
+
+    np.testing.assert_allclose(gW, central_differences(lambda w: loss(P, w), W), atol=1e-7)
+    fd = central_differences(lambda p: loss(p, W), P)
+    interior = (P > 0) & (P < 1)
+    np.testing.assert_allclose(gP[interior], fd[interior], atol=1e-6)
+    # at an endpoint the true slope is infinite; the guarded gradient is
+    # finite, points the way of the one-sided quotient into [0, 1], and
+    # is at least as steep
+    h = 1e-6
+    assert np.all(np.isfinite(gP))
+    for idx in zip(*np.nonzero(~interior)):
+        step = np.zeros_like(P)
+        step[idx] = h if P[idx] == 0 else -h
+        quotient = (loss(P + step, W) - loss(P, W)) / step[idx]
+        assert np.sign(gP[idx]) == np.sign(quotient) != 0
+        assert abs(gP[idx]) >= abs(quotient)
 
 
 def test_binarize_maps_zero_to_plus_one():
