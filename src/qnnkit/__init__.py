@@ -26,7 +26,6 @@ from .arch import (
 )
 from .encoding import (
     EncodingKind,
-    amplitude_encode,
     amplitude_encoding_fragment,
     probability_encode,
 )

@@ -2,10 +2,11 @@
 
 Two encodings are supported:
 
-- *Amplitude*: N values become the amplitudes of a ceil(log2 N)-qubit
-  state. The analytic form normalizes and returns the state directly;
-  the circuit form builds an exact multiplexed-RY preparation network
-  (valid for non-negative data, which covers pixel intensities).
+- *Amplitude*: 2^n real values, signed ones included, become the
+  amplitudes of an n-qubit state. ``normalize_rows`` is the analytic
+  form, and the trainer and the circuit both divide by its norms;
+  ``amplitude_encoding_fragment`` builds the exact multiplexed-RY
+  preparation network of the same state.
 - *Probability*: each value d in [0, 1] becomes one qubit rotated to
   sqrt(1-d)|0> + sqrt(d)|1>, so Pr[1] = d exactly.
 """
@@ -26,34 +27,16 @@ class EncodingKind(Enum):
     PROBABILITY = "probability"
 
 
-def _normalized(data: np.ndarray) -> tuple[np.ndarray, float]:
-    """``data`` zero-padded to a power of two (at least 2) and L2-normalized, and its norm."""
-    if data.ndim != 1 or len(data) < 1:
-        raise ValueError("amplitude encoding takes a non-empty 1-D vector")
-    scale = float(np.linalg.norm(data))
-    if scale == 0.0:
-        raise ValueError("cannot amplitude-encode an all-zero vector")
-    padded = np.zeros(2 ** max(1, math.ceil(math.log2(len(data)))))
-    padded[: len(data)] = data
-    return padded / scale, scale
-
-
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` (B, N) divided by its L2 norm; ValueError on an all-zero row."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot amplitude-encode an all-zero input row")
-    return x / norms
+    """Each row of ``x`` (B, N) divided by its L2 norm.
 
-
-def amplitude_encode(data) -> tuple[StateVector, float]:
-    """Store ``data`` as state amplitudes; returns (state, L2 scale used).
-
-    Data is zero-padded to the next power of two and L2-normalized; the
-    returned scale times the amplitudes reproduces the padded input.
+    ValueError on a row whose norm is zero or not finite, which a NaN or
+    an infinite value gives.
     """
-    v, scale = _normalized(np.asarray(data, dtype=float))
-    return StateVector(int(math.log2(len(v))), v.astype(complex)), scale
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if not np.all((norms > 0) & np.isfinite(norms)):
+        raise ValueError("cannot amplitude-encode an all-zero or non-finite input row")
+    return x / norms
 
 
 @functools.cache
@@ -96,22 +79,27 @@ def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> Circu
 
 
 def amplitude_encoding_fragment(data) -> CircuitFragment:
-    """Exact state-preparation circuit for non-negative ``data``.
+    """Exact state-preparation circuit for 2^n >= 2 real values on n qubits.
 
-    Recursive construction: qubit l gets a multiplexed RY whose angle for
-    prefix p splits the norm of block p between its two halves. Applied
-    to |0...0> the fragment reproduces amplitude_encode(data) exactly.
+    Recursive construction (Mottonen et al., quant-ph/0407010): qubit l
+    gets a multiplexed RY whose angle for prefix p splits the norm of
+    block p between its two halves. On the last qubit each block is one
+    pair of amplitudes, so its angle splits the signed pair and sets the
+    signs too. Applied to |0...0> the fragment gives
+    ``normalize_rows(data[None])[0]``.
     """
     data = np.asarray(data, dtype=float)
-    if np.any(data < 0):
-        raise ValueError("state preparation circuit requires non-negative data")
-    v, _ = _normalized(data)
-    n = int(math.log2(len(v)))
+    n = int(math.log2(len(data))) if data.ndim == 1 and len(data) >= 2 else 0
+    if n == 0 or len(data) != 2**n:
+        raise ValueError(f"amplitude encoding takes 2^n >= 2 values in one axis, got {data.shape}")
+    v = normalize_rows(data[None])[0]
 
     frag = CircuitFragment(n)
     for level in range(n):
-        # row p: the norms of the two halves of the block under prefix p
-        left, right = np.linalg.norm(v.reshape(2**level, 2, -1), axis=2).T
+        # row p: the two halves of the block under prefix p, as signed
+        # values on the last level and as norms before it
+        halves = v.reshape(2**level, 2, -1)
+        left, right = halves[..., 0].T if level == n - 1 else np.linalg.norm(halves, axis=2).T
         angles = 2.0 * np.arctan2(right, left)
         frag.extend(multiplexed_ry(angles, list(range(level)), level, n))
     return frag

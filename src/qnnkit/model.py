@@ -224,9 +224,12 @@ class ForwardTrace:
     probs: np.ndarray | None = None  # (B, num_classes)
 
 
-def _checked_input(arch: ArchitectureSpec, x) -> np.ndarray:
-    """``x`` as floats; ValueError unless its last axis holds ``arch.input_dim`` values."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _checked_input(arch: ArchitectureSpec, x, ndim: int = 1) -> np.ndarray:
+    """``x`` as floats; ValueError unless it has ``ndim`` axes, the last of
+    ``arch.input_dim`` values. A sample has one axis, a batch two."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D input, got shape {x.shape}")
     if x.shape[-1] != arch.input_dim:
         raise ValueError(f"expected input dim {arch.input_dim}, got {x.shape[-1]}")
     return x
@@ -235,7 +238,7 @@ def _checked_input(arch: ArchitectureSpec, x) -> np.ndarray:
 def forward_batch(
     arch: ArchitectureSpec, params: ParameterStore, X: np.ndarray
 ) -> ForwardTrace:
-    X = np.atleast_2d(_checked_input(arch, X))
+    X = _checked_input(arch, np.atleast_2d(X), ndim=2)
     plan = pipeline(arch)
 
     v_out, v_tape = v_stage_forward(normalize_rows(X), params.v_thetas)
@@ -266,7 +269,7 @@ def forward_batch(
 
 def forward(arch: ArchitectureSpec, params: ParameterStore, x) -> ForwardTrace:
     """Single-sample forward pass (batch of one)."""
-    return forward_batch(arch, params, np.asarray(x, dtype=float)[None, :])
+    return forward_batch(arch, params, _checked_input(arch, x)[None])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qnnkit.encoding import (
-    amplitude_encode,
     amplitude_encoding_fragment,
     multiplexed_ry,
+    normalize_rows,
     probability_encode,
 )
 from qnnkit.statevec import StateVector, new_state
@@ -39,36 +39,26 @@ def multiplexor_oracle(amps: np.ndarray, angles, controls, target, n) -> np.ndar
 
 def test_unit_vector_becomes_amplitudes_directly():
     rng = np.random.default_rng(0)
-    data = rng.normal(size=4)
+    data = rng.normal(size=(1, 4))
     data /= np.linalg.norm(data)
-    state, scale = amplitude_encode(data)
-    assert state.n_qubits == 2
-    assert abs(scale - 1.0) < 1e-12
-    np.testing.assert_allclose(state.amps, data.astype(complex), atol=1e-12)
+    np.testing.assert_allclose(normalize_rows(data), data, atol=1e-15)
 
 
 def test_basis_vector_encodes_to_basis_state():
-    state, scale = amplitude_encode([1, 0, 0, 0])
-    np.testing.assert_allclose(state.amps, [1, 0, 0, 0], atol=1e-15)
-    assert scale == 1.0
+    np.testing.assert_array_equal(normalize_rows(np.eye(4)), np.eye(4))
 
 
 def test_three_four_normalizes_with_scale_five():
-    state, scale = amplitude_encode([3.0, 4.0])
-    np.testing.assert_allclose(state.amps, [0.6, 0.8], atol=1e-15)
-    assert abs(scale - 5.0) < 1e-15
+    np.testing.assert_allclose(
+        normalize_rows(np.array([[3.0, 4.0], [-3.0, 4.0]])), [[0.6, 0.8], [-0.6, 0.8]], atol=1e-15
+    )
 
 
 def test_all_zero_vector_is_rejected():
-    with pytest.raises(ValueError, match="all-zero"):
-        amplitude_encode([0.0, 0.0, 0.0])
-
-
-def test_padding_preserves_direction():
-    data = np.array([2.0, 1.0, 2.0])  # length 3 -> padded to 4
-    state, scale = amplitude_encode(data)
-    recovered = np.real(state.amps) * scale
-    np.testing.assert_allclose(recovered, [2.0, 1.0, 2.0, 0.0], atol=1e-12)
+    for bad in (0.0, np.nan, np.inf):  # the norm of the second row is 0, NaN, inf
+        rows = np.array([[0.5, 0.5, 0.5, 0.5], [bad, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^cannot amplitude-encode an all-zero or non-finite"):
+            normalize_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -93,19 +83,23 @@ def test_multiplexed_ry_matches_block_diagonal_oracle():
 
 def test_preparation_circuit_reproduces_analytic_encoding():
     rng = np.random.default_rng(9)
-    for n in range(1, 5):
-        data = rng.uniform(0.0, 1.0, size=2**n)
-        data[rng.integers(0, 2**n)] = 0.0  # exercise zero blocks
-        if np.linalg.norm(data) == 0:
-            data[0] = 1.0
-        prepared = new_state(n).run(amplitude_encoding_fragment(data))
-        analytic, _ = amplitude_encode(data)
-        np.testing.assert_allclose(prepared.amps, analytic.amps, atol=1e-12)
+    for n in range(1, 7):
+        for _ in range(100):
+            data = rng.uniform(-1.0, 1.0, size=2**n)
+            data[rng.integers(0, 2**n)] = 0.0  # exercise zero blocks
+            if n > 1:
+                pair = 2 * rng.integers(0, 2 ** (n - 1))
+                data[pair : pair + 2] = 0.0
+            prepared = new_state(n).run(amplitude_encoding_fragment(data))
+            np.testing.assert_allclose(
+                prepared.amps, normalize_rows(data[None])[0], rtol=0, atol=1e-15
+            )
 
 
-def test_preparation_rejects_negative_data():
-    with pytest.raises(ValueError, match="non-negative"):
-        amplitude_encoding_fragment([0.5, -0.1])
+@pytest.mark.parametrize("data", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]], ids=["1", "3", "2d"])
+def test_preparation_takes_a_power_of_two_values_in_one_axis(data):
+    with pytest.raises(ValueError, match="2\\^n >= 2 values in one axis"):
+        amplitude_encoding_fragment(data)
 
 
 # ---------------------------------------------------------------------------

@@ -109,13 +109,31 @@ def test_forward_rejects_wrong_input_dim():
         forward(arch, init_parameters(arch), [1.0, 0.0])
 
 
-@pytest.mark.parametrize("width", [9, 10])
-@pytest.mark.parametrize("walker", [forward, circuit_inference, build_network_circuit])
-def test_trainer_and_oracle_reject_a_short_input_alike(walker, width):
-    # the oracle would otherwise zero-pad the input and check another one
+def bad_inputs():
+    """(name, an input that mnist2-vu takes as one sample, the error) of each bad-input case."""
+    x = np.linspace(0.1, 1.0, 16)
+    for width in (9, 10):
+        yield str(width), x[:width], f"^expected input dim 16, got {width}$"
+    # forward_batch sees a batch of this sample, of shape (1, 1, 16)
+    yield "2d", x[None], r"^expected a [12]-D input, got shape \((1, )+16\)$"
+    for name, value in (("nan", np.nan), ("inf", np.inf)):
+        row = np.where(np.arange(16) == 3, value, x)
+        yield name, row, "^cannot amplitude-encode an all-zero or non-finite input row$"
+
+
+def forward_batch_of_one(arch, params, x):
+    return forward_batch(arch, params, x[None])
+
+
+@pytest.mark.parametrize("case", [pytest.param(c, id=c[0]) for c in bad_inputs()])
+@pytest.mark.parametrize(
+    "walker", [forward, forward_batch_of_one, circuit_inference, build_network_circuit]
+)
+def test_trainer_and_oracle_reject_a_short_input_alike(walker, case):
+    # the oracle would otherwise check another input than the trainer, or none
     arch = load_architecture(NETS / "mnist2-vu.arch")
-    x = np.linspace(0.1, 1.0, width)
-    with pytest.raises(ValueError, match=f"^expected input dim 16, got {width}$"):
+    _, x, message = case
+    with pytest.raises(ValueError, match=message):
         walker(arch, init_parameters(arch, seed=0), x)
 
 
@@ -352,7 +370,7 @@ def test_v_only_circuit_matches_factorized_exactly():
     for _ in range(10):
         arch = from_kinds(8, 2, "v", repeat=int(rng.integers(1, 3)))
         params = init_parameters(arch, seed=int(rng.integers(1000)))
-        x = rng.uniform(0.01, 1.0, size=8)
+        x = rng.uniform(-1.0, 1.0, size=8)
         factorized = forward(arch, params, x).probs[0]
         exact = circuit_inference(arch, params, x)
         np.testing.assert_allclose(exact, factorized, atol=1e-10)
@@ -365,7 +383,7 @@ def test_single_neuron_v_u_n_chain_matches_circuit():
             4, 1, [LayerSpec("v", 2, repeat=2), LayerSpec("u", 1), LayerSpec("n", 1)]
         )
         params = init_parameters(arch, seed=trial)
-        x = rng.uniform(0.01, 1.0, size=4)
+        x = rng.uniform(-1.0, 1.0, size=4)
         factorized = forward(arch, params, x).probs[0]
         exact = circuit_inference(arch, params, x)
         np.testing.assert_allclose(exact, factorized, atol=1e-9)
@@ -558,7 +576,7 @@ def factored_archs(draw):
 @given(arch=factored_archs(), seed=st.integers(0, 2**16))
 def test_factored_inference_matches_full_simulation_on_random_archs(arch, seed):
     params = init_parameters(arch, seed=seed)
-    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=arch.input_dim) + 1e-3
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=arch.input_dim)
     np.testing.assert_allclose(
         circuit_inference(arch, params, x), full_simulation(arch, params, x),
         rtol=0, atol=1e-12,
