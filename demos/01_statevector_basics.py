@@ -8,11 +8,11 @@ decides entanglement statically, from the layer sequence alone.
 
 import numpy as np
 
-from qnnkit import new_state
+from qnnkit import StateVector
 from qnnkit.statevec import CX, H, X, mcx, rx, ry
 
 # A fresh register starts in |0...0>.
-state = new_state(2)
+state = StateVector(2)
 print("ground state:", state.amps)
 
 # Hadamard then CX entangles the pair into a Bell state.
@@ -22,19 +22,19 @@ print("marginal Pr[1] of qubits 0 and 1:", state.marginals([0, 1]))
 print("qubit 0 unentangled?", state.is_product_qubit(0))
 
 # Product states report purity 1 on every qubit.
-product = new_state(2).apply(H, [0]).apply(H, [1])
+product = StateVector(2).apply(H, [0]).apply(H, [1])
 print("H|0> x H|0> qubit 1 unentangled?", product.is_product_qubit(1))
 
 # Rotations use the half-angle convention; RX(pi) acts like X up to phase.
-single = new_state(1).apply(ry(2 * np.arcsin(np.sqrt(0.3))), [0])
+single = StateVector(1).apply(ry(2 * np.arcsin(np.sqrt(0.3))), [0])
 print("probability-encoded 0.3 -> Pr[1] =", round(single.marginal_prob_one(0), 12))
 single.apply(rx(np.pi), [0])
 print("after RX(pi)          -> Pr[1] =", round(single.marginal_prob_one(0), 12))
 
 # Multi-controlled X with negative polarities fires on |0...0>, which is
 # how the neuron gadgets collect their weighted sums onto an ancilla.
-trigger = new_state(3).apply(X, [0])
+trigger = StateVector(3).apply(X, [0])
 trigger.apply(mcx((0, 0)), [0, 1, 2])
 print("anti-controls on |10.>: ancilla stays", trigger.marginal_prob_one(2))
-trigger2 = new_state(3).apply(mcx((0, 0)), [0, 1, 2])
+trigger2 = StateVector(3).apply(mcx((0, 0)), [0, 1, 2])
 print("anti-controls on |00.>: ancilla flips to", trigger2.marginal_prob_one(2))

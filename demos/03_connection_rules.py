@@ -11,14 +11,14 @@ import numpy as np
 
 from qnnkit.arch import from_kinds, parse_architecture
 from qnnkit.encoding import EncodingKind
-from qnnkit.neurons import build_p_neuron, p_forward
+from qnnkit.neurons import build_p_neuron, p_forward_batch
 from qnnkit.rules import (
     ConsumerOp,
     JunctionProfile,
     check_connection,
     validate_architecture,
 )
-from qnnkit.statevec import CX, H, new_state
+from qnnkit.statevec import CX, H, StateVector
 
 A, P = EncodingKind.AMPLITUDE, EncodingKind.PROBABILITY
 
@@ -31,9 +31,8 @@ def path6_demo() -> dict:
     state and yields 1/2: a 0.5 probability error from one junction.
     """
     w = np.array([1.0, 1.0])
-    state = new_state(3).apply(H, [0]).apply(CX, [0, 1])
-    marginals = np.array([state.marginal_prob_one(0), state.marginal_prob_one(1)])
-    factorized = p_forward(marginals, w)
+    state = StateVector(3).apply(H, [0]).apply(CX, [0, 1])
+    factorized = p_forward_batch(state.marginals([0, 1])[None], w[None])[0][0, 0]
     state.run(build_p_neuron(2, w))
     exact = state.marginal_prob_one(2)
     return {

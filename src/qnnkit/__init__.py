@@ -49,10 +49,6 @@ from .neurons import (
     build_p_neuron,
     build_u_neuron,
     build_v_block,
-    n_forward,
-    p_forward,
-    u_forward,
-    v_forward,
 )
 from .rules import (
     ConnectionVerdict,
@@ -68,7 +64,6 @@ from .statevec import (
     Gate,
     ResourceLimitError,
     StateVector,
-    new_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -162,8 +162,7 @@ def from_kinds(
 
 
 def parse_architecture(text: str) -> ArchitectureSpec:
-    input_dim = None
-    num_classes = None
+    headers: dict[str, int] = {}
     layers: list[LayerSpec] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,44 +173,39 @@ def parse_architecture(text: str) -> ArchitectureSpec:
         if key in ("input_dim", "classes"):
             if len(tokens) != 2:
                 raise ArchitectureParseError(line_no, f"{key} takes one value")
+            if key in headers:
+                raise ArchitectureParseError(line_no, f"repeated {key} header")
             try:
-                value = int(tokens[1])
+                headers[key] = int(tokens[1])
             except ValueError:
                 raise ArchitectureParseError(line_no, f"{key} must be an integer")
-            if key == "input_dim":
-                input_dim = value
-            else:
-                num_classes = value
         elif key == "layer":
             if len(tokens) < 3:
                 raise ArchitectureParseError(line_no, "layer needs a kind and width=")
             kind = tokens[1].lower()
             if kind not in VALID_KINDS:
                 raise ArchitectureParseError(line_no, f"unknown layer kind {kind!r}")
-            width = None
-            repeat = 1
+            options: dict[str, int] = {}
             for tok in tokens[2:]:
                 if "=" not in tok:
                     raise ArchitectureParseError(line_no, f"expected key=value, got {tok!r}")
                 k, v = tok.split("=", 1)
-                if k == "width":
-                    width = _parse_int(line_no, "width", v)
-                elif k == "r":
-                    repeat = _parse_int(line_no, "r", v)
-                else:
+                if k not in ("width", "r"):
                     raise ArchitectureParseError(line_no, f"unknown layer option {k!r}")
-            if width is None:
+                if k in options:
+                    raise ArchitectureParseError(line_no, f"repeated layer option {k!r}")
+                options[k] = _parse_int(line_no, k, v)
+            if "width" not in options:
                 raise ArchitectureParseError(line_no, "layer is missing width=")
-            layers.append(LayerSpec(kind, width, repeat=repeat))
+            layers.append(LayerSpec(kind, options["width"], repeat=options.get("r", 1)))
         else:
             raise ArchitectureParseError(line_no, f"unknown directive {key!r}")
 
-    if input_dim is None:
-        raise ArchitectureParseError(1, "missing input_dim header")
-    if num_classes is None:
-        raise ArchitectureParseError(1, "missing classes header")
+    for key in ("input_dim", "classes"):
+        if key not in headers:
+            raise ArchitectureParseError(1, f"missing {key} header")
     try:
-        return ArchitectureSpec(input_dim, num_classes, layers)
+        return ArchitectureSpec(headers["input_dim"], headers["classes"], layers)
     except ArchitectureError as exc:
         raise ArchitectureParseError(1, str(exc)) from exc
 

@@ -110,9 +110,9 @@ def probability_encode(data) -> tuple[CircuitFragment, StateVector]:
     data = np.asarray(data, dtype=float)
     if data.ndim != 1 or len(data) < 1:
         raise ValueError("probability_encode takes a non-empty 1-D vector")
-    if np.any((data < 0) | (data > 1)):
-        bad = data[(data < 0) | (data > 1)][0]
-        raise ValueError(f"probability encoding needs values in [0, 1], got {bad}")
+    outside = ~((data >= 0) & (data <= 1))  # NaN compares false both ways
+    if np.any(outside):
+        raise ValueError(f"probability encoding needs values in [0, 1], got {data[outside][0]}")
     m = len(data)
     frag = CircuitFragment(m)
     for i, d in enumerate(data):

@@ -4,8 +4,7 @@ Each neuron has three parts, kept together in its section:
 
 - a circuit builder (the gadget) returning a CircuitFragment;
 - a batched closed form, the one the trainer runs, which must agree with
-  the gadget (the simulator is ground truth); the single-sample
-  ``*_forward`` helpers are batch-of-one calls of it;
+  the gadget (the simulator is ground truth);
 - that form's reverse-mode gradient, ``*_backward_batch`` (the v stage's
   ``v_stage_backward``).
 
@@ -18,7 +17,7 @@ Kinds and their I/O encodings:
   weights enter as amplitude sign flips; output Pr[1] = (sum w.x)^2 / N.
 - P: probability in / probability out on one fresh ancilla. Binary
   weights enter as X gates inside a Hadamard sandwich; output is a
-  product of per-input coherence factors (see p_forward).
+  product of per-input coherence factors (see p_forward_batch).
 - N: normalization, one trainable RX per qubit reshaping Pr[1] in place.
 
 Weight conventions: binary weights are +-1 vectors (never 0); V/N angles
@@ -32,8 +31,7 @@ import math
 
 import numpy as np
 
-from .statevec import CX, CZ, CircuitFragment, H, StateVector, X, Z, mcx, rx, ry
-from .statevec import controlled_x, with_zeros
+from .statevec import CX, CZ, CircuitFragment, H, X, Z, controlled_x, mcx, rx, ry
 
 # ---------------------------------------------------------------------------
 # weight helpers
@@ -85,18 +83,6 @@ def build_v_block(n: int, theta) -> CircuitFragment:
     return frag
 
 
-def v_forward(x, thetas) -> np.ndarray:
-    """Apply the composed V-block unitary to amplitude vector ``x``.
-
-    ``thetas`` is one angle vector (2n,) or a stack (blocks, 2n). All the
-    gates involved are real, so this runs the trainer's v stage on a real
-    batch of one; the complex simulator checks it.
-    """
-    x = np.asarray(x, dtype=float)
-    out, _ = v_stage_forward(x[None, :], _as_blocks(x.shape[0], thetas))
-    return out[0]
-
-
 # ---------------------------------------------------------------------------
 # V: batched forward and reverse-mode gradients
 # ---------------------------------------------------------------------------
@@ -112,16 +98,6 @@ def v_forward(x, thetas) -> np.ndarray:
 # time: it pulls the adjoint back through the layer's RYs and reads all n
 # angle gradients of the layer off one contraction with the taped input
 # (see v_stage_backward).
-
-
-def _as_blocks(dim: int, thetas) -> np.ndarray:
-    n = int(math.log2(dim))
-    t = np.asarray(thetas, dtype=float)
-    if t.ndim == 1:
-        t = t[None, :]
-    if t.ndim != 2 or t.shape[1] != 2 * n:
-        raise ValueError(f"expected (blocks, {2 * n}) angles, got shape {t.shape}")
-    return t
 
 
 @functools.cache
@@ -318,15 +294,6 @@ def u_backward_batch(grad, X, W, dot) -> tuple[np.ndarray, np.ndarray]:
     return gd.T @ X, gd @ W
 
 
-def u_forward(x, w) -> float:
-    """(sum_k w_k x_k)^2 / N for an L2-normalized amplitude vector x."""
-    x = np.asarray(x, dtype=float)
-    w = check_binary_weights(w)
-    if len(x) != len(w):
-        raise ValueError(f"length mismatch: {len(x)} inputs vs {len(w)} weights")
-    return float(u_forward_batch(x[None, :], w[None, :])[0][0, 0])
-
-
 # ---------------------------------------------------------------------------
 # P: coherence-product neuron on probability encodings
 # ---------------------------------------------------------------------------
@@ -338,7 +305,7 @@ def build_p_neuron(m: int, w) -> CircuitFragment:
 
     The trailing X/H suffix returns the inputs to their standby frame so
     sibling P neurons in the same layer can share them; each sibling's
-    ancilla marginal still equals its own p_forward value exactly.
+    ancilla marginal still equals its own p_forward_batch value exactly.
     """
     w = check_binary_weights(w)
     if len(w) != m:
@@ -358,9 +325,11 @@ def build_p_neuron(m: int, w) -> CircuitFragment:
 
 
 def p_forward_batch(P: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(out, s, factors) of p_forward for rows P (B, m), +-1 rows W (k, m).
+    """(out, s, factors) for rows P (B, m) of probabilities and +-1 rows W (k, m).
 
-    out is (B, k), s = sqrt(p(1-p)) is (B, m), factors is (B, k, m).
+    out is the product over i of the factors (1 + 2 w_i sqrt(p_i (1 - p_i))) / 2,
+    so a weight of -1 flips the sign of its input's coherence term. out is
+    (B, k), s = sqrt(p(1-p)) is (B, m), factors is (B, k, m).
     """
     # clip guards fp spill just outside [0, 1] (e.g. d^2/N = 1 + eps)
     s = np.sqrt(np.clip(P * (1.0 - P), 0.0, None))
@@ -384,21 +353,6 @@ def p_backward_batch(grad, P, W, s, factors) -> tuple[np.ndarray, np.ndarray]:
     return gW, gs * (1.0 - 2.0 * P) / (2.0 * np.maximum(s, _P_GRAD_EPS))
 
 
-def p_forward(p, w) -> float:
-    """Product of per-input factors (1 + 2 w_i sqrt(p_i (1 - p_i))) / 2.
-
-    For w_i = +1 the factor is g(p) = (1 + 2 sqrt(p(1-p))) / 2; a negative
-    weight flips the sign of the coherence term, giving 1 - g(p).
-    """
-    p = np.asarray(p, dtype=float)
-    w = check_binary_weights(w)
-    if len(p) != len(w):
-        raise ValueError(f"length mismatch: {len(p)} inputs vs {len(w)} weights")
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("P neuron inputs are probabilities in [0, 1]")
-    return float(p_forward_batch(p[None, :], w[None, :])[0][0, 0])
-
-
 # ---------------------------------------------------------------------------
 # N: normalization neuron
 # ---------------------------------------------------------------------------
@@ -410,7 +364,10 @@ def build_n_neuron(theta: float) -> CircuitFragment:
 
 
 def n_forward_batch(P: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """n_forward as sin^2(theta/2) + p cos(theta); theta holds one angle per column."""
+    """p cos^2(theta/2) + (1 - p) sin^2(theta/2), computed as sin^2(theta/2) + p cos(theta).
+
+    ``theta`` holds one angle per column of P.
+    """
     return np.sin(theta / 2) ** 2 + P * np.cos(theta)
 
 
@@ -418,29 +375,3 @@ def n_backward_batch(grad, P, theta) -> tuple[np.ndarray, np.ndarray]:
     """(dL/dtheta, dL/dP) of n_forward_batch, from dL/dout (B, width)."""
     gtheta = (grad * (1.0 - 2.0 * P) * np.sin(theta) / 2.0).sum(axis=0)
     return gtheta, grad * np.cos(theta)
-
-
-def n_forward(p: float, theta: float) -> float:
-    """p cos^2(theta/2) + (1 - p) sin^2(theta/2)."""
-    return float(n_forward_batch(float(p), float(theta)))
-
-
-# ---------------------------------------------------------------------------
-# single-neuron simulation helpers, used by the criterion-1 tests and demo 02
-# ---------------------------------------------------------------------------
-
-
-def simulate_u_neuron(x, w) -> float:
-    """Ancilla marginal from an exact run of the U gadget on amplitudes x."""
-    x = np.asarray(x, dtype=float)
-    n = int(math.log2(len(x)))
-    return with_zeros(x, 1).run(build_u_neuron(n, w)).marginal_prob_one(n)
-
-
-def simulate_p_neuron(p, w) -> float:
-    """Ancilla marginal from an exact run of the P gadget on fresh encodings."""
-    from .encoding import probability_encode
-
-    m = len(p)
-    _, state = probability_encode(p)
-    return with_zeros(state.amps, 1).run(build_p_neuron(m, w)).marginal_prob_one(m)

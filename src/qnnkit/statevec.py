@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Hard ceiling unless the caller raises it explicitly; 24 qubits is
-# already a 256 MiB complex array.
+# Default cap of circuit_inference and ``verify --max-qubits``, checked by
+# model.Plan.check_qubit_cap; 24 qubits is already a 256 MiB complex array.
 DEFAULT_MAX_QUBITS = 24
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -316,16 +316,3 @@ def with_zeros(amps, extra: int) -> StateVector:
     out = np.zeros(np.size(amps) << extra, dtype=complex)
     out[:: 1 << extra] = amps
     return StateVector(out.size.bit_length() - 1, out)
-
-
-def new_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Fresh |0...0> register of ``n_qubits`` qubits."""
-    if n_qubits < 1:
-        raise ValueError(f"need at least 1 qubit, got {n_qubits}")
-    if n_qubits > max_qubits:
-        raise ResourceLimitError(
-            f"{n_qubits} qubits need 2^{n_qubits} = {2**n_qubits} complex "
-            f"amplitudes (~{16 * 2**n_qubits / 2**30:.1f} GiB); cap is "
-            f"{max_qubits} qubits"
-        )
-    return StateVector(n_qubits)

@@ -29,13 +29,13 @@ from qnnkit.model import (
 )
 from qnnkit.neurons import (
     build_n_neuron,
+    build_p_neuron,
+    build_u_neuron,
     build_v_block,
-    n_forward,
-    p_forward,
-    simulate_p_neuron,
-    simulate_u_neuron,
-    u_forward,
-    v_forward,
+    n_forward_batch,
+    p_forward_batch,
+    u_forward_batch,
+    v_stage_forward,
 )
 from qnnkit.rules import (
     ConsumerOp,
@@ -43,7 +43,7 @@ from qnnkit.rules import (
     JunctionProfile,
     check_connection,
 )
-from qnnkit.statevec import StateVector
+from qnnkit.statevec import StateVector, with_zeros
 
 A = EncodingKind.AMPLITUDE
 P = EncodingKind.PROBABILITY
@@ -122,20 +122,23 @@ def test_criterion_1_gadget_oracle_equivalence():
         x = np.abs(rng.normal(size=2**n))
         x /= np.linalg.norm(x)
         w = rng.choice([-1.0, 1.0], size=2**n)
-        worst = max(worst, abs(u_forward(x, w) - simulate_u_neuron(x, w)))
+        gadget = with_zeros(x, 1).run(build_u_neuron(n, w)).marginals([n])[0]
+        worst = max(worst, abs(u_forward_batch(x[None], w[None])[0][0, 0] - gadget))
 
     for _ in range(200):  # P neurons, m <= 4
         m = int(rng.integers(1, 5))
         p = rng.uniform(0, 1, size=m)
         w = rng.choice([-1.0, 1.0], size=m)
-        worst = max(worst, abs(p_forward(p, w) - simulate_p_neuron(p, w)))
+        gadget = StateVector(m + 1).run(probability_encode(p)[0]).run(build_p_neuron(m, w))
+        closed_form = p_forward_batch(p[None], w[None])[0][0, 0]
+        worst = max(worst, abs(closed_form - gadget.marginals([m])[0]))
 
     for _ in range(200):  # N neurons
         p = float(rng.uniform(0, 1))
         theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
         _, state = probability_encode([p])
         state.run(build_n_neuron(theta))
-        worst = max(worst, abs(n_forward(p, theta) - state.marginal_prob_one(0)))
+        worst = max(worst, abs(n_forward_batch(p, theta) - state.marginal_prob_one(0)))
 
     for _ in range(200):  # V blocks, n <= 3
         n = int(rng.integers(1, 4))
@@ -146,7 +149,8 @@ def test_criterion_1_gadget_oracle_equivalence():
         sim = StateVector(n, x.astype(complex))
         for b in range(blocks):
             sim.run(build_v_block(n, thetas[b]))
-        worst = max(worst, float(np.max(np.abs(v_forward(x, thetas) - np.real(sim.amps)))))
+        out, _ = v_stage_forward(x[None], thetas)
+        worst = max(worst, float(np.max(np.abs(out[0] - np.real(sim.amps)))))
 
     elapsed = time.monotonic() - start
     ok = worst < 1e-9 and elapsed < 60

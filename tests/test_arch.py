@@ -43,6 +43,21 @@ def test_a_bad_shape_in_a_file_is_a_line_one_parse_error():
         parse_architecture("input_dim 4\nclasses 2\nlayer v width=2\nlayer u width=3\n")
 
 
+REPEATED_KEYS = {
+    "input_dim": ("input_dim 4\nclasses 2\nlayer v width=2\ninput_dim 8\n", "line 4: repeated input_dim header"),
+    "classes": ("classes 2\ninput_dim 4\nclasses 2\nlayer v width=2\n", "line 3: repeated classes header"),
+    "width": ("input_dim 4\nclasses 2\nlayer v width=2 width=9\n", "line 3: repeated layer option 'width'"),
+    "r": ("input_dim 4\nclasses 2\nlayer v width=2 r=2 r=3\n", "line 3: repeated layer option 'r'"),
+}
+
+
+@pytest.mark.parametrize("key", list(REPEATED_KEYS))
+def test_a_repeated_key_is_a_parse_error_on_its_line(key):
+    text, message = REPEATED_KEYS[key]
+    with pytest.raises(ArchitectureParseError, match=re.escape(message)):
+        parse_architecture(text)
+
+
 def test_from_kinds_widths_follow_one_rule():
     arch = from_kinds(16, 3, "vvunpnp", repeat=2, hidden=5)
     assert [(l.kind, l.width, l.repeat) for l in arch.layers] == [

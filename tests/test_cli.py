@@ -233,6 +233,9 @@ U_FIRST_ARCH = "input_dim 4\nclasses 2\nlayer u width=2\n"
 VPU_ARCH = "input_dim 4\nclasses 2\nlayer v width=2\nlayer p width=2\nlayer u width=2\n"
 # n layers have one angle per channel; there is no theta= option
 THETA_ARCH = FEASIBLE_ARCH.replace("layer n width=4", "layer n width=4 theta=shared")
+# a key given twice is an error, not a silent overwrite by the later value
+REPEATED_OPTION_ARCH = FEASIBLE_ARCH.replace("layer v width=2 r=2", "layer v width=2 r=2 r=1")
+REPEATED_HEADER_ARCH = FEASIBLE_ARCH + "classes 2\n"
 
 # Checkpoints whose keys are right but one value is wrong: it has the
 # wrong JSON type, or it asks for 10^11 v blocks, whose 2.91 TiB of angles
@@ -335,6 +338,8 @@ BAD_INPUT_CASES = {
     "train-seed-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--seed", "-1"], "non-negative integer"),
     "verify-seed-negative": (["verify", "--arch", "{tmp}/ok.arch", "--seed", "-1"], "non-negative integer"),
     "train-theta-option": (["train", "--arch", "{tmp}/theta.arch", *XOR_TRAIN], "theta.arch: line 5: unknown layer option 'theta'"),
+    "train-repeated-option": (["train", "--arch", "{tmp}/repeated-option.arch", *XOR_TRAIN], "repeated-option.arch: line 3: repeated layer option 'r'"),
+    "train-repeated-header": (["train", "--arch", "{tmp}/repeated-header.arch", *XOR_TRAIN], "repeated-header.arch: line 7: repeated classes header"),
     # removed options, not abbreviations of --resolution or --r-min/--r-max
     "train-r": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--r", "4"], "unrecognized arguments: --r 4"),
     "sweep-r": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--r", "2"], "unrecognized arguments: --r 2"),
@@ -359,6 +364,8 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "vpu.arch", VPU_ARCH)
     write(tmp_path, "vuu.arch", INFEASIBLE_ARCH)
     write(tmp_path, "theta.arch", THETA_ARCH)
+    write(tmp_path, "repeated-option.arch", REPEATED_OPTION_ARCH)
+    write(tmp_path, "repeated-header.arch", REPEATED_HEADER_ARCH)
     (tmp_path / "binary.arch").write_bytes(b"\x80\x81")
     write_bad_mnist_dirs(tmp_path)
     wide = parse_architecture(WIDE_ARCH)

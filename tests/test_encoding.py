@@ -11,7 +11,7 @@ from qnnkit.encoding import (
     normalize_rows,
     probability_encode,
 )
-from qnnkit.statevec import StateVector, new_state
+from qnnkit.statevec import StateVector
 
 
 def multiplexor_oracle(amps: np.ndarray, angles, controls, target, n) -> np.ndarray:
@@ -90,7 +90,7 @@ def test_preparation_circuit_reproduces_analytic_encoding():
             if n > 1:
                 pair = 2 * rng.integers(0, 2 ** (n - 1))
                 data[pair : pair + 2] = 0.0
-            prepared = new_state(n).run(amplitude_encoding_fragment(data))
+            prepared = StateVector(n).run(amplitude_encoding_fragment(data))
             np.testing.assert_allclose(
                 prepared.amps, normalize_rows(data[None])[0], rtol=0, atol=1e-15
             )
@@ -124,8 +124,9 @@ def test_probability_quarter():
 
 
 def test_out_of_range_datum_is_rejected():
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        probability_encode([0.3, 1.2])
+    for bad in (1.2, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"\[0, 1\], got {bad}"):
+            probability_encode([0.3, bad])
 
 
 def test_encode_decode_round_trip():
@@ -162,8 +163,8 @@ def test_decode_matches_per_qubit_marginals_on_random_states():
 
 def test_decode_rejects_a_qubit_outside_the_register():
     with pytest.raises(ValueError, match="out of range"):
-        new_state(2).marginals([0, 2])
+        StateVector(2).marginals([0, 2])
 
 
 def test_decode_ground_state():
-    np.testing.assert_allclose(new_state(1).marginals([0]), [0.0])
+    np.testing.assert_allclose(StateVector(1).marginals([0]), [0.0])

@@ -1,4 +1,5 @@
-"""The core package imports only the standard library, numpy and itself.
+"""The core package imports only the standard library, numpy and itself,
+and uses every name it imports.
 
 Runtime extras declared in ``pyproject.toml`` (``mlxtend`` for the MNIST
 fallback) may be imported, but only inside a function, so that
@@ -60,3 +61,42 @@ def test_core_imports_only_stdlib_numpy_and_itself(path):
         where = "inside a function" if in_function else "at module level"
         bad.append(f"{path.name}:{line}: {name} {where}")
     assert bad == []
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name the module never refers to.
+
+    A name counts as used where it appears as an expression, an
+    annotation included; a line marked ``# noqa: F401`` imports for
+    effect and is skipped, like ``from __future__`` imports.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                yield node.lineno, name
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau as t\nprint(pi)\n"
+    assert list(unused_imports(source)) == [(1, "os"), (3, "t")]
+
+
+# __init__.py imports to re-export, so only the other modules are checked
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src" / "qnnkit").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_core_has_no_unused_imports(path):
+    source = path.read_text(encoding="utf-8")
+    assert [f"{path.name}:{line}: {name}" for line, name in unused_imports(source)] == []

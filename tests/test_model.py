@@ -35,7 +35,7 @@ from qnnkit.model import (
     save_checkpoint,
     train,
 )
-from qnnkit.neurons import u_forward
+from qnnkit.neurons import u_forward_batch
 from qnnkit.statevec import Gate, ResourceLimitError, StateVector
 
 NETS = Path(__file__).resolve().parent.parent / "nets"
@@ -282,8 +282,8 @@ def test_straight_through_flips_weights_consistently():
     after = forward(arch, params, x).probs[0, 0]
     w_after = params.u_weights()[0]
     assert w_after[0] == -w_before[0]
-    assert before == pytest.approx(u_forward(x / np.linalg.norm(x), w_before))
-    assert after == pytest.approx(u_forward(x / np.linalg.norm(x), w_after))
+    closed_forms = u_forward_batch((x / np.linalg.norm(x))[None], np.stack([w_before, w_after]))[0]
+    assert [before, after] == pytest.approx(closed_forms[0])
 
 
 # ---------------------------------------------------------------------------

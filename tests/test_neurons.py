@@ -18,17 +18,11 @@ from qnnkit.neurons import (
     build_u_neuron,
     build_v_block,
     n_backward_batch,
-    n_forward,
     n_forward_batch,
     p_backward_batch,
-    p_forward,
     p_forward_batch,
-    simulate_p_neuron,
-    simulate_u_neuron,
     u_backward_batch,
-    u_forward,
     u_forward_batch,
-    v_forward,
     v_stage_backward,
     v_stage_forward,
     v_view_backward_batch,
@@ -39,9 +33,9 @@ from qnnkit.statevec import (
     StateVector,
     apply_1q,
     controlled_x,
-    new_state,
     ry_entries,
     rx,
+    with_zeros,
 )
 
 
@@ -71,13 +65,13 @@ def fragment_matrix(frag: CircuitFragment) -> np.ndarray:
 
 
 def test_v_block_with_zero_angles_is_identity_on_ground_state():
-    out = new_state(1).run(build_v_block(1, [0.0, 0.0]))
+    out = StateVector(1).run(build_v_block(1, [0.0, 0.0]))
     np.testing.assert_allclose(out.amps, [1, 0], atol=1e-15)
 
 
 def test_v_block_pi_rotation_then_cx():
     # RY(pi) flips qubit 0 to |1>, the entangler CX then sets qubit 1.
-    out = new_state(2).run(build_v_block(2, [math.pi, 0, 0, 0]))
+    out = StateVector(2).run(build_v_block(2, [math.pi, 0, 0, 0]))
     np.testing.assert_allclose(np.abs(out.amps) ** 2, [0, 0, 0, 1], atol=1e-12)
 
 
@@ -127,11 +121,13 @@ def test_v_forward_identity_at_zero_angles():
     # qubit there is no entangler so any input passes through untouched.
     e0 = np.zeros(8)
     e0[0] = 1.0
-    np.testing.assert_allclose(v_forward(e0, np.zeros(6)), e0, atol=1e-15)
+    out, _ = v_stage_forward(e0[None], np.zeros((1, 6)))
+    np.testing.assert_allclose(out[0], e0, atol=1e-15)
 
     rng = np.random.default_rng(4)
     x = random_unit(rng, 2)
-    np.testing.assert_allclose(v_forward(x, np.zeros((3, 2))), x, atol=1e-15)
+    out, _ = v_stage_forward(x[None], np.zeros((3, 2)))
+    np.testing.assert_allclose(out[0], x, atol=1e-15)
 
 
 def test_v_forward_matches_simulator():
@@ -145,9 +141,8 @@ def test_v_forward_matches_simulator():
             sim = StateVector(n, x.astype(complex))
             for b in range(blocks):
                 sim.run(build_v_block(n, thetas[b]))
-            np.testing.assert_allclose(
-                v_forward(x, thetas), np.real(sim.amps), atol=1e-10
-            )
+            out, _ = v_stage_forward(x[None], thetas)
+            np.testing.assert_allclose(out[0], np.real(sim.amps), atol=1e-10)
 
 
 def test_v_forward_preserves_norm():
@@ -155,7 +150,8 @@ def test_v_forward_preserves_norm():
     for _ in range(20):
         x = random_unit(rng, 8)
         thetas = rng.uniform(-np.pi, np.pi, size=(2, 6))
-        assert abs(np.linalg.norm(v_forward(x, thetas)) - 1.0) < 1e-12
+        out, _ = v_stage_forward(x[None], thetas)
+        assert abs(np.linalg.norm(out[0]) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +171,21 @@ def test_sign_flip_fragment_matches_diagonal_oracle():
 
 def test_u_neuron_basis_input():
     # x = (1,0,0,0), all-plus weights: (sum w.x)^2 / 4 = 1/4.
-    assert abs(simulate_u_neuron([1, 0, 0, 0], [1, 1, 1, 1]) - 0.25) < 1e-12
-    assert abs(u_forward([1, 0, 0, 0], [1, 1, 1, 1]) - 0.25) < 1e-15
+    x, w = np.array([1.0, 0, 0, 0]), np.ones(4)
+    assert abs(with_zeros(x, 1).run(build_u_neuron(2, w)).marginals([2])[0] - 0.25) < 1e-12
+    assert abs(u_forward_batch(x[None], w[None])[0][0, 0] - 0.25) < 1e-15
 
 
 def test_u_neuron_uniform_input_saturates():
-    x = [0.5, 0.5, 0.5, 0.5]
-    assert abs(simulate_u_neuron(x, [1, 1, 1, 1]) - 1.0) < 1e-12
-    assert abs(u_forward(x, [1, 1, 1, 1]) - 1.0) < 1e-15
+    x, w = np.full(4, 0.5), np.ones(4)
+    assert abs(with_zeros(x, 1).run(build_u_neuron(2, w)).marginals([2])[0] - 1.0) < 1e-12
+    assert abs(u_forward_batch(x[None], w[None])[0][0, 0] - 1.0) < 1e-15
 
 
 def test_u_neuron_cancellation():
-    x = [0.5, 0.5, 0.5, 0.5]
-    w = [1, -1, 1, -1]
-    assert abs(simulate_u_neuron(x, w)) < 1e-12
-    assert abs(u_forward(x, w)) < 1e-15
+    x, w = np.full(4, 0.5), np.array([1.0, -1, 1, -1])
+    assert abs(with_zeros(x, 1).run(build_u_neuron(2, w)).marginals([2])[0]) < 1e-12
+    assert abs(u_forward_batch(x[None], w[None])[0][0, 0]) < 1e-15
 
 
 def test_u_forward_matches_gadget_on_random_draws():
@@ -198,7 +194,8 @@ def test_u_forward_matches_gadget_on_random_draws():
         for _ in range(50):
             x = np.abs(random_unit(rng, 2**n))  # pixel-like non-negative
             w = random_weights(rng, 2**n)
-            assert abs(u_forward(x, w) - simulate_u_neuron(x, w)) < 1e-9
+            gadget = with_zeros(x, 1).run(build_u_neuron(n, w)).marginals([n])[0]
+            assert abs(u_forward_batch(x[None], w[None])[0][0, 0] - gadget) < 1e-9
         # the batched form the trainer runs: B=3 inputs against k=2 weight rows
         X = np.abs(np.stack([random_unit(rng, 2**n) for _ in range(3)]))
         W = random_weights(rng, (2, 2**n))
@@ -206,19 +203,17 @@ def test_u_forward_matches_gadget_on_random_draws():
         assert out.shape == dot.shape == (3, 2)
         for b in range(3):
             for j in range(2):
-                assert abs(out[b, j] - simulate_u_neuron(X[b], W[j])) < 1e-9
+                gadget = with_zeros(X[b], 1).run(build_u_neuron(n, W[j])).marginals([n])[0]
+                assert abs(out[b, j] - gadget) < 1e-9
 
 
 def test_u_forward_invariant_under_global_sign_flip():
     rng = np.random.default_rng(9)
     x = random_unit(rng, 8)
     w = random_weights(rng, 8)
-    assert u_forward(x, w) == u_forward(x, -w)
-
-
-def test_u_forward_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        u_forward([1.0, 0.0], [1, 1, 1, 1])
+    out, _ = u_forward_batch(x[None], w[None])
+    flipped, _ = u_forward_batch(x[None], -w[None])
+    assert out[0, 0] == flipped[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +222,24 @@ def test_u_forward_length_mismatch():
 
 
 def test_p_neuron_single_input_ground():
-    assert abs(simulate_p_neuron([0.0], [1]) - 0.5) < 1e-12
-    assert abs(p_forward([0.0], [1]) - 0.5) < 1e-15
+    p, w = np.array([0.0]), np.ones(1)
+    gadget = StateVector(2).run(probability_encode(p)[0]).run(build_p_neuron(1, w))
+    assert abs(gadget.marginals([1])[0] - 0.5) < 1e-12
+    assert abs(p_forward_batch(p[None], w[None])[0][0, 0] - 0.5) < 1e-15
 
 
 def test_p_neuron_single_input_half():
-    assert abs(simulate_p_neuron([0.5], [1]) - 1.0) < 1e-12
-    assert abs(p_forward([0.5], [1]) - 1.0) < 1e-15
+    p, w = np.array([0.5]), np.ones(1)
+    gadget = StateVector(2).run(probability_encode(p)[0]).run(build_p_neuron(1, w))
+    assert abs(gadget.marginals([1])[0] - 1.0) < 1e-12
+    assert abs(p_forward_batch(p[None], w[None])[0][0, 0] - 1.0) < 1e-15
 
 
 def test_p_neuron_two_ground_inputs():
-    assert abs(simulate_p_neuron([0.0, 0.0], [1, 1]) - 0.25) < 1e-12
-    assert abs(p_forward([0.0, 0.0], [1, 1]) - 0.25) < 1e-15
+    p, w = np.zeros(2), np.ones(2)
+    gadget = StateVector(3).run(probability_encode(p)[0]).run(build_p_neuron(2, w))
+    assert abs(gadget.marginals([2])[0] - 0.25) < 1e-12
+    assert abs(p_forward_batch(p[None], w[None])[0][0, 0] - 0.25) < 1e-15
 
 
 def test_p_forward_matches_gadget_on_random_draws():
@@ -247,7 +248,9 @@ def test_p_forward_matches_gadget_on_random_draws():
         for _ in range(50):
             p = rng.uniform(0, 1, size=m)
             w = random_weights(rng, m)
-            assert abs(p_forward(p, w) - simulate_p_neuron(p, w)) < 1e-9
+            gadget = StateVector(m + 1).run(probability_encode(p)[0]).run(build_p_neuron(m, w))
+            closed_form = p_forward_batch(p[None], w[None])[0][0, 0]
+            assert abs(closed_form - gadget.marginals([m])[0]) < 1e-9
         # the batched form the trainer runs: B=3 inputs against k=2 weight rows
         P = rng.uniform(0, 1, size=(3, m))
         W = random_weights(rng, (2, m))
@@ -255,28 +258,21 @@ def test_p_forward_matches_gadget_on_random_draws():
         assert out.shape == (3, 2) and s.shape == (3, m) and factors.shape == (3, 2, m)
         for b in range(3):
             for j in range(2):
-                assert abs(out[b, j] - simulate_p_neuron(P[b], W[j])) < 1e-9
+                gadget = StateVector(m + 1).run(probability_encode(P[b])[0])
+                gadget.run(build_p_neuron(m, W[j]))
+                assert abs(out[b, j] - gadget.marginals([m])[0]) < 1e-9
 
 
 def test_p_neuron_weight_sign_matters():
     # A negative weight must change the output, otherwise P layers are
     # untrainable; the sign flips the coherence term.
-    p = [0.2]
-    assert abs(p_forward(p, [1]) - (1 + 2 * math.sqrt(0.16)) / 2) < 1e-12
-    assert abs(p_forward(p, [-1]) - (1 - 2 * math.sqrt(0.16)) / 2) < 1e-12
-    assert abs(simulate_p_neuron(p, [1]) - p_forward(p, [1])) < 1e-12
-    assert abs(simulate_p_neuron(p, [-1]) - p_forward(p, [-1])) < 1e-12
-
-
-def test_simulate_p_neuron_runs_the_encoding_once(monkeypatch):
-    p, w = [0.2, 0.7], [1, -1]
-    frag, _ = probability_encode(p)
-    rerun = StateVector(3).run(frag).run(build_p_neuron(2, w)).marginal_prob_one(2)
-    runs = []
-    run = StateVector.run
-    monkeypatch.setattr(StateVector, "run", lambda self, f: runs.append(f) or run(self, f))
-    assert simulate_p_neuron(p, w) == rerun  # bit for bit
-    assert len(runs) == 2  # the encoding, then the gadget on the widened state
+    p = np.array([0.2])
+    plus, minus = p_forward_batch(p[None], np.array([[1.0], [-1.0]]))[0][0]
+    assert abs(plus - (1 + 2 * math.sqrt(0.16)) / 2) < 1e-12
+    assert abs(minus - (1 - 2 * math.sqrt(0.16)) / 2) < 1e-12
+    for w, closed_form in ((1.0, plus), (-1.0, minus)):
+        gadget = StateVector(2).run(probability_encode(p)[0]).run(build_p_neuron(1, [w]))
+        assert abs(gadget.marginals([1])[0] - closed_form) < 1e-12
 
 
 def test_sibling_p_neurons_share_inputs_exactly():
@@ -295,13 +291,8 @@ def test_sibling_p_neurons_share_inputs_exactly():
         # the second ancilla moves to qubit m + 1
         state.run(CircuitFragment(m + 2).extend(build_p_neuron(m, w2), {m: m + 1}))
 
-        assert abs(state.marginal_prob_one(m) - p_forward(p, w1)) < 1e-10
-        assert abs(state.marginal_prob_one(m + 1) - p_forward(p, w2)) < 1e-10
-
-
-def test_p_forward_rejects_out_of_range():
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        p_forward([1.5], [1])
+        closed_forms = p_forward_batch(p[None], np.stack([w1, w2]))[0][0]
+        np.testing.assert_allclose(state.marginals([m, m + 1]), closed_forms, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +301,15 @@ def test_p_forward_rejects_out_of_range():
 
 
 def test_n_neuron_zero_angle_is_identity():
-    assert n_forward(0.37, 0.0) == pytest.approx(0.37, abs=1e-15)
+    assert n_forward_batch(0.37, 0.0) == pytest.approx(0.37, abs=1e-15)
 
 
 def test_n_neuron_pi_flips_probability():
-    assert n_forward(0.37, math.pi) == pytest.approx(0.63, abs=1e-12)
+    assert n_forward_batch(0.37, math.pi) == pytest.approx(0.63, abs=1e-12)
 
 
 def test_n_neuron_half_pi_mixes_to_half():
-    assert n_forward(0.3, math.pi / 2) == pytest.approx(0.5, abs=1e-12)
+    assert n_forward_batch(0.3, math.pi / 2) == pytest.approx(0.5, abs=1e-12)
     # and against the circuit
     _, state = probability_encode([0.3])
     state.run(build_n_neuron(math.pi / 2))
@@ -332,7 +323,7 @@ def test_n_forward_matches_gadget_on_random_draws():
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
         _, state = probability_encode([p])
         state.run(build_n_neuron(theta))
-        assert abs(n_forward(p, theta) - state.marginal_prob_one(0)) < 1e-9
+        assert abs(n_forward_batch(p, theta) - state.marginal_prob_one(0)) < 1e-9
     # the batched form the trainer runs: one angle per qubit, three qubits
     for _ in range(20):
         p = rng.uniform(0, 1, size=3)
@@ -350,7 +341,7 @@ def test_n_forward_output_is_convex_between_p_and_its_complement():
     for _ in range(100):
         p = float(rng.uniform(0, 1))
         theta = float(rng.uniform(-7, 7))
-        out = n_forward(p, theta)
+        out = n_forward_batch(p, theta)
         assert min(p, 1 - p) - 1e-12 <= out <= max(p, 1 - p) + 1e-12
 
 
@@ -370,7 +361,7 @@ def test_n_neuron_exact_on_entangled_real_states():
         state.run(build_u_neuron(2, w))
         state.apply(rx(theta), [2])
 
-        expected = n_forward(u_forward(x, w), theta)
+        expected = n_forward_batch(u_forward_batch(x[None], w[None])[0], theta)[0, 0]
         assert abs(state.marginal_prob_one(2) - expected) < 1e-9
 
 
@@ -385,7 +376,8 @@ def test_v_stage_batch_agrees_with_single_samples():
     batch = np.stack([random_unit(rng, 8) for _ in range(5)])
     out, _ = v_stage_forward(batch, thetas)
     for i in range(5):
-        np.testing.assert_allclose(out[i], v_forward(batch[i], thetas), atol=1e-12)
+        single, _ = v_stage_forward(batch[i : i + 1], thetas)
+        np.testing.assert_allclose(out[i], single[0], atol=1e-12)
 
 
 def test_v_stage_forward_is_the_block_circuit_bit_for_bit():
@@ -559,7 +551,7 @@ def test_u_then_n_decouples_from_full_circuit():
         w = random_weights(rng, 2**n)
         theta = float(rng.uniform(-np.pi, np.pi))
 
-        factorized = n_forward(u_forward(x, w), theta)
+        factorized = n_forward_batch(u_forward_batch(x[None], w[None])[0], theta)[0, 0]
 
         state = StateVector(n + 1)
         reg = np.zeros(2 ** (n + 1), dtype=complex)

@@ -9,7 +9,7 @@ import pytest
 from qnnkit.arch import ArchitectureSpec, LayerSpec, from_kinds
 from qnnkit.encoding import EncodingKind
 from qnnkit.model import pipeline
-from qnnkit.neurons import build_p_neuron, p_forward
+from qnnkit.neurons import build_p_neuron, p_forward_batch
 from qnnkit.rules import (
     ConsumerOp,
     Feasibility,
@@ -18,7 +18,7 @@ from qnnkit.rules import (
     classify_path,
     validate_architecture,
 )
-from qnnkit.statevec import CX, H, new_state
+from qnnkit.statevec import CX, H, StateVector
 
 A = EncodingKind.AMPLITUDE
 P = EncodingKind.PROBABILITY
@@ -95,8 +95,8 @@ def test_path6_bell_pair_breaks_the_factorized_p_model():
     # Bell pair has marginals (1/2, 1/2), so the factorized p model
     # predicts g(1/2)^2 = 1, but the gadget on the joint state gives 1/2
     w = np.array([1.0, 1.0])
-    state = new_state(3).apply(H, [0]).apply(CX, [0, 1])
-    factorized = p_forward(state.marginals([0, 1]), w)
+    state = StateVector(3).apply(H, [0]).apply(CX, [0, 1])
+    factorized = p_forward_batch(state.marginals([0, 1])[None], w[None])[0][0, 0]
     exact = state.run(build_p_neuron(2, w)).marginal_prob_one(2)
     assert factorized == pytest.approx(1.0, abs=1e-12)
     assert exact == pytest.approx(0.5, abs=1e-12)

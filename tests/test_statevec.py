@@ -16,14 +16,12 @@ from qnnkit.statevec import (
     CircuitFragment,
     Gate,
     H,
-    ResourceLimitError,
     StateVector,
     X,
     Z,
     apply_1q,
     controlled_x,
     mcx,
-    new_state,
     phase_flip,
     rx,
     ry,
@@ -76,27 +74,16 @@ def apply_kernel(batch: np.ndarray, gate: Gate, positions) -> None:
 
 
 # ---------------------------------------------------------------------------
-# new_state
+# a fresh register
 # ---------------------------------------------------------------------------
 
 
 def test_ground_state_one_qubit():
-    assert np.array_equal(new_state(1).amps, [1, 0])
+    assert np.array_equal(StateVector(1).amps, [1, 0])
 
 
 def test_ground_state_two_qubits():
-    assert np.array_equal(new_state(2).amps, [1, 0, 0, 0])
-
-
-def test_qubit_cap_is_a_resource_error():
-    with pytest.raises(ResourceLimitError, match="2\\^25"):
-        new_state(25)
-
-
-def test_cap_is_configurable():
-    assert new_state(5, max_qubits=5).n_qubits == 5
-    with pytest.raises(ResourceLimitError):
-        new_state(6, max_qubits=5)
+    assert np.array_equal(StateVector(2).amps, [1, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +92,7 @@ def test_cap_is_configurable():
 
 
 def test_hadamard_on_zero():
-    s = new_state(1).apply(H, [0])
+    s = StateVector(1).apply(H, [0])
     np.testing.assert_allclose(s.amps, [SQRT2_INV, SQRT2_INV], atol=1e-15)
 
 
@@ -128,17 +115,17 @@ def test_cx_on_basis_state():
 
 def test_apply_arity_mismatch():
     with pytest.raises(ValueError, match="takes 1 qubit"):
-        new_state(2).apply(H, [0, 1])
+        StateVector(2).apply(H, [0, 1])
 
 
 def test_apply_duplicate_indices():
     with pytest.raises(ValueError, match="duplicate"):
-        new_state(2).apply(CX, [1, 1])
+        StateVector(2).apply(CX, [1, 1])
 
 
 def test_apply_index_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        new_state(2).apply(X, [2])
+        StateVector(2).apply(X, [2])
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +134,18 @@ def test_apply_index_out_of_range():
 
 
 def test_marginal_of_ground_state():
-    assert new_state(1).marginal_prob_one(0) == 0.0
+    assert StateVector(1).marginal_prob_one(0) == 0.0
 
 
 def test_marginal_of_bell_state():
-    s = new_state(2).apply(H, [0]).apply(CX, [0, 1])
+    s = StateVector(2).apply(H, [0]).apply(CX, [0, 1])
     assert abs(s.marginal_prob_one(0) - 0.5) < 1e-12
     assert abs(s.marginal_prob_one(1) - 0.5) < 1e-12
 
 
 def test_marginal_index_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        new_state(2).marginal_prob_one(2)
+        StateVector(2).marginal_prob_one(2)
 
 
 def test_marginal_complements_sum_to_one():
@@ -187,7 +174,7 @@ def test_product_basis_state():
 
 
 def test_bell_state_is_entangled():
-    s = new_state(2).apply(H, [0]).apply(CX, [0, 1])
+    s = StateVector(2).apply(H, [0]).apply(CX, [0, 1])
     assert not s.is_product_qubit(0)
     # purity of a maximally mixed qubit is exactly 1/2
     rho = s.reduced_density_matrix(0)
@@ -195,7 +182,7 @@ def test_bell_state_is_entangled():
 
 
 def test_product_of_superpositions():
-    s = new_state(2).apply(H, [0]).apply(H, [1])
+    s = StateVector(2).apply(H, [0]).apply(H, [1])
     assert s.is_product_qubit(1)
 
 
@@ -242,7 +229,7 @@ def test_inplace_application_matches_kron_oracle():
 def test_norm_preserved_over_random_circuits():
     rng = np.random.default_rng(17)
     for n in (8, 10):
-        s = new_state(n)
+        s = StateVector(n)
         applied = 0
         while applied < 200:
             gate, arity = random_gate(rng)
@@ -314,10 +301,10 @@ def test_fragment_ops_are_not_a_constructor_argument():
 
 def test_run_rejects_fragment_wider_than_register():
     with pytest.raises(ValueError, match="spans"):
-        new_state(1).run(CircuitFragment(2).append(H, 1))
+        StateVector(1).run(CircuitFragment(2).append(H, 1))
 
 
 def test_mcx_triggers_on_all_zeros_with_negative_polarity():
     # |00> with both controls at polarity 0 flips the target.
-    s = new_state(3).apply(mcx((0, 0)), [0, 1, 2])
+    s = StateVector(3).apply(mcx((0, 0)), [0, 1, 2])
     np.testing.assert_allclose(s.amps[1], 1.0, atol=1e-15)  # |001>
