@@ -15,7 +15,7 @@ from qnnkit.statevec import CX, H, X, mcx, rx, ry
 state = StateVector(2)
 print("ground state:", state.amps)
 
-# Hadamard then CX entangles the pair into a Bell state.
+# Hadamard then CX turn the pair into a Bell state.
 state.apply(H, [0]).apply(CX, [0, 1])
 print("bell state:", np.round(state.amps, 6))
 print("marginal Pr[1] of qubits 0 and 1:", state.marginals([0, 1]))

@@ -9,7 +9,7 @@ it agreeing with an exact simulation of the neuron's circuit fragment.
 
 import numpy as np
 
-from qnnkit.encoding import probability_encode
+from qnnkit.encoding import probability_encoding_fragment
 from qnnkit.neurons import (
     build_n_neuron,
     build_p_neuron,
@@ -47,7 +47,7 @@ for w in ([1, 1, 1, 1], [1, -1, 1, -1]):
 p = np.array([0.2, 0.7])
 for w in ([1, 1], [1, -1]):
     closed = p_forward_batch(p[None], np.array([w]))[0]
-    circuit = StateVector(3).run(probability_encode(p)[0]).run(build_p_neuron(2, w))
+    circuit = StateVector(3).run(probability_encoding_fragment(p)).run(build_p_neuron(2, w))
     print(
         f"P neuron w={w}: closed form {closed[0, 0]:.6f}, "
         f"circuit {circuit.marginals([2])[0]:.6f}"
@@ -55,7 +55,7 @@ for w in ([1, 1], [1, -1]):
 
 # --- N: normalization neuron (one RX reshaping Pr[1]) ---------------------
 theta = 1.1
-_, state = probability_encode([0.3])
+state = StateVector(1).run(probability_encoding_fragment([0.3]))
 state.run(build_n_neuron(theta))
 print(
     f"N neuron theta={theta}: closed form {n_forward_batch(0.3, theta):.6f}, "
@@ -68,8 +68,8 @@ print(
 p = rng.uniform(0, 1, size=3)
 w1 = np.array([1.0, -1.0, 1.0])
 w2 = np.array([-1.0, 1.0, 1.0])
-frag_enc, _ = probability_encode(p)
-shared = StateVector(5).run(frag_enc).run(build_p_neuron(3, w1))  # ancilla at qubit 3
+shared = StateVector(5).run(probability_encoding_fragment(p))
+shared.run(build_p_neuron(3, w1))  # ancilla at qubit 3
 shared.run(CircuitFragment(5).extend(build_p_neuron(3, w2), {3: 4}))  # ancilla at qubit 4
 first, second = shared.marginals([3, 4])
 print("sibling P marginals:", round(first, 10), round(second, 10))

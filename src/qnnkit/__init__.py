@@ -27,11 +27,12 @@ from .arch import (
 from .encoding import (
     EncodingKind,
     amplitude_encoding_fragment,
-    probability_encode,
+    probability_encoding_fragment,
 )
 from .model import (
     ForwardTrace,
     ParameterStore,
+    ResourceLimitError,
     TrainConfig,
     TrainingDiverged,
     accuracy,
@@ -62,7 +63,6 @@ from .rules import (
 from .statevec import (
     CircuitFragment,
     Gate,
-    ResourceLimitError,
     StateVector,
 )
 

@@ -27,13 +27,15 @@ as its input; u and p layers are ``hidden`` wide, except the last u or p
 layer, which is ``num_classes`` wide.
 
 Specs are frozen and check their shape on construction, so every
-``ArchitectureSpec`` in hand has a valid shape; whether its junctions are
+``ArchitectureSpec`` in hand has a valid shape, with integer counts
+(numpy ints too, but no bool or float); whether its junctions are
 feasible is ``qnnkit.rules``' question.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -80,6 +82,13 @@ class ArchitectureSpec:
     def __post_init__(self) -> None:
         """Structural checks; junction feasibility lives in qnnkit.rules."""
         object.__setattr__(self, "layers", tuple(self.layers))  # callers may pass a list
+        counts = [("input_dim", self.input_dim), ("num_classes", self.num_classes)]
+        for layer in self.layers:
+            counts += [(f"{layer.kind}-layer {k}", getattr(layer, k)) for k in ("width", "repeat")]
+        for what, value in counts:
+            # numpy ints pass; a bool is an Integral, and 2.0 would pass every check below
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{what} must be an integer, got {value!r}")
         if self.input_dim < 2 or 2 ** self.n_qubits != self.input_dim:
             raise ArchitectureError(
                 f"input_dim must be a power of two >= 2, got {self.input_dim}"
@@ -175,10 +184,7 @@ def parse_architecture(text: str) -> ArchitectureSpec:
                 raise ArchitectureParseError(line_no, f"{key} takes one value")
             if key in headers:
                 raise ArchitectureParseError(line_no, f"repeated {key} header")
-            try:
-                headers[key] = int(tokens[1])
-            except ValueError:
-                raise ArchitectureParseError(line_no, f"{key} must be an integer")
+            headers[key] = _parse_int(line_no, key, tokens[1])
         elif key == "layer":
             if len(tokens) < 3:
                 raise ArchitectureParseError(line_no, "layer needs a kind and width=")

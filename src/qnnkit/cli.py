@@ -30,6 +30,8 @@ from . import __version__
 from .arch import ArchitectureError, ArchitectureParseError, load_architecture
 from .data import IdxFormatError, make_xor_dataset, mnist_task
 from .model import (
+    DEFAULT_MAX_QUBITS,
+    ResourceLimitError,
     TrainConfig,
     TrainingDiverged,
     accuracy,
@@ -42,25 +44,11 @@ from .model import (
     train,
 )
 from .rules import validate_architecture
-from .statevec import DEFAULT_MAX_QUBITS, ResourceLimitError
 
 CSV_SCHEMA_VERSION = 1
 
 # verify: a top output matched this closely by another class is no argmax
 TIE_ATOL = 1e-12
-
-RESULTS_COLUMNS = [
-    "schema",
-    "architecture",
-    "dataset",
-    "classes",
-    "resolution",
-    "seed",
-    "epochs",
-    "train_accuracy",
-    "test_accuracy",
-    "final_loss",
-]
 
 
 class UsageError(Exception):
@@ -88,15 +76,14 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _write_results(out_dir: Path, args, arch, label: str, test_acc: float, metrics=None) -> dict:
     """Write the one-row results.csv of a train run (with ``metrics``) or an eval run."""
     mnist = args.dataset == "mnist"
     last = metrics[-1] if metrics else {}
-    row = {
+    row = {  # in column order
         "schema": CSV_SCHEMA_VERSION,
         "architecture": arch.name,
         "dataset": label,
@@ -108,7 +95,7 @@ def _write_results(out_dir: Path, args, arch, label: str, test_acc: float, metri
         "test_accuracy": test_acc,
         "final_loss": last.get("train_loss", ""),
     }
-    _write_csv(out_dir / "results.csv", RESULTS_COLUMNS, [row])
+    _write_csv(out_dir / "results.csv", list(row), [row])
     return row
 
 
@@ -198,11 +185,8 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["epoch", "train_loss", "train_accuracy", "test_accuracy"],
-        [{k: row.get(k, "") for k in ("epoch", "train_loss", "train_accuracy", "test_accuracy")} for row in metrics],
-    )
+    columns = ["epoch", "train_loss", "train_accuracy", "test_accuracy"]
+    _write_csv(out_dir / "metrics.csv", columns, metrics)  # a missing test_accuracy stays empty
     test_acc = accuracy(arch, params, test_ds.images, test_ds.labels)
     row = _write_results(out_dir, args, arch, label, test_acc, metrics)
     save_checkpoint(out_dir / "checkpoint.json", arch, params)

@@ -3,15 +3,16 @@
 MNIST ships as four IDX files (big-endian magic + dimension header +
 unsigned bytes). ``load_mnist`` looks for them in the cache directory
 (``QNNKIT_DATA_DIR`` or ``~/.cache/qnnkit/mnist``), reading ``.gz``
-variants transparently. Each file is read to its end: a payload shorter
-or longer than its header declares, and a ``.gz`` whose CRC-32/length
-trailer does not match, raise ``IdxFormatError``. ``write_idx`` writes
-at gzip level 1. When the files are absent and the optional
-``mlxtend`` dependency is importable, a balanced 5000-image subset of
-MNIST bundled with that package is materialized into real IDX files and
-used instead -- smaller than the full 60k/10k distribution, but byte-real
-MNIST through the same loader. Drop the official files into the cache
-directory to run at full scale.
+variants transparently. Each file is read whole, once, and its header
+and payload are taken from those bytes: a file shorter than its header,
+a payload shorter or longer than the header declares, and a ``.gz``
+whose CRC-32/length trailer does not match, raise ``IdxFormatError``.
+``write_idx`` writes at gzip level 1. When the files are absent and the
+optional ``mlxtend`` dependency is importable, a balanced 5000-image
+subset of MNIST bundled with that package is materialized into real IDX
+files and used instead -- smaller than the full 60k/10k distribution,
+but byte-real MNIST through the same loader. Drop the official files
+into the cache directory to run at full scale.
 """
 
 from __future__ import annotations
@@ -73,46 +74,41 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise IdxFormatError(
-            f"{path}: truncated while reading {what} "
-            f"(wanted {count} bytes, got {len(data)})"
-        )
-    return data
-
-
 def _read_idx(path, magic: int, kind: str, dims: int) -> np.ndarray:
     """The byte payload of one IDX file, shaped as its header says.
 
-    The file is read to its end: a payload longer or shorter than the
-    header declares is an error, and a ``.gz`` stream is decompressed
-    through its CRC-32/length trailer, so gzip checks it.
+    The file is read whole, once, and the header and payload are taken
+    from those bytes: a file shorter than its header, or a payload longer
+    or shorter than the header declares, is an error. A ``.gz`` stream is
+    decompressed through its CRC-32/length trailer, so gzip checks it.
     """
     try:
         with _open_maybe_gzip(path) as fh:
-            (found,) = struct.unpack(">I", _read_exact(fh, 4, path, "magic"))
-            if found != magic:
-                raise IdxFormatError(
-                    f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}"
-                )
-            shape = struct.unpack(f">{dims}I", _read_exact(fh, 4 * dims, path, "dimensions"))
-            payload = fh.read()
+            raw = fh.read()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise IdxFormatError(f"{path}: corrupt gzip stream ({exc})") from None
+    header = 4 * (1 + dims)
+    if len(raw) < header:
+        raise IdxFormatError(
+            f"{path}: truncated while reading the header "
+            f"(wanted {header} bytes, got {len(raw)})"
+        )
+    found, *shape = struct.unpack_from(f">{1 + dims}I", raw)
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
     count = math.prod(shape)
-    if len(payload) < count:
+    size = len(raw) - header
+    if size < count:
         raise IdxFormatError(
             f"{path}: truncated while reading {kind}s "
-            f"(wanted {count} bytes, got {len(payload)})"
+            f"(wanted {count} bytes, got {size})"
         )
-    if len(payload) > count:
+    if size > count:
         raise IdxFormatError(
-            f"{path}: trailing data: {len(payload) - count} bytes after "
+            f"{path}: trailing data: {size - count} bytes after "
             f"the {count}-byte payload the header declares"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(shape)
 
 
 def load_idx(images_path, labels_path) -> Dataset:

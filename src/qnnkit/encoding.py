@@ -8,7 +8,10 @@ Two encodings are supported:
   ``amplitude_encoding_fragment`` builds the exact multiplexed-RY
   preparation network of the same state.
 - *Probability*: each value d in [0, 1] becomes one qubit rotated to
-  sqrt(1-d)|0> + sqrt(d)|1>, so Pr[1] = d exactly.
+  sqrt(1-d)|0> + sqrt(d)|1>, so Pr[1] = d exactly, by the one RY per
+  qubit of ``probability_encoding_fragment``.
+
+Both return only the fragment; run it on a fresh ``StateVector``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statevec import CX, CircuitFragment, StateVector, ry
+from .statevec import CX, CircuitFragment, ry
 
 
 class EncodingKind(Enum):
@@ -105,18 +108,15 @@ def amplitude_encoding_fragment(data) -> CircuitFragment:
     return frag
 
 
-def probability_encode(data) -> tuple[CircuitFragment, StateVector]:
-    """One RY(2 arcsin sqrt(d)) per qubit; qubit i ends with Pr[1] = data[i]."""
+def probability_encoding_fragment(data) -> CircuitFragment:
+    """One RY(2 arcsin sqrt(d)) per qubit; run on |0...0>, qubit i ends with Pr[1] = data[i]."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 1 or len(data) < 1:
-        raise ValueError("probability_encode takes a non-empty 1-D vector")
+        raise ValueError("probability encoding takes a non-empty 1-D vector")
     outside = ~((data >= 0) & (data <= 1))  # NaN compares false both ways
     if np.any(outside):
         raise ValueError(f"probability encoding needs values in [0, 1], got {data[outside][0]}")
-    m = len(data)
-    frag = CircuitFragment(m)
+    frag = CircuitFragment(len(data))
     for i, d in enumerate(data):
         frag.append(ry(2.0 * math.asin(math.sqrt(d))), i)
-    state = StateVector(m).run(frag)
-    return frag, state
-
+    return frag

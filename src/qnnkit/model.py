@@ -61,15 +61,22 @@ from .neurons import (
     v_view_forward_batch,
 )
 from .rules import validate_architecture
-from .statevec import DEFAULT_MAX_QUBITS, CircuitFragment, ResourceLimitError, StateVector
-from .statevec import with_zeros
+from .statevec import CircuitFragment, StateVector, with_zeros
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# Default cap of circuit_inference and ``verify --max-qubits``, checked by
+# Plan.check_qubit_cap; 24 qubits is already a 256 MiB complex array.
+DEFAULT_MAX_QUBITS = 24
+
 
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; carries the epoch/batch where it happened."""
+
+
+class ResourceLimitError(Exception):
+    """Register would exceed the configured qubit cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +134,6 @@ class Stage:
 class Plan:
     """The template layout of an architecture; ``pipeline`` derives it once."""
 
-    v_blocks: int
     u_width: int | None
     stages: tuple[Stage, ...]
     p_width: int  # p outputs in all, one fresh qubit each
@@ -184,9 +190,9 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
         compiled = u_width * (n + 1) + p_width
         simulated = max(n + 1, 2 * u_width + p_width)
     u_shape = None if u_width is None else (u_width, arch.input_dim)
-    v_blocks = sum(l.repeat for l in arch.layers[:v])
-    shapes = ((v_blocks, 2 * n), u_shape, tuple(n_shapes), tuple(p_shapes))
-    return Plan(v_blocks, u_width, tuple(stages), p_width, compiled, simulated, shapes)
+    blocks = sum(l.repeat for l in arch.layers[:v])
+    shapes = ((blocks, 2 * n), u_shape, tuple(n_shapes), tuple(p_shapes))
+    return Plan(u_width, tuple(stages), p_width, compiled, simulated, shapes)
 
 
 def init_parameters(arch: ArchitectureSpec, seed: int = 0) -> ParameterStore:
@@ -219,8 +225,7 @@ class ForwardTrace:
     """Everything the backward pass needs: per-stage activations."""
 
     v_tape: dict
-    v_out: np.ndarray  # (B, input_dim)
-    stages: list[dict] = field(default_factory=list)
+    stages: list[dict] = field(default_factory=list)  # the first "input" is the v output
     probs: np.ndarray | None = None  # (B, num_classes)
 
 
@@ -238,20 +243,20 @@ def _checked_input(arch: ArchitectureSpec, x, ndim: int = 1) -> np.ndarray:
 def forward_batch(
     arch: ArchitectureSpec, params: ParameterStore, X: np.ndarray
 ) -> ForwardTrace:
-    X = _checked_input(arch, np.atleast_2d(X), ndim=2)
+    X = _checked_input(arch, X, ndim=2)
     plan = pipeline(arch)
 
-    v_out, v_tape = v_stage_forward(normalize_rows(X), params.v_thetas)
-    trace = ForwardTrace(v_tape=v_tape, v_out=v_out)
+    amps, v_tape = v_stage_forward(normalize_rows(X), params.v_thetas)
+    trace = ForwardTrace(v_tape=v_tape)
 
     if plan.u_width is not None:
-        acts, d = u_forward_batch(v_out, params.u_weights())
-        trace.stages.append({"kind": "u", "input": v_out, "dot": d, "output": acts})
+        acts, d = u_forward_batch(amps, params.u_weights())
+        trace.stages.append({"kind": "u", "input": amps, "dot": d, "output": acts})
     else:
         # probability view of the v stage; with no layer after it, the
         # first num_classes qubits are the class outputs
-        acts = v_view_forward_batch(v_out, arch.n_qubits if plan.stages else arch.num_classes)
-        trace.stages.append({"kind": "view", "input": v_out, "output": acts})
+        acts = v_view_forward_batch(amps, arch.n_qubits if plan.stages else arch.num_classes)
+        trace.stages.append({"kind": "view", "input": amps, "output": acts})
 
     for stage in plan.stages:
         record = {"kind": stage.kind, "input": acts, "indices": stage.indices}
@@ -314,7 +319,7 @@ def backward_batch(
 ) -> ParameterStore:
     """Exact reverse-mode gradients as a ParameterStore; binary weights get straight-through."""
     labels = np.asarray(labels, dtype=int)
-    B, C = trace.probs.shape
+    B = len(trace.probs)
     sm = _softmax(trace.probs / temperature)
     onehot = np.zeros_like(sm)
     onehot[np.arange(B), labels] = 1.0
@@ -586,10 +591,13 @@ def save_checkpoint(path, arch: ArchitectureSpec, params: ParameterStore) -> Non
 def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
     """ValueError unless each parameter is finite and has the shape the plan gives."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to read") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
+    if type(payload.get("version")) is not int or payload["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     arch_d = payload["architecture"]
     arch = ArchitectureSpec(

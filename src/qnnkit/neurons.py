@@ -14,7 +14,8 @@ Kinds and their I/O encodings:
   view), reuses its input qubits. 2n trainable RY angles per block with
   a CX entangler between the two RY layers.
 - U: amplitude in / probability out on one fresh ancilla. Binary +-1
-  weights enter as amplitude sign flips; output Pr[1] = (sum w.x)^2 / N.
+  weights enter as amplitude sign flips, up to the global sign w[0],
+  which a fresh register cannot show; output Pr[1] = (sum w.x)^2 / N.
 - P: probability in / probability out on one fresh ancilla. Binary
   weights enter as X gates inside a Hadamard sandwich; output is a
   product of per-input coherence factors (see p_forward_batch).
@@ -229,12 +230,13 @@ def v_view_backward_batch(grad: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def amplitude_sign_flips(w) -> CircuitFragment:
-    """Compile a +-1 diagonal into Z-family gates: amp k is negated iff w[k] = -1.
+    """Compile a +-1 diagonal into Z-family gates: the fragment is w[0] diag(w).
 
     The sign pattern (-1)^f(k) is reduced to f's algebraic normal form;
     each XOR monomial becomes Z (degree 1), CZ (degree 2) or an
-    H-conjugated MCX acting as a multi-controlled Z (degree >= 3). A
-    constant term is the global phase -1, realized as ZXZX on qubit 0.
+    H-conjugated MCX acting as a multi-controlled Z (degree >= 3). The
+    constant term, set when w[0] = -1, is the global sign w[0]: no gate
+    carries it, since a fresh register cannot show a global phase.
     """
     w = check_binary_weights(w)
     size = len(w)
@@ -250,9 +252,6 @@ def amplitude_sign_flips(w) -> CircuitFragment:
                 anf[k] ^= anf[k ^ step]
 
     frag = CircuitFragment(n)
-    if anf[0]:
-        for g in (Z, X, Z, X):  # net -I: exact global sign, no approximation
-            frag.append(g, 0)
     for mask in range(1, size):
         if not anf[mask]:
             continue
@@ -272,10 +271,9 @@ def amplitude_sign_flips(w) -> CircuitFragment:
 def build_u_neuron(n: int, w) -> CircuitFragment:
     """Weighted-sum neuron: sign flips, H on all inputs, anti-controlled
     MCX onto a fresh ancilla (qubit n). Ancilla Pr[1] = (sum w.x)^2 / 2^n."""
-    w = check_binary_weights(w)
-    if len(w) != 2**n:
-        raise ValueError(f"U neuron on {n} qubits needs {2**n} weights, got {len(w)}")
-    frag = CircuitFragment(n + 1).extend(amplitude_sign_flips(w))
+    if np.size(w) != 2**n:
+        raise ValueError(f"U neuron on {n} qubits needs {2**n} weights, got {np.size(w)}")
+    frag = CircuitFragment(n + 1).extend(amplitude_sign_flips(w))  # which checks w is +-1
     for q in range(n):
         frag.append(H, q)
     frag.append(mcx((0,) * n), *range(n), n)

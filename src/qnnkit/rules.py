@@ -26,8 +26,9 @@ Five rules decide feasibility:
    when the consumer only uses them as controls without phase kickback
    and/or rotates them around the X axis.
 
-Entanglement is decided statically from the producer's kind, never by
-simulating: validation must run before any circuit is built.
+Entanglement is decided statically, never by simulating: validation must
+run before any circuit is built. Every neuron kind leaves its output
+qubits entangled; only the encoded input is fresh.
 """
 
 from __future__ import annotations
@@ -139,24 +140,25 @@ def check_connection(profile: JunctionProfile) -> ConnectionVerdict:
 # per-kind static profiles
 # ---------------------------------------------------------------------------
 
-# (canonical input, natural output, reuses inputs, output entangled,
-#  ops applied to the producer's qubits, assumes independent inputs)
+# (canonical input, reuses inputs, ops applied to the producer's qubits,
+#  assumes independent inputs, output views with the natural output first).
+# Every kind's output counts as entangled; only the encoded input is not.
 _KIND_TRAITS = {
     "v": dict(
-        in_enc=A, out_enc=A, reuses=True, entangles=True,
+        in_enc=A, reuses=True,
         ops=frozenset({ConsumerOp.OTHER}), indep=False, views=(A, P),
     ),
     "u": dict(
-        in_enc=A, out_enc=P, reuses=False, entangles=True,
+        in_enc=A, reuses=False,
         ops=frozenset({ConsumerOp.OTHER}), indep=False, views=(P,),
     ),
     "p": dict(
-        in_enc=P, out_enc=P, reuses=False, entangles=True,
+        in_enc=P, reuses=False,
         ops=frozenset({ConsumerOp.CONTROL_ONLY_NO_PHASE_KICKBACK}), indep=True,
         views=(P,),
     ),
     "n": dict(
-        in_enc=P, out_enc=P, reuses=True, entangles=True,
+        in_enc=P, reuses=True,
         ops=frozenset({ConsumerOp.RX_ONLY}), indep=True, views=(P,),
     ),
 }
@@ -166,7 +168,6 @@ _KIND_TRAITS = {
 class JunctionRecord:
     producer: str
     consumer: str
-    path_id: int
     verdict: ConnectionVerdict
 
 
@@ -189,7 +190,7 @@ class ValidationReport:
                 {
                     "producer": j.producer,
                     "consumer": j.consumer,
-                    "path": j.path_id,
+                    "path": j.verdict.path_id,
                     "principle": j.verdict.principle,
                     "status": j.verdict.status.value,
                     "conditions": list(j.verdict.conditions),
@@ -208,7 +209,7 @@ class ValidationReport:
             if j.verdict.reason:
                 extra = f"  ({j.verdict.reason})"
             lines.append(
-                f"  {j.producer} -> {j.consumer}: path {j.path_id}, "
+                f"  {j.producer} -> {j.consumer}: path {j.verdict.path_id}, "
                 f"principle {j.verdict.principle}, {j.verdict.status.value}{extra}"
             )
         for flag in self.encoding_flags:
@@ -231,7 +232,7 @@ def validate_architecture(arch: ArchitectureSpec) -> ValidationReport:
     # The encoded input acts as a pseudo-producer: fresh, unentangled, and
     # preparable under either encoding (the data stage supports both).
     prev_label = "input"
-    prev = dict(out_enc=A, reuses=False, entangles=False, views=(A, P))
+    prev = dict(reuses=False, views=(A, P))
 
     for i, layer in enumerate(arch.layers):
         traits = _KIND_TRAITS[layer.kind]
@@ -240,14 +241,14 @@ def validate_architecture(arch: ArchitectureSpec) -> ValidationReport:
         if wanted in prev["views"]:
             out_enc = wanted
         else:
-            out_enc = prev["out_enc"]
+            out_enc = prev["views"][0]
             report.encoding_flags.append(
                 f"{label} canonically consumes {wanted.value} encoding but "
                 f"receives {out_enc.value} from {prev_label}"
             )
         profile = JunctionProfile(
             out_encoding=out_enc,
-            out_entangled=prev["entangles"],
+            out_entangled=i > 0,  # the producer is a layer, not the encoded input
             reuses_input_qubits=prev["reuses"],
             in_encoding=wanted,
             consumer_ops=traits["ops"],
@@ -255,13 +256,8 @@ def validate_architecture(arch: ArchitectureSpec) -> ValidationReport:
         )
         verdict = check_connection(profile)
         report.junctions.append(
-            JunctionRecord(prev_label, label, verdict.path_id, verdict)
+            JunctionRecord(prev_label, label, verdict)
         )
         prev_label = label
-        prev = dict(
-            out_enc=traits["out_enc"],
-            reuses=traits["reuses"],
-            entangles=traits["entangles"],
-            views=traits["views"],
-        )
+        prev = traits
     return report

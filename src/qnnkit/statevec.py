@@ -32,15 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default cap of circuit_inference and ``verify --max-qubits``, checked by
-# model.Plan.check_qubit_cap; 24 qubits is already a 256 MiB complex array.
-DEFAULT_MAX_QUBITS = 24
-
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-
-
-class ResourceLimitError(Exception):
-    """Register would exceed the configured qubit cap."""
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import pytest
 from qnnkit.arch import ArchitectureSpec, from_kinds
 from qnnkit.cli import main as cli_main
 from qnnkit.data import make_xor_dataset, mnist_available, mnist_task
-from qnnkit.encoding import EncodingKind, probability_encode
+from qnnkit.encoding import EncodingKind, probability_encoding_fragment
 from qnnkit.model import (
     TrainConfig,
     accuracy,
@@ -129,14 +129,14 @@ def test_criterion_1_gadget_oracle_equivalence():
         m = int(rng.integers(1, 5))
         p = rng.uniform(0, 1, size=m)
         w = rng.choice([-1.0, 1.0], size=m)
-        gadget = StateVector(m + 1).run(probability_encode(p)[0]).run(build_p_neuron(m, w))
+        gadget = StateVector(m + 1).run(probability_encoding_fragment(p)).run(build_p_neuron(m, w))
         closed_form = p_forward_batch(p[None], w[None])[0][0, 0]
         worst = max(worst, abs(closed_form - gadget.marginals([m])[0]))
 
     for _ in range(200):  # N neurons
         p = float(rng.uniform(0, 1))
         theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
-        _, state = probability_encode([p])
+        state = StateVector(1).run(probability_encoding_fragment([p]))
         state.run(build_n_neuron(theta))
         worst = max(worst, abs(n_forward_batch(p, theta) - state.marginal_prob_one(0)))
 

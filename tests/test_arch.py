@@ -3,6 +3,7 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from qnnkit.arch import (
@@ -36,6 +37,28 @@ def test_a_bad_shape_fails_on_construction(case):
     input_dim, num_classes, layers, message = BAD_SHAPES[case]
     with pytest.raises(ArchitectureError, match=re.escape(message)):
         ArchitectureSpec(input_dim, num_classes, layers)
+
+
+# each of these equals a valid int (True == 1, 2.0 == 2), so only a type check catches it
+NOT_INTEGERS = {
+    "float-input-dim": (4.0, 2, [LayerSpec("v", 2)], "input_dim must be an integer, got 4.0"),
+    "bool-classes": (4, True, [LayerSpec("v", 2)], "num_classes must be an integer, got True"),
+    "float-width": (4, 2, [LayerSpec("v", 2.0)], "v-layer width must be an integer, got 2.0"),
+    "float-repeat": (4, 2, [LayerSpec("v", 2, repeat=2.0)], "v-layer repeat must be an integer, got 2.0"),
+    "bool-repeat": (4, 2, [LayerSpec("v", 2, repeat=True)], "v-layer repeat must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_INTEGERS))
+def test_a_count_that_is_not_an_integer_fails_on_construction(case):
+    input_dim, num_classes, layers, message = NOT_INTEGERS[case]
+    with pytest.raises(TypeError, match=re.escape(message)):
+        ArchitectureSpec(input_dim, num_classes, layers)
+
+
+def test_numpy_integers_are_counts():
+    spec = ArchitectureSpec(np.int64(4), np.int32(2), [LayerSpec("v", np.int64(2), np.uint8(2))])
+    assert spec == ArchitectureSpec(4, 2, [LayerSpec("v", 2, 2)])
 
 
 def test_a_bad_shape_in_a_file_is_a_line_one_parse_error():

@@ -335,6 +335,33 @@ BAD_INPUT_CASES = {
         ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/nan.json"],
         "nan.json: a parameter value is not finite",
     ),
+    # 200000 nested brackets: json.load runs out of stack, not of input
+    "eval-checkpoint-deep": (
+        ["eval", "--checkpoint", "{tmp}/deep.json", "--dataset", "xor"],
+        "deep.json: JSON nested too deeply to read",
+    ),
+    "verify-checkpoint-deep": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/deep.json"],
+        "deep.json: JSON nested too deeply to read",
+    ),
+    # ok.arch's own checkpoint with "repeat": 2.0, which equals 2
+    "eval-checkpoint-float-repeat": (
+        ["eval", "--checkpoint", "{tmp}/float-repeat.json", "--dataset", "xor"],
+        "float-repeat.json: a field has the wrong type (v-layer repeat must be an integer, got 2.0)",
+    ),
+    "verify-checkpoint-float-repeat": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/float-repeat.json"],
+        "float-repeat.json: a field has the wrong type (v-layer repeat must be an integer, got 2.0)",
+    ),
+    # ok.arch's own checkpoint with "version": true, which equals 1
+    "eval-checkpoint-version-true": (
+        ["eval", "--checkpoint", "{tmp}/version-true.json", "--dataset", "xor"],
+        "version-true.json: unsupported checkpoint version True",
+    ),
+    "verify-checkpoint-version-true": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/version-true.json"],
+        "version-true.json: unsupported checkpoint version True",
+    ),
     "train-seed-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--seed", "-1"], "non-negative integer"),
     "verify-seed-negative": (["verify", "--arch", "{tmp}/ok.arch", "--seed", "-1"], "non-negative integer"),
     "train-theta-option": (["train", "--arch", "{tmp}/theta.arch", *XOR_TRAIN], "theta.arch: line 5: unknown layer option 'theta'"),
@@ -374,6 +401,13 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     nan_params = init_parameters(ok)
     nan_params.v_thetas[0, 0] = np.nan
     save_checkpoint(tmp_path / "nan.json", ok, nan_params)
+    save_checkpoint(tmp_path / "ok.json", ok, init_parameters(ok))
+    saved = json.loads((tmp_path / "ok.json").read_text())
+    saved["architecture"]["layers"][0]["repeat"] = 2.0
+    write(tmp_path, "float-repeat.json", json.dumps(saved))
+    saved["architecture"]["layers"][0]["repeat"] = 2
+    write(tmp_path, "version-true.json", json.dumps(dict(saved, version=True)))
+    write(tmp_path, "deep.json", "[" * 200000 + "]" * 200000)
     for name, architecture in BAD_CHECKPOINTS.items():
         payload = {"format": "qnnkit-checkpoint", "version": 1, "architecture": architecture}
         payload["parameters"] = {"v_thetas": [[0.0] * 4], "uw_latent": None, "n_thetas": [], "pw_latent": []}
@@ -404,8 +438,7 @@ def assert_one_error_line(capsys, code, expected_code, reason):
 
 def test_option_defaults_read_train_config_and_the_qubit_cap():
     from qnnkit.cli import _train_config
-    from qnnkit.model import TrainConfig
-    from qnnkit.statevec import DEFAULT_MAX_QUBITS
+    from qnnkit.model import DEFAULT_MAX_QUBITS, TrainConfig
 
     parser = build_parser()
     for command in ("train", "sweep"):

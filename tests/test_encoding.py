@@ -9,7 +9,7 @@ from qnnkit.encoding import (
     amplitude_encoding_fragment,
     multiplexed_ry,
     normalize_rows,
-    probability_encode,
+    probability_encoding_fragment,
 )
 from qnnkit.statevec import StateVector
 
@@ -108,29 +108,29 @@ def test_preparation_takes_a_power_of_two_values_in_one_axis(data):
 
 
 def test_probability_zero_gives_ground_state():
-    _, state = probability_encode([0.0])
+    state = StateVector(1).run(probability_encoding_fragment([0.0]))
     np.testing.assert_allclose(state.amps, [1, 0], atol=1e-15)
     assert state.marginal_prob_one(0) == 0.0
 
 
 def test_probability_one_gives_excited_state():
-    _, state = probability_encode([1.0])
+    state = StateVector(1).run(probability_encoding_fragment([1.0]))
     assert abs(state.marginal_prob_one(0) - 1.0) < 1e-12
 
 
 def test_probability_quarter():
-    _, state = probability_encode([0.25])
+    state = StateVector(1).run(probability_encoding_fragment([0.25]))
     assert abs(state.marginal_prob_one(0) - 0.25) < 1e-12
 
 
 def test_out_of_range_datum_is_rejected():
     for bad in (1.2, -0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=rf"\[0, 1\], got {bad}"):
-            probability_encode([0.3, bad])
+            probability_encoding_fragment([0.3, bad])
 
 
 def test_encode_decode_round_trip():
-    _, state = probability_encode([0.1, 0.9])
+    state = StateVector(2).run(probability_encoding_fragment([0.1, 0.9]))
     np.testing.assert_allclose(state.marginals([0, 1]), [0.1, 0.9], atol=1e-12)
 
 
@@ -138,13 +138,13 @@ def test_round_trip_is_identity_on_random_vectors():
     rng = np.random.default_rng(21)
     for _ in range(20):
         d = rng.uniform(0, 1, size=int(rng.integers(1, 6)))
-        _, state = probability_encode(d)
+        state = StateVector(len(d)).run(probability_encoding_fragment(d))
         np.testing.assert_allclose(state.marginals(range(len(d))), d, atol=1e-12)
 
 
 def test_probability_registers_are_product_states():
     rng = np.random.default_rng(23)
-    _, state = probability_encode(rng.uniform(0, 1, size=4))
+    state = StateVector(4).run(probability_encoding_fragment(rng.uniform(0, 1, size=4)))
     for q in range(4):
         assert state.is_product_qubit(q, tol=1e-10)
 

@@ -1,5 +1,5 @@
 """The core package imports only the standard library, numpy and itself,
-and uses every name it imports.
+uses every name it imports, and defines no name that nothing uses.
 
 Runtime extras declared in ``pyproject.toml`` (``mlxtend`` for the MNIST
 fallback) may be imported, but only inside a function, so that
@@ -100,3 +100,79 @@ def test_unused_imports_are_found():
 def test_core_has_no_unused_imports(path):
     source = path.read_text(encoding="utf-8")
     assert [f"{path.name}:{line}: {name}" for line, name in unused_imports(source)] == []
+
+
+def definitions(source: str):
+    """(line, name) of every top-level function and class and every non-dunder method."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.lineno, item.name
+
+
+def references(source: str, traced: bool = False):
+    """Every name ``source`` refers to: names, attributes and imported names.
+
+    With ``traced``, also the attribute that each ``tracer.wrap(owner,
+    "attr", ...)`` replaces, as the benchmark worker's tracing does. A
+    definition is not a reference to itself.
+    """
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif (
+            traced
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wrap"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "tracer"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+
+def test_dead_names_are_found():
+    source = (
+        "def used(): pass\n"
+        "def dead(): pass\n"
+        "class Box:\n"
+        "    def __init__(self): pass\n"
+        "    def read(self): pass\n"
+        "    def traced(self): pass\n"
+        "    def gone(self): pass\n"
+    )
+    used = set(references("from box import used\nBox().read()\n"))
+    used |= set(references("tracer.wrap(Box, 'traced', 'box.traced')\n", traced=True))
+    assert [(line, name) for line, name in definitions(source) if name not in used] == [
+        (2, "dead"),
+        (7, "gone"),
+    ]
+    assert "traced" not in set(references("tracer.wrap(Box, 'traced', 'box.traced')\n"))
+
+
+def test_every_name_defined_in_the_core_is_used():
+    # __init__.py only re-exports, so its imports are not uses
+    sources = [p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    used = set()
+    for path in sources:
+        if path != ROOT / "src" / "qnnkit" / "__init__.py":
+            traced = path == ROOT / "perfbench" / "worker.py"
+            used.update(references(path.read_text(encoding="utf-8"), traced))
+    dead = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "qnnkit").glob("*.py"))
+        for line, name in definitions(path.read_text(encoding="utf-8"))
+        if name not in used
+    ]
+    assert dead == []

@@ -20,6 +20,7 @@ from qnnkit.arch import (
     load_architecture,
 )
 from qnnkit.model import (
+    ResourceLimitError,
     TrainConfig,
     TrainingDiverged,
     accuracy,
@@ -36,7 +37,7 @@ from qnnkit.model import (
     train,
 )
 from qnnkit.neurons import u_forward_batch
-from qnnkit.statevec import Gate, ResourceLimitError, StateVector
+from qnnkit.statevec import Gate, StateVector
 
 NETS = Path(__file__).resolve().parent.parent / "nets"
 
@@ -99,7 +100,7 @@ def test_probability_stage_outputs_stay_in_range():
             assert np.all(stage["output"] <= 1 + 1e-12)
         # amplitude stage keeps unit norm
         np.testing.assert_allclose(
-            np.linalg.norm(trace.v_out, axis=1), 1.0, atol=1e-10
+            np.linalg.norm(trace.stages[0]["input"], axis=1), 1.0, atol=1e-10
         )
 
 
@@ -107,6 +108,13 @@ def test_forward_rejects_wrong_input_dim():
     arch = from_kinds(4, 2, "v")
     with pytest.raises(ValueError, match="input dim"):
         forward(arch, init_parameters(arch), [1.0, 0.0])
+
+
+def test_forward_batch_takes_only_a_batch():
+    # one sample goes through forward, which makes it a batch of one
+    arch = from_kinds(4, 2, "v")
+    with pytest.raises(ValueError, match="expected a 2-D input"):
+        forward_batch(arch, init_parameters(arch), np.ones(4))
 
 
 def bad_inputs():
@@ -464,7 +472,7 @@ def test_plan_merges_n_runs_and_counts_qubits():
     assert [(s.kind, s.width, s.indices) for s in plan.stages] == [
         ("n", 3, (0, 1)), ("p", 2, (0,)), ("n", 2, (2,)), ("p", 2, (1,)),
     ]
-    assert (plan.v_blocks, plan.u_width, plan.p_width) == (3, 3, 4)
+    assert (plan.shapes[0][0], plan.u_width, plan.p_width) == (3, 3, 4)
     assert (plan.compiled_qubits, plan.simulated_qubits) == (3 * 3 + 4, 2 * 3 + 4)
     assert plan.shapes == ((3, 4), (3, 4), ((3,), (3,), (2,)), ((2, 3), (2, 2)))
     params = init_parameters(arch, seed=0)
@@ -546,7 +554,7 @@ def oracle_cases():
 @pytest.mark.parametrize("arch", oracle_cases())
 def test_factored_inference_matches_full_simulation(arch):
     rng = np.random.default_rng(61)
-    # a 22-qubit full run takes about 20 s, so those nets get one sample
+    # a 22-qubit full run is the slowest test in the suite, so those nets get one sample
     samples = 1 if pipeline(arch).compiled_qubits > 16 else 3
     for seed in range(samples):
         params = init_parameters(arch, seed=seed)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qnnkit.encoding import probability_encode
+from qnnkit.encoding import probability_encoding_fragment
 from qnnkit.neurons import (
     amplitude_sign_flips,
     binarize,
@@ -166,7 +166,7 @@ def test_sign_flip_fragment_matches_diagonal_oracle():
             w = random_weights(rng, 2**n)
             x = random_unit(rng, 2**n) + 1j * 0  # complex for the simulator
             got = StateVector(n, x.copy()).run(amplitude_sign_flips(w)).amps
-            np.testing.assert_allclose(got, w * x, atol=1e-12)
+            np.testing.assert_allclose(got, w[0] * w * x, atol=1e-12)  # up to the global sign w[0]
 
 
 def test_u_neuron_basis_input():
@@ -223,21 +223,21 @@ def test_u_forward_invariant_under_global_sign_flip():
 
 def test_p_neuron_single_input_ground():
     p, w = np.array([0.0]), np.ones(1)
-    gadget = StateVector(2).run(probability_encode(p)[0]).run(build_p_neuron(1, w))
+    gadget = StateVector(2).run(probability_encoding_fragment(p)).run(build_p_neuron(1, w))
     assert abs(gadget.marginals([1])[0] - 0.5) < 1e-12
     assert abs(p_forward_batch(p[None], w[None])[0][0, 0] - 0.5) < 1e-15
 
 
 def test_p_neuron_single_input_half():
     p, w = np.array([0.5]), np.ones(1)
-    gadget = StateVector(2).run(probability_encode(p)[0]).run(build_p_neuron(1, w))
+    gadget = StateVector(2).run(probability_encoding_fragment(p)).run(build_p_neuron(1, w))
     assert abs(gadget.marginals([1])[0] - 1.0) < 1e-12
     assert abs(p_forward_batch(p[None], w[None])[0][0, 0] - 1.0) < 1e-15
 
 
 def test_p_neuron_two_ground_inputs():
     p, w = np.zeros(2), np.ones(2)
-    gadget = StateVector(3).run(probability_encode(p)[0]).run(build_p_neuron(2, w))
+    gadget = StateVector(3).run(probability_encoding_fragment(p)).run(build_p_neuron(2, w))
     assert abs(gadget.marginals([2])[0] - 0.25) < 1e-12
     assert abs(p_forward_batch(p[None], w[None])[0][0, 0] - 0.25) < 1e-15
 
@@ -248,7 +248,8 @@ def test_p_forward_matches_gadget_on_random_draws():
         for _ in range(50):
             p = rng.uniform(0, 1, size=m)
             w = random_weights(rng, m)
-            gadget = StateVector(m + 1).run(probability_encode(p)[0]).run(build_p_neuron(m, w))
+            gadget = StateVector(m + 1).run(probability_encoding_fragment(p))
+            gadget.run(build_p_neuron(m, w))
             closed_form = p_forward_batch(p[None], w[None])[0][0, 0]
             assert abs(closed_form - gadget.marginals([m])[0]) < 1e-9
         # the batched form the trainer runs: B=3 inputs against k=2 weight rows
@@ -258,7 +259,7 @@ def test_p_forward_matches_gadget_on_random_draws():
         assert out.shape == (3, 2) and s.shape == (3, m) and factors.shape == (3, 2, m)
         for b in range(3):
             for j in range(2):
-                gadget = StateVector(m + 1).run(probability_encode(P[b])[0])
+                gadget = StateVector(m + 1).run(probability_encoding_fragment(P[b]))
                 gadget.run(build_p_neuron(m, W[j]))
                 assert abs(out[b, j] - gadget.marginals([m])[0]) < 1e-9
 
@@ -271,7 +272,7 @@ def test_p_neuron_weight_sign_matters():
     assert abs(plus - (1 + 2 * math.sqrt(0.16)) / 2) < 1e-12
     assert abs(minus - (1 - 2 * math.sqrt(0.16)) / 2) < 1e-12
     for w, closed_form in ((1.0, plus), (-1.0, minus)):
-        gadget = StateVector(2).run(probability_encode(p)[0]).run(build_p_neuron(1, [w]))
+        gadget = StateVector(2).run(probability_encoding_fragment(p)).run(build_p_neuron(1, [w]))
         assert abs(gadget.marginals([1])[0] - closed_form) < 1e-12
 
 
@@ -285,8 +286,7 @@ def test_sibling_p_neurons_share_inputs_exactly():
         p = rng.uniform(0, 1, size=m)
         w1, w2 = random_weights(rng, m), random_weights(rng, m)
 
-        frag_enc, _ = probability_encode(p)
-        state = StateVector(m + 2).run(frag_enc)
+        state = StateVector(m + 2).run(probability_encoding_fragment(p))
         state.run(build_p_neuron(m, w1))  # ancilla at qubit m
         # the second ancilla moves to qubit m + 1
         state.run(CircuitFragment(m + 2).extend(build_p_neuron(m, w2), {m: m + 1}))
@@ -311,7 +311,7 @@ def test_n_neuron_pi_flips_probability():
 def test_n_neuron_half_pi_mixes_to_half():
     assert n_forward_batch(0.3, math.pi / 2) == pytest.approx(0.5, abs=1e-12)
     # and against the circuit
-    _, state = probability_encode([0.3])
+    state = StateVector(1).run(probability_encoding_fragment([0.3]))
     state.run(build_n_neuron(math.pi / 2))
     assert abs(state.marginal_prob_one(0) - 0.5) < 1e-12
 
@@ -321,7 +321,7 @@ def test_n_forward_matches_gadget_on_random_draws():
     for _ in range(200):
         p = rng.uniform(0, 1)
         theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        _, state = probability_encode([p])
+        state = StateVector(1).run(probability_encoding_fragment([p]))
         state.run(build_n_neuron(theta))
         assert abs(n_forward_batch(p, theta) - state.marginal_prob_one(0)) < 1e-9
     # the batched form the trainer runs: one angle per qubit, three qubits
@@ -331,7 +331,7 @@ def test_n_forward_matches_gadget_on_random_draws():
         out = n_forward_batch(p[None, :], theta)
         assert out.shape == (1, 3)
         for i in range(3):
-            _, state = probability_encode([p[i]])
+            state = StateVector(1).run(probability_encoding_fragment([p[i]]))
             state.run(build_n_neuron(theta[i]))
             assert abs(out[0, i] - state.marginal_prob_one(0)) < 1e-9
 

@@ -136,7 +136,7 @@ def test_full_mixed_template_is_feasible():
     arch = from_kinds(16, 2, "vunp", repeat=2)  # v*2 + u + n + p
     report = validate_architecture(arch)
     assert report.passed
-    assert [j.path_id for j in report.junctions] == [1, 5, 8, 8]
+    assert [j.verdict.path_id for j in report.junctions] == [1, 5, 8, 8]
     assert not report.encoding_flags
 
 
@@ -145,7 +145,7 @@ def test_v_into_p_uses_probability_view_via_path8():
     report = validate_architecture(arch)
     assert report.passed
     v_to_p = report.junctions[1]
-    assert v_to_p.path_id == 8
+    assert v_to_p.verdict.path_id == 8
     assert v_to_p.verdict.principle == 5
 
 
@@ -156,7 +156,7 @@ def test_u_into_u_fails_at_principle_4():
     report = validate_architecture(arch)
     assert not report.passed
     u_to_u = report.junctions[2]
-    assert u_to_u.path_id == 7
+    assert u_to_u.verdict.path_id == 7
     assert u_to_u.verdict.status is Feasibility.INFEASIBLE
     assert u_to_u.verdict.principle == 4
     assert report.encoding_flags  # U canonically consumes amplitudes
