@@ -23,6 +23,18 @@ joins, and it checks the gate's qubits once, with the same
 ``check_qubits`` that ``StateVector.apply`` runs. ``extend`` splices one
 fragment into another in place, renaming qubits through ``append`` when
 given a mapping.
+
+``fuse`` compiles a fragment that will run many times into a
+``FusedProgram``. Each greedy run of gates whose qubits fit
+``FUSION_WIDTH`` (W = 4) adjacent qubits becomes one read-only
+2^W x 2^W matrix, applied as one ``np.matmul`` on
+``a.reshape(2**lo, 2**W, -1)``; a gate wider than the window stays one
+kernel step. Fusing costs more than one gate-by-gate run, so it pays
+only where the same gates run again, as in ``model.circuit_inference``,
+which fuses its parameter-only parts once per parameter set.
+``StateVector.run`` stays gate by gate: it runs everything else, and
+tests hold fused programs to it. W = 5 measured no faster on the
+oracle's 5- to 10-qubit registers and slower on 20 qubits.
 """
 
 from __future__ import annotations
@@ -228,6 +240,16 @@ def _entries(gate: Gate) -> tuple:
     return r, r, r, -r
 
 
+def apply_gate(a: np.ndarray, gate: Gate, qubits: tuple[int, ...]) -> None:
+    """Apply ``gate`` at checked ``qubits`` to every row of ``a`` through its kernel."""
+    if gate.kind in ("H", "RX", "RY"):
+        apply_1q(a, qubits[0], *_entries(gate))
+    elif gate.kind in ("Z", "CZ"):
+        phase_flip(a, qubits)
+    else:  # X has no controls, CX fires on control 1, MCX carries its polarities
+        controlled_x(a, qubits[:-1], gate.polarities or (1,) * (len(qubits) - 1), qubits[-1])
+
+
 class StateVector:
     """2^n complex amplitudes over n qubits, mutated in place by gates."""
 
@@ -251,14 +273,7 @@ class StateVector:
         """Apply ``gate`` at ``qubits`` (controls first, target last) in place."""
         qubits = tuple(qubits)
         check_qubits(gate, qubits, self.n_qubits)
-
-        a = self.amps[None]
-        if gate.kind in ("H", "RX", "RY"):
-            apply_1q(a, qubits[0], *_entries(gate))
-        elif gate.kind in ("Z", "CZ"):
-            phase_flip(a, qubits)
-        else:  # X has no controls, CX fires on control 1, MCX carries its polarities
-            controlled_x(a, qubits[:-1], gate.polarities or (1,) * (len(qubits) - 1), qubits[-1])
+        apply_gate(self.amps[None], gate, qubits)
         return self
 
     def run(self, fragment: CircuitFragment) -> "StateVector":
@@ -308,3 +323,76 @@ def with_zeros(amps, extra: int) -> StateVector:
     out = np.zeros(np.size(amps) << extra, dtype=complex)
     out[:: 1 << extra] = amps
     return StateVector(out.size.bit_length() - 1, out)
+
+
+# Gate fusion: qubits per dense block, so a block is a 2^W x 2^W matrix.
+FUSION_WIDTH = 4
+
+
+@dataclass(frozen=True)
+class FusedProgram:
+    """A fragment's gates as a few steps, for a circuit that runs many times.
+
+    Each step is either ``(lo, matrix)``, the product of a run of gates
+    on the window of qubits lo..lo+W-1 as one read-only 2^W x 2^W matrix,
+    or ``(gate, qubits)``, one gate wider than the window, which runs
+    through its kernel.
+    """
+
+    qubit_span: int
+    steps: tuple
+
+    def run(self, state: StateVector) -> StateVector:
+        """Run every step on ``state``, replacing its amplitudes: one ``np.matmul`` per block."""
+        if self.qubit_span > state.n_qubits:
+            raise ValueError(
+                f"program spans {self.qubit_span} qubits, register has {state.n_qubits}"
+            )
+        a = state.amps
+        for head, body in self.steps:
+            if isinstance(head, Gate):
+                apply_gate(a[None], head, body)
+            else:
+                a = np.matmul(body, a.reshape(2**head, body.shape[0], -1)).reshape(-1)
+        state.amps = a
+        return state
+
+
+def fuse(fragment: CircuitFragment) -> FusedProgram:
+    """Fuse ``fragment`` greedily: each run of gates whose qubits fit
+    W adjacent qubits becomes one block, and a wider gate stays a step.
+
+    A block's matrix is built by running its gates through the same
+    kernels on the 2^W basis states.
+    """
+    w = min(FUSION_WIDTH, fragment.qubit_span)
+    steps: list = []
+    block: list = []
+    lo = hi = 0
+
+    def close() -> None:
+        start = min(lo, fragment.qubit_span - w)
+        rows = np.eye(2**w, dtype=complex)  # row i becomes U e_i, so U is its transpose
+        for gate, qubits in block:
+            apply_gate(rows, gate, tuple(q - start for q in qubits))
+        matrix = rows.T.copy()
+        matrix.flags.writeable = False
+        steps.append((start, matrix))
+        block.clear()
+
+    for gate, qubits in fragment.ops:
+        first, last = min(qubits), max(qubits)
+        if block and max(hi, last) - min(lo, first) < w:
+            block.append((gate, qubits))
+            lo, hi = min(lo, first), max(hi, last)
+            continue
+        if block:
+            close()
+        if last - first < w:
+            block.append((gate, qubits))
+            lo, hi = first, last
+        else:
+            steps.append((gate, qubits))
+    if block:
+        close()
+    return FusedProgram(fragment.qubit_span, tuple(steps))

@@ -591,7 +591,86 @@ def test_factored_inference_matches_full_simulation_on_random_archs(arch, seed):
     )
 
 
+def assert_oracle_fragments_fuse_exactly(arch, params, rng):
+    """Each fragment circuit_inference fuses matches its gate-by-gate run on a random state."""
+    from qnnkit import model
+
+    v, u_frags, tail, _ = model._oracle_fragments(arch, pipeline(arch), params)
+    for frag in [v, *u_frags, tail]:
+        n = frag.qubit_span
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps /= np.linalg.norm(amps)
+        fused = statevec.fuse(frag).run(StateVector(n, amps.copy())).amps
+        np.testing.assert_allclose(fused, StateVector(n, amps).run(frag).amps, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("path", sorted(NETS.glob("*.arch")), ids=lambda path: path.stem)
+def test_the_oracle_fragments_of_every_net_fuse_exactly(path):
+    arch = load_architecture(path)
+    params = init_parameters(arch, seed=0)
+    assert_oracle_fragments_fuse_exactly(arch, params, np.random.default_rng(71))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(arch=factored_archs(), seed=st.integers(0, 2**16))
+def test_the_oracle_fragments_of_random_archs_fuse_exactly(arch, seed):
+    params = init_parameters(arch, seed=seed)
+    assert_oracle_fragments_fuse_exactly(arch, params, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("kinds, group", [("vnp", "v"), ("vun", "u"), ("vun", "n"), ("vnp", "p")])
+def test_an_in_place_update_misses_the_oracle_memo(kinds, group):
+    from qnnkit import model
+
+    arch = from_kinds(8, 2, kinds)
+    params = init_parameters(arch, seed=0)
+    x = np.linspace(-0.7, 1.3, 8)
+    before = circuit_inference(arch, params, x)
+    if group == "v":
+        params.v_thetas[0, 0] += 0.5
+    elif group == "n":
+        params.n_thetas[0][0] += 0.5
+    else:  # flip the sign of one binary weight
+        latent = params.uw_latent if group == "u" else params.pw_latent[0]
+        latent[0, 0] *= -1
+    after = circuit_inference(arch, params, x)
+    model._ORACLE_MEMO.clear()
+    np.testing.assert_array_equal(after, circuit_inference(arch, params, x))
+    assert np.max(np.abs(after - before)) > 1e-9  # a stale program would give ``before`` again
+
+
+def test_specs_with_equal_parameter_bytes_do_not_share_oracle_programs():
+    from qnnkit import model
+
+    n_then_p, p_then_n = (
+        ArchitectureSpec(8, 2, [LayerSpec("v", 3), LayerSpec("u", 2)] + [LayerSpec(k, 2) for k in kinds])
+        for kinds in ("np", "pn")
+    )
+    params = init_parameters(n_then_p, seed=0)
+    assert [a.shape for a in params.arrays()] == [
+        a.shape for a in init_parameters(p_then_n, seed=0).arrays()
+    ]
+    x = np.linspace(-0.7, 1.3, 8)
+    first = circuit_inference(n_then_p, params, x)
+    second = circuit_inference(p_then_n, params, x)
+    model._ORACLE_MEMO.clear()
+    np.testing.assert_array_equal(second, circuit_inference(p_then_n, params, x))
+    assert np.max(np.abs(first - second)) > 1e-9
+
+
+def test_the_oracle_memo_keeps_one_parameter_set():
+    from qnnkit import model
+
+    arch = load_architecture(NETS / "mnist2-vu.arch")
+    x = np.linspace(0.1, 1.0, arch.input_dim)
+    for seed in range(3):
+        circuit_inference(arch, init_parameters(arch, seed=seed), x)
+        assert len(model._ORACLE_MEMO) == 1
+
+
 def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
+    from qnnkit import model
+
     calls = Counter()
     for name in ("apply_1q", "controlled_x", "phase_flip"):
         kernel = getattr(statevec, name)
@@ -608,9 +687,10 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
         per_sample = []
         for x in (rng.uniform(0.01, 1.0, 16), np.eye(16)[5], np.linspace(0.0, 1.0, 16)):
             calls.clear()
+            model._ORACLE_MEMO.clear()  # so each count covers fusing the programs and running them
             circuit_inference(arch, params, x)
             per_sample.append(dict(calls))
-        assert per_sample[0]["apply_1q"] > 0
+        assert per_sample[0]["apply_1q"] > 0  # the encoding runs gate by gate
         assert all(c == per_sample[0] for c in per_sample), (net, per_sample)
 
 

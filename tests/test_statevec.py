@@ -13,6 +13,7 @@ import pytest
 from qnnkit.statevec import (
     CX,
     CZ,
+    FUSION_WIDTH,
     CircuitFragment,
     Gate,
     H,
@@ -21,6 +22,7 @@ from qnnkit.statevec import (
     Z,
     apply_1q,
     controlled_x,
+    fuse,
     mcx,
     phase_flip,
     rx,
@@ -308,3 +310,85 @@ def test_mcx_triggers_on_all_zeros_with_negative_polarity():
     # |00> with both controls at polarity 0 flips the target.
     s = StateVector(3).apply(mcx((0, 0)), [0, 1, 2])
     np.testing.assert_allclose(s.amps[1], 1.0, atol=1e-15)  # |001>
+
+
+# ---------------------------------------------------------------------------
+# fused programs
+# ---------------------------------------------------------------------------
+
+
+def random_state(rng, n: int) -> np.ndarray:
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+def random_fragment(rng, n: int, count: int) -> CircuitFragment:
+    """``count`` random gates on n qubits; a fifth are MCX on up to n qubits."""
+    frag = CircuitFragment(n)
+    while len(frag.ops) < count:
+        if n > 1 and rng.random() < 0.2:
+            arity = int(rng.integers(2, n + 1))
+            gate = mcx(tuple(int(b) for b in rng.integers(0, 2, arity - 1)))
+        else:
+            gate, arity = random_gate(rng)
+            if arity > n:
+                continue
+        frag.append(gate, *(int(q) for q in rng.choice(n, size=arity, replace=False)))
+    return frag
+
+
+def kron_unitary(fragment: CircuitFragment) -> np.ndarray:
+    """The fragment's 2^n x 2^n unitary: each Gate.matrix() np.kron'd with
+    the identity on the other qubits, its axes moved to the gate's qubits."""
+    n = fragment.qubit_span
+    total = np.eye(2**n, dtype=complex)
+    for gate, qubits in fragment.ops:
+        full = np.kron(gate.matrix(), np.eye(2 ** (n - len(qubits))))  # gate qubits first
+        order = list(qubits) + [q for q in range(n) if q not in qubits]
+        perm = list(np.argsort(order))
+        full = full.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
+        total = full.reshape(2**n, 2**n) @ total
+    return total
+
+
+def test_a_fragment_within_the_window_fuses_to_its_kron_product():
+    rng = np.random.default_rng(19)
+    for n in range(1, FUSION_WIDTH + 1):
+        for _ in range(10):
+            frag = random_fragment(rng, n, 12)
+            (step,) = fuse(frag).steps
+            lo, matrix = step
+            assert lo == 0 and not matrix.flags.writeable
+            np.testing.assert_allclose(matrix, kron_unitary(frag), rtol=0, atol=1e-13)
+
+
+def test_fused_programs_match_gate_by_gate_runs():
+    rng = np.random.default_rng(23)
+    wide = first_window = last_window = False
+    for n in range(1, 9):
+        for _ in range(15):
+            frag = random_fragment(rng, n, int(rng.integers(1, 40)))
+            program = fuse(frag)
+            amps = random_state(rng, n)
+            fused = program.run(StateVector(n, amps.copy())).amps
+            np.testing.assert_allclose(
+                fused, StateVector(n, amps).run(frag).amps, rtol=0, atol=1e-13
+            )
+            for head, _ in program.steps:
+                if isinstance(head, Gate):
+                    wide = True
+                elif n > FUSION_WIDTH:
+                    first_window |= head == 0
+                    last_window |= head == n - FUSION_WIDTH
+            # a register wider than the program's span takes it too, like StateVector.run
+            wider = random_state(rng, n + 1)
+            np.testing.assert_allclose(
+                program.run(StateVector(n + 1, wider.copy())).amps,
+                StateVector(n + 1, wider).run(frag).amps, rtol=0, atol=1e-13,
+            )
+    assert wide and first_window and last_window
+
+
+def test_a_program_rejects_a_narrower_register():
+    with pytest.raises(ValueError, match="spans 2"):
+        fuse(CircuitFragment(2).append(H, 1)).run(StateVector(1))
