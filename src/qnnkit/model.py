@@ -8,15 +8,16 @@ Two semantics coexist on purpose:
   probabilities afterwards). It is the training-time semantics and is
   what every accuracy number refers to.
 - ``build_network_circuit`` compiles the whole network into one circuit
-  with a fresh register per u neuron and no measurement anywhere except
-  the final output qubits. ``circuit_inference`` reads that circuit's
-  output marginals by exact register-factored simulation: each u
-  register runs alone on n + 1 qubits and hands on only a two-qubit
-  purification of its ancilla. ``max_qubits`` therefore bounds the
-  plan's ``simulated_qubits`` (for k u neurons the larger of n + 1 and
-  2k + the p widths), not its ``compiled_qubits``. Only the amplitude
-  encoding depends on the input; the v stage, the u gadgets and the n/p
-  tail are fused once per parameter set and kept for the next call.
+  with no measurement anywhere except the final output qubits: the
+  amplitude encoding, the only part that depends on the input, and the
+  ``_oracle_fragments`` (v stage, u gadgets, n/p tail) placed on one
+  register. ``circuit_inference`` reads that circuit's output marginals
+  by exact register-factored simulation of the same fragments, fused
+  once per parameter set: each u register runs alone on n + 1 qubits
+  and hands on only a two-qubit purification of its ancilla.
+  ``max_qubits`` therefore bounds the plan's ``simulated_qubits`` (for k
+  u neurons the larger of n + 1 and 2k + the p widths), not its
+  ``compiled_qubits``.
 
 Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets) and
@@ -305,8 +306,15 @@ class TrainConfig:
     seed: int = 0
 
 
+def _check_labels(labels, rows: int) -> None:
+    """ValueError unless ``labels`` holds one label per row."""
+    if np.shape(labels) != (rows,):
+        raise ValueError(f"expected {rows} labels, one per row, got shape {np.shape(labels)}")
+
+
 def loss_batch(probs: np.ndarray, labels, temperature: float = TrainConfig.temperature) -> float:
     """Mean cross-entropy over softmax(probs / temperature)."""
+    _check_labels(labels, len(probs))
     labels = np.asarray(labels, dtype=int)
     if np.any((labels < 0) | (labels >= probs.shape[1])):
         raise ValueError("label out of range")
@@ -323,8 +331,9 @@ def backward_batch(
     temperature: float = TrainConfig.temperature,
 ) -> ParameterStore:
     """Exact reverse-mode gradients as a ParameterStore; binary weights get straight-through."""
-    labels = np.asarray(labels, dtype=int)
     B = len(trace.probs)
+    _check_labels(labels, B)
+    labels = np.asarray(labels, dtype=int)
     sm = _softmax(trace.probs / temperature)
     onehot = np.zeros_like(sm)
     onehot[np.arange(B), labels] = 1.0
@@ -363,6 +372,7 @@ def backward_batch(
 
 def accuracy(arch, params, X, y) -> float:
     probs = forward_batch(arch, params, X).probs
+    _check_labels(y, len(probs))
     return float(np.mean(np.argmax(probs, axis=1) == np.asarray(y)))
 
 
@@ -388,6 +398,9 @@ def train(
         )
     if len(train_images) == 0:
         raise ValueError("empty training set")
+    _check_labels(train_labels, len(train_images))
+    if test_images is not None:
+        _check_labels(test_labels, len(test_images))
 
     params = params.copy()
     rng = np.random.default_rng(config.seed)
@@ -458,90 +471,77 @@ class NetworkCircuit:
     output_qubits: list[int]
 
 
-def _v_stage(n: int, params: ParameterStore) -> CircuitFragment:
-    """Every v block, on n qubits."""
-    frag = CircuitFragment(n)
-    for theta in params.v_thetas:
-        frag.extend(build_v_block(n, theta))
-    return frag
+def _oracle_fragments(arch: ArchitectureSpec, plan: Plan, params: ParameterStore) -> tuple:
+    """(v stage, u neurons, n/p tail, output qubits): the network's
+    parameter-only fragments. ``circuit_inference`` fuses them and
+    ``build_network_circuit`` places them on the compiled register.
 
-
-def _append_prob_layers(
-    frag: CircuitFragment,
-    arch: ArchitectureSpec,
-    plan: Plan,
-    params: ParameterStore,
-    stage_qubits: list[int],
-) -> list[int]:
-    """Append the n and p stages' gates to ``frag``, on a register laid out by the caller.
-
-    ``stage_qubits`` hold the stage the first n/p layer reads. n layers
-    rotate their inputs in place, one n gadget per layer and qubit; the p
-    neurons write the top ``plan.p_width`` qubits of the fragment's span,
-    one each, in order. Returns the output qubits.
+    The v stage spans n qubits and each u neuron n + 1, its ancilla last.
+    The tail spans one pair per u neuron, u neuron j's ancilla at 2j and
+    its purification at 2j + 1, then the p outputs, one fresh qubit each
+    in layer order; without a u layer, the v register and then the p
+    outputs. n layers rotate the stage qubits in place; each p neuron
+    reads them as controls and writes its own output.
     """
-    next_free = frag.qubit_span - plan.p_width
+    n = arch.n_qubits
+    v = CircuitFragment(n)
+    for theta in params.v_thetas:
+        v.extend(build_v_block(n, theta))
+    if plan.u_width is None:
+        u_frags, next_free = [], n
+        stage_qubits = list(range(n))
+    else:
+        u_frags = [build_u_neuron(n, w) for w in params.u_weights()]
+        next_free = 2 * plan.u_width
+        stage_qubits = list(range(0, next_free, 2))
+    tail = CircuitFragment(next_free + plan.p_width)
     for stage in plan.stages:
         if stage.kind == "n":
             for i in stage.indices:
                 for q, theta in zip(stage_qubits, params.n_thetas[i]):
-                    frag.extend(build_n_neuron(theta), {0: q})
+                    tail.extend(build_n_neuron(theta), {0: q})
         else:
             m = len(stage_qubits)
             targets = list(range(next_free, next_free + stage.width))
             for w, target in zip(params.p_weights(stage.indices[0]), targets):
-                frag.extend(build_p_neuron(m, w), {**dict(enumerate(stage_qubits)), m: target})
+                tail.extend(build_p_neuron(m, w), {**dict(enumerate(stage_qubits)), m: target})
             stage_qubits = targets
             next_free += stage.width
     # a v-final net reads its first num_classes qubits; every other last
     # stage is num_classes wide already
-    return stage_qubits[: arch.num_classes]
+    return v, u_frags, tail, stage_qubits[: arch.num_classes]
 
 
 def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> NetworkCircuit:
-    """Compile encoding + every gadget into one measurement-free fragment.
+    """Compile the network into one measurement-free fragment on
+    ``plan.compiled_qubits`` qubits: the encoding of ``x`` and the
+    ``_oracle_fragments``, placed on that register.
 
-    Each u neuron re-prepares the encoded input and v stage on its own
-    register (quantum states cannot be copied, but their known classical
-    preparation can be repeated), so u outputs stay mutually independent.
+    With k u neurons, register j holds the encoding and v stage on qubits
+    j*n .. j*n + n - 1 and u neuron j's ancilla at k*n + j; the tail's
+    pair j reads that ancilla, and its p output i is qubit k*(n + 1) + i.
+    A fresh register per u neuron repeats the known classical preparation
+    of a state that cannot be copied, so u outputs stay independent.
+    Without a u layer the encoding, v stage and tail run in turn on one
+    register.
     """
     plan = pipeline(arch)
     n = arch.n_qubits
-    register = amplitude_encoding_fragment(_checked_input(arch, x)).extend(_v_stage(n, params))
+    v, u_frags, tail, outputs = _oracle_fragments(arch, plan, params)
+    register = amplitude_encoding_fragment(_checked_input(arch, x)).extend(v)
     frag = CircuitFragment(plan.compiled_qubits)
-    if plan.u_width is not None:
-        k = plan.u_width
-        for j, w in enumerate(params.u_weights()):
-            mapping = {q: j * n + q for q in range(n)}
-            frag.extend(register, mapping)
-            mapping[n] = k * n + j
-            frag.extend(build_u_neuron(n, w), mapping)
-        stage_qubits = list(range(k * n, k * n + k))
-    else:
-        frag.extend(register)
-        stage_qubits = list(range(n))
-    outputs = _append_prob_layers(frag, arch, plan, params, stage_qubits)
-    return NetworkCircuit(frag, outputs)
-
-
-def _oracle_fragments(arch: ArchitectureSpec, plan: Plan, params: ParameterStore) -> tuple:
-    """(v stage, u neurons, n/p tail, output qubits): the fragments of
-    ``circuit_inference`` that depend only on the parameters.
-
-    The tail runs on one purified pair per u neuron (ancilla first) plus
-    the p outputs; without a u layer, on the v register widened by them.
-    """
-    n = arch.n_qubits
     if plan.u_width is None:
-        u_frags, width = [], n
-        stage_qubits = list(range(n))
-    else:
-        u_frags = [build_u_neuron(n, w) for w in params.u_weights()]
-        width = 2 * plan.u_width
-        stage_qubits = list(range(0, width, 2))
-    tail = CircuitFragment(width + plan.p_width)
-    outputs = _append_prob_layers(tail, arch, plan, params, stage_qubits)
-    return _v_stage(n, params), u_frags, tail, outputs
+        return NetworkCircuit(frag.extend(register).extend(tail), outputs)
+    k = plan.u_width
+    for j, u in enumerate(u_frags):
+        mapping = {q: j * n + q for q in range(n)}
+        frag.extend(register, mapping)
+        mapping[n] = k * n + j
+        frag.extend(u, mapping)
+    place = {2 * j: k * n + j for j in range(k)}
+    place.update({2 * k + i: k * (n + 1) + i for i in range(plan.p_width)})
+    frag.extend(tail, place)
+    return NetworkCircuit(frag, [place[q] for q in outputs])
 
 
 # At most one entry: the fused programs of the last parameter set seen.
@@ -578,19 +578,17 @@ def circuit_inference(
     each u neuron runs alone on that state plus its ancilla; and the
     register is replaced by the two-qubit Schmidt purification
     ``U diag(s)`` of its ancilla, from the SVD of the 2 x 2^n
-    ancilla-by-rest amplitude matrix. The n and p layers then run on the
-    k purified pairs (ancilla first) plus the p outputs. This is exact:
-    the purification differs from the register by an isometry on qubits
-    no later gate touches, so every output marginal is unchanged. Without
-    a u layer, the v register widened by the p outputs runs the n/p step.
-    ``max_qubits`` caps the widest register simulated, which is
-    ``pipeline(arch).simulated_qubits``.
+    ancilla-by-rest amplitude matrix, which is the tail's pair for that
+    neuron. This is exact: the purification differs from the register by
+    an isometry on qubits no later gate touches, so every output marginal
+    is unchanged. ``max_qubits`` caps the widest register simulated,
+    which is ``pipeline(arch).simulated_qubits``.
 
     Only the amplitude encoding depends on ``x``, and it runs gate by
-    gate. The v stage, each u gadget and the n/p tail depend only on the
-    parameters: they come from the same builders as the compiled
-    circuit's, are fused by ``statevec.fuse`` into blocks of W = 4
-    adjacent qubits, and are kept in a one-entry memo keyed by ``arch``
+    gate. The v stage, each u gadget and the n/p tail are the
+    ``_oracle_fragments`` that the compiled circuit places. They depend
+    only on the parameters, are fused by ``statevec.fuse`` into blocks of
+    W = 4 adjacent qubits, and are kept in a one-entry memo keyed by ``arch``
     and the shape, dtype and bytes of every parameter array, read at
     each call, so an in-place update is a miss. This pays because
     callers repeat parameters: ``qnnkit verify`` and the benchmark's

@@ -173,6 +173,30 @@ def test_label_out_of_range():
         loss_batch(np.ones((1, 2)), [2])
 
 
+@pytest.mark.parametrize("labels", [None, [0], [0, 1, 0, 1], [[0], [1], [0]]])
+def test_loss_gradients_and_accuracy_take_one_label_per_row(labels):
+    arch = from_kinds(4, 2, "vu")
+    params = init_parameters(arch, seed=0)
+    X = np.random.default_rng(34).uniform(0.1, 1.0, size=(3, 4))
+    trace = forward_batch(arch, params, X)
+    with pytest.raises(ValueError, match="one per row"):
+        loss_batch(trace.probs, labels)
+    with pytest.raises(ValueError, match="one per row"):
+        backward_batch(arch, params, trace, labels)
+    with pytest.raises(ValueError, match="one per row"):
+        accuracy(arch, params, X, labels)
+
+
+def test_training_refuses_test_images_without_their_labels():
+    arch = from_kinds(4, 2, "vu")
+    X = np.random.default_rng(35).uniform(0.1, 1.0, size=(4, 4))
+    y = np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="one per row"):
+        train(arch, init_parameters(arch), X, y, TrainConfig(epochs=1), X, None)
+    with pytest.raises(ValueError, match="one per row"):
+        train(arch, init_parameters(arch), X, y[:3], TrainConfig(epochs=1))
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
@@ -534,10 +558,15 @@ def test_circuit_inference_respects_qubit_cap():
         circuit_inference(wide, init_parameters(wide, seed=0), np.ones(4))
 
 
-def full_simulation(arch, params, x):
-    """Output marginals from one run of the whole compiled circuit."""
+def full_simulation(arch, params, x, fused=True):
+    """Output marginals from one run of the whole compiled circuit, fused
+    by ``statevec.fuse`` or gate by gate through ``StateVector.run``."""
     circuit = build_network_circuit(arch, params, x)
-    state = StateVector(circuit.fragment.qubit_span).run(circuit.fragment)
+    state = StateVector(circuit.fragment.qubit_span)
+    if fused:
+        state = statevec.fuse(circuit.fragment).run(state)
+    else:
+        state.run(circuit.fragment)
     return state.marginals(circuit.output_qubits)
 
 
@@ -554,9 +583,7 @@ def oracle_cases():
 @pytest.mark.parametrize("arch", oracle_cases())
 def test_factored_inference_matches_full_simulation(arch):
     rng = np.random.default_rng(61)
-    # a 22-qubit full run is the slowest test in the suite, so those nets get one sample
-    samples = 1 if pipeline(arch).compiled_qubits > 16 else 3
-    for seed in range(samples):
+    for seed in range(3):
         params = init_parameters(arch, seed=seed)
         x = rng.uniform(0.01, 1.0, size=arch.input_dim)
         np.testing.assert_allclose(
@@ -586,22 +613,38 @@ def test_factored_inference_matches_full_simulation_on_random_archs(arch, seed):
     params = init_parameters(arch, seed=seed)
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=arch.input_dim)
     np.testing.assert_allclose(
-        circuit_inference(arch, params, x), full_simulation(arch, params, x),
+        circuit_inference(arch, params, x), full_simulation(arch, params, x, fused=False),
         rtol=0, atol=1e-12,
     )
 
 
+def assert_fuses_exactly(frag, rng):
+    """The fused fragment matches its gate-by-gate run on a random state."""
+    n = frag.qubit_span
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    fused = statevec.fuse(frag).run(StateVector(n, amps.copy())).amps
+    np.testing.assert_allclose(fused, StateVector(n, amps).run(frag).amps, rtol=0, atol=1e-13)
+
+
 def assert_oracle_fragments_fuse_exactly(arch, params, rng):
-    """Each fragment circuit_inference fuses matches its gate-by-gate run on a random state."""
+    """Each fragment circuit_inference fuses matches its gate-by-gate run."""
     from qnnkit import model
 
     v, u_frags, tail, _ = model._oracle_fragments(arch, pipeline(arch), params)
     for frag in [v, *u_frags, tail]:
-        n = frag.qubit_span
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        amps /= np.linalg.norm(amps)
-        fused = statevec.fuse(frag).run(StateVector(n, amps.copy())).amps
-        np.testing.assert_allclose(fused, StateVector(n, amps).run(frag).amps, rtol=0, atol=1e-13)
+        assert_fuses_exactly(frag, rng)
+
+
+@pytest.mark.parametrize("name", ["mnist2-vu", "vun"])
+def test_compiled_circuits_fuse_exactly(name):
+    """The fused full-circuit reference is itself held to gate-by-gate runs."""
+    arch = load_architecture(NETS / f"{name}.arch")
+    rng = np.random.default_rng(73)
+    for seed in range(3):
+        x = rng.uniform(-1.0, 1.0, size=arch.input_dim)
+        circuit = build_network_circuit(arch, init_parameters(arch, seed=seed), x)
+        assert_fuses_exactly(circuit.fragment, rng)
 
 
 @pytest.mark.parametrize("path", sorted(NETS.glob("*.arch")), ids=lambda path: path.stem)
