@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tour of the dense state-vector simulator.
 
-Register allocation, gate application, marginals, and the purity-based
-entanglement probe. The design-rule engine does not use the probe: it
-decides entanglement statically, from the layer sequence alone.
+Register allocation, gate application and marginals. The simulator has
+no entanglement probe: the design-rule engine decides entanglement
+statically, from the layer sequence alone.
 """
 
 import numpy as np
@@ -19,11 +19,6 @@ print("ground state:", state.amps)
 state.apply(H, [0]).apply(CX, [0, 1])
 print("bell state:", np.round(state.amps, 6))
 print("marginal Pr[1] of qubits 0 and 1:", state.marginals([0, 1]))
-print("qubit 0 unentangled?", state.is_product_qubit(0))
-
-# Product states report purity 1 on every qubit.
-product = StateVector(2).apply(H, [0]).apply(H, [1])
-print("H|0> x H|0> qubit 1 unentangled?", product.is_product_qubit(1))
 
 # Rotations use the half-angle convention; RX(pi) acts like X up to phase.
 single = StateVector(1).apply(ry(2 * np.arcsin(np.sqrt(0.3))), [0])

@@ -62,9 +62,9 @@ print(
     f"circuit {state.marginal_prob_one(0):.6f}"
 )
 
-# Sibling P neurons can share one input register: the uncompute suffix
-# returns the inputs to their standby frame and each ancilla still lands
-# exactly on its own closed-form value.
+# Sibling P neurons can share one input register: each gadget closes with
+# the H layer it opened with, and each ancilla still lands exactly on its
+# own closed-form value.
 p = rng.uniform(0, 1, size=3)
 w1 = np.array([1.0, -1.0, 1.0])
 w2 = np.array([-1.0, 1.0, 1.0])

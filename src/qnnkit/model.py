@@ -396,6 +396,7 @@ def train(
         raise ArchitectureError(
             "refusing to train an infeasible architecture:\n" + report.render_text()
         )
+    train_images, train_labels = np.asarray(train_images), np.asarray(train_labels)
     if len(train_images) == 0:
         raise ValueError("empty training set")
     _check_labels(train_labels, len(train_images))

@@ -17,8 +17,9 @@ Kinds and their I/O encodings:
   weights enter as amplitude sign flips, up to the global sign w[0],
   which a fresh register cannot show; output Pr[1] = (sum w.x)^2 / N.
 - P: probability in / probability out on one fresh ancilla. Binary
-  weights enter as X gates inside a Hadamard sandwich; output is a
-  product of per-input coherence factors (see p_forward_batch).
+  weights enter as the control polarities of an MCX inside a Hadamard
+  sandwich; output is a product of per-input coherence factors (see
+  p_forward_batch).
 - N: normalization, one trainable RX per qubit reshaping Pr[1] in place.
 
 Weight conventions: binary weights are +-1 vectors (never 0); V/N angles
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from .statevec import CX, CZ, CircuitFragment, H, X, Z, controlled_x, mcx, rx, ry
+from .statevec import CX, CZ, CircuitFragment, H, Z, controlled_x, mcx, rx, ry
 
 # ---------------------------------------------------------------------------
 # weight helpers
@@ -298,12 +299,9 @@ def u_backward_batch(grad, X, W, dot) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_p_neuron(m: int, w) -> CircuitFragment:
-    """Probability neuron: H sandwich on the m inputs with weight X gates
-    adjacent to an anti-controlled MCX onto a fresh ancilla (qubit m).
-
-    The trailing X/H suffix returns the inputs to their standby frame so
-    sibling P neurons in the same layer can share them; each sibling's
-    ancilla marginal still equals its own p_forward_batch value exactly.
+    """Probability neuron: H on the m inputs, an MCX onto a fresh ancilla
+    (qubit m) that fires where input i holds 1 if w[i] = -1 and 0 if
+    w[i] = +1, then H on the inputs again.
     """
     w = check_binary_weights(w)
     if len(w) != m:
@@ -311,12 +309,7 @@ def build_p_neuron(m: int, w) -> CircuitFragment:
     frag = CircuitFragment(m + 1)
     for q in range(m):
         frag.append(H, q)
-    flipped = [q for q in range(m) if w[q] < 0]
-    for q in flipped:
-        frag.append(X, q)
-    frag.append(mcx((0,) * m), *range(m), m)
-    for q in flipped:
-        frag.append(X, q)
+    frag.append(mcx(tuple(int(wi < 0) for wi in w)), *range(m), m)
     for q in range(m):
         frag.append(H, q)
     return frag

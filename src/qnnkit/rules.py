@@ -73,13 +73,17 @@ class JunctionProfile:
 class ConnectionVerdict:
     path_id: int
     status: Feasibility
-    principle: int
     conditions: tuple[str, ...] = ()
     reason: str | None = None
 
     @property
     def feasible(self) -> bool:
         return self.status is Feasibility.FEASIBLE
+
+    @property
+    def principle(self) -> int:
+        """The rule that decides the path: 1 for paths 1-4, then one rule per path."""
+        return 1 if self.path_id <= 4 else self.path_id - 3
 
 
 def classify_path(profile: JunctionProfile) -> int:
@@ -95,42 +99,36 @@ _SAFE_PATH8_OPS = frozenset(
 
 def check_connection(profile: JunctionProfile) -> ConnectionVerdict:
     path = classify_path(profile)
-    if path <= 4:
-        return ConnectionVerdict(path, Feasibility.FEASIBLE, principle=1)
-    if path == 5:
-        return ConnectionVerdict(path, Feasibility.FEASIBLE, principle=2)
+    if path <= 5:  # unentangled (rule 1), or amplitudes into amplitudes (rule 2)
+        return ConnectionVerdict(path, Feasibility.FEASIBLE)
     if path == 6:
         if profile.consumer_requires_independent_inputs:
             return ConnectionVerdict(
                 path,
                 Feasibility.INFEASIBLE,
-                principle=3,
                 reason="entangled amplitude outputs feed a probability consumer "
                 "that assumes independent inputs",
             )
         return ConnectionVerdict(
             path,
             Feasibility.CONDITIONALLY_FEASIBLE,
-            principle=3,
             conditions=("consumer tolerates correlated probability inputs",),
         )
     if path == 7:
         if profile.reuses_input_qubits:
-            return ConnectionVerdict(path, Feasibility.FEASIBLE, principle=4)
+            return ConnectionVerdict(path, Feasibility.FEASIBLE)
         return ConnectionVerdict(
             path,
             Feasibility.INFEASIBLE,
-            principle=4,
             reason="probability outputs live on fresh ancillas, so no register "
             "carries amplitudes into the consumer",
         )
     # path 8
     if profile.consumer_ops <= _SAFE_PATH8_OPS:
-        return ConnectionVerdict(path, Feasibility.FEASIBLE, principle=5)
+        return ConnectionVerdict(path, Feasibility.FEASIBLE)
     return ConnectionVerdict(
         path,
         Feasibility.INFEASIBLE,
-        principle=5,
         reason="consumer applies operations beyond kickback-free controls "
         "and X-axis rotations to entangled probability qubits",
     )

@@ -53,7 +53,8 @@ class Gate:
 
     ``polarities`` applies to MCX only: entry i is the value (0 or 1)
     control i must hold for the target flip to fire. This lets gadgets
-    trigger on |0...0> without X-conjugation at the call site.
+    pick the pattern that fires (|0...0> for u, the weight signs for p)
+    without X-conjugation at the call site.
     """
 
     kind: str
@@ -304,18 +305,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
-
-    def reduced_density_matrix(self, qubit: int) -> np.ndarray:
-        """2x2 reduced density matrix of one qubit."""
-        view = self.amps.reshape([2] * self.n_qubits)
-        m = np.moveaxis(view, qubit, 0).reshape(2, -1)
-        return m @ m.conj().T
-
-    def is_product_qubit(self, qubit: int, tol: float = 1e-9) -> bool:
-        """True iff ``qubit`` is unentangled with the rest (purity >= 1 - tol)."""
-        rho = self.reduced_density_matrix(qubit)
-        purity = float(np.real(np.trace(rho @ rho)))
-        return purity >= 1.0 - tol
 
 
 def with_zeros(amps, extra: int) -> StateVector:

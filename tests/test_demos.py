@@ -3,7 +3,7 @@
 Each quick demo runs as its own process, the way a reader would start
 it, and must exit 0. These five call the simulator, the neuron closed
 forms, the compiled circuit and the trainer (``04_xor_training.py``,
-about 1.3 s on a 2-core machine; the others well under a second each).
+about 3 s on a 2-core machine; the others well under a second each).
 ``05_mnist_benchmark.py`` needs MNIST, so it does not run here; only its
 imports are checked. The accuracy-vs-depth sweep is the command
 ``qnnkit sweep --arch nets/vu.arch --classes 0,3,6,9 --resolution 8``,

@@ -1,5 +1,6 @@
 """The core package imports only the standard library, numpy and itself,
-uses every name it imports, and defines no name that nothing uses.
+uses every name it imports, and defines no name that nothing uses, or
+that only tests and demos use.
 
 Runtime extras declared in ``pyproject.toml`` (``mlxtend`` for the MNIST
 fallback) may be imported, but only inside a function, so that
@@ -176,3 +177,27 @@ def test_every_name_defined_in_the_core_is_used():
         if name not in used
     ]
     assert dead == []
+
+
+# Defined for the tests and demos only, kept by name with the reason.
+USED_ONLY_BY_TESTS = {
+    # the MNIST criteria skip on it, and it mirrors load_mnist's lookup
+    "mnist_available",
+}
+
+
+def test_no_name_in_the_core_is_used_only_by_tests_and_demos():
+    # what the package and the benchmark use counts, __init__.py re-exports
+    # included; tests and demos do not
+    used = set()
+    for path in [p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")]:
+        traced = path == ROOT / "perfbench" / "worker.py"
+        used.update(references(path.read_text(encoding="utf-8"), traced))
+    test_only = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "qnnkit").glob("*.py"))
+        for line, name in definitions(path.read_text(encoding="utf-8"))
+        if name not in used | USED_ONLY_BY_TESTS
+    ]
+    assert test_only == []
+    assert USED_ONLY_BY_TESTS.isdisjoint(used)  # drop a name once the package uses it

@@ -342,6 +342,19 @@ def test_training_is_deterministic_given_seed():
         np.testing.assert_array_equal(a, b)
 
 
+def test_training_takes_list_images_and_labels_like_arrays():
+    rng = np.random.default_rng(42)
+    X, y = two_blob_dataset(rng, n=40)
+    Xt, yt = two_blob_dataset(rng, n=12)
+    arch = from_kinds(4, 2, "vu")
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=5)
+    p1, m1 = train(arch, init_parameters(arch, 5), X, y, cfg, Xt, yt)
+    p2, m2 = train(arch, init_parameters(arch, 5), X.tolist(), y.tolist(), cfg, Xt.tolist(), yt.tolist())
+    assert m1 == m2
+    for a, b in zip(p1.arrays(), p2.arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_training_improves_over_chance_on_separable_data():
     rng = np.random.default_rng(43)
     X, y = two_blob_dataset(rng, n=200)
@@ -532,6 +545,15 @@ def test_the_circuit_takes_every_gate_from_the_encoding_and_the_neuron_builders(
     params = init_parameters(arch, seed=0)
     circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
     assert Counter(gate for gate, _ in circ.fragment.ops) == built
+
+
+@pytest.mark.parametrize("name, gates", [("mixed", 297), ("mnist4-vup", 1929)])
+def test_compiled_gate_counts_are_pinned(name, gates):
+    # each p neuron is 2m H gates and one MCX, its weight signs on the polarities
+    arch = load_architecture(NETS / f"{name}.arch")
+    params = init_parameters(arch, seed=0)
+    circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
+    assert len(circ.fragment.ops) == gates
 
 
 def test_circuit_contains_only_unitary_gates_and_final_measurement():

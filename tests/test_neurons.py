@@ -4,6 +4,7 @@ Every closed-form forward model is checked against an exact simulation
 of the corresponding circuit fragment; the simulator is ground truth.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -30,9 +31,12 @@ from qnnkit.neurons import (
 )
 from qnnkit.statevec import (
     CircuitFragment,
+    H,
     StateVector,
+    X,
     apply_1q,
     controlled_x,
+    mcx,
     ry_entries,
     rx,
     with_zeros,
@@ -274,6 +278,32 @@ def test_p_neuron_weight_sign_matters():
     for w, closed_form in ((1.0, plus), (-1.0, minus)):
         gadget = StateVector(2).run(probability_encoding_fragment(p)).run(build_p_neuron(1, [w]))
         assert abs(gadget.marginals([1])[0] - closed_form) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_p_gadget_puts_weight_signs_on_the_mcx_polarities(m):
+    # H on each input, one MCX firing where input i holds 1 exactly when
+    # w[i] = -1, H again; no X gates. X-conjugating an all-zero-polarity
+    # MCX is the same permutation, so the unitaries agree bit for bit.
+    for w in itertools.product([1.0, -1.0], repeat=m):
+        polarities = tuple(int(wi < 0) for wi in w)
+        h_layer = [(H, (q,)) for q in range(m)]
+        frag = build_p_neuron(m, w)
+        assert frag.qubit_span == m + 1
+        assert frag.ops == h_layer + [(mcx(polarities), (*range(m), m))] + h_layer
+
+        conjugated = CircuitFragment(m + 1)
+        flipped = [q for q in range(m) if w[q] < 0]
+        for q in range(m):
+            conjugated.append(H, q)
+        for q in flipped:
+            conjugated.append(X, q)
+        conjugated.append(mcx((0,) * m), *range(m), m)
+        for q in flipped:
+            conjugated.append(X, q)
+        for q in range(m):
+            conjugated.append(H, q)
+        np.testing.assert_array_equal(fragment_matrix(frag), fragment_matrix(conjugated))
 
 
 def test_sibling_p_neurons_share_inputs_exactly():

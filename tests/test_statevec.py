@@ -165,27 +165,26 @@ def test_marginal_complements_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# is_product_qubit
+# qubit purity
 # ---------------------------------------------------------------------------
 
 
-def test_product_basis_state():
+def test_product_basis_state(qubit_purity):
     s = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))  # |01>
-    assert s.is_product_qubit(0)
-    assert s.is_product_qubit(1)
+    assert qubit_purity(s.amps, 0) >= 1.0 - 1e-9
+    assert qubit_purity(s.amps, 1) >= 1.0 - 1e-9
 
 
-def test_bell_state_is_entangled():
+def test_bell_state_is_entangled(qubit_purity):
     s = StateVector(2).apply(H, [0]).apply(CX, [0, 1])
-    assert not s.is_product_qubit(0)
+    assert qubit_purity(s.amps, 0) < 1.0 - 1e-9
     # purity of a maximally mixed qubit is exactly 1/2
-    rho = s.reduced_density_matrix(0)
-    assert abs(np.real(np.trace(rho @ rho)) - 0.5) < 1e-12
+    assert abs(qubit_purity(s.amps, 0) - 0.5) < 1e-12
 
 
-def test_product_of_superpositions():
+def test_product_of_superpositions(qubit_purity):
     s = StateVector(2).apply(H, [0]).apply(H, [1])
-    assert s.is_product_qubit(1)
+    assert qubit_purity(s.amps, 1) >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
