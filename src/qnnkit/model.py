@@ -14,7 +14,7 @@ Two semantics coexist on purpose:
   register. ``circuit_inference`` reads that circuit's output marginals
   by exact register-factored simulation of the same fragments, fused
   once per parameter set: each u register runs alone on n + 1 qubits
-  and hands on only a two-qubit purification of its ancilla.
+  and hands on only its ancilla and one purification partner.
   ``max_qubits`` therefore bounds the plan's ``simulated_qubits`` (for k
   u neurons the larger of n + 1 and 2k + the p widths), not its
   ``compiled_qubits``.
@@ -158,9 +158,9 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
 
     With k u neurons on n qubits the compiled register holds k registers
     of n + 1 qubits (n without a u layer) plus the p outputs. The factored
-    simulation runs one u register at a time, then two qubits per purified
-    u ancilla plus the p outputs; without a u layer, the v register
-    widened by the p outputs.
+    simulation runs one u register at a time, then each u ancilla and its
+    purification partner plus the p outputs; without a u layer, the v
+    register widened by the p outputs.
     """
     kinds = "".join(l.kind for l in arch.layers)
     v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers
@@ -306,18 +306,23 @@ class TrainConfig:
     seed: int = 0
 
 
-def _check_labels(labels, rows: int) -> None:
-    """ValueError unless ``labels`` holds one label per row."""
-    if np.shape(labels) != (rows,):
-        raise ValueError(f"expected {rows} labels, one per row, got shape {np.shape(labels)}")
+def _check_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """``labels`` as ints; ValueError unless one whole number per row, each in 0 .. classes - 1."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError(f"expected {rows} labels, one per row, got shape {labels.shape}")
+    if labels.dtype.kind not in "biu" and (
+        labels.dtype.kind != "f" or np.any(labels != np.round(labels))
+    ):
+        raise ValueError("labels must be whole numbers")
+    if rows and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(f"label out of range 0..{classes - 1}")
+    return labels.astype(int, copy=False)
 
 
 def loss_batch(probs: np.ndarray, labels, temperature: float = TrainConfig.temperature) -> float:
     """Mean cross-entropy over softmax(probs / temperature)."""
-    _check_labels(labels, len(probs))
-    labels = np.asarray(labels, dtype=int)
-    if np.any((labels < 0) | (labels >= probs.shape[1])):
-        raise ValueError("label out of range")
+    labels = _check_labels(labels, *probs.shape)
     sm = _softmax(probs / temperature)
     picked = sm[np.arange(len(labels)), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
@@ -332,8 +337,7 @@ def backward_batch(
 ) -> ParameterStore:
     """Exact reverse-mode gradients as a ParameterStore; binary weights get straight-through."""
     B = len(trace.probs)
-    _check_labels(labels, B)
-    labels = np.asarray(labels, dtype=int)
+    labels = _check_labels(labels, *trace.probs.shape)
     sm = _softmax(trace.probs / temperature)
     onehot = np.zeros_like(sm)
     onehot[np.arange(B), labels] = 1.0
@@ -372,8 +376,7 @@ def backward_batch(
 
 def accuracy(arch, params, X, y) -> float:
     probs = forward_batch(arch, params, X).probs
-    _check_labels(y, len(probs))
-    return float(np.mean(np.argmax(probs, axis=1) == np.asarray(y)))
+    return float(np.mean(np.argmax(probs, axis=1) == _check_labels(y, *probs.shape)))
 
 
 def train(
@@ -396,12 +399,12 @@ def train(
         raise ArchitectureError(
             "refusing to train an infeasible architecture:\n" + report.render_text()
         )
-    train_images, train_labels = np.asarray(train_images), np.asarray(train_labels)
+    train_images = np.asarray(train_images)
     if len(train_images) == 0:
         raise ValueError("empty training set")
-    _check_labels(train_labels, len(train_images))
+    train_labels = _check_labels(train_labels, len(train_images), arch.num_classes)
     if test_images is not None:
-        _check_labels(test_labels, len(test_images))
+        test_labels = _check_labels(test_labels, len(test_images), arch.num_classes)
 
     params = params.copy()
     rng = np.random.default_rng(config.seed)
@@ -478,23 +481,20 @@ def _oracle_fragments(arch: ArchitectureSpec, plan: Plan, params: ParameterStore
     ``build_network_circuit`` places them on the compiled register.
 
     The v stage spans n qubits and each u neuron n + 1, its ancilla last.
-    The tail spans one pair per u neuron, u neuron j's ancilla at 2j and
-    its purification at 2j + 1, then the p outputs, one fresh qubit each
-    in layer order; without a u layer, the v register and then the p
-    outputs. n layers rotate the stage qubits in place; each p neuron
-    reads them as controls and writes its own output.
+    The tail spans w = ``plan.u_width or n`` stage qubits, then the p
+    outputs, one fresh qubit each in layer order. Stage qubit j is u
+    neuron j's ancilla, or v qubit j without a u layer; the register the
+    tail runs on holds the u ancillas' purification partners last, in u
+    order, and no gate touches them. n layers rotate the stage qubits in
+    place; each p neuron reads them as controls and writes its own output.
     """
     n = arch.n_qubits
     v = CircuitFragment(n)
     for theta in params.v_thetas:
         v.extend(build_v_block(n, theta))
-    if plan.u_width is None:
-        u_frags, next_free = [], n
-        stage_qubits = list(range(n))
-    else:
-        u_frags = [build_u_neuron(n, w) for w in params.u_weights()]
-        next_free = 2 * plan.u_width
-        stage_qubits = list(range(0, next_free, 2))
+    u_frags = [] if plan.u_width is None else [build_u_neuron(n, w) for w in params.u_weights()]
+    next_free = plan.u_width or n
+    stage_qubits = list(range(next_free))
     tail = CircuitFragment(next_free + plan.p_width)
     for stage in plan.stages:
         if stage.kind == "n":
@@ -519,30 +519,25 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
     ``_oracle_fragments``, placed on that register.
 
     With k u neurons, register j holds the encoding and v stage on qubits
-    j*n .. j*n + n - 1 and u neuron j's ancilla at k*n + j; the tail's
-    pair j reads that ancilla, and its p output i is qubit k*(n + 1) + i.
-    A fresh register per u neuron repeats the known classical preparation
-    of a state that cannot be copied, so u outputs stay independent.
-    Without a u layer the encoding, v stage and tail run in turn on one
-    register.
+    j*n .. j*n + n - 1 and u neuron j's ancilla at k*n + j. A fresh
+    register per u neuron repeats the known classical preparation of a
+    state that cannot be copied, so u outputs stay independent. Without
+    a u layer, k = 0 and one register holds the encoding and v stage.
+    The tail's qubit q is qubit k*n + q.
     """
     plan = pipeline(arch)
     n = arch.n_qubits
+    k = plan.u_width or 0
     v, u_frags, tail, outputs = _oracle_fragments(arch, plan, params)
     register = amplitude_encoding_fragment(_checked_input(arch, x)).extend(v)
     frag = CircuitFragment(plan.compiled_qubits)
-    if plan.u_width is None:
-        return NetworkCircuit(frag.extend(register).extend(tail), outputs)
-    k = plan.u_width
-    for j, u in enumerate(u_frags):
+    for j, u in enumerate(u_frags or [None]):
         mapping = {q: j * n + q for q in range(n)}
         frag.extend(register, mapping)
-        mapping[n] = k * n + j
-        frag.extend(u, mapping)
-    place = {2 * j: k * n + j for j in range(k)}
-    place.update({2 * k + i: k * (n + 1) + i for i in range(plan.p_width)})
-    frag.extend(tail, place)
-    return NetworkCircuit(frag, [place[q] for q in outputs])
+        if u is not None:
+            frag.extend(u, {**mapping, n: k * n + j})
+    frag.extend(tail, {q: k * n + q for q in range(tail.qubit_span)})
+    return NetworkCircuit(frag, [k * n + q for q in outputs])
 
 
 # At most one entry: the fused programs of the last parameter set seen.
@@ -577,13 +572,14 @@ def circuit_inference(
     After its u gadget, a u register is touched only through its
     ancilla. So the encoded input and the v stage run once on n qubits;
     each u neuron runs alone on that state plus its ancilla; and the
-    register is replaced by the two-qubit Schmidt purification
-    ``U diag(s)`` of its ancilla, from the SVD of the 2 x 2^n
-    ancilla-by-rest amplitude matrix, which is the tail's pair for that
-    neuron. This is exact: the purification differs from the register by
-    an isometry on qubits no later gate touches, so every output marginal
-    is unchanged. ``max_qubits`` caps the widest register simulated,
-    which is ``pipeline(arch).simulated_qubits``.
+    register is replaced by the Schmidt purification ``U diag(s)`` of its
+    ancilla (rows) by a partner (columns), from the SVD of the 2 x 2^n
+    ancilla-by-rest amplitude matrix. The tail runs on the Kronecker
+    product of these 2 x 2 matrices, the p outputs put between its row
+    and column qubits. This is exact: the purification differs from the
+    register by an isometry on qubits no later gate touches, so every
+    output marginal is unchanged. ``max_qubits`` caps the widest register
+    simulated, which is ``pipeline(arch).simulated_qubits``.
 
     Only the amplitude encoding depends on ``x``, and it runs gate by
     gate. The v stage, each u gadget and the n/p tail are the
@@ -602,17 +598,16 @@ def circuit_inference(
     n = arch.n_qubits
     encoding = amplitude_encoding_fragment(_checked_input(arch, x))
     v_program, u_programs, tail, outputs = _oracle_programs(arch, plan, params)
-    psi = v_program.run(StateVector(n).run(encoding)).amps
-    if plan.u_width is None:
-        amps = psi
-    else:
-        amps = np.ones(1, dtype=complex)
+    joint = psi = v_program.run(StateVector(n).run(encoding)).amps
+    if plan.u_width is not None:
+        joint = np.ones((1, 1), dtype=complex)
         for program in u_programs:
             register = program.run(with_zeros(psi, 1))
             # rows: the ancilla (the last qubit) at 0 and 1; columns: the n others
             u, s, _ = np.linalg.svd(register.amps.reshape(-1, 2).T, full_matrices=False)
-            amps = np.outer(amps, u * s).ravel()  # the Kronecker product of the vectors
-    return tail.run(with_zeros(amps, plan.p_width)).marginals(outputs)
+            # np.kron(joint, u * s): one more ancilla row bit and partner column bit
+            joint = (joint[:, None, :, None] * (u * s)[:, None, :]).reshape(2 * len(joint), -1)
+    return tail.run(with_zeros(joint, plan.p_width)).marginals(outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -308,9 +308,11 @@ class StateVector:
 
 
 def with_zeros(amps, extra: int) -> StateVector:
-    """A register holding ``amps`` followed by ``extra`` fresh qubits in |0...0>."""
-    out = np.zeros(np.size(amps) << extra, dtype=complex)
-    out[:: 1 << extra] = amps
+    """A register holding ``amps`` and ``extra`` fresh qubits in |0...0>: after
+    a vector's qubits, or between a matrix's row and column qubits."""
+    amps = np.asarray(amps)
+    out = np.zeros(amps.size << extra, dtype=complex)
+    out.reshape(len(amps), 1 << extra, -1)[:, 0] = amps.reshape(len(amps), -1)
     return StateVector(out.size.bit_length() - 1, out)
 
 

@@ -7,7 +7,6 @@ bundled 5000-image subset); training configurations are pinned here.
 """
 
 import csv
-import math
 import os
 import time
 

@@ -187,6 +187,42 @@ def test_loss_gradients_and_accuracy_take_one_label_per_row(labels):
         accuracy(arch, params, X, labels)
 
 
+# (labels for 3 rows of a 2-class net, message)
+BAD_LABELS = {
+    "negative": ([0, 1, -1], "label out of range 0..1"),
+    "too-large": ([0, 1, 2], "label out of range 0..1"),
+    "fractional": ([0, 1.9, 1], "labels must be whole numbers"),
+    "nan": ([0, np.nan, 1], "labels must be whole numbers"),
+    "text": (["0", "1", "0"], "labels must be whole numbers"),
+}
+
+
+# each takes (arch, params, X, labels); train runs no epoch, so it must check up front
+LABEL_READERS = {
+    "loss_batch": lambda a, p, X, y: loss_batch(forward_batch(a, p, X).probs, y),
+    "backward_batch": lambda a, p, X, y: backward_batch(a, p, forward_batch(a, p, X), y),
+    "accuracy": accuracy,
+    "train": lambda a, p, X, y: train(a, p, X, y, TrainConfig(epochs=0)),
+    "train-test": lambda a, p, X, y: train(a, p, X, [0, 1, 0], TrainConfig(epochs=0), X, y),
+}
+
+
+@pytest.mark.parametrize("reader", list(LABEL_READERS))
+@pytest.mark.parametrize("case", list(BAD_LABELS))
+def test_every_label_reader_rejects_a_label_that_is_not_a_class(case, reader):
+    labels, message = BAD_LABELS[case]
+    arch = from_kinds(4, 2, "vu")
+    X = np.random.default_rng(35).uniform(0.1, 1.0, size=(3, 4))
+    with pytest.raises(ValueError, match=message):
+        LABEL_READERS[reader](arch, init_parameters(arch, seed=0), X, labels)
+
+
+def test_whole_float_and_bool_labels_read_as_ints():
+    probs = np.random.default_rng(36).uniform(0, 1, size=(3, 2))
+    assert loss_batch(probs, [0.0, 1.0, 1.0]) == loss_batch(probs, [0, 1, 1])
+    assert loss_batch(probs, [False, True, True]) == loss_batch(probs, [0, 1, 1])
+
+
 def test_training_refuses_test_images_without_their_labels():
     arch = from_kinds(4, 2, "vu")
     X = np.random.default_rng(35).uniform(0.1, 1.0, size=(4, 4))
@@ -556,6 +592,30 @@ def test_compiled_gate_counts_are_pinned(name, gates):
     assert len(circ.fragment.ops) == gates
 
 
+def layout_cases():
+    for arch in small_random_archs():
+        yield pytest.param(arch, id=arch.name)
+    for kinds in ("vpp", "vnpnp", "vupp", "vunpnp"):
+        yield pytest.param(from_kinds(4, 2, kinds, hidden=3), id=kinds)
+    for path in sorted(NETS.glob("*.arch")):
+        yield pytest.param(load_architecture(path), id=path.stem)
+
+
+@pytest.mark.parametrize("arch", layout_cases())
+def test_the_tail_is_the_stage_qubits_then_the_p_outputs_placed_after_the_registers(arch):
+    from qnnkit import model
+
+    plan = pipeline(arch)
+    params = init_parameters(arch, seed=0)
+    _, _, tail, outputs = model._oracle_fragments(arch, plan, params)
+    assert tail.qubit_span == (plan.u_width or arch.n_qubits) + plan.p_width
+    circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
+    shift = (plan.u_width or 0) * arch.n_qubits  # the u registers come first
+    placed = circ.fragment.ops[len(circ.fragment.ops) - len(tail.ops) :]
+    assert placed == [(gate, tuple(shift + q for q in qubits)) for gate, qubits in tail.ops]
+    assert circ.output_qubits == [shift + q for q in outputs]
+
+
 def test_circuit_contains_only_unitary_gates_and_final_measurement():
     arch = from_kinds(4, 2, "vunp", hidden=2)
     params = init_parameters(arch, seed=0)
@@ -616,10 +676,12 @@ def test_factored_inference_matches_full_simulation(arch):
 
 @st.composite
 def factored_archs(draw):
-    """v+ u [n|p]+ architectures that compile to at most 16 qubits."""
-    n = draw(st.integers(1, 3))
-    width = draw(st.integers(1, 3))
-    layers = [LayerSpec("v", n, repeat=draw(st.integers(1, 2))), LayerSpec("u", width)]
+    """v+ u? [n|p]+ architectures that compile to at most 16 qubits."""
+    n = width = draw(st.integers(1, 3))
+    layers = [LayerSpec("v", n, repeat=draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        layers.append(LayerSpec("u", width))
     for kind in draw(st.lists(st.sampled_from("np"), min_size=1, max_size=2)):
         if kind == "n":
             layers.append(LayerSpec("n", width))

@@ -27,6 +27,7 @@ from qnnkit.statevec import (
     phase_flip,
     rx,
     ry,
+    with_zeros,
 )
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -303,6 +304,28 @@ def test_fragment_ops_are_not_a_constructor_argument():
 def test_run_rejects_fragment_wider_than_register():
     with pytest.raises(ValueError, match="spans"):
         StateVector(1).run(CircuitFragment(2).append(H, 1))
+
+
+def test_with_zeros_puts_the_fresh_qubits_after_a_vectors_qubits():
+    amps = np.random.default_rng(81).normal(size=8) + 0j
+    expected = np.zeros(8 << 2, dtype=complex)
+    expected[::4] = amps
+    state = with_zeros(amps, 2)
+    assert state.n_qubits == 5
+    assert np.array_equal(state.amps, expected)
+
+
+def test_with_zeros_puts_the_fresh_qubits_between_a_matrixs_row_and_column_qubits():
+    rng = np.random.default_rng(82)
+    m = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    expected = np.zeros(2**6, dtype=complex)  # 2 row qubits, 3 fresh, 1 column qubit
+    for row in range(4):
+        for col in range(2):
+            expected[row * 2**4 + col] = m[row, col]
+    state = with_zeros(m, 3)
+    assert state.n_qubits == 6
+    assert np.array_equal(state.amps, expected)
+    assert np.array_equal(with_zeros(m, 0).amps, m.ravel())
 
 
 def test_mcx_triggers_on_all_zeros_with_negative_polarity():
