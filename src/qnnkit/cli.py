@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -121,6 +120,9 @@ def _dataset(args, arch):
         classes = [int(c) for c in args.classes.split(",")]
         train_ds, test_ds = mnist_task(classes, args.resolution, args.data_dir)
         label = f"mnist-{len(classes)}"
+    for split, ds in (("train", train_ds), ("test", test_ds)):
+        if len(ds) == 0:
+            raise UsageError(f"{label} {split} split is empty")
     width = train_ds.images.shape[1]
     if width != arch.input_dim:
         raise UsageError(
@@ -133,16 +135,12 @@ def _dataset(args, arch):
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        momentum=args.momentum,
-        temperature=args.temperature,
-        lr_decay=args.lr_decay,
-        keep_best=args.keep_best,
-        seed=args.seed,
-    )
+    """The TrainConfig of the options of the same names; its range errors are usage errors."""
+    fields = dataclasses.fields(TrainConfig)
+    try:
+        return TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -161,27 +159,28 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _run_training(args, arch, train_ds, test_ds):
-    """(params, metrics) of ``arch`` trained as ``args`` say."""
+def _run_training(config: TrainConfig, arch, train_ds, test_ds):
+    """(params, metrics) of ``arch`` trained under ``config``."""
     # train raises TrainingDiverged on a non-finite loss, and main reports
     # it in one line; numpy's overflow warnings on the way would add more
     with np.errstate(over="ignore", invalid="ignore"):
         return train(
             arch,
-            init_parameters(arch, args.seed),
+            init_parameters(arch, config.seed),
             train_ds.images,
             train_ds.labels,
-            _train_config(args),
+            config,
             test_ds.images,
             test_ds.labels,
         )
 
 
 def cmd_train(args) -> int:
+    config = _train_config(args)
     arch = load_architecture(args.arch)
     pipeline(arch)  # the template; whatever fits it passes the five rules
     train_ds, test_ds, label = _dataset(args, arch)
-    params, metrics = _run_training(args, arch, train_ds, test_ds)
+    params, metrics = _run_training(config, arch, train_ds, test_ds)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,8 +189,7 @@ def cmd_train(args) -> int:
     test_acc = accuracy(arch, params, test_ds.images, test_ds.labels)
     row = _write_results(out_dir, args, arch, label, test_acc, metrics)
     save_checkpoint(out_dir / "checkpoint.json", arch, params)
-    config = dataclasses.asdict(_train_config(args))
-    _write_manifest(out_dir, "train", {**vars(args), "train_config": config})
+    _write_manifest(out_dir, "train", {**vars(args), "train_config": dataclasses.asdict(config)})
     print(
         f"{row['architecture']},{row['dataset']},{row['resolution']},"
         f"test_accuracy={test_acc:.4f}"
@@ -260,6 +258,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.r_min > args.r_max:
         raise UsageError("--r-min must be <= --r-max")
+    config = _train_config(args)
     arch = load_architecture(args.arch)
     pipeline(arch)  # every r trains the same layer sequence, so check it once
     train_ds, test_ds, _ = _dataset(args, arch)
@@ -271,7 +270,7 @@ def cmd_sweep(args) -> int:
         layers = [dataclasses.replace(l, repeat=r) if l.kind == "v" else l for l in arch.layers]
         run_arch = dataclasses.replace(arch, layers=layers)
         try:
-            params, metrics = _run_training(args, run_arch, train_ds, test_ds)
+            params, metrics = _run_training(config, run_arch, train_ds, test_ds)
         except Exception as exc:  # abort but keep partial results
             print(f"error: run r={r} failed: {exc}", file=sys.stderr)
             status = 1
@@ -315,27 +314,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _real(text: str, zero_ok: bool) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
-        bound = ">= 0" if zero_ok else "> 0"
-        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    """argparse type of --lr and --temperature: a finite number > 0."""
-    return _real(text, zero_ok=False)
-
-
-def _nonnegative(text: str) -> float:
-    """argparse type of --momentum and --lr-decay: a finite number >= 0."""
-    return _real(text, zero_ok=True)
-
-
 def _digits(text: str) -> str:
     """argparse type of --classes: distinct digits 0-9, kept as typed for the CSV."""
     digits = [c.strip() for c in text.split(",")]
@@ -357,13 +335,14 @@ def _add_dataset(p: argparse.ArgumentParser) -> None:
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
+    """Options named as TrainConfig's fields; TrainConfig checks their ranges."""
     d = TrainConfig()
     p.add_argument("--epochs", type=_count, default=d.epochs)
-    p.add_argument("--lr", type=_positive, default=d.lr)
-    p.add_argument("--batch", type=_count, default=d.batch_size)
-    p.add_argument("--momentum", type=_nonnegative, default=d.momentum)
-    p.add_argument("--temperature", type=_positive, default=d.temperature)
-    p.add_argument("--lr-decay", type=_nonnegative, default=d.lr_decay)
+    p.add_argument("--lr", type=float, default=d.lr)
+    p.add_argument("--batch", type=_count, default=d.batch_size, dest="batch_size")
+    p.add_argument("--momentum", type=float, default=d.momentum)
+    p.add_argument("--temperature", type=float, default=d.temperature)
+    p.add_argument("--lr-decay", type=float, default=d.lr_decay)
     p.add_argument("--keep-best", action="store_true")
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,7 +295,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-@dataclass
+@dataclass(frozen=True)  # so the option checks hold for its lifetime
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
@@ -305,9 +306,27 @@ class TrainConfig:
     keep_best: bool = False  # return the best-test-accuracy epoch's weights
     seed: int = 0
 
+    def __post_init__(self):
+        """ValueError naming the first option out of range; a bool is no number."""
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name, zero_ok in (
+            ("lr", False), ("temperature", False), ("momentum", True), ("lr_decay", True)
+        ):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+                bound = ">= 0" if zero_ok else "> 0"
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
 
 def _check_labels(labels, rows: int, classes: int) -> np.ndarray:
-    """``labels`` as ints; ValueError unless one whole number per row, each in 0 .. classes - 1."""
+    """``labels`` as ints; ValueError unless one whole number per row, each in
+    0 .. classes - 1, and at least one row."""
+    if rows == 0:
+        raise ValueError("empty batch")
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise ValueError(f"expected {rows} labels, one per row, got shape {labels.shape}")
@@ -315,7 +334,7 @@ def _check_labels(labels, rows: int, classes: int) -> np.ndarray:
         labels.dtype.kind != "f" or np.any(labels != np.round(labels))
     ):
         raise ValueError("labels must be whole numbers")
-    if rows and (labels.min() < 0 or labels.max() >= classes):
+    if labels.min() < 0 or labels.max() >= classes:
         raise ValueError(f"label out of range 0..{classes - 1}")
     return labels.astype(int, copy=False)
 
@@ -400,8 +419,6 @@ def train(
             "refusing to train an infeasible architecture:\n" + report.render_text()
         )
     train_images = np.asarray(train_images)
-    if len(train_images) == 0:
-        raise ValueError("empty training set")
     train_labels = _check_labels(train_labels, len(train_images), arch.num_classes)
     if test_images is not None:
         test_labels = _check_labels(test_labels, len(test_images), arch.num_classes)

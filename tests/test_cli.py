@@ -255,20 +255,30 @@ BAD_CHECKPOINTS = {
 
 def write_bad_mnist_dirs(tmp_path):
     """{tmp}/bad-magic holds a plain train-images file with a wrong magic,
-    {tmp}/truncated-gz a train-labels .gz cut to 20 bytes; the rest is valid."""
+    {tmp}/truncated-gz a train-labels .gz cut to 20 bytes, and
+    {tmp}/empty-train and {tmp}/empty-test a split with none of the default
+    classes 3 and 6; the rest is valid."""
     from qnnkit import data
 
     images = np.zeros((2, 28, 28), dtype=np.uint8)
-    labels = np.array([3, 6], dtype=np.uint8)
-    for name in ("bad-magic", "truncated-gz"):
+    split_labels = {  # name: (train labels, test labels)
+        "bad-magic": ([3, 6], [3, 6]),
+        "truncated-gz": ([3, 6], [3, 6]),
+        "empty-train": ([0, 1], [3, 6]),
+        "empty-test": ([3, 6], [0, 1]),
+    }
+    for name, labels in split_labels.items():
         directory = tmp_path / name
         directory.mkdir()
-        for images_name, labels_name in (
-            (data.TRAIN_IMAGES, data.TRAIN_LABELS),
-            (data.TEST_IMAGES, data.TEST_LABELS),
+        for images_name, labels_name, split in (
+            (data.TRAIN_IMAGES, data.TRAIN_LABELS, labels[0]),
+            (data.TEST_IMAGES, data.TEST_LABELS, labels[1]),
         ):
             data.write_idx(
-                directory / (images_name + ".gz"), directory / (labels_name + ".gz"), images, labels
+                directory / (images_name + ".gz"),
+                directory / (labels_name + ".gz"),
+                images,
+                np.array(split, dtype=np.uint8),
             )
     (tmp_path / "bad-magic" / data.TRAIN_IMAGES).write_bytes(bytes.fromhex("deadbeef") + bytes(12))
     cut = tmp_path / "truncated-gz" / (data.TRAIN_LABELS + ".gz")
@@ -290,6 +300,14 @@ BAD_INPUT_CASES = {
     "train-truncated-gz": (
         ["train", "--arch", "{tmp}/wide.arch", "--data-dir", "{tmp}/truncated-gz"],
         "truncated-gz/train-labels-idx1-ubyte.gz: corrupt gzip stream",
+    ),
+    "train-empty-test-split": (
+        ["train", "--arch", "{tmp}/wide.arch", "--data-dir", "{tmp}/empty-test"],
+        "mnist-2 test split is empty",
+    ),
+    "sweep-empty-train-split": (
+        ["sweep", "--arch", "{tmp}/wide.arch", "--data-dir", "{tmp}/empty-train"],
+        "mnist-2 train split is empty",
     ),
     "train-too-few-classes": (["train", "--arch", "{tmp}/vun.arch", *XOR_TRAIN], "1 classes"),
     "epochs-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--epochs", "0"], "positive integer"),
@@ -444,6 +462,24 @@ def test_option_defaults_read_train_config_and_the_qubit_cap():
     for command in ("train", "sweep"):
         assert _train_config(parser.parse_args([command, "--arch", "a.arch"])) == TrainConfig()
     assert parser.parse_args(["verify", "--arch", "a.arch"]).max_qubits == DEFAULT_MAX_QUBITS
+
+
+def test_every_training_option_reaches_train_config():
+    from qnnkit.cli import _train_config
+    from qnnkit.model import TrainConfig
+
+    options = [
+        "--epochs", "7", "--batch", "5", "--lr", "0.3", "--momentum", "0.5",
+        "--temperature", "0.125", "--lr-decay", "0.75", "--keep-best", "--seed", "11",
+    ]
+    expected = TrainConfig(
+        epochs=7, batch_size=5, lr=0.3, momentum=0.5, temperature=0.125, lr_decay=0.75,
+        keep_best=True, seed=11,
+    )
+    assert all(getattr(expected, f) != getattr(TrainConfig(), f) for f in vars(expected))
+    parser = build_parser()
+    for command in ("train", "sweep"):
+        assert _train_config(parser.parse_args([command, "--arch", "a.arch", *options])) == expected
 
 
 def test_readme_names_every_option_and_only_real_ones():

@@ -10,6 +10,7 @@ import pytest
 
 from qnnkit.arch import ArchitectureParseError, parse_architecture
 from qnnkit.encoding import multiplexed_ry, probability_encoding_fragment
+from qnnkit.model import TrainConfig
 from qnnkit.neurons import (
     amplitude_sign_flips,
     build_p_neuron,
@@ -17,6 +18,11 @@ from qnnkit.neurons import (
     check_binary_weights,
 )
 from qnnkit.statevec import Gate, StateVector, mcx
+
+
+def _config(message, **options):
+    return (lambda: TrainConfig(**options), ValueError, message)
+
 
 # (call, error type, message)
 GUARDS = {
@@ -73,6 +79,51 @@ GUARDS = {
         lambda: parse_architecture("input_dim 4\nlayer v width=2\n"),
         ArchitectureParseError,
         "line 1: missing classes header",
+    ),
+    "config-epochs-zero": _config("epochs must be a positive integer, got 0", epochs=0),
+    "config-epochs-negative": _config("epochs must be a positive integer, got -1", epochs=-1),
+    "config-epochs-bool": _config("epochs must be a positive integer, got True", epochs=True),
+    "config-batch-zero": _config("batch_size must be a positive integer, got 0", batch_size=0),
+    "config-batch-negative": _config(
+        "batch_size must be a positive integer, got -1", batch_size=-1
+    ),
+    "config-batch-fraction": _config(
+        "batch_size must be a positive integer, got 2.5", batch_size=2.5
+    ),
+    "config-lr-zero": _config("lr must be a finite number > 0, got 0", lr=0),
+    "config-lr-negative": _config("lr must be a finite number > 0, got -1", lr=-1),
+    "config-lr-nan": _config("lr must be a finite number > 0, got nan", lr=float("nan")),
+    "config-lr-inf": _config("lr must be a finite number > 0, got inf", lr=float("inf")),
+    "config-lr-text": _config("lr must be a finite number > 0, got '0.1'", lr="0.1"),
+    "config-temperature-zero": _config(
+        "temperature must be a finite number > 0, got 0", temperature=0
+    ),
+    "config-temperature-negative": _config(
+        "temperature must be a finite number > 0, got -1", temperature=-1
+    ),
+    "config-temperature-nan": _config(
+        "temperature must be a finite number > 0, got nan", temperature=float("nan")
+    ),
+    "config-temperature-inf": _config(
+        "temperature must be a finite number > 0, got inf", temperature=float("inf")
+    ),
+    "config-momentum-negative": _config(
+        "momentum must be a finite number >= 0, got -1", momentum=-1
+    ),
+    "config-momentum-nan": _config(
+        "momentum must be a finite number >= 0, got nan", momentum=float("nan")
+    ),
+    "config-momentum-inf": _config(
+        "momentum must be a finite number >= 0, got inf", momentum=float("inf")
+    ),
+    "config-lr-decay-negative": _config(
+        "lr_decay must be a finite number >= 0, got -1", lr_decay=-1
+    ),
+    "config-lr-decay-nan": _config(
+        "lr_decay must be a finite number >= 0, got nan", lr_decay=float("nan")
+    ),
+    "config-lr-decay-inf": _config(
+        "lr_decay must be a finite number >= 0, got inf", lr_decay=float("inf")
     ),
 }
 

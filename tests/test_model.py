@@ -197,13 +197,13 @@ BAD_LABELS = {
 }
 
 
-# each takes (arch, params, X, labels); train runs no epoch, so it must check up front
+# each takes (arch, params, X, labels); train checks before its first epoch
 LABEL_READERS = {
     "loss_batch": lambda a, p, X, y: loss_batch(forward_batch(a, p, X).probs, y),
     "backward_batch": lambda a, p, X, y: backward_batch(a, p, forward_batch(a, p, X), y),
     "accuracy": accuracy,
-    "train": lambda a, p, X, y: train(a, p, X, y, TrainConfig(epochs=0)),
-    "train-test": lambda a, p, X, y: train(a, p, X, [0, 1, 0], TrainConfig(epochs=0), X, y),
+    "train": lambda a, p, X, y: train(a, p, X, y, TrainConfig(epochs=1)),
+    "train-test": lambda a, p, X, y: train(a, p, X, [0, 1, 0], TrainConfig(epochs=1), X, y),
 }
 
 
@@ -215,6 +215,25 @@ def test_every_label_reader_rejects_a_label_that_is_not_a_class(case, reader):
     X = np.random.default_rng(35).uniform(0.1, 1.0, size=(3, 4))
     with pytest.raises(ValueError, match=message):
         LABEL_READERS[reader](arch, init_parameters(arch, seed=0), X, labels)
+
+
+# each gets an empty batch; numpy would only warn ("Mean of empty slice")
+EMPTY_BATCHES = {
+    "loss_batch": lambda a, p, X: loss_batch(np.zeros((0, 2)), []),
+    "backward_batch": lambda a, p, X: backward_batch(a, p, forward_batch(a, p, X[:0]), []),
+    "accuracy": lambda a, p, X: accuracy(a, p, X[:0], []),
+    "train": lambda a, p, X: train(a, p, X[:0], [], TrainConfig(epochs=1)),
+    "train-test": lambda a, p, X: train(a, p, X, [0, 1, 0], TrainConfig(epochs=1), X[:0], []),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reader", list(EMPTY_BATCHES))
+def test_every_label_reader_refuses_an_empty_batch(reader):
+    arch = from_kinds(4, 2, "vu")
+    X = np.random.default_rng(35).uniform(0.1, 1.0, size=(3, 4))
+    with pytest.raises(ValueError, match="^empty batch$"):
+        EMPTY_BATCHES[reader](arch, init_parameters(arch, seed=0), X)
 
 
 def test_whole_float_and_bool_labels_read_as_ints():
@@ -430,9 +449,16 @@ def test_divergence_detection_aborts_with_diagnostic():
     rng = np.random.default_rng(47)
     X, y = two_blob_dataset(rng, n=64)
     arch = from_kinds(4, 2, "vu")
-    cfg = TrainConfig(epochs=1, lr=float("nan"), seed=0)
-    with pytest.raises(TrainingDiverged, match="epoch 0"):
+    # a subnormal temperature is valid, but probs / temperature overflows
+    cfg = TrainConfig(epochs=1, temperature=1e-320, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged, match="epoch 0"):
         train(arch, init_parameters(arch), X, y, cfg)
+
+
+def test_train_config_cannot_be_changed_past_its_checks():
+    config = TrainConfig(epochs=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.batch_size = 0
 
 
 def test_empty_dataset_is_rejected():
