@@ -135,12 +135,15 @@ def _dataset(args, arch):
 
 
 def _train_config(args) -> TrainConfig:
-    """The TrainConfig of the options of the same names; its range errors are usage errors."""
+    """The TrainConfig of the training options; a range error is a usage
+    error that names the option as the parser's action spells it."""
     fields = dataclasses.fields(TrainConfig)
     try:
         return TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
     except ValueError as exc:
-        raise UsageError(exc) from None
+        field, rest = str(exc).split(" ", 1)
+        option = next(a.option_strings[0] for a in args.training_actions if a.dest == field)
+        raise UsageError(f"{option} {rest}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +338,19 @@ def _add_dataset(p: argparse.ArgumentParser) -> None:
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
-    """Options named as TrainConfig's fields; TrainConfig checks their ranges."""
+    """Options whose dests are TrainConfig's fields, which checks their
+    ranges; ``_train_config`` names an option out of range by its action."""
     d = TrainConfig()
-    p.add_argument("--epochs", type=_count, default=d.epochs)
-    p.add_argument("--lr", type=float, default=d.lr)
-    p.add_argument("--batch", type=_count, default=d.batch_size, dest="batch_size")
-    p.add_argument("--momentum", type=float, default=d.momentum)
-    p.add_argument("--temperature", type=float, default=d.temperature)
-    p.add_argument("--lr-decay", type=float, default=d.lr_decay)
-    p.add_argument("--keep-best", action="store_true")
+    actions = (
+        p.add_argument("--epochs", type=_count, default=d.epochs),
+        p.add_argument("--lr", type=float, default=d.lr),
+        p.add_argument("--batch", type=_count, default=d.batch_size, dest="batch_size"),
+        p.add_argument("--momentum", type=float, default=d.momentum),
+        p.add_argument("--temperature", type=float, default=d.temperature),
+        p.add_argument("--lr-decay", type=float, default=d.lr_decay),
+        p.add_argument("--keep-best", action="store_true"),
+    )
+    p.set_defaults(training_actions=actions)  # a tuple, so no manifest records it
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -307,7 +307,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """ValueError naming the first option out of range; a bool is no number."""
+        """ValueError, its message opening with the name of the first field
+        out of range; a bool is no number."""
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
@@ -470,7 +471,7 @@ def train(
                 best_score = score
                 best_params = params.copy()
         lr *= config.lr_decay
-    if config.keep_best and best_params is not None:
+    if config.keep_best:  # epoch 0 always sets it: its score is finite, above -inf
         params = best_params
     return params, metrics
 

@@ -14,8 +14,9 @@ Kinds and their I/O encodings:
   view), reuses its input qubits. 2n trainable RY angles per block with
   a CX entangler between the two RY layers.
 - U: amplitude in / probability out on one fresh ancilla. Binary +-1
-  weights enter as amplitude sign flips, up to the global sign w[0],
-  which a fresh register cannot show; output Pr[1] = (sum w.x)^2 / N.
+  weights enter as amplitude sign flips, one Z or multi-controlled Z per
+  term of their algebraic normal form, up to the global sign w[0], which
+  a fresh register cannot show; output Pr[1] = (sum w.x)^2 / N.
 - P: probability in / probability out on one fresh ancilla. Binary
   weights enter as the control polarities of an MCX inside a Hadamard
   sandwich; output is a product of per-input coherence factors (see
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .statevec import CX, CZ, CircuitFragment, H, Z, controlled_x, mcx, rx, ry
+from .statevec import CX, CircuitFragment, H, Z, controlled_x, mcx, mcz, rx, ry
 
 # ---------------------------------------------------------------------------
 # weight helpers
@@ -231,13 +232,15 @@ def v_view_backward_batch(grad: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def amplitude_sign_flips(w) -> CircuitFragment:
-    """Compile a +-1 diagonal into Z-family gates: the fragment is w[0] diag(w).
+    """Compile a +-1 diagonal into Z-type gates: the fragment is w[0] diag(w).
 
-    The sign pattern (-1)^f(k) is reduced to f's algebraic normal form;
-    each XOR monomial becomes Z (degree 1), CZ (degree 2) or an
-    H-conjugated MCX acting as a multi-controlled Z (degree >= 3). The
-    constant term, set when w[0] = -1, is the global sign w[0]: no gate
-    carries it, since a fresh register cannot show a global phase.
+    The sign pattern (-1)^f(k) is reduced to f's algebraic normal form,
+    and each XOR monomial of degree d becomes one gate on its qubits: Z
+    for d = 1, a CZ with d - 1 controls at polarity 1 for d >= 2. Each
+    gate negates exactly the amplitudes its monomial is 1 on, so the
+    diagonal is exact. The constant term, set when w[0] = -1, is the
+    global sign w[0]: no gate carries it, since a fresh register cannot
+    show a global phase.
     """
     w = check_binary_weights(w)
     size = len(w)
@@ -254,18 +257,9 @@ def amplitude_sign_flips(w) -> CircuitFragment:
 
     frag = CircuitFragment(n)
     for mask in range(1, size):
-        if not anf[mask]:
-            continue
-        qubits = [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
-        if len(qubits) == 1:
-            frag.append(Z, qubits[0])
-        elif len(qubits) == 2:
-            frag.append(CZ, qubits[0], qubits[1])
-        else:
-            *controls, target = qubits
-            frag.append(H, target)
-            frag.append(mcx((1,) * len(controls)), *controls, target)
-            frag.append(H, target)
+        if anf[mask]:
+            *controls, target = [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
+            frag.append(mcz((1,) * len(controls)) if controls else Z, *controls, target)
     return frag
 
 

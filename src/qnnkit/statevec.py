@@ -12,9 +12,12 @@ Conventions used across the package:
 The gate kernels ``apply_1q``, ``controlled_x`` and ``phase_flip`` work
 in place on a batch of states, a ``(B, 2^n)`` array of any dtype, and
 cost O(2^n) per state, never O(4^n); a StateVector is a batch of one
-complex state. The trainer calls only ``controlled_x``, for its V block
-tables. Its RY gathers partners through an n x 2^n table: ``apply_1q``
-was 1.1-1.8x slower on its batches (n = 4-6, B = 32), and the simulator
+complex state. The X-type kernel ``controlled_x`` (a swap) and the
+Z-type ``phase_flip`` (a sign flip) take the same (controls,
+polarities, target), the gate's own polarities, so both are exact.
+The trainer calls only ``controlled_x``, for its V block tables. Its
+RY gathers partners through an n x 2^n table: ``apply_1q`` was
+1.1-1.8x slower on its batches (n = 4-6, B = 32), and the simulator
 would need 704 MiB for the table at 22 qubits. A StateVector is
 exclusively owned while mutated; nothing here shares state between threads.
 
@@ -46,15 +49,19 @@ import numpy as np
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
+# Controlled kinds: the X-type ones swap the target's pair, the Z-type ones negate its 1.
+_Z_KINDS = ("Z", "CZ")
+_CONTROLLED = ("X", "CX", "MCX") + _Z_KINDS
+
 
 @dataclass(frozen=True)
 class Gate:
-    """One primitive gate: H, X, Z, RX(t), RY(t), CX, CZ or MCX.
-
-    ``polarities`` applies to MCX only: entry i is the value (0 or 1)
-    control i must hold for the target flip to fire. This lets gadgets
-    pick the pattern that fires (|0...0> for u, the weight signs for p)
-    without X-conjugation at the call site.
+    """One primitive gate: H, RX(t) or RY(t), or an X-type (X, CX, MCX) or
+    Z-type (Z, CZ) gate with its control ``polarities``: entry i is the
+    value (0 or 1) control i must hold for the gate to fire on the target,
+    the last qubit. X and Z hold (), CX and CZ (1,). Gadgets pick the
+    pattern that fires (|0...0> for u, the weight signs for p) without
+    X-conjugation at the call site.
     """
 
     kind: str
@@ -63,57 +70,36 @@ class Gate:
 
     @property
     def arity(self) -> int:
-        if self.kind in ("H", "X", "Z", "RX", "RY"):
+        if self.kind in ("H", "RX", "RY"):
             return 1
-        if self.kind in ("CX", "CZ"):
-            return 2
-        if self.kind == "MCX":
+        if self.kind in _CONTROLLED:
             return len(self.polarities) + 1
         raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def matrix(self) -> np.ndarray:
         """Dense unitary of this gate on its own qubits (2^arity square).
 
-        For CX/CZ/MCX the control qubits come first, target last, with
-        qubit order matching the index list passed to ``apply``.
+        The controls come first, target last, in the order of the qubit
+        list passed to ``apply``.
         """
-        if self.kind == "H":
-            return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-        if self.kind == "X":
-            return np.array([[0, 1], [1, 0]], dtype=complex)
-        if self.kind == "Z":
-            return np.array([[1, 0], [0, -1]], dtype=complex)
-        if self.kind == "RX":
-            c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-        if self.kind == "RY":
-            c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.kind == "CX":
-            m = np.eye(4, dtype=complex)
-            m[2:, 2:] = [[0, 1], [1, 0]]
-            return m
-        if self.kind == "CZ":
-            m = np.eye(4, dtype=complex)
-            m[3, 3] = -1
-            return m
-        if self.kind == "MCX":
-            k = len(self.polarities)
-            dim = 2 ** (k + 1)
-            m = np.eye(dim, dtype=complex)
-            fire = sum(p << (k - i) for i, p in enumerate(self.polarities))
-            m[fire, fire] = m[fire + 1, fire + 1] = 0
-            m[fire, fire + 1] = m[fire + 1, fire] = 1
-            return m
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.kind in ("H", "RX", "RY"):
+            return np.array(_entries(self), dtype=complex).reshape(2, 2)
+        k = self.arity - 1  # which checks the kind
+        m = np.eye(2 ** (k + 1), dtype=complex)
+        fire = sum(p << (k - i) for i, p in enumerate(self.polarities))  # target 0
+        if self.kind in _Z_KINDS:
+            m[fire + 1, fire + 1] = -1
+        else:
+            m[fire : fire + 2, fire : fire + 2] = [[0, 1], [1, 0]]
+        return m
 
 
 # Gate constructors; the fixed gates are singletons.
 H = Gate("H")
-X = Gate("X")
-Z = Gate("Z")
-CX = Gate("CX")
-CZ = Gate("CZ")
+X = Gate("X", polarities=())
+Z = Gate("Z", polarities=())
+CX = Gate("CX", polarities=(1,))
+CZ = Gate("CZ", polarities=(1,))
 
 
 def rx(theta: float) -> Gate:
@@ -124,14 +110,23 @@ def ry(theta: float) -> Gate:
     return Gate("RY", float(theta))
 
 
-def mcx(polarities: tuple[int, ...] | list[int]) -> Gate:
-    """Multi-controlled X; fires when every control matches its polarity."""
+def _controlled(kind: str, polarities) -> Gate:
     pol = tuple(int(p) for p in polarities)
     if not pol:
-        raise ValueError("MCX needs at least one control")
+        raise ValueError(f"{kind} needs at least one control")
     if any(p not in (0, 1) for p in pol):
         raise ValueError(f"polarities must be 0/1, got {pol}")
-    return Gate("MCX", polarities=pol)
+    return Gate(kind, polarities=pol)
+
+
+def mcx(polarities: tuple[int, ...] | list[int]) -> Gate:
+    """Multi-controlled X; fires when every control matches its polarity."""
+    return _controlled("MCX", polarities)
+
+
+def mcz(polarities: tuple[int, ...] | list[int]) -> Gate:
+    """Multi-controlled Z, of kind CZ; fires when every control matches its polarity."""
+    return _controlled("CZ", polarities)
 
 
 def check_qubits(gate: Gate, qubits: tuple[int, ...], n: int) -> None:
@@ -218,9 +213,9 @@ def controlled_x(a: np.ndarray, controls, polarities, target: int) -> None:
     view[sel1] = tmp
 
 
-def phase_flip(a: np.ndarray, qubits) -> None:
-    """Negate the amplitudes where every qubit in ``qubits`` is 1 (Z, CZ)."""
-    view, sel = _axes(a, ((q, 1) for q in qubits))
+def phase_flip(a: np.ndarray, controls, polarities, target: int) -> None:
+    """Negate where ``target`` is 1 and control i holds ``polarities[i]`` (Z, CZ)."""
+    view, sel = _axes(a, [*zip(controls, polarities), (target, 1)])
     view[tuple(sel)] *= -1
 
 
@@ -245,10 +240,9 @@ def apply_gate(a: np.ndarray, gate: Gate, qubits: tuple[int, ...]) -> None:
     """Apply ``gate`` at checked ``qubits`` to every row of ``a`` through its kernel."""
     if gate.kind in ("H", "RX", "RY"):
         apply_1q(a, qubits[0], *_entries(gate))
-    elif gate.kind in ("Z", "CZ"):
-        phase_flip(a, qubits)
-    else:  # X has no controls, CX fires on control 1, MCX carries its polarities
-        controlled_x(a, qubits[:-1], gate.polarities or (1,) * (len(qubits) - 1), qubits[-1])
+    else:
+        kernel = phase_flip if gate.kind in _Z_KINDS else controlled_x
+        kernel(a, qubits[:-1], gate.polarities, qubits[-1])
 
 
 class StateVector:
@@ -351,7 +345,8 @@ class FusedProgram:
 
 def fuse(fragment: CircuitFragment) -> FusedProgram:
     """Fuse ``fragment`` greedily: each run of gates whose qubits fit
-    W adjacent qubits becomes one block, and a wider gate stays a step.
+    W adjacent qubits becomes one block, and a wider gate (the MCX of a
+    u or p gadget, or a wide u sign-flip CZ) stays a step.
 
     A block's matrix is built by running its gates through the same
     kernels on the 2^W basis states.

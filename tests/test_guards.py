@@ -17,7 +17,7 @@ from qnnkit.neurons import (
     build_u_neuron,
     check_binary_weights,
 )
-from qnnkit.statevec import Gate, StateVector, mcx
+from qnnkit.statevec import Gate, StateVector, mcx, mcz
 
 
 def _config(message, **options):
@@ -53,6 +53,8 @@ GUARDS = {
     ),
     "mcx-no-controls": (lambda: mcx(()), ValueError, "MCX needs at least one control"),
     "mcx-polarities": (lambda: mcx((0, 2)), ValueError, "polarities must be 0/1, got (0, 2)"),
+    "mcz-no-controls": (lambda: mcz(()), ValueError, "CZ needs at least one control"),
+    "mcz-polarities": (lambda: mcz((2,)), ValueError, "polarities must be 0/1, got (2,)"),
     "gate-arity": (lambda: Gate("Y").arity, ValueError, "unknown gate kind 'Y'"),
     "gate-matrix": (lambda: Gate("Y").matrix(), ValueError, "unknown gate kind 'Y'"),
     "statevector-amplitudes": (

@@ -609,9 +609,20 @@ def test_the_circuit_takes_every_gate_from_the_encoding_and_the_neuron_builders(
     assert Counter(gate for gate, _ in circ.fragment.ops) == built
 
 
-@pytest.mark.parametrize("name, gates", [("mixed", 297), ("mnist4-vup", 1929)])
+@pytest.mark.parametrize(
+    "name, gates",
+    [
+        ("mixed", 281),
+        ("mnist2-vu", 128),
+        ("mnist4-vu", 780),
+        ("mnist4-vup", 1647),
+        ("vu", 722),
+        ("vun", 20),
+    ],
+)
 def test_compiled_gate_counts_are_pinned(name, gates):
-    # each p neuron is 2m H gates and one MCX, its weight signs on the polarities
+    # each u sign-flip term is one Z or multi-controlled Z, and each p
+    # neuron is 2m H gates and one MCX, its weight signs on the polarities
     arch = load_architecture(NETS / f"{name}.arch")
     params = init_parameters(arch, seed=0)
     circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))

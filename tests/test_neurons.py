@@ -163,14 +163,36 @@ def test_v_forward_preserves_norm():
 # ---------------------------------------------------------------------------
 
 
-def test_sign_flip_fragment_matches_diagonal_oracle():
-    rng = np.random.default_rng(7)
+def sign_flip_weights():
+    """Every sign pattern for n <= 3, then 50 random ones each for n = 4-6."""
     for n in (1, 2, 3):
-        for _ in range(20):
-            w = random_weights(rng, 2**n)
-            x = random_unit(rng, 2**n) + 1j * 0  # complex for the simulator
-            got = StateVector(n, x.copy()).run(amplitude_sign_flips(w)).amps
-            np.testing.assert_allclose(got, w[0] * w * x, atol=1e-12)  # up to the global sign w[0]
+        yield from (np.array(w) for w in itertools.product((1.0, -1.0), repeat=2**n))
+    rng = np.random.default_rng(7)
+    for n in (4, 5, 6):
+        for _ in range(50):
+            yield random_weights(rng, 2**n)
+
+
+def test_sign_flip_fragment_matches_diagonal_oracle():
+    for w in sign_flip_weights():
+        n = int(math.log2(len(w)))
+        # column k of U is the run on basis state k: one run with qubits 0..n-1 the rows of I
+        frag = amplitude_sign_flips(w)
+        unitary = StateVector(2 * n, np.eye(2**n).ravel()).run(frag).amps.reshape(2**n, 2**n)
+        assert np.array_equal(unitary, w[0] * np.diag(w))  # up to the global sign w[0]
+
+
+def test_sign_flip_fragment_is_one_controlled_z_per_anf_term():
+    for w in sign_flip_weights():
+        n = int(math.log2(len(w)))
+        # ANF term m is the XOR of [w[k] < 0] over every k whose bits lie within m
+        k = np.arange(2**n)
+        within = ((k[None, :] & k[:, None]) == k[None, :]).astype(int)
+        terms = {int(m) for m in np.flatnonzero(within @ (w < 0) % 2) if m}
+        ops = amplitude_sign_flips(w).ops
+        assert sorted(sum(1 << (n - 1 - q) for q in qubits) for _, qubits in ops) == sorted(terms)
+        for gate, qubits in ops:
+            assert gate.kind in ("Z", "CZ") and gate.polarities == (1,) * (len(qubits) - 1)
 
 
 def test_u_neuron_basis_input():

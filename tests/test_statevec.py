@@ -24,6 +24,7 @@ from qnnkit.statevec import (
     controlled_x,
     fuse,
     mcx,
+    mcz,
     phase_flip,
     rx,
     ry,
@@ -52,28 +53,27 @@ def embed_oracle(mat: np.ndarray, positions, n: int) -> np.ndarray:
 
 def random_gate(rng) -> tuple[Gate, int]:
     """Random gate plus its arity, for circuit fuzzing."""
-    kind = rng.choice(["H", "X", "Z", "RX", "RY", "CX", "CZ", "MCX"])
+    kind = rng.choice(["H", "X", "Z", "RX", "RY", "CX", "CZ", "MCX", "MCZ"])
     if kind in ("RX", "RY"):
         g = rx(rng.uniform(-np.pi, np.pi)) if kind == "RX" else ry(rng.uniform(-np.pi, np.pi))
-    elif kind == "MCX":
+    elif kind in ("MCX", "MCZ"):
         n_controls = int(rng.integers(1, 4))
-        g = mcx(tuple(int(b) for b in rng.integers(0, 2, n_controls)))
+        g = (mcx if kind == "MCX" else mcz)(tuple(int(b) for b in rng.integers(0, 2, n_controls)))
     else:
         g = {"H": H, "X": X, "Z": Z, "CX": CX, "CZ": CZ}[kind]
     return g, g.arity
 
 
 def apply_kernel(batch: np.ndarray, gate: Gate, positions) -> None:
-    """Dispatch one gate to the batch kernels, entries from its dense matrix."""
-    if gate.arity == 1:
+    """Dispatch one gate to the batch kernels: H, RX and RY with entries
+    from its dense matrix, the controlled kinds with their polarities."""
+    if gate.kind in ("H", "RX", "RY"):
         m = gate.matrix()
         entries = m.ravel() if np.iscomplexobj(batch) else m.real.ravel()
         apply_1q(batch, positions[0], *entries)
-    elif gate.kind == "CZ":
-        phase_flip(batch, positions)
     else:
-        polarities = gate.polarities or (1,)
-        controlled_x(batch, positions[:-1], polarities, positions[-1])
+        kernel = phase_flip if gate.kind in ("Z", "CZ") else controlled_x
+        kernel(batch, positions[:-1], gate.polarities, positions[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,32 @@ def test_product_of_superpositions(qubit_purity):
 # ---------------------------------------------------------------------------
 
 
+def test_gate_matrices_are_pinned():
+    c, s = math.cos(0.3), math.sin(0.3)
+    r = SQRT2_INV
+    swap_6_7 = list(range(16))
+    swap_6_7[6:8] = [7, 6]
+    expected = {
+        H: [[r, r], [r, -r]],
+        X: [[0, 1], [1, 0]],
+        Z: [[1, 0], [0, -1]],
+        CX: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        CZ: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+        rx(0.6): [[c, -1j * s], [-1j * s, c]],
+        ry(0.6): [[c, -s], [s, c]],
+        mcx((0,)): [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        mcx((1, 0)): np.eye(8)[[0, 1, 2, 3, 5, 4, 6, 7]],
+        mcx((0, 1, 1)): np.eye(16)[swap_6_7],
+        mcz((0, 1)): np.diag([1, 1, 1, -1, 1, 1, 1, 1]),
+    }
+    for gate, matrix in expected.items():
+        got = gate.matrix()
+        assert got.dtype == complex and np.array_equal(got, matrix), gate
+
+
 def test_every_gate_matrix_is_unitary():
     rng = np.random.default_rng(11)
-    gates = [H, X, Z, CX, CZ, mcx((0,)), mcx((1, 0)), mcx((0, 1, 1))]
+    gates = [H, X, Z, CX, CZ, mcx((0,)), mcx((1, 0)), mcx((0, 1, 1)), mcz((1, 0, 1))]
     gates += [rx(rng.uniform(-6, 6)) for _ in range(5)]
     gates += [ry(rng.uniform(-6, 6)) for _ in range(5)]
     for g in gates:
@@ -203,14 +226,21 @@ def test_every_gate_matrix_is_unitary():
         np.testing.assert_allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12)
 
 
-def test_inplace_application_matches_kron_oracle():
-    rng = np.random.default_rng(13)
+def kron_cases(rng):
+    """(n, gate): random draws that fit n qubits, then multi-controlled CZ
+    with mixed polarities, which the draws may miss."""
     for _ in range(60):
         n = int(rng.integers(1, 5))
         gate, arity = random_gate(rng)
-        if arity > n:
-            continue
-        positions = list(rng.choice(n, size=arity, replace=False))
+        if arity <= n:
+            yield n, gate
+    yield from [(3, mcz((0, 1))), (4, mcz((1, 0))), (4, mcz((1, 0, 1)))]
+
+
+def test_inplace_application_matches_kron_oracle():
+    rng = np.random.default_rng(13)
+    for n, gate in kron_cases(rng):
+        positions = list(rng.choice(n, size=gate.arity, replace=False))
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
 
@@ -345,12 +375,14 @@ def random_state(rng, n: int) -> np.ndarray:
 
 
 def random_fragment(rng, n: int, count: int) -> CircuitFragment:
-    """``count`` random gates on n qubits; a fifth are MCX on up to n qubits."""
+    """``count`` random gates on n qubits; a fifth are MCX or multi-controlled
+    CZ on up to n qubits."""
     frag = CircuitFragment(n)
     while len(frag.ops) < count:
         if n > 1 and rng.random() < 0.2:
             arity = int(rng.integers(2, n + 1))
-            gate = mcx(tuple(int(b) for b in rng.integers(0, 2, arity - 1)))
+            controlled = mcx if rng.random() < 0.5 else mcz
+            gate = controlled(tuple(int(b) for b in rng.integers(0, 2, arity - 1)))
         else:
             gate, arity = random_gate(rng)
             if arity > n:
@@ -386,7 +418,8 @@ def test_a_fragment_within_the_window_fuses_to_its_kron_product():
 
 def test_fused_programs_match_gate_by_gate_runs():
     rng = np.random.default_rng(23)
-    wide = first_window = last_window = False
+    wide_kinds = set()
+    first_window = last_window = False
     for n in range(1, 9):
         for _ in range(15):
             frag = random_fragment(rng, n, int(rng.integers(1, 40)))
@@ -398,7 +431,7 @@ def test_fused_programs_match_gate_by_gate_runs():
             )
             for head, _ in program.steps:
                 if isinstance(head, Gate):
-                    wide = True
+                    wide_kinds.add(head.kind if len(set(head.polarities)) == 2 else "one polarity")
                 elif n > FUSION_WIDTH:
                     first_window |= head == 0
                     last_window |= head == n - FUSION_WIDTH
@@ -408,7 +441,8 @@ def test_fused_programs_match_gate_by_gate_runs():
                 program.run(StateVector(n + 1, wider.copy())).amps,
                 StateVector(n + 1, wider).run(frag).amps, rtol=0, atol=1e-13,
             )
-    assert wide and first_window and last_window
+    # wide gates with mixed polarities of both types ran as kernel steps
+    assert {"MCX", "CZ"} <= wide_kinds and first_window and last_window
 
 
 def test_a_program_rejects_a_narrower_register():
