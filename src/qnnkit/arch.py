@@ -28,8 +28,8 @@ layer, which is ``num_classes`` wide.
 
 Specs are frozen and check their shape on construction, so every
 ``ArchitectureSpec`` in hand has a valid shape, with integer counts
-(numpy ints too, but no bool or float); whether its junctions are
-feasible is ``qnnkit.rules``' question.
+(numpy ints too, stored as Python ints, but no bool or float); whether
+its junctions are feasible is ``qnnkit.rules``' question.
 """
 
 from __future__ import annotations
@@ -81,20 +81,24 @@ class ArchitectureSpec:
 
     def __post_init__(self) -> None:
         """Structural checks; junction feasibility lives in qnnkit.rules."""
-        object.__setattr__(self, "layers", tuple(self.layers))  # callers may pass a list
+        layers = tuple(self.layers)  # callers may pass a list
         counts = [("input_dim", self.input_dim), ("num_classes", self.num_classes)]
-        for layer in self.layers:
+        for layer in layers:
             counts += [(f"{layer.kind}-layer {k}", getattr(layer, k)) for k in ("width", "repeat")]
         for what, value in counts:
             # numpy ints pass; a bool is an Integral, and 2.0 would pass every check below
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{what} must be an integer, got {value!r}")
+        # kept as Python ints, which JSON takes and numpy ints are not
+        for name in ("input_dim", "num_classes"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        layers = tuple(LayerSpec(l.kind, int(l.width), int(l.repeat)) for l in layers)
+        object.__setattr__(self, "layers", layers)
         if self.input_dim < 2 or 2 ** self.n_qubits != self.input_dim:
             raise ArchitectureError(
                 f"input_dim must be a power of two >= 2, got {self.input_dim}"
             )
-        # num_classes = 1 is allowed for verification-only networks; the
-        # loss is what insists on >= 2 classes.
+        # num_classes = 1 is allowed for verification-only networks; train refuses it
         if self.num_classes < 1:
             raise ArchitectureError(f"need at least 1 output, got {self.num_classes}")
         if not self.layers:

@@ -27,13 +27,14 @@ import numpy as np
 
 from . import __version__
 from .arch import ArchitectureError, ArchitectureParseError, load_architecture
-from .data import IdxFormatError, make_xor_dataset, mnist_task
+from .data import CROP_FOR, IdxFormatError, make_xor_dataset, mnist_task
 from .model import (
     DEFAULT_MAX_QUBITS,
     ResourceLimitError,
     TrainConfig,
     TrainingDiverged,
     accuracy,
+    check_trainable,
     circuit_inference,
     forward,
     init_parameters,
@@ -102,10 +103,6 @@ def _read_checkpoint(path: str):
     """(arch, params) from ``path``; a missing file is left to ``main``."""
     try:
         return load_checkpoint(path)
-    except KeyError as exc:
-        raise UsageError(f"{path}: missing field {exc}") from None
-    except TypeError as exc:  # a field holds the wrong JSON type
-        raise UsageError(f"{path}: a field has the wrong type ({exc})") from None
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -265,6 +262,7 @@ def cmd_sweep(args) -> int:
     arch = load_architecture(args.arch)
     pipeline(arch)  # every r trains the same layer sequence, so check it once
     train_ds, test_ds, _ = _dataset(args, arch)
+    check_trainable(arch)  # a refusal is bad usage, not a failed run
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -333,7 +331,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_dataset(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", choices=["mnist", "xor"], default="mnist")
     p.add_argument("--classes", type=_digits, default="3,6", help="comma-separated digits")
-    p.add_argument("--resolution", type=int, default=4, choices=[4, 8, 16])
+    p.add_argument("--resolution", type=int, default=4, choices=list(CROP_FOR))
     p.add_argument("--data-dir", default=None, help="MNIST cache directory")
 
 

@@ -260,7 +260,7 @@ def select_subset(ds: Dataset, classes) -> Dataset:
     return Dataset(ds.images[mask], labels)
 
 
-_CROP_FOR = {4: 28, 8: 24, 16: 16}
+CROP_FOR = {4: 28, 8: 24, 16: 16}  # each supported resolution: its center crop
 
 
 def downsample(ds: Dataset, target: int) -> Dataset:
@@ -269,14 +269,14 @@ def downsample(ds: Dataset, target: int) -> Dataset:
     28 is not divisible by 8 or 16, so those targets first center-crop to
     the largest divisible square (24 and 16). Output stays in [0, 1].
     """
-    if target not in _CROP_FOR:
-        raise ValueError(f"unsupported target resolution {target}, pick 4, 8 or 16")
+    if target not in CROP_FOR:
+        raise ValueError(f"unsupported target resolution {target}, pick one of {list(CROP_FOR)}")
     if ds.images.shape[1] != 784:
         raise ValueError(
             f"downsample expects 28x28 = 784-pixel source images, got {ds.images.shape[1]}"
         )
     images = ds.images.reshape(-1, 28, 28)
-    crop = _CROP_FOR[target]
+    crop = CROP_FOR[target]
     off = (28 - crop) // 2
     cropped = images[:, off : off + crop, off : off + crop]
     tile = crop // target

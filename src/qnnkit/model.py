@@ -41,7 +41,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -103,20 +103,21 @@ class ParameterStore:
     def p_weights(self, index: int) -> np.ndarray:
         return binarize(self.pw_latent[index])
 
-    def copy(self) -> "ParameterStore":
+    def map(self, fn, group=list) -> "ParameterStore":
+        """``fn`` of every array, in the four groups; ``group`` collects n's and p's."""
         return ParameterStore(
-            self.v_thetas.copy(),
-            None if self.uw_latent is None else self.uw_latent.copy(),
-            [t.copy() for t in self.n_thetas],
-            [w.copy() for w in self.pw_latent],
+            fn(self.v_thetas),
+            None if self.uw_latent is None else fn(self.uw_latent),
+            group(fn(t) for t in self.n_thetas),
+            group(fn(w) for w in self.pw_latent),
         )
 
+    def copy(self) -> "ParameterStore":
+        return self.map(np.ndarray.copy)
+
     def arrays(self) -> list[np.ndarray]:
-        out = [self.v_thetas]
-        if self.uw_latent is not None:
-            out.append(self.uw_latent)
-        out.extend(self.n_thetas)
-        out.extend(self.pw_latent)
+        out: list[np.ndarray] = []
+        self.map(out.append)  # in group order; no u group, no u array
         return out
 
 
@@ -309,10 +310,13 @@ class TrainConfig:
     def __post_init__(self):
         """ValueError, its message opening with the name of the first field
         out of range; a bool is no number."""
-        for name in ("epochs", "batch_size"):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                which = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be a {which} integer, got {value!r}")
+        if not isinstance(self.keep_best, bool):
+            raise ValueError(f"keep_best must be True or False, got {self.keep_best!r}")
         for name, zero_ok in (
             ("lr", False), ("temperature", False), ("momentum", True), ("lr_decay", True)
         ):
@@ -363,9 +367,7 @@ def backward_batch(
     onehot[np.arange(B), labels] = 1.0
     grad = (sm - onehot) / (temperature * B)  # dL/dprobs
 
-    grads = params.copy()  # same fields and shapes, zeroed
-    for g in grads.arrays():
-        g.fill(0.0)
+    grads = params.map(np.zeros_like)
 
     for stage in reversed(trace.stages):
         kind, acts = stage["kind"], stage["input"]
@@ -399,6 +401,17 @@ def accuracy(arch, params, X, y) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == _check_labels(y, *probs.shape)))
 
 
+def check_trainable(arch: ArchitectureSpec) -> None:
+    """ArchitectureError unless the rule engine passes ``arch`` and it has 2+ classes."""
+    report = validate_architecture(arch)
+    if not report.passed:
+        raise ArchitectureError(
+            "refusing to train an infeasible architecture:\n" + report.render_text()
+        )
+    if arch.num_classes < 2:
+        raise ArchitectureError(f"training needs at least 2 classes, {arch.name} has 1")
+
+
 def train(
     arch: ArchitectureSpec,
     params: ParameterStore,
@@ -410,15 +423,11 @@ def train(
 ) -> tuple[ParameterStore, list[dict]]:
     """Mini-batch SGD with momentum; deterministic for a fixed config.
 
-    Refuses architectures the rule engine rejects. Returns the trained
+    ``check_trainable`` refuses ``arch`` first. Returns the trained
     parameters and one metrics row per epoch.
     """
     config = config or TrainConfig()
-    report = validate_architecture(arch)
-    if not report.passed:
-        raise ArchitectureError(
-            "refusing to train an infeasible architecture:\n" + report.render_text()
-        )
+    check_trainable(arch)
     train_images = np.asarray(train_images)
     train_labels = _check_labels(train_labels, len(train_images), arch.num_classes)
     if test_images is not None:
@@ -634,61 +643,49 @@ def circuit_inference(
 
 
 def save_checkpoint(path, arch: ArchitectureSpec, params: ParameterStore) -> None:
+    """The JSON text is built before ``path`` is opened: a failed save writes nothing."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "architecture": {
-            "input_dim": arch.input_dim,
-            "num_classes": arch.num_classes,
-            "layers": [
-                {"kind": l.kind, "width": l.width, "repeat": l.repeat} for l in arch.layers
-            ],
-        },
-        "parameters": {
-            "v_thetas": params.v_thetas.tolist(),
-            "uw_latent": None if params.uw_latent is None else params.uw_latent.tolist(),
-            "n_thetas": [t.tolist() for t in params.n_thetas],
-            "pw_latent": [w.tolist() for w in params.pw_latent],
-        },
+        "architecture": asdict(arch),
+        "parameters": asdict(params.map(np.ndarray.tolist)),
     }
+    text = json.dumps(payload, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(text)
 
 
 def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
-    """ValueError unless each parameter is finite and has the shape the plan gives."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """(arch, params) from ``path``; OSError if it cannot be read, and ValueError
+    on every malformed file. Layers are read by key, so an unknown key (older
+    files hold a ``theta_mode``) is ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply to read") from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
-    if type(payload.get("version")) is not int or payload["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    arch_d = payload["architecture"]
-    arch = ArchitectureSpec(
-        arch_d["input_dim"],
-        arch_d["num_classes"],
-        [LayerSpec(l["kind"], l["width"], l["repeat"]) for l in arch_d["layers"]],
-    )
-    p = payload["parameters"]
-    params = ParameterStore(
-        np.array(p["v_thetas"], dtype=float),
-        None if p["uw_latent"] is None else np.array(p["uw_latent"], dtype=float),
-        [np.array(t, dtype=float) for t in p["n_thetas"]],
-        [np.array(w, dtype=float) for w in p["pw_latent"]],
-    )
-    needed = pipeline(arch).shapes
-    shapes = (
-        params.v_thetas.shape,
-        None if params.uw_latent is None else params.uw_latent.shape,
-        tuple(t.shape for t in params.n_thetas),
-        tuple(w.shape for w in params.pw_latent),
-    )
+        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
+        if type(payload.get("version")) is not int or payload["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        arch_d = payload["architecture"]
+        arch = ArchitectureSpec(
+            arch_d["input_dim"],
+            arch_d["num_classes"],
+            [LayerSpec(l["kind"], l["width"], l["repeat"]) for l in arch_d["layers"]],
+        )
+        p = payload["parameters"]
+        groups = (p[f.name] for f in fields(ParameterStore))
+        params = ParameterStore(*groups).map(functools.partial(np.array, dtype=float))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    except TypeError as exc:  # a field holds the wrong JSON type
+        raise ValueError(f"a field has the wrong type ({exc})") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("a parameter value is not finite") from None
+    shapes, needed = astuple(params.map(np.shape, tuple)), pipeline(arch).shapes
     if shapes != needed:
         raise ValueError(f"parameter shapes {shapes} do not fit {arch.name}, which needs {needed}")
     if not all(np.all(np.isfinite(a)) for a in params.arrays()):
         raise ValueError("a parameter value is not finite")
     return arch, params
-

@@ -59,6 +59,8 @@ def test_a_count_that_is_not_an_integer_fails_on_construction(case):
 def test_numpy_integers_are_counts():
     spec = ArchitectureSpec(np.int64(4), np.int32(2), [LayerSpec("v", np.int64(2), np.uint8(2))])
     assert spec == ArchitectureSpec(4, 2, [LayerSpec("v", 2, 2)])
+    counts = [spec.input_dim, spec.num_classes, spec.layers[0].width, spec.layers[0].repeat]
+    assert [type(c) for c in counts] == [int] * 4  # stored as Python ints
 
 
 def test_a_bad_shape_in_a_file_is_a_line_one_parse_error():

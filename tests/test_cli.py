@@ -228,6 +228,11 @@ def test_verify_checkpoint_with_wrong_shapes_exits_two(tmp_path, capsys):
 
 WIDE_ARCH = "input_dim 16\nclasses 2\nlayer v width=4\nlayer u width=2\n"
 
+# Fits the template, and check and verify take it, but it cannot train:
+# with one class the loss and every gradient are 0.
+ONE_CLASS_ARCH = "input_dim 16\nclasses 1\nlayer v width=4\nlayer u width=1\n"
+ONE_CLASS_MNIST = ["--dataset", "mnist", "--classes", "3", "--data-dir", "{tmp}/valid", "--epochs", "1"]
+
 # Outside the trainable template v+ u? [np]*, though the file parses.
 U_FIRST_ARCH = "input_dim 4\nclasses 2\nlayer u width=2\n"
 VPU_ARCH = "input_dim 4\nclasses 2\nlayer v width=2\nlayer p width=2\nlayer u width=2\n"
@@ -253,11 +258,36 @@ BAD_CHECKPOINTS = {
 }
 
 
+def write_bad_checkpoints(tmp_path):
+    """{tmp}/<name>.json for every malformed checkpoint that BAD_INPUT_CASES
+    names: each of BAD_CHECKPOINTS, and ok.arch's own checkpoint with a NaN
+    angle, with "repeat": 2.0, or with "version": true; {tmp}/deep.json
+    nests too deeply to read."""
+    from qnnkit.arch import parse_architecture
+    from qnnkit.model import init_parameters, save_checkpoint
+
+    ok = parse_architecture(FEASIBLE_ARCH)
+    nan_params = init_parameters(ok)
+    nan_params.v_thetas[0, 0] = np.nan
+    save_checkpoint(tmp_path / "nan.json", ok, nan_params)
+    save_checkpoint(tmp_path / "ok.json", ok, init_parameters(ok))
+    saved = json.loads((tmp_path / "ok.json").read_text())
+    saved["architecture"]["layers"][0]["repeat"] = 2.0
+    write(tmp_path, "float-repeat.json", json.dumps(saved))
+    saved["architecture"]["layers"][0]["repeat"] = 2
+    write(tmp_path, "version-true.json", json.dumps(dict(saved, version=True)))
+    write(tmp_path, "deep.json", "[" * 200000 + "]" * 200000)
+    for name, architecture in BAD_CHECKPOINTS.items():
+        payload = {"format": "qnnkit-checkpoint", "version": 1, "architecture": architecture}
+        payload["parameters"] = {"v_thetas": [[0.0] * 4], "uw_latent": None, "n_thetas": [], "pw_latent": []}
+        write(tmp_path, f"{name}.json", json.dumps(payload))
+
+
 def write_bad_mnist_dirs(tmp_path):
     """{tmp}/bad-magic holds a plain train-images file with a wrong magic,
     {tmp}/truncated-gz a train-labels .gz cut to 20 bytes, and
     {tmp}/empty-train and {tmp}/empty-test a split with none of the default
-    classes 3 and 6; the rest is valid."""
+    classes 3 and 6; the rest, and all of {tmp}/valid, is valid."""
     from qnnkit import data
 
     images = np.zeros((2, 28, 28), dtype=np.uint8)
@@ -266,6 +296,7 @@ def write_bad_mnist_dirs(tmp_path):
         "truncated-gz": ([3, 6], [3, 6]),
         "empty-train": ([0, 1], [3, 6]),
         "empty-test": ([3, 6], [0, 1]),
+        "valid": ([3, 6], [3, 6]),
     }
     for name, labels in split_labels.items():
         directory = tmp_path / name
@@ -310,6 +341,20 @@ BAD_INPUT_CASES = {
         "mnist-2 train split is empty",
     ),
     "train-too-few-classes": (["train", "--arch", "{tmp}/vun.arch", *XOR_TRAIN], "1 classes"),
+    # the data fit, one class each, so the refusal is train's own
+    "train-one-class": (
+        ["train", "--arch", "{tmp}/one-class.arch", *ONE_CLASS_MNIST],
+        "one-class.arch: training needs at least 2 classes, v+u has 1",
+    ),
+    # before the first run, not as a failed run (exit 1)
+    "sweep-one-class": (
+        ["sweep", "--arch", "{tmp}/one-class.arch", *ONE_CLASS_MNIST],
+        "one-class.arch: training needs at least 2 classes, v+u has 1",
+    ),
+    "train-resolution-5": (
+        ["train", "--arch", "{tmp}/ok.arch", "--resolution", "5"],
+        "invalid choice: 5 (choose from 4, 8, 16)",
+    ),
     "epochs-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--epochs", "0"], "positive integer"),
     "batch-zero": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--batch", "0"], "positive integer"),
     "samples-negative": (["verify", "--arch", "{tmp}/ok.arch", "--samples", "-1"], "positive integer"),
@@ -411,31 +456,51 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "theta.arch", THETA_ARCH)
     write(tmp_path, "repeated-option.arch", REPEATED_OPTION_ARCH)
     write(tmp_path, "repeated-header.arch", REPEATED_HEADER_ARCH)
+    write(tmp_path, "one-class.arch", ONE_CLASS_ARCH)
     (tmp_path / "binary.arch").write_bytes(b"\x80\x81")
     write_bad_mnist_dirs(tmp_path)
     wide = parse_architecture(WIDE_ARCH)
     save_checkpoint(tmp_path / "wide.json", wide, init_parameters(wide))
-    ok = parse_architecture(FEASIBLE_ARCH)
-    nan_params = init_parameters(ok)
-    nan_params.v_thetas[0, 0] = np.nan
-    save_checkpoint(tmp_path / "nan.json", ok, nan_params)
-    save_checkpoint(tmp_path / "ok.json", ok, init_parameters(ok))
-    saved = json.loads((tmp_path / "ok.json").read_text())
-    saved["architecture"]["layers"][0]["repeat"] = 2.0
-    write(tmp_path, "float-repeat.json", json.dumps(saved))
-    saved["architecture"]["layers"][0]["repeat"] = 2
-    write(tmp_path, "version-true.json", json.dumps(dict(saved, version=True)))
-    write(tmp_path, "deep.json", "[" * 200000 + "]" * 200000)
-    for name, architecture in BAD_CHECKPOINTS.items():
-        payload = {"format": "qnnkit-checkpoint", "version": 1, "architecture": architecture}
-        payload["parameters"] = {"v_thetas": [[0.0] * 4], "uw_latent": None, "n_thetas": [], "pw_latent": []}
-        write(tmp_path, f"{name}.json", json.dumps(payload))
+    write_bad_checkpoints(tmp_path)
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects a bad option value itself
         code = exc.code
     assert_one_error_line(capsys, code, 2, reason)
+
+
+def test_the_checkpoint_reader_raises_value_error_for_every_malformed_file(tmp_path):
+    # the CLI adds only the path: each message is load_checkpoint's own
+    from qnnkit.model import load_checkpoint
+
+    write_bad_checkpoints(tmp_path)
+    good = json.loads((tmp_path / "ok.json").read_text())
+    del good["parameters"]
+    write(tmp_path, "no-parameters.json", json.dumps(good))
+    good = json.loads((tmp_path / "ok.json").read_text())
+    good["parameters"]["n_thetas"] = 5
+    write(tmp_path, "n-thetas-int.json", json.dumps(good))
+    expected = {
+        "no-parameters.json": "missing field 'parameters'",
+        "n-thetas-int.json": "a field has the wrong type ('int' object is not iterable)",
+    }
+    for argv, reason in BAD_INPUT_CASES.values():
+        if "--checkpoint" in argv:
+            name = Path(argv[argv.index("--checkpoint") + 1]).name
+            if reason.startswith(f"{name}: "):
+                expected[name] = reason.removeprefix(f"{name}: ")
+    assert len(expected) == 10  # the two above and eight in BAD_INPUT_CASES
+    for name, message in expected.items():
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(tmp_path / name)
+        assert str(info.value).startswith(message), name
+
+
+def test_check_takes_a_one_class_net(tmp_path, capsys):
+    # train and sweep refuse it (BAD_INPUT_CASES); verify takes it in
+    # test_verify_single_neuron_chain_is_exact
+    assert main(["check", "--arch", str(NETS / "vun.arch"), "--out", str(tmp_path)]) == 0
 
 
 def test_check_exits_one_on_v_p_u(tmp_path, capsys):

@@ -127,6 +127,10 @@ GUARDS = {
     "config-lr-decay-inf": _config(
         "lr_decay must be a finite number >= 0, got inf", lr_decay=float("inf")
     ),
+    "config-seed-negative": _config("seed must be a non-negative integer, got -1", seed=-1),
+    "config-seed-fraction": _config("seed must be a non-negative integer, got 1.5", seed=1.5),
+    "config-seed-bool": _config("seed must be a non-negative integer, got True", seed=True),
+    "config-keep-best-text": _config("keep_best must be True or False, got 'no'", keep_best="no"),
 }
 
 

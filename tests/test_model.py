@@ -445,6 +445,16 @@ def test_training_refuses_infeasible_architecture():
         train(bad, init_parameters(good), np.ones((4, 4)), np.zeros(4, dtype=int))
 
 
+def test_training_refuses_a_one_class_net_before_the_first_epoch(monkeypatch):
+    # with one class the loss is 0 and every gradient 0, whatever the parameters
+    import qnnkit.model as model
+
+    arch = from_kinds(4, 1, "vu")
+    monkeypatch.setattr(model, "forward_batch", None)  # no batch may run
+    with pytest.raises(ArchitectureError, match="^training needs at least 2 classes, v\\+u has 1$"):
+        train(arch, init_parameters(arch), np.ones((4, 4)), np.zeros(4, dtype=int))
+
+
 def test_divergence_detection_aborts_with_diagnostic():
     rng = np.random.default_rng(47)
     X, y = two_blob_dataset(rng, n=64)
@@ -894,6 +904,49 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(
         forward(arch, params, x).probs, forward(arch2, params2, x).probs
     )
+
+
+def _checkpoint_text(arch, params):
+    """The checkpoint format, spelled out field by field."""
+    layers = [{"kind": l.kind, "width": l.width, "repeat": l.repeat} for l in arch.layers]
+    payload = {
+        "format": "qnnkit-checkpoint",
+        "version": 1,
+        "architecture": {
+            "input_dim": arch.input_dim, "num_classes": arch.num_classes, "layers": layers
+        },
+        "parameters": {
+            "v_thetas": params.v_thetas.tolist(),
+            "uw_latent": None if params.uw_latent is None else params.uw_latent.tolist(),
+            "n_thetas": [t.tolist() for t in params.n_thetas],
+            "pw_latent": [w.tolist() for w in params.pw_latent],
+        },
+    }
+    return json.dumps(payload, indent=1)
+
+
+@pytest.mark.parametrize("arch", layout_cases())
+def test_checkpoint_bytes_follow_the_format_and_survive_a_round_trip(tmp_path, arch):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for seed in range(3):
+        params = init_parameters(arch, seed)
+        save_checkpoint(first, arch, params)
+        assert first.read_text(encoding="utf-8") == _checkpoint_text(arch, params)
+        save_checkpoint(second, *load_checkpoint(first))
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_spec_with_numpy_counts_saves_and_a_failed_save_writes_nothing(tmp_path):
+    layers = [LayerSpec("v", np.int64(2), np.int64(2)), LayerSpec("u", np.int32(2))]
+    arch = ArchitectureSpec(np.int64(4), np.int64(2), layers)
+    params = init_parameters(arch)
+    path = tmp_path / "numpy-counts.json"
+    save_checkpoint(path, arch, params)
+    assert load_checkpoint(path)[0] == arch
+    params.v_thetas = params.v_thetas.astype(complex)  # JSON has no complex numbers
+    with pytest.raises(TypeError, match="complex"):
+        save_checkpoint(tmp_path / "complex.json", arch, params)
+    assert not (tmp_path / "complex.json").exists()
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
