@@ -11,9 +11,19 @@ The package has three layers:
 - learning (``model``, ``data``, ``cli``): a factorized classical
   trainer for hybrid real/binary parameters, MNIST tooling, and an
   experiment command line.
+
+The modules log under ``logging.getLogger("qnnkit")``, which, as a
+library's logger, holds only a ``NullHandler``: a program that wants the
+warnings configures logging itself, and Python's last-resort handler
+never prints them, so the command line's stderr keeps its one
+``error:`` line.
 """
 
+import logging as _logging  # kept out of __all__
+
 __version__ = "0.1.0"
+
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from .arch import (
     ArchitectureError,

@@ -46,7 +46,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .arch import ArchitectureSpec, ArchitectureError, LayerSpec
-from .encoding import amplitude_encoding_fragment, normalize_rows
+from .encoding import amplitude_encoding_fragment, amplitude_encoding_state, normalize_rows
 from .neurons import (
     binarize,
     build_n_neuron,
@@ -608,24 +608,26 @@ def circuit_inference(
     output marginal is unchanged. ``max_qubits`` caps the widest register
     simulated, which is ``pipeline(arch).simulated_qubits``.
 
-    Only the amplitude encoding depends on ``x``, and it runs gate by
-    gate. The v stage, each u gadget and the n/p tail are the
-    ``_oracle_fragments`` that the compiled circuit places. They depend
-    only on the parameters, are fused by ``statevec.fuse`` into blocks of
-    W = 4 adjacent qubits, and are kept in a one-entry memo keyed by ``arch``
-    and the shape, dtype and bytes of every parameter array, read at
-    each call, so an in-place update is a miss. This pays because
-    callers repeat parameters: ``qnnkit verify`` and the benchmark's
-    verify workloads pass the same ones for every sample after the
-    first, and training never calls this. Fusing moves outputs by about
-    1e-15.
+    Only the amplitude encoding depends on ``x``, and it runs without a
+    gate list: ``amplitude_encoding_state`` gives the amplitudes that
+    ``amplitude_encoding_fragment`` prepares, bit for bit, and the v
+    program starts from them. The v stage, each u gadget and the n/p
+    tail are the ``_oracle_fragments`` that the compiled circuit places.
+    They depend only on the parameters, are fused by ``statevec.fuse``
+    into blocks of W = 4 adjacent qubits, and are kept in a one-entry
+    memo keyed by ``arch`` and the shape, dtype and bytes of every
+    parameter array, read at each call, so an in-place update is a miss.
+    This pays because callers repeat parameters: ``qnnkit verify`` and
+    the benchmark's verify workloads pass the same ones for every sample
+    after the first, and training never calls this. Fusing moves outputs
+    by about 1e-15.
     """
     plan = pipeline(arch)
     plan.check_qubit_cap(max_qubits)
     n = arch.n_qubits
-    encoding = amplitude_encoding_fragment(_checked_input(arch, x))
+    encoded = amplitude_encoding_state(_checked_input(arch, x))
     v_program, u_programs, tail, outputs = _oracle_programs(arch, plan, params)
-    joint = psi = v_program.run(StateVector(n).run(encoding)).amps
+    joint = psi = v_program.run(StateVector(n, encoded)).amps
     if plan.u_width is not None:
         joint = np.ones((1, 1), dtype=complex)
         for program in u_programs:

@@ -34,10 +34,13 @@ given a mapping.
 ``a.reshape(2**lo, 2**W, -1)``; a gate wider than the window stays one
 kernel step. Fusing costs more than one gate-by-gate run, so it pays
 only where the same gates run again, as in ``model.circuit_inference``,
-which fuses its parameter-only parts once per parameter set.
-``StateVector.run`` stays gate by gate: it runs everything else, and
-tests hold fused programs to it. W = 5 measured no faster on the
-oracle's 5- to 10-qubit registers and slower on 20 qubits.
+which fuses its parameter-only parts once per parameter set; that
+oracle's per-sample encoding is ``encoding.amplitude_encoding_state``,
+no gates at all. ``StateVector.run`` stays gate by gate, for circuits
+that run once, such as the gadgets and compiled circuits of the tests
+and demos, and tests hold fused programs and the gate-free encoding to
+it. W = 5 measured no faster on the oracle's 5- to 10-qubit registers
+and slower on 20 qubits.
 """
 
 from __future__ import annotations

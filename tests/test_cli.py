@@ -5,7 +5,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -468,6 +471,26 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     except SystemExit as exc:  # argparse rejects a bad option value itself
         code = exc.code
     assert_one_error_line(capsys, code, 2, reason)
+
+
+def test_a_cli_run_on_zero_images_writes_only_its_error_line(tmp_path):
+    # the all-zero warning of data.prepare must not reach stderr through
+    # Python's last-resort handler; pytest's log capture would hide it
+    # in-process, so the command runs in its own interpreter
+    write(tmp_path, "one-class.arch", ONE_CLASS_ARCH)
+    write_bad_mnist_dirs(tmp_path)
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    argv = ["train", "--arch", "{tmp}/one-class.arch", *ONE_CLASS_MNIST, "--out", "{tmp}/out"]
+    result = subprocess.run(
+        [sys.executable, "-m", "qnnkit.cli", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"error: {tmp_path / 'one-class.arch'}: training needs at least 2 classes, v+u has 1\n"
+    )
 
 
 def test_the_checkpoint_reader_raises_value_error_for_every_malformed_file(tmp_path):

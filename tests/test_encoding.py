@@ -7,6 +7,7 @@ import pytest
 
 from qnnkit.encoding import (
     amplitude_encoding_fragment,
+    amplitude_encoding_state,
     multiplexed_ry,
     normalize_rows,
     probability_encoding_fragment,
@@ -96,10 +97,40 @@ def test_preparation_circuit_reproduces_analytic_encoding():
             )
 
 
+def encoding_rows(n: int, rng) -> list[np.ndarray]:
+    """Signed rows, rows with a whole zero block at each level (so
+    arctan2(0, 0) angles), and signed basis vectors, on 2^n values."""
+    rows = [rng.uniform(-1.0, 1.0, size=2**n) for _ in range(10)]
+    for level in range(n):
+        for _ in range(3):
+            row = rng.normal(size=2**n)
+            blocks = row.reshape(2**level, 2, -1)
+            blocks[rng.integers(0, 2**level), rng.integers(0, 2)] = 0.0
+            rows.append(row)
+    basis = np.eye(2**n)[[0, -1, *rng.integers(0, 2**n, size=2)]]
+    return rows + list(basis) + list(-basis)
+
+
+def test_the_encoded_state_is_the_fragments_run_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n in range(1, 8):
+        for row in encoding_rows(n, rng):
+            expected = StateVector(n).run(amplitude_encoding_fragment(row)).amps
+            assert np.array_equal(amplitude_encoding_state(row), expected)
+
+
+@pytest.mark.parametrize("encode", [amplitude_encoding_fragment, amplitude_encoding_state])
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_both_encoders_refuse_a_zero_or_non_finite_row_as_normalize_rows_does(encode, bad):
+    with pytest.raises(ValueError, match="^cannot amplitude-encode an all-zero or non-finite"):
+        encode(np.array([bad, 0.0, 0.0, 0.0]))
+
+
 @pytest.mark.parametrize("data", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]], ids=["1", "3", "2d"])
 def test_preparation_takes_a_power_of_two_values_in_one_axis(data):
-    with pytest.raises(ValueError, match="2\\^n >= 2 values in one axis"):
-        amplitude_encoding_fragment(data)
+    for encode in (amplitude_encoding_fragment, amplitude_encoding_state):
+        with pytest.raises(ValueError, match="2\\^n >= 2 values in one axis"):
+            encode(data)
 
 
 # ---------------------------------------------------------------------------

@@ -749,6 +749,27 @@ def test_factored_inference_matches_full_simulation_on_random_archs(arch, seed):
     )
 
 
+def test_only_the_compiled_circuit_builds_the_encoding_fragment(monkeypatch):
+    # the oracle computes the encoded amplitudes without a gate list
+    from qnnkit import model
+
+    calls = []
+
+    def spied(x):
+        calls.append(x)
+        return encoding_fragment(x)
+
+    encoding_fragment = model.amplitude_encoding_fragment
+    monkeypatch.setattr(model, "amplitude_encoding_fragment", spied)
+    arch = load_architecture(NETS / "mixed.arch")
+    params = init_parameters(arch, seed=0)
+    x = np.linspace(0.1, 1.0, arch.input_dim)
+    circuit_inference(arch, params, x)
+    assert calls == []
+    build_network_circuit(arch, params, x)
+    assert len(calls) == 1
+
+
 def assert_fuses_exactly(frag, rng):
     """The fused fragment matches its gate-by-gate run on a random state."""
     n = frag.qubit_span
