@@ -11,8 +11,9 @@ whose CRC-32/length trailer does not match, raise ``IdxFormatError``.
 optional ``mlxtend`` dependency is importable, a balanced 5000-image
 subset of MNIST bundled with that package is materialized into real IDX
 files and used instead -- smaller than the full 60k/10k distribution,
-but byte-real MNIST through the same loader. Drop the official files
-into the cache directory to run at full scale.
+but byte-real MNIST through the same loader. With neither, ``load_mnist``
+raises ``FileNotFoundError``. Drop the official files into the cache
+directory to run at full scale.
 """
 
 from __future__ import annotations
@@ -206,21 +207,6 @@ def _materialize_subset(directory: Path) -> bool:
     return True
 
 
-def mnist_available(data_dir=None) -> bool:
-    directory = Path(data_dir) if data_dir else default_data_dir()
-    if all(
-        _resolve(directory, n)
-        for n in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)
-    ):
-        return True
-    try:
-        import mlxtend.data  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
 def load_mnist(data_dir=None, split: str = "train") -> Dataset:
     """Load an MNIST split from the cache directory (materializing if needed)."""
     if split not in ("train", "test"):
@@ -288,7 +274,8 @@ def prepare(ds: Dataset) -> Dataset:
     """Make vectors model-ready for amplitude encoding.
 
     L2-normalizes each row; an all-zero image becomes the uniform unit
-    vector and is logged.
+    vector and is logged. The walkers normalize every row again, so
+    this fixes only the scale of the rows ``mnist_task`` returns.
     """
     images = np.asarray(ds.images, dtype=float)
     zero_rows = np.linalg.norm(images, axis=1) == 0

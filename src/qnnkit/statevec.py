@@ -23,7 +23,8 @@ exclusively owned while mutated; nothing here shares state between threads.
 
 A CircuitFragment is built one way: ``append`` is where every gate
 joins, and it checks the gate's qubits once, with the same
-``check_qubits`` that ``StateVector.apply`` runs. ``extend`` splices one
+``check_qubits`` that ``StateVector.apply`` runs, so ``StateVector.run``
+does not check them again. ``extend`` splices one
 fragment into another in place, renaming qubits through ``append`` when
 given a mapping.
 
@@ -280,8 +281,9 @@ class StateVector:
                 f"fragment spans {fragment.qubit_span} qubits, register has "
                 f"{self.n_qubits}"
             )
-        for gate, qubits in fragment.ops:
-            self.apply(gate, qubits)
+        amps = self.amps[None]
+        for gate, qubits in fragment.ops:  # checked once, by CircuitFragment.append
+            apply_gate(amps, gate, qubits)
         return self
 
     # -- readout ----------------------------------------------------------

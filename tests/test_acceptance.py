@@ -15,7 +15,7 @@ import pytest
 
 from qnnkit.arch import ArchitectureSpec, from_kinds
 from qnnkit.cli import main as cli_main
-from qnnkit.data import make_xor_dataset, mnist_available, mnist_task
+from qnnkit.data import load_mnist, make_xor_dataset, mnist_task
 from qnnkit.encoding import EncodingKind, probability_encoding_fragment
 from qnnkit.model import (
     TrainConfig,
@@ -56,9 +56,17 @@ P_TUNED_CFG = TrainConfig(
 )
 XOR_CFG = TrainConfig(epochs=120, batch_size=16, lr=0.05, temperature=0.1, seed=3)
 
-needs_mnist = pytest.mark.skipif(
-    not mnist_available(), reason="no MNIST source available (IDX files or mlxtend)"
-)
+
+@pytest.fixture(scope="session")
+def mnist_source():
+    """Skips the tests that use it when neither IDX files nor mlxtend are found."""
+    try:
+        load_mnist()
+    except FileNotFoundError as exc:
+        pytest.skip(f"no MNIST source available: {exc}")
+
+
+needs_mnist = pytest.mark.usefixtures("mnist_source")
 
 
 def report(n: int, ok: bool, detail: str) -> None:

@@ -179,23 +179,3 @@ def test_probability_registers_are_product_states(qubit_purity):
     for q in range(4):
         assert qubit_purity(state.amps, q) >= 1.0 - 1e-10
 
-
-def test_decode_matches_per_qubit_marginals_on_random_states():
-    rng = np.random.default_rng(24)
-    for n in (1, 3, 6):
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        state = StateVector(n, amps / np.linalg.norm(amps))
-        qubits = list(rng.permutation(n))
-        probs = np.abs(state.amps) ** 2
-        bits = (np.arange(2**n)[:, None] >> (n - 1 - np.array(qubits))) & 1
-        expected = probs @ bits  # Pr[1] of q: the basis states whose bit q is set
-        np.testing.assert_allclose(state.marginals(qubits), expected, rtol=0, atol=1e-12)
-
-
-def test_decode_rejects_a_qubit_outside_the_register():
-    with pytest.raises(ValueError, match="out of range"):
-        StateVector(2).marginals([0, 2])
-
-
-def test_decode_ground_state():
-    np.testing.assert_allclose(StateVector(1).marginals([0]), [0.0])

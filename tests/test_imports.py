@@ -182,13 +182,6 @@ def test_every_name_defined_in_the_core_is_used():
     assert dead == []
 
 
-# Defined for the tests and demos only, kept by name with the reason.
-USED_ONLY_BY_TESTS = {
-    # the MNIST criteria skip on it, and it mirrors load_mnist's lookup
-    "mnist_available",
-}
-
-
 def test_no_name_in_the_core_is_used_only_by_tests_and_demos():
     # what the package and the benchmark use counts, __init__.py re-exports
     # included; tests and demos do not
@@ -200,7 +193,6 @@ def test_no_name_in_the_core_is_used_only_by_tests_and_demos():
         f"{path.name}:{line}: {name}"
         for path in sorted((ROOT / "src" / "qnnkit").glob("*.py"))
         for line, name in definitions(path.read_text(encoding="utf-8"))
-        if name not in used | USED_ONLY_BY_TESTS
+        if name not in used
     ]
     assert test_only == []
-    assert USED_ONLY_BY_TESTS.isdisjoint(used)  # drop a name once the package uses it

@@ -721,6 +721,35 @@ def test_factored_inference_matches_full_simulation(arch):
         )
 
 
+def scaled_copies(X):
+    """Positive multiples of each row: the walkers read only a row's direction."""
+    return 0.01 * X, X / np.linalg.norm(X, axis=-1, keepdims=True), 255.0 * X
+
+
+@pytest.mark.parametrize("path", sorted(NETS.glob("*.arch")), ids=lambda path: path.stem)
+def test_forward_batch_gives_a_row_and_its_multiples_the_same_outputs(path):
+    arch = load_architecture(path)
+    X = np.random.default_rng(67).uniform(0.0, 1.0, size=(4, arch.input_dim))
+    for seed in range(3):
+        params = init_parameters(arch, seed=seed)
+        expected = forward_batch(arch, params, X).probs
+        for scaled in scaled_copies(X):
+            np.testing.assert_allclose(
+                forward_batch(arch, params, scaled).probs, expected, rtol=0, atol=1e-14
+            )
+
+
+@pytest.mark.parametrize("arch", oracle_cases())
+def test_circuit_inference_gives_a_row_and_its_multiples_the_same_outputs(arch):
+    params = init_parameters(arch, seed=0)
+    x = np.random.default_rng(71).uniform(0.0, 1.0, size=arch.input_dim)
+    expected = circuit_inference(arch, params, x)
+    for scaled in scaled_copies(x):
+        np.testing.assert_allclose(
+            circuit_inference(arch, params, scaled), expected, rtol=0, atol=1e-14
+        )
+
+
 @st.composite
 def factored_archs(draw):
     """v+ u? [n|p]+ architectures that compile to at most 16 qubits."""

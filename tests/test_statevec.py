@@ -136,8 +136,10 @@ def test_apply_index_out_of_range():
 # ---------------------------------------------------------------------------
 
 
-def test_marginal_of_ground_state():
+def test_marginals_of_the_ground_state_are_zero():
     assert StateVector(1).marginal_prob_one(0) == 0.0
+    assert StateVector(1).marginals([0]).tolist() == [0.0]
+    assert StateVector(3).marginals([2, 0, 1]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_marginal_of_bell_state():
@@ -146,9 +148,23 @@ def test_marginal_of_bell_state():
     assert abs(s.marginal_prob_one(1) - 0.5) < 1e-12
 
 
-def test_marginal_index_out_of_range():
+def test_marginals_reject_a_qubit_outside_the_register():
     with pytest.raises(ValueError, match="out of range"):
         StateVector(2).marginal_prob_one(2)
+    with pytest.raises(ValueError, match="out of range"):
+        StateVector(2).marginals([0, 2])
+
+
+def test_marginals_match_the_basis_state_sums_on_random_states():
+    rng = np.random.default_rng(24)
+    for n in (1, 3, 6):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        qubits = list(rng.permutation(n))
+        probs = np.abs(state.amps) ** 2
+        bits = (np.arange(2**n)[:, None] >> (n - 1 - np.array(qubits))) & 1
+        expected = probs @ bits  # Pr[1] of q: the basis states whose bit q is set
+        np.testing.assert_allclose(state.marginals(qubits), expected, rtol=0, atol=1e-12)
 
 
 def test_marginal_complements_sum_to_one():
@@ -300,16 +316,14 @@ def test_fragment_append_rejects_wrong_arity():
         CircuitFragment(2).append(H, 0, 1)
 
 
-def test_fragment_shift_moves_all_indices():
-    f = CircuitFragment(5).extend(CircuitFragment(2).append(CX, 0, 1), {0: 3, 1: 4})
-    assert f.qubit_span == 5
-    assert f.ops[0][1] == (3, 4)
-
-
 def test_fragment_extend_with_a_mapping_renames_only_the_listed_qubits():
     p = CircuitFragment(3).append(H, 0).append(mcx((0, 1)), 0, 1, 2)
     f = CircuitFragment(4).extend(p, {2: 3})
     assert [qs for _, qs in f.ops] == [(0,), (0, 1, 3)]
+    # a mapping that moves every qubit
+    f = CircuitFragment(5).extend(CircuitFragment(2).append(CX, 0, 1), {0: 3, 1: 4})
+    assert f.qubit_span == 5
+    assert f.ops == [(CX, (3, 4))]
 
 
 def test_fragment_extend_checks_each_renamed_gate():
@@ -329,6 +343,22 @@ def test_fragment_ops_are_not_a_constructor_argument():
         CircuitFragment(1, ops=[(H, (0,))])
     with pytest.raises(TypeError):
         CircuitFragment(1, [(H, (0,))])
+
+
+def test_run_does_not_check_the_qubits_a_fragment_already_checked(monkeypatch):
+    import qnnkit.statevec as statevec
+
+    rng = np.random.default_rng(29)
+    frag = random_fragment(rng, 6, 60)
+    amps = random_state(rng, 6)
+    expected = StateVector(6, amps.copy())
+    for gate, qubits in frag.ops:
+        expected.apply(gate, qubits)
+    calls = []
+    check = statevec.check_qubits
+    monkeypatch.setattr(statevec, "check_qubits", lambda *a: calls.append(a) or check(*a))
+    assert np.array_equal(StateVector(6, amps).run(frag).amps, expected.amps)
+    assert calls == []
 
 
 def test_run_rejects_fragment_wider_than_register():
