@@ -43,7 +43,7 @@ def path6_demo() -> dict:
 
 
 # Full truth table over (output encoding, entangled, input encoding),
-# with a kickback-free control consumer that assumes independent inputs.
+# with a kickback-free control consumer.
 print("out  ent  in   -> path  verdict")
 for out_enc, ent, in_enc in itertools.product((A, P), (False, True), (A, P)):
     profile = JunctionProfile(
@@ -52,7 +52,6 @@ for out_enc, ent, in_enc in itertools.product((A, P), (False, True), (A, P)):
         reuses_input_qubits=False,
         in_encoding=in_enc,
         consumer_ops=frozenset({ConsumerOp.CONTROL_ONLY_NO_PHASE_KICKBACK}),
-        consumer_requires_independent_inputs=True,
     )
     v = check_connection(profile)
     print(

@@ -61,6 +61,14 @@ class LayerSpec:
     repeat: int = 1
 
 
+def _count(what: str, value) -> int:
+    """``value`` as a Python int, which JSON takes and numpy ints are not."""
+    # numpy ints pass; a bool is an Integral, and 2.0 would pass every shape check
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ArchitectureSpec:
     input_dim: int
@@ -81,18 +89,13 @@ class ArchitectureSpec:
 
     def __post_init__(self) -> None:
         """Structural checks; junction feasibility lives in qnnkit.rules."""
-        layers = tuple(self.layers)  # callers may pass a list
-        counts = [("input_dim", self.input_dim), ("num_classes", self.num_classes)]
-        for layer in layers:
-            counts += [(f"{layer.kind}-layer {k}", getattr(layer, k)) for k in ("width", "repeat")]
-        for what, value in counts:
-            # numpy ints pass; a bool is an Integral, and 2.0 would pass every check below
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{what} must be an integer, got {value!r}")
-        # kept as Python ints, which JSON takes and numpy ints are not
         for name in ("input_dim", "num_classes"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        layers = tuple(LayerSpec(l.kind, int(l.width), int(l.repeat)) for l in layers)
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        layers = tuple(
+            LayerSpec(l.kind, _count(f"{l.kind}-layer width", l.width),
+                      _count(f"{l.kind}-layer repeat", l.repeat))
+            for l in self.layers  # callers may pass a list
+        )
         object.__setattr__(self, "layers", layers)
         if self.input_dim < 2 or 2 ** self.n_qubits != self.input_dim:
             raise ArchitectureError(
@@ -157,7 +160,8 @@ def from_kinds(
 
     The spec's own construction checks the result.
     """
-    n = input_dim.bit_length() - 1  # log2 of a power of two; the spec rejects any other
+    # log2 of a power of two; the spec rejects any other
+    n = _count("input_dim", input_dim).bit_length() - 1
     last_up = max((i for i, kind in enumerate(kinds) if kind in ("u", "p")), default=None)
     layers, width = [], n
     for i, kind in enumerate(kinds):

@@ -16,9 +16,9 @@ Five rules decide feasibility:
 1. Unentangled outputs (paths 1-4) connect to anything.
 2. Entangled amplitudes into an amplitude consumer (path 5) are fine:
    the consumer operates on the joint state directly.
-3. Entangled amplitudes into a probability consumer that assumes
-   independent inputs (path 6) are infeasible; correlations break the
-   per-qubit product picture.
+3. Entangled amplitudes into a probability consumer (path 6) are
+   infeasible: the probability consumers assume independent inputs, and
+   correlations break the per-qubit product picture.
 4. Entangled probabilities into an amplitude consumer (path 7) work only
    when the producer reuses its input qubits as outputs, so the register
    itself carries the amplitudes onward.
@@ -51,7 +51,6 @@ class ConsumerOp(Enum):
 
 class Feasibility(Enum):
     FEASIBLE = "feasible"
-    CONDITIONALLY_FEASIBLE = "conditionally-feasible"
     INFEASIBLE = "infeasible"
 
 
@@ -62,7 +61,6 @@ class JunctionProfile:
     reuses_input_qubits: bool
     in_encoding: EncodingKind
     consumer_ops: frozenset
-    consumer_requires_independent_inputs: bool
 
     def __post_init__(self):
         if not self.consumer_ops:
@@ -73,7 +71,6 @@ class JunctionProfile:
 class ConnectionVerdict:
     path_id: int
     status: Feasibility
-    conditions: tuple[str, ...] = ()
     reason: str | None = None
 
     @property
@@ -102,17 +99,11 @@ def check_connection(profile: JunctionProfile) -> ConnectionVerdict:
     if path <= 5:  # unentangled (rule 1), or amplitudes into amplitudes (rule 2)
         return ConnectionVerdict(path, Feasibility.FEASIBLE)
     if path == 6:
-        if profile.consumer_requires_independent_inputs:
-            return ConnectionVerdict(
-                path,
-                Feasibility.INFEASIBLE,
-                reason="entangled amplitude outputs feed a probability consumer "
-                "that assumes independent inputs",
-            )
         return ConnectionVerdict(
             path,
-            Feasibility.CONDITIONALLY_FEASIBLE,
-            conditions=("consumer tolerates correlated probability inputs",),
+            Feasibility.INFEASIBLE,
+            reason="entangled amplitude outputs feed a probability consumer "
+            "that assumes independent inputs",
         )
     if path == 7:
         if profile.reuses_input_qubits:
@@ -139,25 +130,24 @@ def check_connection(profile: JunctionProfile) -> ConnectionVerdict:
 # ---------------------------------------------------------------------------
 
 # (canonical input, reuses inputs, ops applied to the producer's qubits,
-#  assumes independent inputs, output views with the natural output first).
+#  output views with the natural output first).
 # Every kind's output counts as entangled; only the encoded input is not.
 _KIND_TRAITS = {
     "v": dict(
         in_enc=A, reuses=True,
-        ops=frozenset({ConsumerOp.OTHER}), indep=False, views=(A, P),
+        ops=frozenset({ConsumerOp.OTHER}), views=(A, P),
     ),
     "u": dict(
         in_enc=A, reuses=False,
-        ops=frozenset({ConsumerOp.OTHER}), indep=False, views=(P,),
+        ops=frozenset({ConsumerOp.OTHER}), views=(P,),
     ),
     "p": dict(
         in_enc=P, reuses=False,
-        ops=frozenset({ConsumerOp.CONTROL_ONLY_NO_PHASE_KICKBACK}), indep=True,
-        views=(P,),
+        ops=frozenset({ConsumerOp.CONTROL_ONLY_NO_PHASE_KICKBACK}), views=(P,),
     ),
     "n": dict(
         in_enc=P, reuses=True,
-        ops=frozenset({ConsumerOp.RX_ONLY}), indep=True, views=(P,),
+        ops=frozenset({ConsumerOp.RX_ONLY}), views=(P,),
     ),
 }
 
@@ -191,7 +181,6 @@ class ValidationReport:
                     "path": j.verdict.path_id,
                     "principle": j.verdict.principle,
                     "status": j.verdict.status.value,
-                    "conditions": list(j.verdict.conditions),
                     "reason": j.verdict.reason,
                 }
                 for j in self.junctions
@@ -201,11 +190,7 @@ class ValidationReport:
     def render_text(self) -> str:
         lines = [f"architecture: {self.architecture}"]
         for j in self.junctions:
-            extra = ""
-            if j.verdict.conditions:
-                extra = f"  [{'; '.join(j.verdict.conditions)}]"
-            if j.verdict.reason:
-                extra = f"  ({j.verdict.reason})"
+            extra = f"  ({j.verdict.reason})" if j.verdict.reason else ""
             lines.append(
                 f"  {j.producer} -> {j.consumer}: path {j.verdict.path_id}, "
                 f"principle {j.verdict.principle}, {j.verdict.status.value}{extra}"
@@ -250,7 +235,6 @@ def validate_architecture(arch: ArchitectureSpec) -> ValidationReport:
             reuses_input_qubits=prev["reuses"],
             in_encoding=wanted,
             consumer_ops=traits["ops"],
-            consumer_requires_independent_inputs=traits["indep"],
         )
         verdict = check_connection(profile)
         report.junctions.append(

@@ -177,8 +177,8 @@ def test_criterion_2_mixer_truth_table():
     RX = ConsumerOp.RX_ONLY
     OTHER = ConsumerOp.OTHER
 
-    def profile(out_enc, ent, in_enc, ops, reuses=False, indep=True):
-        return JunctionProfile(out_enc, ent, reuses, in_enc, frozenset(ops), indep)
+    def profile(out_enc, ent, in_enc, ops, reuses=False):
+        return JunctionProfile(out_enc, ent, reuses, in_enc, frozenset(ops))
 
     # The eight-row coloring: paths 1-5 green, 6 red, 7 conditional on
     # reuse, 8 conditional on consumer ops.
@@ -188,7 +188,7 @@ def test_criterion_2_mixer_truth_table():
         (profile(P, False, A, {OTHER}), 3, Feasibility.FEASIBLE),
         (profile(P, False, P, {OTHER}), 4, Feasibility.FEASIBLE),
         (profile(A, True, A, {OTHER}), 5, Feasibility.FEASIBLE),
-        (profile(A, True, P, {CONTROL}, indep=True), 6, Feasibility.INFEASIBLE),
+        (profile(A, True, P, {CONTROL}), 6, Feasibility.INFEASIBLE),
         (profile(P, True, A, {OTHER}, reuses=True), 7, Feasibility.FEASIBLE),
         (profile(P, True, A, {OTHER}, reuses=False), 7, Feasibility.INFEASIBLE),
         (profile(P, True, P, {CONTROL, RX}), 8, Feasibility.FEASIBLE),
@@ -202,7 +202,7 @@ def test_criterion_2_mixer_truth_table():
 
     # The four named template junctions must all be feasible.
     named = {
-        "V->U": profile(A, True, A, {OTHER}, reuses=True, indep=False),
+        "V->U": profile(A, True, A, {OTHER}, reuses=True),
         "U->N": profile(P, True, P, {RX}),
         "N->P": profile(P, True, P, {CONTROL}),
         "V->P": profile(P, True, P, {CONTROL}, reuses=True),

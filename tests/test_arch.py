@@ -61,6 +61,14 @@ def test_numpy_integers_are_counts():
     assert spec == ArchitectureSpec(4, 2, [LayerSpec("v", 2, 2)])
     counts = [spec.input_dim, spec.num_classes, spec.layers[0].width, spec.layers[0].repeat]
     assert [type(c) for c in counts] == [int] * 4  # stored as Python ints
+    assert from_kinds(np.int64(16), np.int32(2), "vu") == from_kinds(16, 2, "vu")
+
+
+@pytest.mark.parametrize("input_dim", [16.0, "16"])
+def test_from_kinds_rejects_a_non_integer_input_dim_as_the_spec_does(input_dim):
+    message = f"input_dim must be an integer, got {input_dim!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        from_kinds(input_dim, 2, "vu")
 
 
 def test_a_bad_shape_in_a_file_is_a_line_one_parse_error():

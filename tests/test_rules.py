@@ -28,14 +28,13 @@ RX = ConsumerOp.RX_ONLY
 OTHER = ConsumerOp.OTHER
 
 
-def profile(out_enc, entangled, in_enc, ops=frozenset({OTHER}), reuses=False, indep=True):
+def profile(out_enc, entangled, in_enc, ops=frozenset({OTHER}), reuses=False):
     return JunctionProfile(
         out_encoding=out_enc,
         out_entangled=entangled,
         reuses_input_qubits=reuses,
         in_encoding=in_enc,
         consumer_ops=frozenset(ops),
-        consumer_requires_independent_inputs=indep,
     )
 
 
@@ -79,15 +78,9 @@ def test_path5_feasible():
 
 
 def test_path6_infeasible_when_independence_required():
-    v = check_connection(profile(A, True, P, indep=True))
+    v = check_connection(profile(A, True, P))
     assert (v.path_id, v.status, v.principle) == (6, Feasibility.INFEASIBLE, 3)
     assert "independent" in v.reason
-
-
-def test_path6_conditional_without_independence_requirement():
-    v = check_connection(profile(A, True, P, indep=False))
-    assert v.status is Feasibility.CONDITIONALLY_FEASIBLE
-    assert v.conditions == ("consumer tolerates correlated probability inputs",)
 
 
 def test_path6_bell_pair_breaks_the_factorized_p_model():
@@ -162,6 +155,29 @@ def test_u_into_u_fails_at_principle_4():
     assert report.encoding_flags  # U canonically consumes amplitudes
 
 
+# Every junction type the engine serves: (producer, consumer) -> (path, feasible).
+# Paths 2, 3 and 6 are never reached: the input offers both encodings, and
+# every layer kind offers a probability view.
+JUNCTION_TABLE = {
+    **{("input", k): (1, True) for k in "vu"},
+    **{("input", k): (4, True) for k in "np"},
+    **{("v", k): (5, True) for k in "vu"},
+    **{(k, c): (8, True) for k in "vunp" for c in "np"},
+    **{("n", k): (7, True) for k in "vu"},
+    **{(k, c): (7, False) for k in "up" for c in "vu"},
+}
+
+
+def test_the_engine_serves_the_pinned_junction_table():
+    assert len(JUNCTION_TABLE) == 20
+    for (producer, consumer), (path, feasible) in JUNCTION_TABLE.items():
+        kinds = [consumer] if producer == "input" else [producer, consumer]
+        arch = ArchitectureSpec(4, 2, [LayerSpec(k, 2) for k in kinds])
+        verdict = validate_architecture(arch).junctions[-1].verdict
+        status = Feasibility.FEASIBLE if feasible else Feasibility.INFEASIBLE
+        assert (verdict.path_id, verdict.status) == (path, status), (producer, consumer)
+
+
 def template_kind_sequences():
     """Every v+ u? [np]* sequence with 1-2 v layers, an optional u and up to 3 n/p layers."""
     for v_layers in (1, 2):
@@ -194,6 +210,5 @@ def test_report_dict_round_trip_fields():
     d = report.to_dict()
     assert d["passed"] is True
     assert len(d["junctions"]) == len(report.junctions)
-    assert {"producer", "consumer", "path", "principle", "status"} <= set(
-        d["junctions"][0]
-    )
+    for junction in d["junctions"]:
+        assert set(junction) == {"producer", "consumer", "path", "principle", "status", "reason"}
