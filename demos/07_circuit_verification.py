@@ -12,19 +12,17 @@ printed, never hidden.
 import numpy as np
 
 from qnnkit.arch import ArchitectureSpec, LayerSpec
-from qnnkit.model import circuit_inference, forward, init_parameters
+from qnnkit.model import circuit_inference_batch, forward_batch, init_parameters
 
 rng = np.random.default_rng(5)
 
 
 def compare(title, arch, samples=10):
     params = init_parameters(arch, seed=1)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(0.01, 1.0, size=arch.input_dim)
-        factorized = forward(arch, params, x).probs[0]
-        exact = circuit_inference(arch, params, x)
-        worst = max(worst, float(np.max(np.abs(factorized - exact))))
+    X = rng.uniform(0.01, 1.0, size=(samples, arch.input_dim))
+    factorized = forward_batch(arch, params, X).probs
+    exact = circuit_inference_batch(arch, params, X)
+    worst = float(np.max(np.abs(factorized - exact)))
     print(f"  {title:28s} max |factorized - circuit| = {worst:.3e}")
 
 

@@ -37,6 +37,7 @@ from .arch import (
 from .encoding import (
     EncodingKind,
     amplitude_encoding_fragment,
+    amplitude_encoding_state,
     probability_encoding_fragment,
 )
 from .model import (
@@ -48,6 +49,7 @@ from .model import (
     accuracy,
     build_network_circuit,
     circuit_inference,
+    circuit_inference_batch,
     forward,
     init_parameters,
     load_checkpoint,
@@ -74,6 +76,7 @@ from .statevec import (
     CircuitFragment,
     Gate,
     StateVector,
+    with_zeros,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

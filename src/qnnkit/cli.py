@@ -35,8 +35,8 @@ from .model import (
     TrainingDiverged,
     accuracy,
     check_trainable,
-    circuit_inference,
-    forward,
+    circuit_inference_batch,
+    forward_batch,
     init_parameters,
     load_checkpoint,
     pipeline,
@@ -49,6 +49,9 @@ CSV_SCHEMA_VERSION = 1
 
 # verify: a top output matched this closely by another class is no argmax
 TIE_ATOL = 1e-12
+# verify draws, runs and compares its samples this many at a time, so its
+# memory does not grow with --samples
+VERIFY_ROWS = 1024
 
 
 class UsageError(Exception):
@@ -224,17 +227,18 @@ def cmd_verify(args) -> int:
     rows = []
     worst = 0.0
     agree = ties = 0
-    for i in range(args.samples):
-        x = rng.uniform(0.01, 1.0, size=arch.input_dim)
-        factorized = forward(arch, params, x).probs[0]
-        exact = circuit_inference(arch, params, x, max_qubits=args.max_qubits)
-        deviation = float(np.max(np.abs(factorized - exact)))
-        tie = any(np.sum(p >= p.max() - TIE_ATOL) > 1 for p in (factorized, exact))
-        match = int(not tie and np.argmax(factorized) == np.argmax(exact))
-        rows.append({"sample": i, "max_abs_deviation": deviation, "argmax_agree": match})
-        worst = max(worst, deviation)
-        agree += match
-        ties += tie
+    for start in range(0, args.samples, VERIFY_ROWS):
+        # an (R, d) draw gives the values of R draws of d, in the same order
+        X = rng.uniform(0.01, 1.0, size=(min(VERIFY_ROWS, args.samples - start), arch.input_dim))
+        exact_rows = circuit_inference_batch(arch, params, X, max_qubits=args.max_qubits)
+        for i, (factorized, exact) in enumerate(zip(forward_batch(arch, params, X).probs, exact_rows)):
+            deviation = float(np.max(np.abs(factorized - exact)))
+            tie = any(np.sum(p >= p.max() - TIE_ATOL) > 1 for p in (factorized, exact))
+            match = int(not tie and np.argmax(factorized) == np.argmax(exact))
+            rows.append({"sample": start + i, "max_abs_deviation": deviation, "argmax_agree": match})
+            worst = max(worst, deviation)
+            agree += match
+            ties += tie
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,11 +12,12 @@ Two encodings are supported:
   qubit of ``probability_encoding_fragment``.
 
 Both return only the fragment; run it on a fresh ``StateVector``. The
-exact oracle, which encodes one sample per call, instead takes
-``amplitude_encoding_state``: the amplitudes of the amplitude fragment's
-run, bit for bit, computed from the same ladder angles with no gate
-list, because every CX of a ladder only swaps the pairs of some
-prefixes, a sign per prefix.
+exact oracle instead takes ``amplitude_encoding_batch``: for each row of
+a (B, 2^n) batch, the amplitudes of the amplitude fragment's run, bit
+for bit, computed from the same ladder angles with no gate list,
+because every CX of a ladder only swaps the pairs of some prefixes, a
+sign per prefix. Each ladder step is then one rotation of every row's
+prefix pairs; ``amplitude_encoding_state`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statevec import CX, CircuitFragment, ry, ry_entries
+from .statevec import CX, CircuitFragment, ry
 
 
 class EncodingKind(Enum):
@@ -57,19 +58,45 @@ def _walsh(k: int) -> np.ndarray:
     return walsh
 
 
-def _ladder(angles: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """(Gray order, rotation angles) of the multiplexed-RY ladder for 2^k ``angles``.
+@functools.cache
+def _gray(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Gray order, W[gray]) of 2^l steps: gray[i] = i ^ (i >> 1),
+    and the Walsh matrix with its rows in that order."""
+    gray = np.arange(2**level)
+    gray ^= gray >> 1
+    walsh = _walsh(level)[gray]
+    for table in (gray, walsh):
+        table.setflags(write=False)
+    return gray, walsh
+
+
+def _ladder(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gray order, rotation angles) of the multiplexed-RY ladder for the 2^k
+    ``angles`` in the last axis.
 
     Step i of the ladder is RY(beta[i]) on the target, then a CX from the
     control where gray[i] and gray[i + 1] differ. beta = (1/2^k) A^T alpha
     with A[p, i] = (-1)^popcount(p & gray(i)): the CXs before step i have
     swapped the target pair of prefix p exactly when popcount(p & gray[i])
     is odd, which flips the sign of that rotation on p. A is the
-    Walsh-Hadamard matrix with its columns in Gray order.
+    Walsh-Hadamard matrix with its columns in Gray order. Each row's
+    product is its own matrix-vector product, as for one row alone: one
+    matrix-matrix product for all rows would round some of them otherwise.
     """
-    size = len(angles)
-    gray = [i ^ (i >> 1) for i in range(size)]
-    return gray, (_walsh(size.bit_length() - 1) @ angles)[gray] / size
+    size = angles.shape[-1]
+    gray, gray_walsh = _gray(size.bit_length() - 1)
+    return gray, np.matmul(gray_walsh, angles[..., None])[..., 0] / size
+
+
+@functools.cache
+def _cross_signs(level: int) -> np.ndarray:
+    """Read-only (2^l, 1, 2, 2^l) signs of the cross terms of level l's
+    ladder steps: step i gives prefix p's pair the terms -w hi and +w lo,
+    with w = W[gray[i], p]; axis 1 is for the rows of a batch."""
+    walsh = _gray(level)[1]
+    signs = np.stack([-walsh, walsh], axis=1)[:, None]
+    signs.setflags(write=False)
+    return signs
 
 
 def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> CircuitFragment:
@@ -88,33 +115,43 @@ def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> Circu
     gray, beta = _ladder(angles)
     for i, theta in enumerate(beta):
         frag.append(ry(theta), target)
-        diff = gray[i] ^ gray[(i + 1) % len(gray)]
+        diff = int(gray[i] ^ gray[(i + 1) % len(gray)])
         bit = diff.bit_length() - 1  # bit 0 = LSB of the pattern
         frag.append(CX, controls[k - 1 - bit], target)
     return frag
 
 
-def _level_angles(data) -> list[np.ndarray]:
-    """Angles of the Mottonen preparation of ``data``, 2^n >= 2 real values:
-    entry l holds the 2^l multiplexor angles on qubit l, one per prefix.
+def _rows(data, ndim: int) -> np.ndarray:
+    """``data`` as a (B, 2^n) batch of floats; ValueError unless it has
+    ``ndim`` axes (one value row or a batch of rows), the last of 2^n >= 2."""
+    data = np.asarray(data, dtype=float)
+    size = data.shape[-1] if data.ndim == ndim else 0
+    if size < 2 or size & (size - 1):
+        what = "2^n >= 2 values in one axis" if ndim == 1 else "a batch of rows of 2^n >= 2 values"
+        raise ValueError(f"amplitude encoding takes {what}, got {data.shape}")
+    return data.reshape(-1, size)
+
+
+def _level_angles(rows: np.ndarray) -> list[np.ndarray]:
+    """Angles of the Mottonen preparation of each row of a (B, 2^n) batch:
+    entry l is (B, 2^l), the multiplexor angles on qubit l, one per prefix.
 
     Angle p splits the norm of block p between its two halves; on the
     last qubit each block is one pair of amplitudes, so its angle splits
     the signed pair and sets the signs too.
     """
-    data = np.asarray(data, dtype=float)
-    n = int(math.log2(len(data))) if data.ndim == 1 and len(data) >= 2 else 0
-    if n == 0 or len(data) != 2**n:
-        raise ValueError(f"amplitude encoding takes 2^n >= 2 values in one axis, got {data.shape}")
-    v = normalize_rows(data[None])[0]
-    out = []
+    v = normalize_rows(rows)
+    n = v.shape[1].bit_length() - 1
+    halves = []
     for level in range(n):
-        # row p: the two halves of the block under prefix p, as signed
+        # axis 2: the two halves of the block under each prefix, as signed
         # values on the last level and as norms before it
-        halves = v.reshape(2**level, 2, -1)
-        left, right = halves[..., 0].T if level == n - 1 else np.linalg.norm(halves, axis=2).T
-        out.append(2.0 * np.arctan2(right, left))
-    return out
+        block = v.reshape(len(v), 2**level, 2, 2 ** (n - level - 1))
+        # np.linalg.norm's own sum, without its conj copy of real values
+        halves.append(block[..., 0] if level == n - 1 else np.sqrt(np.add.reduce(block * block, axis=3)))
+    halves = np.concatenate(halves, axis=1)  # every level's prefixes, (B, 2^n - 1, 2)
+    angles = 2.0 * np.arctan2(halves[..., 1], halves[..., 0])
+    return [angles[:, 2**level - 1 : 2 ** (level + 1) - 1] for level in range(n)]
 
 
 def amplitude_encoding_fragment(data) -> CircuitFragment:
@@ -124,7 +161,7 @@ def amplitude_encoding_fragment(data) -> CircuitFragment:
     gets a multiplexed RY over qubits 0..l-1 with the ``_level_angles``.
     Applied to |0...0> the fragment gives ``normalize_rows(data[None])[0]``.
     """
-    levels = _level_angles(data)
+    levels = [angles[0] for angles in _level_angles(_rows(data, 1))]
     frag = CircuitFragment(len(levels))
     for level, angles in enumerate(levels):
         frag.extend(multiplexed_ry(angles, list(range(level)), level, len(levels)))
@@ -133,28 +170,39 @@ def amplitude_encoding_fragment(data) -> CircuitFragment:
 
 def amplitude_encoding_state(data) -> np.ndarray:
     """The 2^n real amplitudes that ``amplitude_encoding_fragment(data)``
-    prepares on |0...0>, bit for bit, computed without a gate list.
+    prepares on |0...0>, bit for bit, computed without a gate list: the
+    one row of ``amplitude_encoding_batch``."""
+    return amplitude_encoding_batch(_rows(data, 1))[0]
 
-    Qubits after l are still |0> when qubit l's ladder runs, so the state
-    is a pair (lo, hi) per prefix p, and every CX of the ladder only swaps
-    some prefixes' pairs. Before step i the pair of p is swapped exactly
-    when W[gray[i], p] = -1 (``_ladder``), so RY(beta[i]) on the swapped
-    pairs is RY(-beta[i]) on the unswapped ones, and the whole step is one
-    vectorized rotation with t = -sin(beta[i]/2) W[gray[i]]:
-    lo' = c lo + t hi and hi' = c hi - t lo. These are the products that
-    ``apply_1q`` forms on the swapped pairs, joined by the same sums up to
-    order, and after the ladder's last CX no pair is swapped.
+
+def amplitude_encoding_batch(rows) -> np.ndarray:
+    """``amplitude_encoding_state`` of each row of a (B, 2^n) batch, as (B, 2^n).
+
+    Qubits after l are still |0> when qubit l's ladder runs, so each
+    row's state is a pair (lo, hi) per prefix p, held as a (B, 2, 2^l)
+    array, and every CX of the ladder only swaps some prefixes' pairs.
+    Before step i the pair of p is swapped exactly when W[gray[i], p] = -1
+    (``_ladder``), so RY(beta[i]) on the swapped pairs is RY(-beta[i]) on
+    the unswapped ones, and the whole step, for every row and prefix, is
+    one rotation: pairs = c pairs + T pairs[:, ::-1], where T's rows are
+    -s w and s w, with c = cos(beta[i]/2), s = sin(beta[i]/2) and
+    w = W[gray[i]] (``_cross_signs``). These are the products that
+    ``apply_1q`` forms on the swapped pairs, joined by the same sums up
+    to order, and after the ladder's last CX no pair is swapped.
     """
-    amps = np.ones(1)
-    for level, angles in enumerate(_level_angles(data)):
-        gray, beta = _ladder(angles)
-        lo, hi = amps, np.zeros_like(amps)
-        for theta, signs in zip(beta.tolist(), _walsh(level)[gray]):
-            c, _, s, _ = ry_entries(theta)
-            t = -s * signs
-            lo, hi = c * lo + t * hi, c * hi - t * lo
-        amps = np.empty(2 * len(lo))
-        amps[0::2], amps[1::2] = lo, hi
+    levels = _level_angles(_rows(rows, 2))
+    count = len(levels[0])
+    # every step's half angle, level after level, as (steps, B, 1, 1)
+    half = np.concatenate([_ladder(angles)[1] for angles in levels], axis=1).T / 2
+    cos, sin = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    amps = np.ones((count, 1))
+    for level in range(len(levels)):
+        steps = slice(2**level - 1, 2 ** (level + 1) - 1)
+        pairs = np.zeros((count, 2, 2**level))
+        pairs[:, 0] = amps
+        for c, t in zip(cos[steps], sin[steps] * _cross_signs(level)):
+            pairs = c * pairs + t * pairs[:, ::-1]
+        amps = pairs.swapaxes(1, 2).reshape(count, 2 << level)  # qubit l is the last bit
     return amps
 
 

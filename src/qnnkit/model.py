@@ -11,10 +11,11 @@ Two semantics coexist on purpose:
   with no measurement anywhere except the final output qubits: the
   amplitude encoding, the only part that depends on the input, and the
   ``_oracle_fragments`` (v stage, u gadgets, n/p tail) placed on one
-  register. ``circuit_inference`` reads that circuit's output marginals
-  by exact register-factored simulation of the same fragments, fused
-  once per parameter set: each u register runs alone on n + 1 qubits
-  and hands on only its ancilla and one purification partner.
+  register. ``circuit_inference_batch`` reads that circuit's output
+  marginals for a batch of inputs by exact register-factored simulation
+  of the same fragments, fused once per parameter set: each u register
+  runs alone on n + 1 qubits and hands on only its ancilla and one
+  purification partner. ``circuit_inference`` is its batch of one.
   ``max_qubits`` therefore bounds the plan's ``simulated_qubits`` (for k
   u neurons the larger of n + 1 and 2k + the p widths), not its
   ``compiled_qubits``.
@@ -46,7 +47,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .arch import ArchitectureSpec, ArchitectureError, LayerSpec
-from .encoding import amplitude_encoding_fragment, amplitude_encoding_state, normalize_rows
+from .encoding import amplitude_encoding_batch, amplitude_encoding_fragment, normalize_rows
 from .neurons import (
     binarize,
     build_n_neuron,
@@ -65,7 +66,7 @@ from .neurons import (
     v_view_forward_batch,
 )
 from .rules import validate_architecture
-from .statevec import CircuitFragment, StateVector, fuse, with_zeros
+from .statevec import CircuitFragment, fuse, insert_zeros, marginals_batch
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -73,6 +74,12 @@ CHECKPOINT_VERSION = 1
 # Default cap of circuit_inference and ``verify --max-qubits``, checked by
 # Plan.check_qubit_cap; 24 qubits is already a 256 MiB complex array.
 DEFAULT_MAX_QUBITS = 24
+
+# circuit_inference_batch simulates its rows in chunks whose widest
+# arrays hold at most this many values in all (16 MiB of amplitudes), or
+# one row: per row, the widest register or the encoder's last ladder
+# table, 2^(2n - 1) coefficients for n input qubits.
+ORACLE_BATCH_AMPLITUDES = 2**20
 
 
 class TrainingDiverged(RuntimeError):
@@ -587,56 +594,108 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     return programs
 
 
+def circuit_inference_batch(
+    arch: ArchitectureSpec,
+    params: ParameterStore,
+    X: np.ndarray,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> np.ndarray:
+    """(B, num_classes) class probabilities of the (B, N) batch ``X``, from
+    exact, register-factored simulation of the network that
+    ``build_network_circuit`` compiles for each row.
+
+    After its u gadget, a u register is touched only through its
+    ancilla. So the encoded input and the v stage run once on n qubits;
+    each u neuron runs alone on that state plus its ancilla; and the
+    register is replaced by a purification of its ancilla (rows) by a
+    partner (columns): ``_gram_root`` of the ancilla's 2 x 2 reduced
+    density matrix G = M M^H, M being the 2 x 2^n ancilla-by-rest
+    amplitude matrix, taken for every u neuron and row at once. The tail
+    runs on the Kronecker product of these 2 x 2 factors, the p outputs
+    put between its row and column qubits. This is exact: the tail
+    touches only the ancillas, so every output marginal depends on the
+    register only through G, and the factor L has L L^H = G. ``max_qubits``
+    caps the widest register simulated, which is
+    ``pipeline(arch).simulated_qubits``; rows run in chunks of at most
+    ``ORACLE_BATCH_AMPLITUDES`` values in their widest arrays, so the
+    20-qubit ``mnist4-vup`` tail runs one row at a time.
+
+    Only the amplitude encoding depends on the input, and it runs without
+    a gate list: ``amplitude_encoding_batch`` gives the amplitudes that
+    ``amplitude_encoding_fragment`` prepares for each row, bit for bit,
+    and the v program starts from them. The v stage, each u gadget and
+    the n/p tail are the ``_oracle_fragments`` that the compiled circuit
+    places. They depend only on the parameters, are fused by
+    ``statevec.fuse`` into blocks of W = 4 adjacent qubits, each run as
+    one ``np.matmul`` over the chunk's rows, and are kept in a one-entry
+    memo keyed by ``arch`` and the shape, dtype and bytes of every
+    parameter array, read at each call, so an in-place update is a miss.
+    This pays because callers repeat parameters: ``qnnkit verify`` and
+    the benchmark's verify workloads pass the same ones for every sample
+    after the first, and training never calls this. Fusing moves outputs
+    by about 1e-15. Every step treats each row on its own, so a row's
+    outputs do not depend on the rows batched with it.
+    """
+    plan = pipeline(arch)
+    plan.check_qubit_cap(max_qubits)
+    X = _checked_input(arch, X, ndim=2)
+    programs = _oracle_programs(arch, plan, params)
+    rows = max(1, ORACLE_BATCH_AMPLITUDES >> max(plan.simulated_qubits, 2 * arch.n_qubits - 1))
+    out = np.empty((len(X), arch.num_classes))
+    for start in range(0, len(X), rows):
+        out[start : start + rows] = _oracle_rows(plan, programs, X[start : start + rows])
+    return out
+
+
 def circuit_inference(
     arch: ArchitectureSpec,
     params: ParameterStore,
     x,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
-    """Class probabilities from exact, register-factored simulation of the
-    network that ``build_network_circuit`` compiles.
+    """Class probabilities of one sample: ``circuit_inference_batch`` of a batch of one."""
+    return circuit_inference_batch(arch, params, _checked_input(arch, x)[None], max_qubits)[0]
 
-    After its u gadget, a u register is touched only through its
-    ancilla. So the encoded input and the v stage run once on n qubits;
-    each u neuron runs alone on that state plus its ancilla; and the
-    register is replaced by the Schmidt purification ``U diag(s)`` of its
-    ancilla (rows) by a partner (columns), from the SVD of the 2 x 2^n
-    ancilla-by-rest amplitude matrix. The tail runs on the Kronecker
-    product of these 2 x 2 matrices, the p outputs put between its row
-    and column qubits. This is exact: the purification differs from the
-    register by an isometry on qubits no later gate touches, so every
-    output marginal is unchanged. ``max_qubits`` caps the widest register
-    simulated, which is ``pipeline(arch).simulated_qubits``.
 
-    Only the amplitude encoding depends on ``x``, and it runs without a
-    gate list: ``amplitude_encoding_state`` gives the amplitudes that
-    ``amplitude_encoding_fragment`` prepares, bit for bit, and the v
-    program starts from them. The v stage, each u gadget and the n/p
-    tail are the ``_oracle_fragments`` that the compiled circuit places.
-    They depend only on the parameters, are fused by ``statevec.fuse``
-    into blocks of W = 4 adjacent qubits, and are kept in a one-entry
-    memo keyed by ``arch`` and the shape, dtype and bytes of every
-    parameter array, read at each call, so an in-place update is a miss.
-    This pays because callers repeat parameters: ``qnnkit verify`` and
-    the benchmark's verify workloads pass the same ones for every sample
-    after the first, and training never calls this. Fusing moves outputs
-    by about 1e-15.
-    """
-    plan = pipeline(arch)
-    plan.check_qubit_cap(max_qubits)
-    n = arch.n_qubits
-    encoded = amplitude_encoding_state(_checked_input(arch, x))
-    v_program, u_programs, tail, outputs = _oracle_programs(arch, plan, params)
-    joint = psi = v_program.run(StateVector(n, encoded)).amps
+def _oracle_rows(plan: Plan, programs: tuple, X: np.ndarray) -> np.ndarray:
+    """``circuit_inference_batch`` of the rows ``X``, given the fused programs."""
+    v_program, u_programs, tail, outputs = programs
+    psi = v_program.run(amplitude_encoding_batch(X).astype(complex))
+    joint = psi.reshape(len(X), -1, 1)  # rows: the register; columns: none
     if plan.u_width is not None:
-        joint = np.ones((1, 1), dtype=complex)
+        widened = insert_zeros(joint, 1)  # the ancilla, in |0>, after the n qubits
+        grams = []
         for program in u_programs:
-            register = program.run(with_zeros(psi, 1))
-            # rows: the ancilla (the last qubit) at 0 and 1; columns: the n others
-            u, s, _ = np.linalg.svd(register.amps.reshape(-1, 2).T, full_matrices=False)
-            # np.kron(joint, u * s): one more ancilla row bit and partner column bit
-            joint = (joint[:, None, :, None] * (u * s)[:, None, :]).reshape(2 * len(joint), -1)
-    return tail.run(with_zeros(joint, plan.p_width)).marginals(outputs)
+            register = program.run(widened.copy()).reshape(len(X), -1, 2)
+            # M M^H, M = register^T: rows the ancilla (the last qubit), columns the n others
+            grams.append(np.matmul(register.swapaxes(1, 2), register.conj()))
+        joint = np.ones((len(X), 1, 1), dtype=complex)
+        for factor in _gram_root(np.array(grams)):
+            # np.kron(joint, factor) per row: one more ancilla row bit and partner column bit
+            joint = joint[:, :, None, :, None] * factor[:, None, :, None, :]
+            joint = joint.reshape(len(X), 2 * joint.shape[1], -1)
+    return marginals_batch(tail.run(insert_zeros(joint, plan.p_width)), outputs)
+
+
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """The Hermitian square root L of each 2 x 2 positive semidefinite G in
+    ``gram`` (..., 2, 2): L = (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G)).
+
+    By Cayley-Hamilton, G^2 = tr(G) G - det(G) I, so L L^H = L^2 = G.
+    L is read from G's diagonal and upper corner, so it is Hermitian
+    exactly, and a determinant that rounds below 0 counts as 0, as for a
+    pure ancilla.
+    """
+    a, d, b = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
+    root_det = np.sqrt(np.maximum(a * d - (b * b.conj()).real, 0.0))
+    root = np.empty(gram.shape, dtype=complex)
+    root.real[..., 0, 0] = a + root_det
+    root.real[..., 1, 1] = d + root_det
+    root.imag[..., 0, 0] = root.imag[..., 1, 1] = 0.0
+    root[..., 0, 1] = b
+    root[..., 1, 0] = b.conj()
+    root /= np.sqrt(a + d + 2.0 * root_det)[..., None, None]
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,18 @@ given a mapping.
 ``fuse`` compiles a fragment that will run many times into a
 ``FusedProgram``. Each greedy run of gates whose qubits fit
 ``FUSION_WIDTH`` (W = 4) adjacent qubits becomes one read-only
-2^W x 2^W matrix, applied as one ``np.matmul`` on
-``a.reshape(2**lo, 2**W, -1)``; a gate wider than the window stays one
-kernel step. Fusing costs more than one gate-by-gate run, so it pays
-only where the same gates run again, as in ``model.circuit_inference``,
-which fuses its parameter-only parts once per parameter set; that
-oracle's per-sample encoding is ``encoding.amplitude_encoding_state``,
-no gates at all. ``StateVector.run`` stays gate by gate, for circuits
-that run once, such as the gadgets and compiled circuits of the tests
-and demos, and tests hold fused programs and the gate-free encoding to
-it. W = 5 measured no faster on the oracle's 5- to 10-qubit registers
-and slower on 20 qubits.
+2^W x 2^W matrix, applied to a whole (B, 2^n) batch as one ``np.matmul``
+on ``a.reshape(B * 2**lo, 2**W, -1)``; a gate wider than the window
+stays one kernel step. Fusing costs more than one gate-by-gate run, so
+it pays only where the same gates run again, as in
+``model.circuit_inference_batch``, which fuses its parameter-only parts
+once per parameter set and runs them on every row of its batch; that
+oracle's encoding is ``encoding.amplitude_encoding_batch``, no gates at
+all, and it reads its outputs with ``marginals_batch``.
+``StateVector.run`` stays gate by gate, for circuits that run once, such
+as the gadgets and compiled circuits of the tests and demos, and tests
+hold fused programs and the gate-free encoding to it. W = 5 measured no
+faster on the oracle's 5- to 10-qubit registers and slower on 20 qubits.
 """
 
 from __future__ import annotations
@@ -208,13 +209,11 @@ def _axes(a: np.ndarray, fixed) -> tuple[np.ndarray, list]:
 
 def controlled_x(a: np.ndarray, controls, polarities, target: int) -> None:
     """Flip ``target`` where control i holds ``polarities[i]`` (X, CX, MCX)."""
-    view, sel0 = _axes(a, zip(controls, polarities))
-    sel1 = list(sel0)
-    sel0[1 + target], sel1[1 + target] = 0, 1
-    sel0, sel1 = tuple(sel0), tuple(sel1)
-    tmp = view[sel0].copy()
-    view[sel0] = view[sel1]
-    view[sel1] = tmp
+    view, sel = _axes(a, zip(controls, polarities))
+    sel[1 + target] = slice(None, None, -1)
+    swapped = view[tuple(sel)]
+    sel[1 + target] = slice(None)
+    view[tuple(sel)] = swapped  # numpy copies an overlapping source first
 
 
 def phase_flip(a: np.ndarray, controls, polarities, target: int) -> None:
@@ -290,28 +289,41 @@ class StateVector:
 
     def marginals(self, qubits) -> np.ndarray:
         """Pr[measuring 1] of each listed qubit, from one pass over |amp|^2."""
-        probs = self.probabilities()
-        out = []
-        for q in qubits:
-            if q < 0 or q >= self.n_qubits:
-                raise ValueError(f"qubit {q} out of range 0..{self.n_qubits - 1}")
-            out.append(probs.reshape(2**q, 2, -1)[:, 1].sum())  # the half where q reads 1
-        return np.array(out, dtype=float)
+        return marginals_batch(self.amps[None], qubits)[0]
 
     def marginal_prob_one(self, qubit: int) -> float:
         """Pr[measuring ``qubit`` as 1]."""
         return float(self.marginals([qubit])[0])
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+
+def marginals_batch(a: np.ndarray, qubits) -> np.ndarray:
+    """(B, len(qubits)): Pr[measuring 1] of each listed qubit in each row of
+    the (B, 2^n) batch ``a``, from one pass over |amp|^2."""
+    n = a.shape[1].bit_length() - 1
+    probs = (a * a.conj()).real
+    out = []
+    for q in qubits:
+        if q < 0 or q >= n:
+            raise ValueError(f"qubit {q} out of range 0..{n - 1}")
+        # the half where q reads 1
+        out.append(probs.reshape(len(a), 2**q, 2, a.shape[1] >> (q + 1))[:, :, 1].sum(axis=(1, 2)))
+    return np.array(out).reshape(len(out), len(a)).T
+
+
+def insert_zeros(a: np.ndarray, extra: int) -> np.ndarray:
+    """Each (R, C) state of the (B, R, C) batch ``a`` with ``extra`` fresh
+    qubits in |0...0> between its row and column qubits, as (B, R 2^extra C)
+    complex amplitudes; C = 1 puts them after a vector's qubits."""
+    out = np.zeros((a.shape[0], a.shape[1], 1 << extra, a.shape[2]), dtype=complex)
+    out[:, :, 0] = a
+    return out.reshape(len(a), -1)
 
 
 def with_zeros(amps, extra: int) -> StateVector:
     """A register holding ``amps`` and ``extra`` fresh qubits in |0...0>: after
     a vector's qubits, or between a matrix's row and column qubits."""
     amps = np.asarray(amps)
-    out = np.zeros(amps.size << extra, dtype=complex)
-    out.reshape(len(amps), 1 << extra, -1)[:, 0] = amps.reshape(len(amps), -1)
+    out = insert_zeros(amps.reshape(1, len(amps), -1), extra)[0]
     return StateVector(out.size.bit_length() - 1, out)
 
 
@@ -332,20 +344,22 @@ class FusedProgram:
     qubit_span: int
     steps: tuple
 
-    def run(self, state: StateVector) -> StateVector:
-        """Run every step on ``state``, replacing its amplitudes: one ``np.matmul`` per block."""
-        if self.qubit_span > state.n_qubits:
-            raise ValueError(
-                f"program spans {self.qubit_span} qubits, register has {state.n_qubits}"
-            )
-        a = state.amps
+    def run(self, a: np.ndarray) -> np.ndarray:
+        """The (B, 2^n) batch of states ``a`` after every step, for any
+        n >= the span: one ``np.matmul`` per block over all rows. A gate
+        step changes ``a`` in place, so pass states the caller owns."""
+        n = a.shape[1].bit_length() - 1
+        if self.qubit_span > n:
+            raise ValueError(f"program spans {self.qubit_span} qubits, register has {n}")
+        rows = len(a)
         for head, body in self.steps:
             if isinstance(head, Gate):
-                apply_gate(a[None], head, body)
+                apply_gate(a, head, body)
             else:
-                a = np.matmul(body, a.reshape(2**head, body.shape[0], -1)).reshape(-1)
-        state.amps = a
-        return state
+                size = body.shape[0]
+                blocks = a.reshape(rows << head, size, (a.shape[1] >> head) // size)
+                a = np.matmul(body, blocks).reshape(rows, -1)
+        return a
 
 
 def fuse(fragment: CircuitFragment) -> FusedProgram:

@@ -710,6 +710,29 @@ def test_verify_runs_a_net_too_wide_to_compile_within_the_cap(tmp_path, capsys):
     assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 8)
 
 
+@pytest.mark.parametrize("chunk", [1024, 4])
+def test_verify_checks_the_inputs_of_one_draw_per_sample(tmp_path, capsys, monkeypatch, chunk):
+    # verify draws its inputs as (R, d) arrays, R rows at a time: the values of R draws of d
+    import qnnkit.cli
+    from qnnkit.arch import load_architecture
+    from qnnkit.model import circuit_inference, forward, init_parameters
+
+    monkeypatch.setattr(qnnkit.cli, "VERIFY_ROWS", chunk)
+    out = tmp_path / "verify"
+    argv = ["verify", "--arch", str(NETS / "mixed.arch"), "--samples", "6", "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    arch = load_architecture(NETS / "mixed.arch")
+    params = init_parameters(arch, 3)
+    rng = np.random.default_rng(3)
+    deviations = []
+    for row in read_csv(out / "verify.csv"):
+        x = rng.uniform(0.01, 1.0, size=arch.input_dim)
+        deviation = np.max(np.abs(forward(arch, params, x).probs[0] - circuit_inference(arch, params, x)))
+        assert float(row["max_abs_deviation"]) == pytest.approx(deviation, rel=0, abs=1e-15)
+        deviations.append(deviation)
+    assert len(deviations) == 6 and min(np.diff(sorted(deviations))) > 1e-6  # each input shows
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qnnkit.encoding import (
+    amplitude_encoding_batch,
     amplitude_encoding_fragment,
     amplitude_encoding_state,
     multiplexed_ry,
@@ -114,9 +115,20 @@ def encoding_rows(n: int, rng) -> list[np.ndarray]:
 def test_the_encoded_state_is_the_fragments_run_bit_for_bit():
     rng = np.random.default_rng(13)
     for n in range(1, 8):
-        for row in encoding_rows(n, rng):
+        rows = np.array(encoding_rows(n, rng))
+        batch = amplitude_encoding_batch(rows)
+        assert batch.shape == rows.shape
+        for row, encoded in zip(rows, batch):
             expected = StateVector(n).run(amplitude_encoding_fragment(row)).amps
+            assert np.array_equal(encoded, expected)
             assert np.array_equal(amplitude_encoding_state(row), expected)
+
+
+def test_the_batch_encoder_takes_rows_only():
+    assert amplitude_encoding_batch(np.zeros((0, 8))).shape == (0, 8)
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]):
+        with pytest.raises(ValueError, match="a batch of rows of 2\\^n >= 2 values"):
+            amplitude_encoding_batch(bad)
 
 
 @pytest.mark.parametrize("encode", [amplitude_encoding_fragment, amplitude_encoding_state])

@@ -27,6 +27,7 @@ from qnnkit.model import (
     backward_batch,
     build_network_circuit,
     circuit_inference,
+    circuit_inference_batch,
     forward,
     forward_batch,
     init_parameters,
@@ -693,7 +694,7 @@ def full_simulation(arch, params, x, fused=True):
     circuit = build_network_circuit(arch, params, x)
     state = StateVector(circuit.fragment.qubit_span)
     if fused:
-        state = statevec.fuse(circuit.fragment).run(state)
+        state.amps = statevec.fuse(circuit.fragment).run(state.amps[None])[0]
     else:
         state.run(circuit.fragment)
     return state.marginals(circuit.output_qubits)
@@ -804,7 +805,7 @@ def assert_fuses_exactly(frag, rng):
     n = frag.qubit_span
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    fused = statevec.fuse(frag).run(StateVector(n, amps.copy())).amps
+    fused = statevec.fuse(frag).run(amps[None].copy())[0]
     np.testing.assert_allclose(fused, StateVector(n, amps).run(frag).amps, rtol=0, atol=1e-13)
 
 
@@ -919,20 +920,88 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
 
 
 def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
+    # every register the oracle simulates, the v, u and tail ones, is run by a fused program
     widths = []
-    init = StateVector.__init__
+    run = statevec.FusedProgram.run
 
-    def recording(self, n_qubits, amps=None):
-        widths.append(n_qubits)
-        init(self, n_qubits, amps)
+    def recording(self, a):
+        widths.append(a.shape[1].bit_length() - 1)
+        return run(self, a)
 
-    monkeypatch.setattr(StateVector, "__init__", recording)
+    monkeypatch.setattr(statevec.FusedProgram, "run", recording)
     nets = [load_architecture(path) for path in sorted(NETS.glob("*.arch"))]
     for arch in small_random_archs() + nets:
-        widths.clear()
         x = np.linspace(0.1, 1.0, arch.input_dim)
-        circuit_inference(arch, init_parameters(arch, seed=0), x)
-        assert max(widths) == pipeline(arch).simulated_qubits, arch.name
+        for X in (x[None], np.stack([x, x[::-1]])):
+            widths.clear()
+            circuit_inference_batch(arch, init_parameters(arch, seed=0), X)
+            assert max(widths) == pipeline(arch).simulated_qubits, arch.name
+
+
+def batch_cases():
+    """``oracle_cases()`` and every shipped net, with the rows each one batches."""
+    for case in oracle_cases():
+        yield pytest.param(case.values[0], 5, id=case.id)
+    for path in sorted(NETS.glob("*.arch")):
+        rows = 2 if path.stem == "mnist4-vup" else 5  # 20 qubits: one row per chunk
+        yield pytest.param(load_architecture(path), rows, id=f"nets-{path.stem}")
+
+
+@pytest.mark.parametrize("arch, rows", batch_cases())
+def test_each_batch_row_is_the_single_sample_output_bit_for_bit(arch, rows):
+    rng = np.random.default_rng(79)
+    for seed in range(3):
+        params = init_parameters(arch, seed=seed)
+        X = rng.uniform(0.0, 1.0, size=(rows, arch.input_dim))
+        X[0, : arch.input_dim // 2] = 0.0  # zero blocks in the encoding
+        batch = circuit_inference_batch(arch, params, X)
+        assert batch.shape == (rows, arch.num_classes)
+        for x, out in zip(X, batch):
+            assert np.array_equal(out, circuit_inference(arch, params, x)), arch.name
+
+
+def test_the_batched_oracle_takes_an_empty_batch_and_refuses_one_sample():
+    arch = load_architecture(NETS / "mixed.arch")
+    params = init_parameters(arch, seed=0)
+    empty = np.zeros((0, arch.input_dim))
+    assert circuit_inference_batch(arch, params, empty).shape == (0, arch.num_classes)
+    assert forward_batch(arch, params, empty).probs.shape == (0, arch.num_classes)
+    with pytest.raises(ValueError, match=r"^expected a 2-D input, got shape \(16,\)$"):
+        circuit_inference_batch(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
+
+
+def ancilla_gram(registers: np.ndarray) -> np.ndarray:
+    """The reduced density matrix of the last qubit of each (..., 2^(n+1)) register."""
+    m = registers.reshape(*registers.shape[:-1], -1, 2)
+    return np.einsum("...ca,...cb->...ab", m, m.conj())
+
+
+def test_the_gram_root_is_a_hermitian_exact_purification():
+    from qnnkit import model
+
+    rng = np.random.default_rng(83)
+    n = 3
+    registers = rng.normal(size=(40, 2 ** (n + 1))) + 1j * rng.normal(size=(40, 2 ** (n + 1)))
+    registers /= np.linalg.norm(registers, axis=1, keepdims=True)
+    rest = rng.normal(size=(10, 2**n)) + 1j * rng.normal(size=(10, 2**n))
+    ancilla = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
+    pure = (rest[:, :, None] * ancilla[:, None, :]).reshape(10, -1)  # ancilla unentangled
+    pure /= np.linalg.norm(pure, axis=1, keepdims=True)
+    decohered = registers.reshape(40, -1, 2).copy()
+    decohered[:, : 2 ** (n - 1), 1] = 0.0  # the ancilla reads 1 only on
+    decohered[:, 2 ** (n - 1) :, 0] = 0.0  # the other branch: G is diagonal
+    decohered = decohered.reshape(40, -1) / np.linalg.norm(decohered.reshape(40, -1), axis=1)[:, None]
+    for name, regs in (("random", registers), ("pure", pure), ("diagonal", decohered)):
+        gram = ancilla_gram(regs)
+        if name == "pure":
+            assert np.max(np.abs(np.linalg.det(gram))) < 1e-15
+        if name == "diagonal":
+            assert np.all(gram[:, 0, 1] == 0)
+        root = model._gram_root(gram)
+        assert np.array_equal(root, root.conj().swapaxes(1, 2)), name
+        np.testing.assert_allclose(
+            root @ root.conj().swapaxes(1, 2), gram, rtol=0, atol=1e-15, err_msg=name
+        )
 
 
 # ---------------------------------------------------------------------------
