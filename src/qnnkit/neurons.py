@@ -91,23 +91,36 @@ def build_v_block(n: int, theta) -> CircuitFragment:
 # ---------------------------------------------------------------------------
 #
 # All V-stage gates (RY, CX) are real orthogonal, so batches of states are
-# (B, 2^n) float arrays. An RY on qubit q mixes each amplitude with its
-# partner across bit q, so it is one gather of the partners and then the
-# simulator's 1-qubit kernel arithmetic: products, then one sum (see _ry),
-# byte-identical to apply_1q in five numpy calls on whole rows. A block's
-# CX ring only permutes basis states, so it is one index gather, exact
-# like the CX gates it replaces. The forward pass tapes the input of every
-# RY layer. The backward pass is adjoint differentiation one layer at a
-# time: it pulls the adjoint back through the layer's RYs and reads all n
-# angle gradients of the layer off one contraction with the taped input
-# (see v_stage_backward).
+# real arrays. The stage runs them amplitude-major: it transposes the
+# (B, 2^n) batch once into a C-ordered (2^n, B) array, so each gate moves
+# whole rows. An RY on qubit q mixes each amplitude with its partner
+# across bit q: one row gather ``take(partner, axis=0)``, then the
+# simulator's 1-qubit kernel arithmetic, products then one sum (see
+# _ry_layer), byte-identical to apply_1q. A block's CX ring only permutes
+# basis states, so it is one row gather too, exact like the CX gates it
+# replaces. Every step but the gathers is elementwise, so the layout
+# changes no rounding there.
+#
+# The forward pass tapes the input of every RY layer. The backward pass is
+# adjoint differentiation one layer at a time: it pulls the adjoint back
+# through the layer's RYs and reads all n angle gradients of the layer off
+# one GEMM G = mu^T psi with the taped input (see v_stage_backward). That
+# GEMM is the one step whose rounding depends on memory layout: BLAS sums
+# in another order for transposed operands. The theta gradients are pinned
+# bit for bit across versions (ROADMAP item 4), so each GEMM sees the
+# operand layouts of the original batch-major stage. psi is row-major
+# (B, 2^n) at a block's first layer (``x`` itself, or a C copy) and the
+# ``.T`` view of the ring's row gather (column-major) after the ring. mu
+# is row-major (B, 2^n) in the first GEMM, before the first unring, and
+# the ``.T`` view of the amplitude-major adjoint in every later one.
 
 
 @functools.cache
 def _v_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only index tables of an n-qubit V block: (ring, unring, partner, pair, sign).
 
-    ``a[:, ring]`` applies the CX ring and ``a[:, unring]`` undoes it.
+    For an amplitude-major batch A (2^n, B), ``A.take(ring, axis=0)``
+    applies the CX ring and ``A.take(unring, axis=0)`` undoes it.
     ``partner[q, i]`` is i ^ bit_q, where bit_q is qubit q's bit of the
     index, and ``sign[q, i]`` is +1 where i has that bit set, -1 where it
     has not. For a (2^n, 2^n) matrix G, ``G.ravel()[pair[q, i]]`` is
@@ -127,21 +140,20 @@ def _v_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, n
     return tables
 
 
-def _ry(
-    a: np.ndarray, partner: np.ndarray, sign: np.ndarray, theta: float, order="K"
-) -> np.ndarray:
-    """RY(theta) on the qubit of ``partner``/``sign`` rows, as a new array.
+def _ry_layer(a: np.ndarray, partner: np.ndarray, sign: np.ndarray, angles) -> np.ndarray:
+    """RY(angles[q]) on each qubit q in turn of the amplitude-major batch
+    a (2^n, B), as a new C-ordered array.
 
-    Amplitude i becomes c a[i] + (s sign[i]) a[i ^ bit]: with bit clear
-    that is apply_1q's c x0 + (-s) x1, with it set s x0 + c x1 summed the
-    other way round, and one addition commutes exactly. ``order`` is the
-    layout of the result; the default keeps ``a``'s. Layout does not change
-    the values, but it does change how the GEMM in v_stage_backward rounds.
+    Row i becomes c a[i] + (s sign[i]) a[i ^ bit]: with bit clear that is
+    apply_1q's c x0 + (-s) x1, with it set s x0 + c x1 summed the other
+    way round, and one addition commutes exactly.
     """
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    new = np.multiply(c, a, order=order)
-    new += (s * sign) * a[:, partner]
-    return new
+    for q, theta in enumerate(angles):
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        new = c * a
+        new += (s * sign[q, :, None]) * a.take(partner[q], axis=0)
+        a = new
+    return a
 
 
 @functools.cache
@@ -159,28 +171,33 @@ def _v_stage_ops(n: int, blocks: int) -> tuple[tuple, ...]:
 
 
 def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run all V blocks over a batch (B, 2^n); returns (out, tape).
+    """Run all V blocks over a batch x (B, 2^n); returns (out, tape).
 
-    The tape holds the angles, the logical gate list ``ops`` and
-    ``inputs``: the (B, 2^n) input of each of the 2 * blocks RY layers,
-    the first being ``x`` itself (kept by reference, not copied).
+    ValueError unless x is (B, 2^n) with n >= 1 and thetas is
+    (blocks, 2n). ``out`` is a new C-ordered (B, 2^n) array. The tape
+    holds the angles, the logical gate list ``ops`` and ``inputs``: the
+    (B, 2^n) input of each of the 2 * blocks RY layers, in the layouts
+    the GEMM of v_stage_backward needs, the first being ``x`` itself
+    (kept by reference, not copied).
     """
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    n = int(math.log2(x.shape[1]))
+    if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] & (x.shape[1] - 1):
+        raise ValueError(f"V stage needs a (B, 2^n) batch with n >= 1, got shape {x.shape}")
+    n = x.shape[1].bit_length() - 1
+    if thetas.ndim != 2 or thetas.shape[1] != 2 * n:
+        raise ValueError(f"V block on {n} qubits needs {2 * n} angles, got {thetas.shape}")
     ring, _, partner, _, sign = _v_tables(n)
     inputs = []
-    a = x
+    a = np.ascontiguousarray(x.T)
     for block in thetas:
-        for layer, angles in enumerate((block[:n], block[n:])):
-            if layer:
-                a = a[:, ring]
-            inputs.append(a)
-            for q, theta in enumerate(angles):
-                # C, not a gather's F order: the next layer may tape this array
-                a = _ry(a, partner[q], sign[q], theta, order="C")
+        inputs.append(np.ascontiguousarray(a.T) if inputs else x)
+        a = _ry_layer(a, partner, sign, block[:n])
+        a = a.take(ring, axis=0)
+        inputs.append(a.T)
+        a = _ry_layer(a, partner, sign, block[n:])
     tape = {"ops": _v_stage_ops(n, len(thetas)), "thetas": thetas, "inputs": inputs}
-    return a, tape
+    return np.ascontiguousarray(a.T), tape
 
 
 def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,29 +208,34 @@ def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.n
     q commutes with the RYs on the other qubits, so with mu = R^T lambda
     the gradient of angle q is sum_b mu_b . K_q psi_b = 1/2 sum_i
     sign_q[i] G[i, i ^ bit_q] for G = mu^T psi. mu is then the adjoint of
-    the layer's input.
+    the layer's input. The adjoint runs amplitude-major like the forward
+    pass; the input gradient is returned as the (B, 2^n) ``.T`` view.
     """
     thetas = tape["thetas"]
     n = thetas.shape[1] // 2
     _, unring, partner, pair, sign = _v_tables(n)
-    lam = np.array(grad_out, dtype=float)
+    lam = np.array(np.asarray(grad_out, dtype=float).T, order="C")
     grad_theta = np.empty_like(thetas)
     for k in reversed(range(len(tape["inputs"]))):
         b, layer = divmod(k, 2)
         angles = slice(layer * n, (layer + 1) * n)
-        for q, theta in enumerate(thetas[b, angles]):
-            lam = _ry(lam, partner[q], sign[q], -theta)  # RY^-1 = RY^T = RY(-theta)
-        G = lam.T @ tape["inputs"][k]
+        lam = _ry_layer(lam, partner, sign, -thetas[b, angles])  # RY^-1 = RY^T = RY(-theta)
+        # the first GEMM takes mu row-major, so mu^T (this lam) column-major; see above
+        mu_t = np.asfortranarray(lam) if k == len(tape["inputs"]) - 1 else lam
+        G = mu_t @ tape["inputs"][k]
         grad_theta[b, angles] = 0.5 * np.einsum("qi,qi->q", G.ravel()[pair], sign)
         if layer:
-            lam = lam[:, unring]
-    return grad_theta, lam
+            lam = lam.take(unring, axis=0)
+    return grad_theta, lam.T
 
 
+@functools.cache
 def _bit_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of basis-index bits, qubit 0 = MSB."""
+    """Read-only (2^n, n) matrix of basis-index bits, qubit 0 = MSB."""
     idx = np.arange(2**n)
-    return ((idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(float)
+    bits = ((idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(float)
+    bits.setflags(write=False)
+    return bits
 
 
 def v_view_forward_batch(A: np.ndarray, width: int) -> np.ndarray:

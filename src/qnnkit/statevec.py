@@ -15,10 +15,13 @@ cost O(2^n) per state, never O(4^n); a StateVector is a batch of one
 complex state. The X-type kernel ``controlled_x`` (a swap) and the
 Z-type ``phase_flip`` (a sign flip) take the same (controls,
 polarities, target), the gate's own polarities, so both are exact.
-The trainer calls only ``controlled_x``, for its V block tables. Its
-RY gathers partners through an n x 2^n table: ``apply_1q`` was
-1.1-1.8x slower on its batches (n = 4-6, B = 32), and the simulator
-would need 704 MiB for the table at 22 qubits. A StateVector is
+The trainer calls only ``controlled_x``, for its V block tables. It
+runs its batch amplitude-major, as a C-ordered (2^n, B) transpose, and
+each RY there is one row gather through an n x 2^n partner table
+followed by ``apply_1q``'s products and one sum, so the bytes are
+``apply_1q``'s. ``apply_1q`` on the batch itself was 1.8-2.7x slower
+for the v stage (n = 4-6, B = 32, 2 blocks), and the simulator would
+need 704 MiB for the table at 22 qubits. A StateVector is
 exclusively owned while mutated; nothing here shares state between threads.
 
 A CircuitFragment is built one way: ``append`` is where every gate

@@ -16,6 +16,7 @@ from qnnkit.neurons import (
     build_p_neuron,
     build_u_neuron,
     check_binary_weights,
+    v_stage_forward,
 )
 from qnnkit.statevec import Gate, StateVector, mcx, mcz
 
@@ -97,6 +98,21 @@ GUARDS = {
     "config-lr-nan": _config("lr must be a finite number > 0, got nan", lr=float("nan")),
     "config-lr-inf": _config("lr must be a finite number > 0, got inf", lr=float("inf")),
     "config-lr-text": _config("lr must be a finite number > 0, got '0.1'", lr="0.1"),
+    "v-stage-batch-width": (
+        lambda: v_stage_forward(np.zeros((2, 3)), np.zeros((1, 4))),
+        ValueError,
+        "V stage needs a (B, 2^n) batch with n >= 1, got shape (2, 3)",
+    ),
+    "v-stage-batch-one-amplitude": (
+        lambda: v_stage_forward(np.ones((2, 1)), np.zeros((1, 0))),
+        ValueError,
+        "V stage needs a (B, 2^n) batch with n >= 1, got shape (2, 1)",
+    ),
+    "v-stage-batch-1-d": (
+        lambda: v_stage_forward(np.zeros(4), np.zeros((1, 4))),
+        ValueError,
+        "V stage needs a (B, 2^n) batch with n >= 1, got shape (4,)",
+    ),
     "config-temperature-zero": _config(
         "temperature must be a finite number > 0, got 0", temperature=0
     ),

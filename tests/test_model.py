@@ -37,7 +37,7 @@ from qnnkit.model import (
     save_checkpoint,
     train,
 )
-from qnnkit.neurons import u_forward_batch
+from qnnkit.neurons import u_forward_batch, v_stage_forward
 from qnnkit.statevec import Gate, StateVector
 
 NETS = Path(__file__).resolve().parent.parent / "nets"
@@ -144,6 +144,21 @@ def test_trainer_and_oracle_reject_a_short_input_alike(walker, case):
     _, x, message = case
     with pytest.raises(ValueError, match=message):
         walker(arch, init_parameters(arch, seed=0), x)
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (2, 6)], ids=["1x6", "2x6"])
+def test_the_v_stage_refuses_angles_of_the_wrong_shape(shape):
+    # a 4-qubit V block takes 8 angles: the trainer and the oracle refuse 6 alike
+    arch = load_architecture(NETS / "mnist2-vu.arch")
+    params = dataclasses.replace(init_parameters(arch, seed=0), v_thetas=np.zeros(shape))
+    x = np.full(16, 0.25)
+    for call in (
+        lambda: v_stage_forward(x[None], params.v_thetas),
+        lambda: forward(arch, params, x),
+        lambda: circuit_inference(arch, params, x),
+    ):
+        with pytest.raises(ValueError, match="^V block on 4 qubits needs 8 angles, got "):
+            call()
 
 
 # ---------------------------------------------------------------------------

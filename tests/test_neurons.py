@@ -474,6 +474,31 @@ def test_v_stage_backward_is_the_adjoint_circuit_bit_for_bit(batch_size):
         assert np.array_equal(grad_x, expected)
 
 
+@pytest.mark.parametrize("batch_size", [1, 5, 32], ids=lambda b: f"B{b}")
+@pytest.mark.parametrize("n", [1, 2, 3, 6], ids=lambda n: f"n{n}")
+def test_v_stage_gives_the_same_bytes_for_every_input_layout(n, batch_size):
+    rng = np.random.default_rng(40 + 10 * n + batch_size)
+    thetas = rng.uniform(-np.pi, np.pi, size=(2, 2 * n))
+    wide = np.stack([random_unit(rng, 2**n) for _ in range(2 * batch_size)])
+    wide_grad = rng.normal(size=wide.shape)
+
+    def layouts(a):
+        return {"C": a[::2].copy(), "F": np.asfortranarray(a[::2]), "strided": a[::2]}
+
+    results = {}
+    for (name, x), grad_out in zip(layouts(wide).items(), layouts(wide_grad).values()):
+        out, tape = v_stage_forward(x, thetas)
+        assert out.flags.c_contiguous
+        results[name] = (out, *v_stage_backward(tape, grad_out))
+    out, grad_theta, grad_x = results["C"]
+    for name in ("F", "strided"):
+        assert np.array_equal(results[name][0], out)
+        assert np.array_equal(results[name][2], grad_x)
+        # the GEMM G = mu^T psi may round differently by its operands' layout,
+        # and the first layer's psi is x as given
+        np.testing.assert_allclose(results[name][1], grad_theta, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("blocks", [1, 3], ids=lambda b: f"blocks{b}")
 @pytest.mark.parametrize("n", [1, 2, 3, 6], ids=lambda n: f"n{n}")
 def test_v_stage_gradients_match_finite_differences(n, blocks):
