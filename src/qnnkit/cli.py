@@ -251,6 +251,7 @@ def cmd_verify(args) -> int:
         vars(args),
         compiled_qubits=plan.compiled_qubits,
         simulated_qubits=plan.simulated_qubits,
+        observable_qubits=plan.observable_qubits,
     )
     print(
         f"verify: {args.samples} samples, max deviation {worst:.3e}, "

@@ -13,11 +13,13 @@ Two semantics coexist on purpose:
   ``_oracle_fragments`` (v stage, u gadgets, n/p tail) placed on one
   register. ``circuit_inference_batch`` reads that circuit's output
   marginals for a batch of inputs by exact register-factored simulation
-  of the same fragments, fused once per parameter set: each u register
-  runs alone on n + 1 qubits and hands on only its ancilla and one
-  purification partner. ``circuit_inference`` is its batch of one.
-  ``max_qubits`` therefore bounds the plan's ``simulated_qubits`` (for k
-  u neurons the larger of n + 1 and 2k + the p widths), not its
+  of the same fragments: each u register runs alone on n + 1 qubits and
+  hands on only its ancilla's 2 x 2 reduced state, and each output is
+  read from those states through one observable of the n/p tail, built
+  once per parameter set on the output's light cone.
+  ``circuit_inference`` is its batch of one. ``max_qubits`` therefore
+  bounds the plan's ``simulated_qubits`` (for k u neurons the larger of
+  n + 1 and, with a p layer, 2k + the p widths), not its
   ``compiled_qubits``.
 
 Each factorized stage runs its neuron's batched closed form from
@@ -66,7 +68,7 @@ from .neurons import (
     v_view_forward_batch,
 )
 from .rules import validate_architecture
-from .statevec import CircuitFragment, fuse, insert_zeros, marginals_batch
+from .statevec import CircuitFragment, fuse, insert_zeros
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -77,8 +79,9 @@ DEFAULT_MAX_QUBITS = 24
 
 # circuit_inference_batch simulates its rows in chunks whose widest
 # arrays hold at most this many values in all (16 MiB of amplitudes), or
-# one row: per row, the widest register or the encoder's last ladder
-# table, 2^(2n - 1) coefficients for n input qubits.
+# one row: per row, the widest register, the encoder's last ladder
+# table, 2^(2n - 1) coefficients for n input qubits, or the 4^c entries
+# of the density matrix on an output's c light-cone qubits.
 ORACLE_BATCH_AMPLITUDES = 2**20
 
 
@@ -150,7 +153,8 @@ class Plan:
     stages: tuple[Stage, ...]
     p_width: int  # p outputs in all, one fresh qubit each
     compiled_qubits: int  # register of build_network_circuit
-    simulated_qubits: int  # widest register circuit_inference runs
+    simulated_qubits: int  # log2 of the largest amplitude array circuit_inference holds
+    observable_qubits: int  # widest light cone of an output on the stage qubits
     shapes: tuple  # of (v_thetas, uw_latent or None, n_thetas, pw_latent)
 
     def check_qubit_cap(self, max_qubits: int) -> None:
@@ -167,9 +171,12 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
 
     With k u neurons on n qubits the compiled register holds k registers
     of n + 1 qubits (n without a u layer) plus the p outputs. The factored
-    simulation runs one u register at a time, then each u ancilla and its
-    purification partner plus the p outputs; without a u layer, the v
-    register widened by the p outputs.
+    simulation runs one u register at a time, or the v register without a
+    u layer. An output's light cone through the n/p tail is its own stage
+    qubit without a p layer, and every stage qubit (k, or n without u)
+    with one. Per parameter set, the observable of the last output is
+    built from 2^c basis states of its c cone qubits plus all p outputs,
+    and each row holds a 2^c x 2^c density matrix.
     """
     kinds = "".join(l.kind for l in arch.layers)
     v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers
@@ -197,14 +204,15 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
         width = layer.width
     p_width = sum(s.width for s in stages if s.kind == "p")
     if u_width is None:
-        compiled = simulated = n + p_width
+        compiled, register = n + p_width, n
     else:
-        compiled = u_width * (n + 1) + p_width
-        simulated = max(n + 1, 2 * u_width + p_width)
+        compiled, register = u_width * (n + 1) + p_width, n + 1
+    cone = (n if u_width is None else u_width) if p_width else 1
+    simulated = max(register, 2 * cone + p_width)
     u_shape = None if u_width is None else (u_width, arch.input_dim)
     blocks = sum(l.repeat for l in arch.layers[:v])
     shapes = ((blocks, 2 * n), u_shape, tuple(n_shapes), tuple(p_shapes))
-    return Plan(u_width, tuple(stages), p_width, compiled, simulated, shapes)
+    return Plan(u_width, tuple(stages), p_width, compiled, simulated, cone, shapes)
 
 
 def init_parameters(arch: ArchitectureSpec, seed: int = 0) -> ParameterStore:
@@ -517,10 +525,9 @@ def _oracle_fragments(arch: ArchitectureSpec, plan: Plan, params: ParameterStore
     The v stage spans n qubits and each u neuron n + 1, its ancilla last.
     The tail spans w = ``plan.u_width or n`` stage qubits, then the p
     outputs, one fresh qubit each in layer order. Stage qubit j is u
-    neuron j's ancilla, or v qubit j without a u layer; the register the
-    tail runs on holds the u ancillas' purification partners last, in u
-    order, and no gate touches them. n layers rotate the stage qubits in
-    place; each p neuron reads them as controls and writes its own output.
+    neuron j's ancilla, or v qubit j without a u layer. n layers rotate
+    the stage qubits in place; each p neuron reads them as controls and
+    writes its own output.
     """
     n = arch.n_qubits
     v = CircuitFragment(n)
@@ -574,12 +581,14 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
     return NetworkCircuit(frag, [k * n + q for q in outputs])
 
 
-# At most one entry: the fused programs of the last parameter set seen.
+# At most one entry: the fused programs and observables of the last parameter set seen.
 _ORACLE_MEMO: dict = {}
 
 
 def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore) -> tuple:
-    """``_oracle_fragments`` with each fragment fused, for the parameters as they are now.
+    """(v program, u programs, observables) for the parameters as they are
+    now: ``_oracle_fragments``' v stage and u gadgets fused, and the
+    ``_observables`` of its tail.
 
     The key is read from the arrays at every call, so an in-place update
     misses; a miss replaces the one entry.
@@ -588,10 +597,55 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     programs = _ORACLE_MEMO.get(key)
     if programs is None:
         v, u_frags, tail, outputs = _oracle_fragments(arch, plan, params)
-        programs = (fuse(v), [fuse(u) for u in u_frags], fuse(tail), outputs)
+        observables = _observables(tail, outputs, plan.u_width or arch.n_qubits)
+        programs = (fuse(v), [fuse(u) for u in u_frags], observables)
         _ORACLE_MEMO.clear()
         _ORACLE_MEMO[key] = programs
     return programs
+
+
+def _observables(tail: CircuitFragment, outputs: list[int], stage_width: int) -> tuple:
+    """For each group of outputs with the same light cone on the first
+    ``stage_width`` qubits of ``tail``: (cone, output positions, M), M
+    holding one 2^c x 2^c Hermitian observable per output, so that the
+    output reads tr(M_o rho) for the stage qubits' reduced state rho on
+    the c cone qubits.
+
+    An output's light cone is the set of qubits, and the ops, reached by
+    walking the tail backwards from it: an op joins when it touches a
+    qubit already in the cone. The cone's ops run, fused, on the cone's
+    stage basis states with its p outputs in |0>; row i of ``rows`` is
+    then T_0 e_i, and M_o = T_0^H Pi_o T_0 for the projector Pi_o onto the
+    output reading 1. M_o is made Hermitian exactly by averaging it with
+    its conjugate transpose.
+    """
+    groups: dict = {}
+    for position, output in enumerate(outputs):
+        cone, ops = {output}, []
+        for gate, qubits in reversed(tail.ops):
+            if cone.intersection(qubits):
+                cone.update(qubits)
+                ops.append((gate, qubits))
+        order = sorted(cone)  # stage qubits first, then p outputs
+        index = {q: i for i, q in enumerate(order)}
+        frag = CircuitFragment(len(order))
+        for gate, qubits in reversed(ops):
+            frag.append(gate, *(index[q] for q in qubits))
+        stage = tuple(q for q in order if q < stage_width)
+        size = 2 ** len(stage)
+        basis = insert_zeros(np.eye(size, dtype=complex)[:, :, None], len(order) - len(stage))
+        rows = fuse(frag).run(basis)
+        ones = rows.reshape(size, 2 ** index[output], 2, -1)[:, :, 1].reshape(size, -1)
+        m = ones.conj() @ ones.T
+        positions, matrices = groups.setdefault(stage, ([], []))
+        positions.append(position)
+        matrices.append((m + m.conj().T) / 2)
+    observables = []
+    for stage, (positions, matrices) in groups.items():
+        m = np.array(matrices)
+        m.flags.writeable = False
+        observables.append((stage, positions, m))
+    return tuple(observables)
 
 
 def circuit_inference_batch(
@@ -605,45 +659,49 @@ def circuit_inference_batch(
     ``build_network_circuit`` compiles for each row.
 
     After its u gadget, a u register is touched only through its
-    ancilla. So the encoded input and the v stage run once on n qubits;
-    each u neuron runs alone on that state plus its ancilla; and the
-    register is replaced by a purification of its ancilla (rows) by a
-    partner (columns): ``_gram_root`` of the ancilla's 2 x 2 reduced
-    density matrix G = M M^H, M being the 2 x 2^n ancilla-by-rest
-    amplitude matrix, taken for every u neuron and row at once. The tail
-    runs on the Kronecker product of these 2 x 2 factors, the p outputs
-    put between its row and column qubits. This is exact: the tail
-    touches only the ancillas, so every output marginal depends on the
-    register only through G, and the factor L has L L^H = G. ``max_qubits``
-    caps the widest register simulated, which is
-    ``pipeline(arch).simulated_qubits``; rows run in chunks of at most
-    ``ORACLE_BATCH_AMPLITUDES`` values in their widest arrays, so the
-    20-qubit ``mnist4-vup`` tail runs one row at a time.
+    ancilla, and the u registers are separate copies. So the encoded
+    input and the v stage run once on n qubits; each u neuron runs alone
+    on that state plus its ancilla; and the register is replaced by its
+    ancilla's 2 x 2 reduced density matrix G = M M^H, M being the
+    2 x 2^n ancilla-by-rest amplitude matrix. The stage qubits' state is
+    then the product of the k G's, or the v state itself without a u
+    layer. The n/p tail is read in the Heisenberg picture: output o is
+    tr(M_o rho), rho being that state reduced to o's light cone, and M_o
+    the fixed observable ``_observables`` builds once per parameter set.
+    This is exact, because the tail touches only the stage qubits and its
+    p outputs start in |0>. ``max_qubits`` caps
+    ``pipeline(arch).simulated_qubits``, log2 of the largest amplitude
+    array held; rows run in chunks of at most ``ORACLE_BATCH_AMPLITUDES``
+    values in their widest per-row arrays.
 
     Only the amplitude encoding depends on the input, and it runs without
     a gate list: ``amplitude_encoding_batch`` gives the amplitudes that
     ``amplitude_encoding_fragment`` prepares for each row, bit for bit,
-    and the v program starts from them. The v stage, each u gadget and
-    the n/p tail are the ``_oracle_fragments`` that the compiled circuit
-    places. They depend only on the parameters, are fused by
-    ``statevec.fuse`` into blocks of W = 4 adjacent qubits, each run as
-    one ``np.matmul`` over the chunk's rows, and are kept in a one-entry
-    memo keyed by ``arch`` and the shape, dtype and bytes of every
-    parameter array, read at each call, so an in-place update is a miss.
-    This pays because callers repeat parameters: ``qnnkit verify`` and
-    the benchmark's verify workloads pass the same ones for every sample
-    after the first, and training never calls this. Fusing moves outputs
-    by about 1e-15. Every step treats each row on its own, so a row's
-    outputs do not depend on the rows batched with it.
+    and the v program starts from them. The v stage and each u gadget are
+    the ``_oracle_fragments`` that the compiled circuit places. They
+    depend only on the parameters, as the observables do; they are fused
+    by ``statevec.fuse`` into blocks of W = 4 adjacent qubits, each run as
+    one ``np.matmul`` over the chunk's rows, and kept with the
+    observables in a one-entry memo keyed by ``arch`` and the shape,
+    dtype and bytes of every parameter array, read at each call, so an
+    in-place update is a miss. This pays because callers repeat
+    parameters: ``qnnkit verify`` and the benchmark's verify workloads
+    pass the same ones for every sample after the first, and training
+    never calls this. Fusing moves outputs by about 1e-15. Every step
+    treats each row on its own, so a row's outputs do not depend on the
+    rows batched with it.
     """
     plan = pipeline(arch)
     plan.check_qubit_cap(max_qubits)
     X = _checked_input(arch, X, ndim=2)
     programs = _oracle_programs(arch, plan, params)
-    rows = max(1, ORACLE_BATCH_AMPLITUDES >> max(plan.simulated_qubits, 2 * arch.n_qubits - 1))
+    n = arch.n_qubits
+    # per row: a u register, the encoder's last ladder table, and rho
+    widest = max(n + 1, 2 * n - 1, 2 * plan.observable_qubits)
+    rows = max(1, ORACLE_BATCH_AMPLITUDES >> widest)
     out = np.empty((len(X), arch.num_classes))
     for start in range(0, len(X), rows):
-        out[start : start + rows] = _oracle_rows(plan, programs, X[start : start + rows])
+        out[start : start + rows] = _oracle_rows(programs, X[start : start + rows])
     return out
 
 
@@ -657,45 +715,40 @@ def circuit_inference(
     return circuit_inference_batch(arch, params, _checked_input(arch, x)[None], max_qubits)[0]
 
 
-def _oracle_rows(plan: Plan, programs: tuple, X: np.ndarray) -> np.ndarray:
-    """``circuit_inference_batch`` of the rows ``X``, given the fused programs."""
-    v_program, u_programs, tail, outputs = programs
+def _oracle_rows(programs: tuple, X: np.ndarray) -> np.ndarray:
+    """``circuit_inference_batch`` of the rows ``X``, given the memo's programs."""
+    v_program, u_programs, observables = programs
     psi = v_program.run(amplitude_encoding_batch(X).astype(complex))
-    joint = psi.reshape(len(X), -1, 1)  # rows: the register; columns: none
-    if plan.u_width is not None:
-        widened = insert_zeros(joint, 1)  # the ancilla, in |0>, after the n qubits
-        grams = []
-        for program in u_programs:
-            register = program.run(widened.copy()).reshape(len(X), -1, 2)
-            # M M^H, M = register^T: rows the ancilla (the last qubit), columns the n others
-            grams.append(np.matmul(register.swapaxes(1, 2), register.conj()))
-        joint = np.ones((len(X), 1, 1), dtype=complex)
-        for factor in _gram_root(np.array(grams)):
-            # np.kron(joint, factor) per row: one more ancilla row bit and partner column bit
-            joint = joint[:, :, None, :, None] * factor[:, None, :, None, :]
-            joint = joint.reshape(len(X), 2 * joint.shape[1], -1)
-    return marginals_batch(tail.run(insert_zeros(joint, plan.p_width)), outputs)
+    if u_programs:
+        widened = insert_zeros(psi.reshape(len(X), -1, 1), 1)  # the ancilla, in |0>, last
+        registers = np.array([program.run(widened.copy()) for program in u_programs])
+        ancilla = [psi.shape[1].bit_length() - 1]  # after the n qubits
+        grams = _reduced_state(registers.reshape(-1, widened.shape[1]), ancilla)
+        grams = grams.reshape(len(u_programs), len(X), 2, 2)
+    out = np.empty((len(X), sum(len(positions) for _, positions, _ in observables)))
+    for cone, positions, m in observables:
+        if u_programs:
+            rho = grams[cone[0]]
+            for j in cone[1:]:  # np.kron(rho, G_j) per row
+                rho = rho[:, :, None, :, None] * grams[j][:, None, :, None, :]
+                rho = rho.reshape(len(X), 2 * rho.shape[1], -1)
+        else:
+            rho = _reduced_state(psi, cone)
+        # Re tr(M rho) = Re sum rho_ab conj(M_ab) for Hermitian M, as one
+        # real product per row of rho's and M's interleaved re/im values
+        flat = rho.reshape(len(X), 1, -1).view(float)
+        out[:, positions] = np.matmul(flat, m.reshape(len(m), -1).view(float).T)[:, 0]
+    return out
 
 
-def _gram_root(gram: np.ndarray) -> np.ndarray:
-    """The Hermitian square root L of each 2 x 2 positive semidefinite G in
-    ``gram`` (..., 2, 2): L = (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G)).
-
-    By Cayley-Hamilton, G^2 = tr(G) G - det(G) I, so L L^H = L^2 = G.
-    L is read from G's diagonal and upper corner, so it is Hermitian
-    exactly, and a determinant that rounds below 0 counts as 0, as for a
-    pure ancilla.
-    """
-    a, d, b = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
-    root_det = np.sqrt(np.maximum(a * d - (b * b.conj()).real, 0.0))
-    root = np.empty(gram.shape, dtype=complex)
-    root.real[..., 0, 0] = a + root_det
-    root.real[..., 1, 1] = d + root_det
-    root.imag[..., 0, 0] = root.imag[..., 1, 1] = 0.0
-    root[..., 0, 1] = b
-    root[..., 1, 0] = b.conj()
-    root /= np.sqrt(a + d + 2.0 * root_det)[..., None, None]
-    return root
+def _reduced_state(states: np.ndarray, qubits) -> np.ndarray:
+    """(B, 2^c, 2^c): the reduced density matrix of each (B, 2^m) row of
+    ``states`` on the c listed qubits, the first the most significant."""
+    m = states.shape[1].bit_length() - 1
+    order = [0, *(1 + q for q in qubits), *(1 + q for q in range(m) if q not in qubits)]
+    a = states.reshape((len(states),) + (2,) * m).transpose(order)
+    a = a.reshape(len(states), 2 ** len(qubits), -1)
+    return np.matmul(a, a.conj().swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ it pays only where the same gates run again, as in
 ``model.circuit_inference_batch``, which fuses its parameter-only parts
 once per parameter set and runs them on every row of its batch; that
 oracle's encoding is ``encoding.amplitude_encoding_batch``, no gates at
-all, and it reads its outputs with ``marginals_batch``.
+all, and it reads its outputs through observables, each built once by
+running one output's light cone of its n/p tail on basis states.
 ``StateVector.run`` stays gate by gate, for circuits that run once, such
 as the gadgets and compiled circuits of the tests and demos, and tests
 hold fused programs and the gate-free encoding to it. W = 5 measured no

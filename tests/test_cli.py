@@ -657,7 +657,7 @@ def test_verify_respects_qubit_cap(tmp_path, capsys):
     arch = write(
         tmp_path,
         "wide.arch",
-        "input_dim 16\nclasses 8\nlayer v width=4\nlayer u width=8\n",
+        "input_dim 16\nclasses 2\nlayer v width=4\nlayer u width=8\nlayer p width=2\n",
     )
     code = main(
         [
@@ -673,8 +673,9 @@ def test_verify_respects_qubit_cap(tmp_path, capsys):
         ]
     )
     assert code == 1
-    # compiled, this net has 40 qubits; the factored simulation needs 2 x 8
-    assert "needs 16 qubits" in capsys.readouterr().err
+    # compiled, this net has 42 qubits; the factored simulation builds the
+    # last output's observable from 2^8 basis states of 8 + 2 qubits
+    assert "needs 18 qubits" in capsys.readouterr().err
 
 
 def test_verify_checks_the_cap_before_drawing_anything(tmp_path, capsys):
@@ -707,7 +708,21 @@ def test_verify_runs_a_net_too_wide_to_compile_within_the_cap(tmp_path, capsys):
     assert code == 0
     assert all(float(r["max_abs_deviation"]) <= 1e-9 for r in read_csv(out / "verify.csv"))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 8)
+    assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 7)
+
+
+@pytest.mark.parametrize(
+    "name, qubits", [("mixed", (22, 10, 4)), ("mnist2-vu", (10, 5, 1)), ("vun", (3, 3, 1))]
+)
+def test_verify_reports_the_widest_light_cone(tmp_path, name, qubits):
+    # a p layer reads every stage qubit, so its outputs' cones hold all k
+    # u ancillas; without one, each output reads its own stage qubit
+    out = tmp_path / "verify"
+    assert main(["verify", "--arch", str(NETS / f"{name}.arch"), "--samples", "1",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    keys = ("compiled_qubits", "simulated_qubits", "observable_qubits")
+    assert tuple(manifest[key] for key in keys) == qubits
 
 
 @pytest.mark.parametrize("chunk", [1024, 4])

@@ -690,13 +690,16 @@ def test_circuit_contains_only_unitary_gates_and_final_measurement():
 
 def test_circuit_inference_respects_qubit_cap():
     # ten u registers of 7 qubits compile to 70 qubits, but the factored
-    # simulation runs one register at a time and then 2 x 10 ancilla qubits
+    # simulation runs one register at a time, and each output reads its
+    # own ancilla's 2 x 2 state
     arch = from_kinds(64, 10, "vu")
+    assert pipeline(arch).simulated_qubits == 7
     params = init_parameters(arch, seed=0)
     x = np.linspace(0.1, 1.0, 64)
     np.testing.assert_allclose(
         circuit_inference(arch, params, x), forward(arch, params, x).probs[0], atol=1e-9
     )
+    # the last output's observable is built from 2^12 basis states of 12 + 2 qubits
     wide = ArchitectureSpec(4, 2, [LayerSpec("v", 2), LayerSpec("u", 12), LayerSpec("p", 2)])
     assert pipeline(wide).simulated_qubits == 26
     with pytest.raises(ResourceLimitError, match="needs 26 qubits"):
@@ -930,41 +933,45 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
             model._ORACLE_MEMO.clear()  # so each count covers fusing the programs and running them
             circuit_inference(arch, params, x)
             per_sample.append(dict(calls))
-        assert per_sample[0]["apply_1q"] > 0  # the encoding runs gate by gate
+        assert per_sample[0]["apply_1q"] > 0  # fusing runs each block's gates through the kernels
         assert all(c == per_sample[0] for c in per_sample), (net, per_sample)
 
 
 def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
-    # every register the oracle simulates, the v, u and tail ones, is run by a fused program
-    widths = []
+    # every state the oracle simulates, the v and u registers and the tail
+    # rows its observables are built from, is run by a fused program; on a
+    # batch of one, the largest of them holds 2^simulated_qubits amplitudes
+    from qnnkit import model
+
+    sizes = []
     run = statevec.FusedProgram.run
 
     def recording(self, a):
-        widths.append(a.shape[1].bit_length() - 1)
+        sizes.append(a.size)  # rows x amplitudes
         return run(self, a)
 
     monkeypatch.setattr(statevec.FusedProgram, "run", recording)
     nets = [load_architecture(path) for path in sorted(NETS.glob("*.arch"))]
     for arch in small_random_archs() + nets:
         x = np.linspace(0.1, 1.0, arch.input_dim)
-        for X in (x[None], np.stack([x, x[::-1]])):
-            widths.clear()
-            circuit_inference_batch(arch, init_parameters(arch, seed=0), X)
-            assert max(widths) == pipeline(arch).simulated_qubits, arch.name
+        sizes.clear()
+        model._ORACLE_MEMO.clear()  # so the observables are built again
+        circuit_inference_batch(arch, init_parameters(arch, seed=0), x[None])
+        assert max(sizes) == 2 ** pipeline(arch).simulated_qubits, arch.name
 
 
-def batch_cases():
-    """``oracle_cases()`` and every shipped net, with the rows each one batches."""
+def net_cases():
+    """``oracle_cases()`` and every shipped net."""
     for case in oracle_cases():
-        yield pytest.param(case.values[0], 5, id=case.id)
+        yield pytest.param(case.values[0], id=case.id)
     for path in sorted(NETS.glob("*.arch")):
-        rows = 2 if path.stem == "mnist4-vup" else 5  # 20 qubits: one row per chunk
-        yield pytest.param(load_architecture(path), rows, id=f"nets-{path.stem}")
+        yield pytest.param(load_architecture(path), id=f"nets-{path.stem}")
 
 
-@pytest.mark.parametrize("arch, rows", batch_cases())
-def test_each_batch_row_is_the_single_sample_output_bit_for_bit(arch, rows):
+@pytest.mark.parametrize("arch", net_cases())
+def test_each_batch_row_is_the_single_sample_output_bit_for_bit(arch):
     rng = np.random.default_rng(79)
+    rows = 5
     for seed in range(3):
         params = init_parameters(arch, seed=seed)
         X = rng.uniform(0.0, 1.0, size=(rows, arch.input_dim))
@@ -985,38 +992,45 @@ def test_the_batched_oracle_takes_an_empty_batch_and_refuses_one_sample():
         circuit_inference_batch(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
 
 
-def ancilla_gram(registers: np.ndarray) -> np.ndarray:
-    """The reduced density matrix of the last qubit of each (..., 2^(n+1)) register."""
-    m = registers.reshape(*registers.shape[:-1], -1, 2)
-    return np.einsum("...ca,...cb->...ab", m, m.conj())
-
-
-def test_the_gram_root_is_a_hermitian_exact_purification():
+@pytest.mark.parametrize("arch", net_cases())
+def test_every_observable_is_hermitian_with_eigenvalues_in_the_unit_interval(arch):
+    # M_o = T_0^H Pi_o T_0 for an isometry T_0 and a projector Pi_o
     from qnnkit import model
 
-    rng = np.random.default_rng(83)
-    n = 3
-    registers = rng.normal(size=(40, 2 ** (n + 1))) + 1j * rng.normal(size=(40, 2 ** (n + 1)))
-    registers /= np.linalg.norm(registers, axis=1, keepdims=True)
-    rest = rng.normal(size=(10, 2**n)) + 1j * rng.normal(size=(10, 2**n))
-    ancilla = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
-    pure = (rest[:, :, None] * ancilla[:, None, :]).reshape(10, -1)  # ancilla unentangled
-    pure /= np.linalg.norm(pure, axis=1, keepdims=True)
-    decohered = registers.reshape(40, -1, 2).copy()
-    decohered[:, : 2 ** (n - 1), 1] = 0.0  # the ancilla reads 1 only on
-    decohered[:, 2 ** (n - 1) :, 0] = 0.0  # the other branch: G is diagonal
-    decohered = decohered.reshape(40, -1) / np.linalg.norm(decohered.reshape(40, -1), axis=1)[:, None]
-    for name, regs in (("random", registers), ("pure", pure), ("diagonal", decohered)):
-        gram = ancilla_gram(regs)
-        if name == "pure":
-            assert np.max(np.abs(np.linalg.det(gram))) < 1e-15
-        if name == "diagonal":
-            assert np.all(gram[:, 0, 1] == 0)
-        root = model._gram_root(gram)
-        assert np.array_equal(root, root.conj().swapaxes(1, 2)), name
-        np.testing.assert_allclose(
-            root @ root.conj().swapaxes(1, 2), gram, rtol=0, atol=1e-15, err_msg=name
-        )
+    plan = pipeline(arch)
+    for seed in range(2):
+        _, _, observables = model._oracle_programs(arch, plan, init_parameters(arch, seed=seed))
+        positions = sorted(p for _, group, _ in observables for p in group)
+        assert positions == list(range(arch.num_classes))
+        for cone, group, matrices in observables:
+            assert matrices.shape == (len(group),) + (2 ** len(cone),) * 2
+            assert len(cone) <= plan.observable_qubits
+            for m in matrices:
+                assert np.array_equal(m, m.conj().T), arch.name
+                eigenvalues = np.linalg.eigvalsh(m)
+                assert eigenvalues.min() >= -1e-12 and eigenvalues.max() <= 1 + 1e-12, arch.name
+        widest = max(len(cone) for cone, _, _ in observables)
+        assert widest == plan.observable_qubits, arch.name
+
+
+@pytest.mark.parametrize(
+    "arch, size",
+    [
+        (from_kinds(64, 10, "vu"), 2),
+        (load_architecture(NETS / "vun.arch"), 2),
+        (load_architecture(NETS / "mixed.arch"), 2**4),
+        (load_architecture(NETS / "mnist4-vup.arch"), 2**8),
+    ],
+    ids=["vu-10", "vun", "mixed", "mnist4-vup"],
+)
+def test_a_p_layer_widens_the_observables_to_every_u_ancilla(arch, size):
+    # without a p layer each output reads its own ancilla; a p neuron
+    # reads all k of them, so its observable spans 2^k x 2^k
+    from qnnkit import model
+
+    _, _, observables = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
+    assert {m.shape[1:] for _, _, m in observables} == {(size, size)}
+    assert sum(len(group) for _, group, _ in observables) == arch.num_classes
 
 
 # ---------------------------------------------------------------------------
