@@ -37,7 +37,6 @@ from .arch import (
 from .encoding import (
     EncodingKind,
     amplitude_encoding_fragment,
-    amplitude_encoding_state,
     probability_encoding_fragment,
 )
 from .model import (

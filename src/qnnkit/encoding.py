@@ -17,7 +17,7 @@ a (B, 2^n) batch, the amplitudes of the amplitude fragment's run, bit
 for bit, computed from the same ladder angles with no gate list,
 because every CX of a ladder only swaps the pairs of some prefixes, a
 sign per prefix. Each ladder step is then one rotation of every row's
-prefix pairs; ``amplitude_encoding_state`` is its one-row case.
+prefix pairs, in place; a single row is a batch of one.
 """
 
 from __future__ import annotations
@@ -168,15 +168,10 @@ def amplitude_encoding_fragment(data) -> CircuitFragment:
     return frag
 
 
-def amplitude_encoding_state(data) -> np.ndarray:
-    """The 2^n real amplitudes that ``amplitude_encoding_fragment(data)``
-    prepares on |0...0>, bit for bit, computed without a gate list: the
-    one row of ``amplitude_encoding_batch``."""
-    return amplitude_encoding_batch(_rows(data, 1))[0]
-
-
 def amplitude_encoding_batch(rows) -> np.ndarray:
-    """``amplitude_encoding_state`` of each row of a (B, 2^n) batch, as (B, 2^n).
+    """(B, 2^n): for each row of a (B, 2^n) batch, the 2^n real amplitudes
+    that ``amplitude_encoding_fragment(row)`` prepares on |0...0>, bit for
+    bit, computed without a gate list.
 
     Qubits after l are still |0> when qubit l's ladder runs, so each
     row's state is a pair (lo, hi) per prefix p, held as a (B, 2, 2^l)
@@ -188,7 +183,9 @@ def amplitude_encoding_batch(rows) -> np.ndarray:
     -s w and s w, with c = cos(beta[i]/2), s = sin(beta[i]/2) and
     w = W[gray[i]] (``_cross_signs``). These are the products that
     ``apply_1q`` forms on the swapped pairs, joined by the same sums up
-    to order, and after the ladder's last CX no pair is swapped.
+    to order, and after the ladder's last CX no pair is swapped. A step
+    forms its cross term in one buffer and updates ``pairs`` in place,
+    the same two products and one sum.
     """
     levels = _level_angles(_rows(rows, 2))
     count = len(levels[0])
@@ -200,8 +197,11 @@ def amplitude_encoding_batch(rows) -> np.ndarray:
         steps = slice(2**level - 1, 2 ** (level + 1) - 1)
         pairs = np.zeros((count, 2, 2**level))
         pairs[:, 0] = amps
+        cross = np.empty_like(pairs)
         for c, t in zip(cos[steps], sin[steps] * _cross_signs(level)):
-            pairs = c * pairs + t * pairs[:, ::-1]
+            np.multiply(t, pairs[:, ::-1], out=cross)
+            pairs *= c
+            pairs += cross
         amps = pairs.swapaxes(1, 2).reshape(count, 2 << level)  # qubit l is the last bit
     return amps
 

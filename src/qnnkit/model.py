@@ -13,14 +13,17 @@ Two semantics coexist on purpose:
   ``_oracle_fragments`` (v stage, u gadgets, n/p tail) placed on one
   register. ``circuit_inference_batch`` reads that circuit's output
   marginals for a batch of inputs by exact register-factored simulation
-  of the same fragments: each u register runs alone on n + 1 qubits and
+  of the same fragments. Once per parameter set it builds the pre-tail
+  map, the image of each of the 2^n encoded basis states under the v
+  stage and then each u gadget on its own n + 1 qubits, and one
+  observable of the n/p tail per output on the output's light cone. Per
+  row, one product with the map gives every u register, each register
   hands on only its ancilla's 2 x 2 reduced state, and each output is
-  read from those states through one observable of the n/p tail, built
-  once per parameter set on the output's light cone.
+  read from those states through its observable.
   ``circuit_inference`` is its batch of one. ``max_qubits`` therefore
   bounds the plan's ``simulated_qubits`` (for k u neurons the larger of
-  n + 1 and, with a p layer, 2k + the p widths), not its
-  ``compiled_qubits``.
+  the map's ceil(log2(k 2^(2n + 1))) and, with a p layer, 2k + the p
+  widths), not its ``compiled_qubits``.
 
 Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets) and
@@ -153,7 +156,7 @@ class Plan:
     stages: tuple[Stage, ...]
     p_width: int  # p outputs in all, one fresh qubit each
     compiled_qubits: int  # register of build_network_circuit
-    simulated_qubits: int  # log2 of the largest amplitude array circuit_inference holds
+    simulated_qubits: int  # ceil(log2) of the largest amplitude array circuit_inference holds
     observable_qubits: int  # widest light cone of an output on the stage qubits
     shapes: tuple  # of (v_thetas, uw_latent or None, n_thetas, pw_latent)
 
@@ -171,12 +174,15 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
 
     With k u neurons on n qubits the compiled register holds k registers
     of n + 1 qubits (n without a u layer) plus the p outputs. The factored
-    simulation runs one u register at a time, or the v register without a
-    u layer. An output's light cone through the n/p tail is its own stage
-    qubit without a p layer, and every stage qubit (k, or n without u)
-    with one. Per parameter set, the observable of the last output is
-    built from 2^c basis states of its c cone qubits plus all p outputs,
-    and each row holds a 2^c x 2^c density matrix.
+    simulation holds, per parameter set, the pre-tail map: the 2^n images
+    of the v stage's basis states, each the k u registers side by side,
+    k 2^(2n + 1) amplitudes, or 2^(2n) without a u layer. An output's
+    light cone through the n/p tail is its own stage qubit without a p
+    layer, and every stage qubit (k, or n without u) with one. Per
+    parameter set, the observable of the last output is built from 2^c
+    basis states of its c cone qubits plus all p outputs, and each row
+    holds a 2^c x 2^c density matrix. ``simulated_qubits`` is the larger
+    of ceil(log2) of the map and 2c + the p widths.
     """
     kinds = "".join(l.kind for l in arch.layers)
     v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers
@@ -204,11 +210,11 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
         width = layer.width
     p_width = sum(s.width for s in stages if s.kind == "p")
     if u_width is None:
-        compiled, register = n + p_width, n
-    else:
-        compiled, register = u_width * (n + 1) + p_width, n + 1
+        compiled, pre_tail = n + p_width, 2 * n
+    else:  # ceil(log2(k 2^(2n + 1)))
+        compiled, pre_tail = u_width * (n + 1) + p_width, (u_width - 1).bit_length() + 2 * n + 1
     cone = (n if u_width is None else u_width) if p_width else 1
-    simulated = max(register, 2 * cone + p_width)
+    simulated = max(pre_tail, 2 * cone + p_width)
     u_shape = None if u_width is None else (u_width, arch.input_dim)
     blocks = sum(l.repeat for l in arch.layers[:v])
     shapes = ((blocks, 2 * n), u_shape, tuple(n_shapes), tuple(p_shapes))
@@ -581,14 +587,15 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
     return NetworkCircuit(frag, [k * n + q for q in outputs])
 
 
-# At most one entry: the fused programs and observables of the last parameter set seen.
+# At most one entry: the pre-tail map and observables of the last parameter set seen.
 _ORACLE_MEMO: dict = {}
 
 
 def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore) -> tuple:
-    """(v program, u programs, observables) for the parameters as they are
-    now: ``_oracle_fragments``' v stage and u gadgets fused, and the
-    ``_observables`` of its tail.
+    """(pre-tail map, k, observables) for the parameters as they are now:
+    the ``_pre_tail_map`` of ``_oracle_fragments``' v stage and k u
+    gadgets (k = 0 without a u layer), and the ``_observables`` of its
+    tail.
 
     The key is read from the arrays at every call, so an in-place update
     misses; a miss replaces the one entry.
@@ -598,10 +605,32 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     if programs is None:
         v, u_frags, tail, outputs = _oracle_fragments(arch, plan, params)
         observables = _observables(tail, outputs, plan.u_width or arch.n_qubits)
-        programs = (fuse(v), [fuse(u) for u in u_frags], observables)
+        programs = (_pre_tail_map(v, u_frags), len(u_frags), observables)
         _ORACLE_MEMO.clear()
         _ORACLE_MEMO[key] = programs
     return programs
+
+
+def _pre_tail_map(v: CircuitFragment, u_frags: list) -> np.ndarray:
+    """Read-only (2^n, W) complex array whose row i is the image of the
+    basis state e_i: V e_i, W = 2^n, or with k u neurons the k registers
+    U_j (V e_i (x) |0>) side by side, W = k 2^(n + 1), each ancilla last.
+
+    Both are linear in the encoded amplitudes, so a row's states are its
+    encoding times this map. It is built by running the fused v stage on
+    the 2^n basis states, then each fused u gadget on them widened by
+    its ancilla in |0>.
+    """
+    size = 2**v.qubit_span
+    images = fuse(v).run(np.eye(size, dtype=complex))
+    if u_frags:
+        widened = insert_zeros(images[:, :, None], 1)
+        images = np.empty((size, len(u_frags), widened.shape[1]), dtype=complex)
+        for j, u in enumerate(u_frags):  # a kernel step changes its argument in place
+            images[:, j] = fuse(u).run(widened.copy())
+        images = images.reshape(size, -1)
+    images.flags.writeable = False
+    return images
 
 
 def _observables(tail: CircuitFragment, outputs: list[int], stage_width: int) -> tuple:
@@ -659,45 +688,49 @@ def circuit_inference_batch(
     ``build_network_circuit`` compiles for each row.
 
     After its u gadget, a u register is touched only through its
-    ancilla, and the u registers are separate copies. So the encoded
-    input and the v stage run once on n qubits; each u neuron runs alone
-    on that state plus its ancilla; and the register is replaced by its
-    ancilla's 2 x 2 reduced density matrix G = M M^H, M being the
-    2 x 2^n ancilla-by-rest amplitude matrix. The stage qubits' state is
-    then the product of the k G's, or the v state itself without a u
-    layer. The n/p tail is read in the Heisenberg picture: output o is
-    tr(M_o rho), rho being that state reduced to o's light cone, and M_o
-    the fixed observable ``_observables`` builds once per parameter set.
-    This is exact, because the tail touches only the stage qubits and its
-    p outputs start in |0>. ``max_qubits`` caps
-    ``pipeline(arch).simulated_qubits``, log2 of the largest amplitude
-    array held; rows run in chunks of at most ``ORACLE_BATCH_AMPLITUDES``
-    values in their widest per-row arrays.
+    ancilla, and the u registers are separate copies. So each u neuron
+    acts alone on the v stage's state plus its ancilla, and the register
+    is replaced by its ancilla's 2 x 2 reduced density matrix
+    G = M^T conj(M), M being the 2^n x 2 rest-by-ancilla amplitude
+    matrix. The stage qubits' state is then the product of the k G's, or
+    the v state itself without a u layer. The n/p tail is read in the
+    Heisenberg picture: output o is tr(M_o rho), rho being that state
+    reduced to o's light cone, and M_o the fixed observable
+    ``_observables`` builds once per parameter set. This is exact,
+    because the tail touches only the stage qubits and its p outputs
+    start in |0>. ``max_qubits`` caps ``pipeline(arch).simulated_qubits``,
+    ceil(log2) of the largest amplitude array held; rows run in chunks of
+    at most ``ORACLE_BATCH_AMPLITUDES`` values in their widest per-row
+    arrays.
 
     Only the amplitude encoding depends on the input, and it runs without
     a gate list: ``amplitude_encoding_batch`` gives the amplitudes that
-    ``amplitude_encoding_fragment`` prepares for each row, bit for bit,
-    and the v program starts from them. The v stage and each u gadget are
-    the ``_oracle_fragments`` that the compiled circuit places. They
-    depend only on the parameters, as the observables do; they are fused
-    by ``statevec.fuse`` into blocks of W = 4 adjacent qubits, each run as
-    one ``np.matmul`` over the chunk's rows, and kept with the
-    observables in a one-entry memo keyed by ``arch`` and the shape,
-    dtype and bytes of every parameter array, read at each call, so an
-    in-place update is a miss. This pays because callers repeat
-    parameters: ``qnnkit verify`` and the benchmark's verify workloads
-    pass the same ones for every sample after the first, and training
-    never calls this. Fusing moves outputs by about 1e-15. Every step
-    treats each row on its own, so a row's outputs do not depend on the
-    rows batched with it.
+    ``amplitude_encoding_fragment`` prepares for each row, bit for bit.
+    The v stage and each u gadget are the ``_oracle_fragments`` that the
+    compiled circuit places. They depend only on the parameters, as the
+    observables do, and the states they give are linear in the encoded
+    amplitudes. So once per parameter set they are fused by
+    ``statevec.fuse`` and run on the 2^n basis states, giving the
+    ``_pre_tail_map``, and per row the v state, or all k u registers
+    side by side, is one product of the encoding with that map: one
+    stacked ``np.matmul`` for the chunk, and one more for every G. The
+    map is kept with the observables in a one-entry memo keyed by
+    ``arch`` and the shape, dtype and bytes of every parameter array,
+    read at each call, so an in-place update is a miss. This pays
+    because callers repeat parameters: ``qnnkit verify`` and the
+    benchmark's verify workloads pass the same ones for every sample
+    after the first, and training never calls this. Fusing and the map
+    move outputs by about 1e-15. Every step treats each row on its own,
+    so a row's outputs do not depend on the rows batched with it.
     """
     plan = pipeline(arch)
     plan.check_qubit_cap(max_qubits)
     X = _checked_input(arch, X, ndim=2)
     programs = _oracle_programs(arch, plan, params)
-    n = arch.n_qubits
-    # per row: a u register, the encoder's last ladder table, and rho
-    widest = max(n + 1, 2 * n - 1, 2 * plan.observable_qubits)
+    # per row: its image under the pre-tail map, the encoder's last
+    # ladder table, and rho
+    psi_qubits = (programs[0].shape[1] - 1).bit_length()
+    widest = max(psi_qubits, 2 * arch.n_qubits - 1, 2 * plan.observable_qubits)
     rows = max(1, ORACLE_BATCH_AMPLITUDES >> widest)
     out = np.empty((len(X), arch.num_classes))
     for start in range(0, len(X), rows):
@@ -716,21 +749,20 @@ def circuit_inference(
 
 
 def _oracle_rows(programs: tuple, X: np.ndarray) -> np.ndarray:
-    """``circuit_inference_batch`` of the rows ``X``, given the memo's programs."""
-    v_program, u_programs, observables = programs
-    psi = v_program.run(amplitude_encoding_batch(X).astype(complex))
-    if u_programs:
-        widened = insert_zeros(psi.reshape(len(X), -1, 1), 1)  # the ancilla, in |0>, last
-        registers = np.array([program.run(widened.copy()) for program in u_programs])
-        ancilla = [psi.shape[1].bit_length() - 1]  # after the n qubits
-        grams = _reduced_state(registers.reshape(-1, widened.shape[1]), ancilla)
-        grams = grams.reshape(len(u_programs), len(X), 2, 2)
+    """``circuit_inference_batch`` of the rows ``X``, given the memo's
+    pre-tail map, u width k and observables."""
+    pre_tail, k, observables = programs
+    encoded = amplitude_encoding_batch(X)
+    psi = np.matmul(encoded[:, None, :], pre_tail)[:, 0]  # each row's own product
+    if k:
+        registers = psi.reshape(len(X), k, -1, 2)  # each M, its ancilla last
+        grams = np.matmul(registers.swapaxes(2, 3), registers.conj())  # (B, k, 2, 2)
     out = np.empty((len(X), sum(len(positions) for _, positions, _ in observables)))
     for cone, positions, m in observables:
-        if u_programs:
-            rho = grams[cone[0]]
+        if k:
+            rho = grams[:, cone[0]]
             for j in cone[1:]:  # np.kron(rho, G_j) per row
-                rho = rho[:, :, None, :, None] * grams[j][:, None, :, None, :]
+                rho = rho[:, :, None, :, None] * grams[:, j, None, :, None, :]
                 rho = rho.reshape(len(X), 2 * rho.shape[1], -1)
         else:
             rho = _reduced_state(psi, cone)

@@ -37,12 +37,15 @@ given a mapping.
 2^W x 2^W matrix, applied to a whole (B, 2^n) batch as one ``np.matmul``
 on ``a.reshape(B * 2**lo, 2**W, -1)``; a gate wider than the window
 stays one kernel step. Fusing costs more than one gate-by-gate run, so
-it pays only where the same gates run again, as in
-``model.circuit_inference_batch``, which fuses its parameter-only parts
-once per parameter set and runs them on every row of its batch; that
-oracle's encoding is ``encoding.amplitude_encoding_batch``, no gates at
-all, and it reads its outputs through observables, each built once by
-running one output's light cone of its n/p tail on basis states.
+it pays only where the same gates run on many states, as in
+``model.circuit_inference_batch``. Only when it builds its one-entry
+memo, once per parameter set, does that oracle fuse its parameter-only
+parts and run them on basis states: the v stage and u gadgets on the
+2^n encoded basis states, for its pre-tail map, and each output's light
+cone of its n/p tail, for that output's observable. Its rows then run
+no program and no gate kernel: their encoding is
+``encoding.amplitude_encoding_batch``, no gates at all, and their
+states are one product with the map.
 ``StateVector.run`` stays gate by gate, for circuits that run once, such
 as the gadgets and compiled circuits of the tests and demos, and tests
 hold fused programs and the gate-free encoding to it. W = 5 measured no

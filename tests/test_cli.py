@@ -682,7 +682,7 @@ def test_verify_checks_the_cap_before_drawing_anything(tmp_path, capsys):
     # one input of this net alone would take 8 TiB
     arch = write(tmp_path, "huge.arch", "input_dim 1099511627776\nclasses 1\nlayer v width=40\n")
     code = main(["verify", "--arch", arch, "--samples", "1", "--out", str(tmp_path / "v")])
-    assert_one_error_line(capsys, code, 1, "needs 40 qubits, cap is 24")
+    assert_one_error_line(capsys, code, 1, "needs 80 qubits, cap is 24")
     assert not (tmp_path / "v").exists()
 
 
@@ -708,11 +708,11 @@ def test_verify_runs_a_net_too_wide_to_compile_within_the_cap(tmp_path, capsys):
     assert code == 0
     assert all(float(r["max_abs_deviation"]) <= 1e-9 for r in read_csv(out / "verify.csv"))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 7)
+    assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 15)
 
 
 @pytest.mark.parametrize(
-    "name, qubits", [("mixed", (22, 10, 4)), ("mnist2-vu", (10, 5, 1)), ("vun", (3, 3, 1))]
+    "name, qubits", [("mixed", (22, 11, 4)), ("mnist2-vu", (10, 10, 1)), ("vun", (3, 5, 1))]
 )
 def test_verify_reports_the_widest_light_cone(tmp_path, name, qubits):
     # a p layer reads every stage qubit, so its outputs' cones hold all k

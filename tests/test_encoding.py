@@ -8,7 +8,6 @@ import pytest
 from qnnkit.encoding import (
     amplitude_encoding_batch,
     amplitude_encoding_fragment,
-    amplitude_encoding_state,
     multiplexed_ry,
     normalize_rows,
     probability_encoding_fragment,
@@ -121,7 +120,7 @@ def test_the_encoded_state_is_the_fragments_run_bit_for_bit():
         for row, encoded in zip(rows, batch):
             expected = StateVector(n).run(amplitude_encoding_fragment(row)).amps
             assert np.array_equal(encoded, expected)
-            assert np.array_equal(amplitude_encoding_state(row), expected)
+            assert np.array_equal(amplitude_encoding_batch(row[None])[0], expected)
 
 
 def test_the_batch_encoder_takes_rows_only():
@@ -131,7 +130,11 @@ def test_the_batch_encoder_takes_rows_only():
             amplitude_encoding_batch(bad)
 
 
-@pytest.mark.parametrize("encode", [amplitude_encoding_fragment, amplitude_encoding_state])
+@pytest.mark.parametrize(
+    "encode",
+    [amplitude_encoding_fragment, lambda row: amplitude_encoding_batch(row[None])[0]],
+    ids=["amplitude_encoding_fragment", "amplitude_encoding_batch"],
+)
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_both_encoders_refuse_a_zero_or_non_finite_row_as_normalize_rows_does(encode, bad):
     with pytest.raises(ValueError, match="^cannot amplitude-encode an all-zero or non-finite"):
@@ -140,9 +143,8 @@ def test_both_encoders_refuse_a_zero_or_non_finite_row_as_normalize_rows_does(en
 
 @pytest.mark.parametrize("data", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]], ids=["1", "3", "2d"])
 def test_preparation_takes_a_power_of_two_values_in_one_axis(data):
-    for encode in (amplitude_encoding_fragment, amplitude_encoding_state):
-        with pytest.raises(ValueError, match="2\\^n >= 2 values in one axis"):
-            encode(data)
+    with pytest.raises(ValueError, match="2\\^n >= 2 values in one axis"):
+        amplitude_encoding_fragment(data)
 
 
 # ---------------------------------------------------------------------------

@@ -690,10 +690,11 @@ def test_circuit_contains_only_unitary_gates_and_final_measurement():
 
 def test_circuit_inference_respects_qubit_cap():
     # ten u registers of 7 qubits compile to 70 qubits, but the factored
-    # simulation runs one register at a time, and each output reads its
-    # own ancilla's 2 x 2 state
+    # simulation holds only the pre-tail map, the ten registers' images
+    # of the 2^6 basis states (10 * 2^13 amplitudes), and each output
+    # reads its own ancilla's 2 x 2 state
     arch = from_kinds(64, 10, "vu")
-    assert pipeline(arch).simulated_qubits == 7
+    assert pipeline(arch).simulated_qubits == 17
     params = init_parameters(arch, seed=0)
     x = np.linspace(0.1, 1.0, 64)
     np.testing.assert_allclose(
@@ -938,9 +939,11 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
 
 
 def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
-    # every state the oracle simulates, the v and u registers and the tail
-    # rows its observables are built from, is run by a fused program; on a
-    # batch of one, the largest of them holds 2^simulated_qubits amplitudes
+    # every state the oracle simulates, the v and u registers' images of
+    # the basis states and the tail rows its observables are built from,
+    # is run by a fused program, and the pre-tail map holds the u
+    # registers side by side; on a batch of one, the largest of them
+    # holds at most 2^simulated_qubits amplitudes, and more than half that
     from qnnkit import model
 
     sizes = []
@@ -957,7 +960,9 @@ def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
         sizes.clear()
         model._ORACLE_MEMO.clear()  # so the observables are built again
         circuit_inference_batch(arch, init_parameters(arch, seed=0), x[None])
-        assert max(sizes) == 2 ** pipeline(arch).simulated_qubits, arch.name
+        (pre_tail, _, _), = model._ORACLE_MEMO.values()
+        sizes.append(pre_tail.size)
+        assert (max(sizes) - 1).bit_length() == pipeline(arch).simulated_qubits, arch.name
 
 
 def net_cases():
@@ -980,6 +985,27 @@ def test_each_batch_row_is_the_single_sample_output_bit_for_bit(arch):
         assert batch.shape == (rows, arch.num_classes)
         for x, out in zip(X, batch):
             assert np.array_equal(out, circuit_inference(arch, params, x)), arch.name
+
+
+@pytest.mark.parametrize("arch", net_cases())
+def test_a_warm_oracle_runs_no_program_and_no_gate_kernel(monkeypatch, arch):
+    # once the memo holds the pre-tail map, a row is a product with it:
+    # no fused program runs, so no gate kernel either
+    from qnnkit import model
+
+    params = init_parameters(arch, seed=0)
+    X = np.random.default_rng(83).uniform(0.0, 1.0, size=(3, arch.input_dim))
+    expected = circuit_inference_batch(arch, params, X)  # builds the memo
+    calls = Counter()
+
+    def record(name):
+        return lambda *args: calls.update([name])
+
+    monkeypatch.setattr(statevec.FusedProgram, "run", record("FusedProgram.run"))
+    for name in ("apply_1q", "controlled_x", "phase_flip"):
+        monkeypatch.setattr(statevec, name, record(name))
+    assert np.array_equal(circuit_inference_batch(arch, params, X), expected)
+    assert calls == Counter(), arch.name
 
 
 def test_the_batched_oracle_takes_an_empty_batch_and_refuses_one_sample():
