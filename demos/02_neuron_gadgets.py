@@ -20,7 +20,7 @@ from qnnkit.neurons import (
     u_forward_batch,
     v_stage_forward,
 )
-from qnnkit.statevec import CircuitFragment, StateVector, with_zeros
+from qnnkit.statevec import CircuitFragment, StateVector
 
 rng = np.random.default_rng(7)
 
@@ -39,7 +39,8 @@ print("V block  simulated:", np.round(np.real(sim.amps), 6))
 x = np.array([0.5, 0.5, 0.5, 0.5])
 for w in ([1, 1, 1, 1], [1, -1, 1, -1]):
     closed, _ = u_forward_batch(x[None], np.array([w]))
-    circuit = with_zeros(x, 1).run(build_u_neuron(2, w)).marginals([2])[0]
+    state = StateVector(3, np.kron(x, [1.0, 0.0]))  # the ancilla, last, in |0>
+    circuit = state.run(build_u_neuron(2, w)).marginals([2])[0]
     print(f"U neuron w={w}: closed form {closed[0, 0]:.6f}, circuit {circuit:.6f}")
 
 # --- P: coherence-product neuron (probabilities in, one out) --------------

@@ -71,11 +71,6 @@ from .rules import (
     classify_path,
     validate_architecture,
 )
-from .statevec import (
-    CircuitFragment,
-    Gate,
-    StateVector,
-    with_zeros,
-)
+from .statevec import CircuitFragment, Gate, StateVector
 
 __all__ = [name for name in dir() if not name.startswith("_")]

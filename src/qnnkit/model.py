@@ -71,7 +71,7 @@ from .neurons import (
     v_view_forward_batch,
 )
 from .rules import validate_architecture
-from .statevec import CircuitFragment, fuse, insert_zeros
+from .statevec import CircuitFragment, insert_zeros, run_fused
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -617,17 +617,17 @@ def _pre_tail_map(v: CircuitFragment, u_frags: list) -> np.ndarray:
     U_j (V e_i (x) |0>) side by side, W = k 2^(n + 1), each ancilla last.
 
     Both are linear in the encoded amplitudes, so a row's states are its
-    encoding times this map. It is built by running the fused v stage on
-    the 2^n basis states, then each fused u gadget on them widened by
-    its ancilla in |0>.
+    encoding times this map. It is built by running the v stage on the
+    2^n basis states through ``run_fused``, then each u gadget on them
+    widened by its ancilla in |0>.
     """
     size = 2**v.qubit_span
-    images = fuse(v).run(np.eye(size, dtype=complex))
+    images = run_fused(v, np.eye(size))
     if u_frags:
         widened = insert_zeros(images[:, :, None], 1)
         images = np.empty((size, len(u_frags), widened.shape[1]), dtype=complex)
-        for j, u in enumerate(u_frags):  # a kernel step changes its argument in place
-            images[:, j] = fuse(u).run(widened.copy())
+        for j, u in enumerate(u_frags):
+            images[:, j] = run_fused(u, widened)
         images = images.reshape(size, -1)
     images.flags.writeable = False
     return images
@@ -663,7 +663,7 @@ def _observables(tail: CircuitFragment, outputs: list[int], stage_width: int) ->
         stage = tuple(q for q in order if q < stage_width)
         size = 2 ** len(stage)
         basis = insert_zeros(np.eye(size, dtype=complex)[:, :, None], len(order) - len(stage))
-        rows = fuse(frag).run(basis)
+        rows = run_fused(frag, basis)
         ones = rows.reshape(size, 2 ** index[output], 2, -1)[:, :, 1].reshape(size, -1)
         m = ones.conj() @ ones.T
         positions, matrices = groups.setdefault(stage, ([], []))
@@ -709,8 +709,8 @@ def circuit_inference_batch(
     The v stage and each u gadget are the ``_oracle_fragments`` that the
     compiled circuit places. They depend only on the parameters, as the
     observables do, and the states they give are linear in the encoded
-    amplitudes. So once per parameter set they are fused by
-    ``statevec.fuse`` and run on the 2^n basis states, giving the
+    amplitudes. So once per parameter set they run through
+    ``statevec.run_fused`` on the 2^n basis states, giving the
     ``_pre_tail_map``, and per row the v state, or all k u registers
     side by side, is one product of the encoding with that map: one
     stacked ``np.matmul`` for the chunk, and one more for every G. The
@@ -801,6 +801,19 @@ def save_checkpoint(path, arch: ArchitectureSpec, params: ParameterStore) -> Non
         fh.write(text)
 
 
+def _numbers(value) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; ValueError on any
+    other entry, such as "1" or true, which ``float`` would read as 1.0."""
+    entries = [value]
+    while entries:
+        entry = entries.pop()
+        if isinstance(entry, list):
+            entries.extend(entry)
+        elif type(entry) not in (int, float):
+            raise ValueError(f"a parameter value is not a number: {json.dumps(entry)}")
+    return np.array(value, dtype=float)
+
+
 def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
     """(arch, params) from ``path``; OSError if it cannot be read, and ValueError
     on every malformed file. Layers are read by key, so an unknown key (older
@@ -820,7 +833,7 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
         )
         p = payload["parameters"]
         groups = (p[f.name] for f in fields(ParameterStore))
-        params = ParameterStore(*groups).map(functools.partial(np.array, dtype=float))
+        params = ParameterStore(*groups).map(_numbers)
     except RecursionError:
         raise ValueError("JSON nested too deeply to read") from None
     except KeyError as exc:

@@ -31,25 +31,25 @@ does not check them again. ``extend`` splices one
 fragment into another in place, renaming qubits through ``append`` when
 given a mapping.
 
-``fuse`` compiles a fragment that will run many times into a
-``FusedProgram``. Each greedy run of gates whose qubits fit
-``FUSION_WIDTH`` (W = 4) adjacent qubits becomes one read-only
-2^W x 2^W matrix, applied to a whole (B, 2^n) batch as one ``np.matmul``
-on ``a.reshape(B * 2**lo, 2**W, -1)``; a gate wider than the window
-stays one kernel step. Fusing costs more than one gate-by-gate run, so
-it pays only where the same gates run on many states, as in
+``run_fused`` runs a fragment on a whole (B, 2^n) batch. Each greedy
+run of gates whose qubits fit ``FUSION_WIDTH`` (W = 4) adjacent qubits
+becomes one 2^W x 2^W matrix, applied as one ``np.matmul`` on
+``a.reshape(B * 2**lo, 2**W, -1)``; a gate wider than the window runs
+through its kernel. Building a block costs more than running its gates
+once, so it pays only where the same gates run on many states, as in
 ``model.circuit_inference_batch``. Only when it builds its one-entry
-memo, once per parameter set, does that oracle fuse its parameter-only
-parts and run them on basis states: the v stage and u gadgets on the
+memo, once per parameter set, does that oracle run its parameter-only
+parts, each once, on basis states: the v stage and u gadgets on the
 2^n encoded basis states, for its pre-tail map, and each output's light
 cone of its n/p tail, for that output's observable. Its rows then run
-no program and no gate kernel: their encoding is
+no fragment and no gate kernel: their encoding is
 ``encoding.amplitude_encoding_batch``, no gates at all, and their
 states are one product with the map.
-``StateVector.run`` stays gate by gate, for circuits that run once, such
-as the gadgets and compiled circuits of the tests and demos, and tests
-hold fused programs and the gate-free encoding to it. W = 5 measured no
-faster on the oracle's 5- to 10-qubit registers and slower on 20 qubits.
+``StateVector.run`` stays gate by gate, for circuits that run on one
+state, such as the gadgets and compiled circuits of the tests and
+demos, and tests hold ``run_fused`` and the gate-free encoding to it.
+W = 5 measured no faster on the oracle's 5- to 10-qubit registers and
+slower on 20 qubits.
 """
 
 from __future__ import annotations
@@ -87,23 +87,6 @@ class Gate:
         if self.kind in _CONTROLLED:
             return len(self.polarities) + 1
         raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    def matrix(self) -> np.ndarray:
-        """Dense unitary of this gate on its own qubits (2^arity square).
-
-        The controls come first, target last, in the order of the qubit
-        list passed to ``apply``.
-        """
-        if self.kind in ("H", "RX", "RY"):
-            return np.array(_entries(self), dtype=complex).reshape(2, 2)
-        k = self.arity - 1  # which checks the kind
-        m = np.eye(2 ** (k + 1), dtype=complex)
-        fire = sum(p << (k - i) for i, p in enumerate(self.polarities))  # target 0
-        if self.kind in _Z_KINDS:
-            m[fire + 1, fire + 1] = -1
-        else:
-            m[fire : fire + 2, fire : fire + 2] = [[0, 1], [1, 0]]
-        return m
 
 
 # Gate constructors; the fixed gates are singletons.
@@ -326,85 +309,57 @@ def insert_zeros(a: np.ndarray, extra: int) -> np.ndarray:
     return out.reshape(len(a), -1)
 
 
-def with_zeros(amps, extra: int) -> StateVector:
-    """A register holding ``amps`` and ``extra`` fresh qubits in |0...0>: after
-    a vector's qubits, or between a matrix's row and column qubits."""
-    amps = np.asarray(amps)
-    out = insert_zeros(amps.reshape(1, len(amps), -1), extra)[0]
-    return StateVector(out.size.bit_length() - 1, out)
-
-
 # Gate fusion: qubits per dense block, so a block is a 2^W x 2^W matrix.
 FUSION_WIDTH = 4
 
 
-@dataclass(frozen=True)
-class FusedProgram:
-    """A fragment's gates as a few steps, for a circuit that runs many times.
-
-    Each step is either ``(lo, matrix)``, the product of a run of gates
-    on the window of qubits lo..lo+W-1 as one read-only 2^W x 2^W matrix,
-    or ``(gate, qubits)``, one gate wider than the window, which runs
-    through its kernel.
-    """
-
-    qubit_span: int
-    steps: tuple
-
-    def run(self, a: np.ndarray) -> np.ndarray:
-        """The (B, 2^n) batch of states ``a`` after every step, for any
-        n >= the span: one ``np.matmul`` per block over all rows. A gate
-        step changes ``a`` in place, so pass states the caller owns."""
-        n = a.shape[1].bit_length() - 1
-        if self.qubit_span > n:
-            raise ValueError(f"program spans {self.qubit_span} qubits, register has {n}")
-        rows = len(a)
-        for head, body in self.steps:
-            if isinstance(head, Gate):
-                apply_gate(a, head, body)
-            else:
-                size = body.shape[0]
-                blocks = a.reshape(rows << head, size, (a.shape[1] >> head) // size)
-                a = np.matmul(body, blocks).reshape(rows, -1)
-        return a
-
-
-def fuse(fragment: CircuitFragment) -> FusedProgram:
-    """Fuse ``fragment`` greedily: each run of gates whose qubits fit
-    W adjacent qubits becomes one block, and a wider gate (the MCX of a
-    u or p gadget, or a wide u sign-flip CZ) stays a step.
-
-    A block's matrix is built by running its gates through the same
-    kernels on the 2^W basis states.
-    """
+def _windows(fragment: CircuitFragment):
+    """The fragment's gates split greedily into steps ``(lo, ops)``: a run
+    of gates whose qubits fit the W adjacent qubits lo..lo+W-1, or, with
+    lo None, one gate wider than the window (the MCX of a u or p gadget,
+    or a wide u sign-flip CZ)."""
     w = min(FUSION_WIDTH, fragment.qubit_span)
-    steps: list = []
-    block: list = []
+    ops: list = []
     lo = hi = 0
-
-    def close() -> None:
-        start = min(lo, fragment.qubit_span - w)
-        rows = np.eye(2**w, dtype=complex)  # row i becomes U e_i, so U is its transpose
-        for gate, qubits in block:
-            apply_gate(rows, gate, tuple(q - start for q in qubits))
-        matrix = rows.T.copy()
-        matrix.flags.writeable = False
-        steps.append((start, matrix))
-        block.clear()
-
     for gate, qubits in fragment.ops:
         first, last = min(qubits), max(qubits)
-        if block and max(hi, last) - min(lo, first) < w:
-            block.append((gate, qubits))
+        if ops and max(hi, last) - min(lo, first) < w:
             lo, hi = min(lo, first), max(hi, last)
-            continue
-        if block:
-            close()
-        if last - first < w:
-            block.append((gate, qubits))
-            lo, hi = first, last
         else:
-            steps.append((gate, qubits))
-    if block:
-        close()
-    return FusedProgram(fragment.qubit_span, tuple(steps))
+            if ops:
+                yield min(lo, fragment.qubit_span - w), ops
+            ops, lo, hi = [], first, last
+            if last - first >= w:
+                yield None, [(gate, qubits)]
+                continue
+        ops.append((gate, qubits))
+    if ops:
+        yield min(lo, fragment.qubit_span - w), ops
+
+
+def run_fused(fragment: CircuitFragment, a: np.ndarray) -> np.ndarray:
+    """The (B, 2^n) batch of states ``a`` after the fragment's gates, for
+    any n >= its span; ``a`` is left as it was.
+
+    Each window of gates becomes one 2^W x 2^W block, built by running
+    its gates through ``apply_gate`` on the 2^W basis states, and applied
+    to every row at once as one ``np.matmul``; a wider gate runs through
+    its kernel, on a copy while ``a`` is still the caller's array.
+    """
+    caller, a = a, np.asarray(a, dtype=complex)
+    n = a.shape[1].bit_length() - 1
+    if fragment.qubit_span > n:
+        raise ValueError(f"fragment spans {fragment.qubit_span} qubits, register has {n}")
+    rows, size = len(a), 2 ** min(FUSION_WIDTH, fragment.qubit_span)
+    for lo, ops in _windows(fragment):
+        if lo is None:
+            if a is caller:
+                a = a.copy()
+            apply_gate(a, *ops[0])
+            continue
+        block = np.eye(size, dtype=complex)  # row i becomes U e_i, so U is its transpose
+        for gate, qubits in ops:
+            apply_gate(block, gate, tuple(q - lo for q in qubits))
+        blocks = a.reshape(rows << lo, size, (a.shape[1] >> lo) // size)
+        a = np.matmul(block.T.copy(), blocks).reshape(rows, -1)
+    return a

@@ -42,7 +42,7 @@ from qnnkit.rules import (
     JunctionProfile,
     check_connection,
 )
-from qnnkit.statevec import StateVector, with_zeros
+from qnnkit.statevec import StateVector
 
 A = EncodingKind.AMPLITUDE
 P = EncodingKind.PROBABILITY
@@ -129,7 +129,8 @@ def test_criterion_1_gadget_oracle_equivalence():
         x = np.abs(rng.normal(size=2**n))
         x /= np.linalg.norm(x)
         w = rng.choice([-1.0, 1.0], size=2**n)
-        gadget = with_zeros(x, 1).run(build_u_neuron(n, w)).marginals([n])[0]
+        state = StateVector(n + 1, np.kron(x, [1.0, 0.0]))  # the ancilla, last, in |0>
+        gadget = state.run(build_u_neuron(n, w)).marginals([n])[0]
         worst = max(worst, abs(u_forward_batch(x[None], w[None])[0][0, 0] - gadget))
 
     for _ in range(200):  # P neurons, m <= 4

@@ -265,8 +265,8 @@ BAD_CHECKPOINTS = {
 def write_bad_checkpoints(tmp_path):
     """{tmp}/<name>.json for every malformed checkpoint that BAD_INPUT_CASES
     names: each of BAD_CHECKPOINTS, and ok.arch's own checkpoint with a NaN
-    angle, with "repeat": 2.0, or with "version": true; {tmp}/deep.json
-    nests too deeply to read."""
+    angle, with "repeat": 2.0, with "version": true, or with an angle of
+    "1" or true; {tmp}/deep.json nests too deeply to read."""
     from qnnkit.arch import parse_architecture
     from qnnkit.model import init_parameters, save_checkpoint
 
@@ -280,6 +280,9 @@ def write_bad_checkpoints(tmp_path):
     write(tmp_path, "float-repeat.json", json.dumps(saved))
     saved["architecture"]["layers"][0]["repeat"] = 2
     write(tmp_path, "version-true.json", json.dumps(dict(saved, version=True)))
+    for name, angle in (("angle-str", "1"), ("angle-true", True)):
+        saved["parameters"]["v_thetas"][0][0] = angle
+        write(tmp_path, f"{name}.json", json.dumps(saved))
     write(tmp_path, "deep.json", "[" * 200000 + "]" * 200000)
     for name, architecture in BAD_CHECKPOINTS.items():
         payload = {"format": "qnnkit-checkpoint", "version": 1, "architecture": architecture}
@@ -429,6 +432,23 @@ BAD_INPUT_CASES = {
         ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/version-true.json"],
         "version-true.json: unsupported checkpoint version True",
     ),
+    # ok.arch's own checkpoint with an angle of "1" or true, which float() reads as 1.0
+    "eval-checkpoint-angle-str": (
+        ["eval", "--checkpoint", "{tmp}/angle-str.json", "--dataset", "xor"],
+        'angle-str.json: a parameter value is not a number: "1"',
+    ),
+    "verify-checkpoint-angle-str": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/angle-str.json"],
+        'angle-str.json: a parameter value is not a number: "1"',
+    ),
+    "eval-checkpoint-angle-true": (
+        ["eval", "--checkpoint", "{tmp}/angle-true.json", "--dataset", "xor"],
+        "angle-true.json: a parameter value is not a number: true",
+    ),
+    "verify-checkpoint-angle-true": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/angle-true.json"],
+        "angle-true.json: a parameter value is not a number: true",
+    ),
     "train-seed-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--seed", "-1"], "non-negative integer"),
     "verify-seed-negative": (["verify", "--arch", "{tmp}/ok.arch", "--seed", "-1"], "non-negative integer"),
     "train-theta-option": (["train", "--arch", "{tmp}/theta.arch", *XOR_TRAIN], "theta.arch: line 5: unknown layer option 'theta'"),
@@ -513,7 +533,7 @@ def test_the_checkpoint_reader_raises_value_error_for_every_malformed_file(tmp_p
             name = Path(argv[argv.index("--checkpoint") + 1]).name
             if reason.startswith(f"{name}: "):
                 expected[name] = reason.removeprefix(f"{name}: ")
-    assert len(expected) == 10  # the two above and eight in BAD_INPUT_CASES
+    assert len(expected) == 12  # the two above and ten in BAD_INPUT_CASES
     for name, message in expected.items():
         with pytest.raises(ValueError) as info:
             load_checkpoint(tmp_path / name)

@@ -57,7 +57,6 @@ GUARDS = {
     "mcz-no-controls": (lambda: mcz(()), ValueError, "CZ needs at least one control"),
     "mcz-polarities": (lambda: mcz((2,)), ValueError, "polarities must be 0/1, got (2,)"),
     "gate-arity": (lambda: Gate("Y").arity, ValueError, "unknown gate kind 'Y'"),
-    "gate-matrix": (lambda: Gate("Y").matrix(), ValueError, "unknown gate kind 'Y'"),
     "statevector-amplitudes": (
         lambda: StateVector(2, np.ones(3)),
         ValueError,

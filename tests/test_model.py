@@ -709,11 +709,11 @@ def test_circuit_inference_respects_qubit_cap():
 
 def full_simulation(arch, params, x, fused=True):
     """Output marginals from one run of the whole compiled circuit, fused
-    by ``statevec.fuse`` or gate by gate through ``StateVector.run``."""
+    by ``statevec.run_fused`` or gate by gate through ``StateVector.run``."""
     circuit = build_network_circuit(arch, params, x)
     state = StateVector(circuit.fragment.qubit_span)
     if fused:
-        state.amps = statevec.fuse(circuit.fragment).run(state.amps[None])[0]
+        state.amps = statevec.run_fused(circuit.fragment, state.amps[None])[0]
     else:
         state.run(circuit.fragment)
     return state.marginals(circuit.output_qubits)
@@ -824,7 +824,7 @@ def assert_fuses_exactly(frag, rng):
     n = frag.qubit_span
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    fused = statevec.fuse(frag).run(amps[None].copy())[0]
+    fused = statevec.run_fused(frag, amps[None])[0]
     np.testing.assert_allclose(fused, StateVector(n, amps).run(frag).amps, rtol=0, atol=1e-13)
 
 
@@ -931,7 +931,7 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
         per_sample = []
         for x in (rng.uniform(0.01, 1.0, 16), np.eye(16)[5], np.linspace(0.0, 1.0, 16)):
             calls.clear()
-            model._ORACLE_MEMO.clear()  # so each count covers fusing the programs and running them
+            model._ORACLE_MEMO.clear()  # so each count covers building the memo
             circuit_inference(arch, params, x)
             per_sample.append(dict(calls))
         assert per_sample[0]["apply_1q"] > 0  # fusing runs each block's gates through the kernels
@@ -941,19 +941,19 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
 def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
     # every state the oracle simulates, the v and u registers' images of
     # the basis states and the tail rows its observables are built from,
-    # is run by a fused program, and the pre-tail map holds the u
+    # is run by ``run_fused``, and the pre-tail map holds the u
     # registers side by side; on a batch of one, the largest of them
     # holds at most 2^simulated_qubits amplitudes, and more than half that
     from qnnkit import model
 
     sizes = []
-    run = statevec.FusedProgram.run
+    run = model.run_fused
 
-    def recording(self, a):
+    def recording(fragment, a):
         sizes.append(a.size)  # rows x amplitudes
-        return run(self, a)
+        return run(fragment, a)
 
-    monkeypatch.setattr(statevec.FusedProgram, "run", recording)
+    monkeypatch.setattr(model, "run_fused", recording)
     nets = [load_architecture(path) for path in sorted(NETS.glob("*.arch"))]
     for arch in small_random_archs() + nets:
         x = np.linspace(0.1, 1.0, arch.input_dim)
@@ -990,7 +990,7 @@ def test_each_batch_row_is_the_single_sample_output_bit_for_bit(arch):
 @pytest.mark.parametrize("arch", net_cases())
 def test_a_warm_oracle_runs_no_program_and_no_gate_kernel(monkeypatch, arch):
     # once the memo holds the pre-tail map, a row is a product with it:
-    # no fused program runs, so no gate kernel either
+    # no fragment runs through ``run_fused``, so no gate kernel either
     from qnnkit import model
 
     params = init_parameters(arch, seed=0)
@@ -1001,7 +1001,7 @@ def test_a_warm_oracle_runs_no_program_and_no_gate_kernel(monkeypatch, arch):
     def record(name):
         return lambda *args: calls.update([name])
 
-    monkeypatch.setattr(statevec.FusedProgram, "run", record("FusedProgram.run"))
+    monkeypatch.setattr(model, "run_fused", record("run_fused"))
     for name in ("apply_1q", "controlled_x", "phase_flip"):
         monkeypatch.setattr(statevec, name, record(name))
     assert np.array_equal(circuit_inference_batch(arch, params, X), expected)

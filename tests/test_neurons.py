@@ -39,7 +39,6 @@ from qnnkit.statevec import (
     mcx,
     ry_entries,
     rx,
-    with_zeros,
 )
 
 
@@ -195,22 +194,30 @@ def test_sign_flip_fragment_is_one_controlled_z_per_anf_term():
             assert gate.kind in ("Z", "CZ") and gate.polarities == (1,) * (len(qubits) - 1)
 
 
+def u_gadget(x, w):
+    """The u gadget's output marginal on the amplitudes ``x``, its ancilla
+    (the last qubit) starting in |0>."""
+    n = len(x).bit_length() - 1
+    state = StateVector(n + 1, np.kron(x, [1.0, 0.0]))
+    return state.run(build_u_neuron(n, w)).marginals([n])[0]
+
+
 def test_u_neuron_basis_input():
     # x = (1,0,0,0), all-plus weights: (sum w.x)^2 / 4 = 1/4.
     x, w = np.array([1.0, 0, 0, 0]), np.ones(4)
-    assert abs(with_zeros(x, 1).run(build_u_neuron(2, w)).marginals([2])[0] - 0.25) < 1e-12
+    assert abs(u_gadget(x, w) - 0.25) < 1e-12
     assert abs(u_forward_batch(x[None], w[None])[0][0, 0] - 0.25) < 1e-15
 
 
 def test_u_neuron_uniform_input_saturates():
     x, w = np.full(4, 0.5), np.ones(4)
-    assert abs(with_zeros(x, 1).run(build_u_neuron(2, w)).marginals([2])[0] - 1.0) < 1e-12
+    assert abs(u_gadget(x, w) - 1.0) < 1e-12
     assert abs(u_forward_batch(x[None], w[None])[0][0, 0] - 1.0) < 1e-15
 
 
 def test_u_neuron_cancellation():
     x, w = np.full(4, 0.5), np.array([1.0, -1, 1, -1])
-    assert abs(with_zeros(x, 1).run(build_u_neuron(2, w)).marginals([2])[0]) < 1e-12
+    assert abs(u_gadget(x, w)) < 1e-12
     assert abs(u_forward_batch(x[None], w[None])[0][0, 0]) < 1e-15
 
 
@@ -220,7 +227,7 @@ def test_u_forward_matches_gadget_on_random_draws():
         for _ in range(50):
             x = np.abs(random_unit(rng, 2**n))  # pixel-like non-negative
             w = random_weights(rng, 2**n)
-            gadget = with_zeros(x, 1).run(build_u_neuron(n, w)).marginals([n])[0]
+            gadget = u_gadget(x, w)
             assert abs(u_forward_batch(x[None], w[None])[0][0, 0] - gadget) < 1e-9
         # the batched form the trainer runs: B=3 inputs against k=2 weight rows
         X = np.abs(np.stack([random_unit(rng, 2**n) for _ in range(3)]))
@@ -229,8 +236,7 @@ def test_u_forward_matches_gadget_on_random_draws():
         assert out.shape == dot.shape == (3, 2)
         for b in range(3):
             for j in range(2):
-                gadget = with_zeros(X[b], 1).run(build_u_neuron(n, W[j])).marginals([n])[0]
-                assert abs(out[b, j] - gadget) < 1e-9
+                assert abs(out[b, j] - u_gadget(X[b], W[j])) < 1e-9
 
 
 def test_u_forward_invariant_under_global_sign_flip():

@@ -6,6 +6,7 @@ arbitrary qubit positions and multiplies it out.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,15 +21,17 @@ from qnnkit.statevec import (
     StateVector,
     X,
     Z,
+    _entries,
+    _windows,
     apply_1q,
     controlled_x,
-    fuse,
+    insert_zeros,
     mcx,
     mcz,
     phase_flip,
+    run_fused,
     rx,
     ry,
-    with_zeros,
 )
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -51,6 +54,22 @@ def embed_oracle(mat: np.ndarray, positions, n: int) -> np.ndarray:
     return full
 
 
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """Dense unitary of ``gate`` on its own qubits (2^arity square): H, RX
+    and RY from the entries the kernels use, the controlled kinds built
+    here; the controls come first, target last."""
+    if gate.kind in ("H", "RX", "RY"):
+        return np.array(_entries(gate), dtype=complex).reshape(2, 2)
+    k = len(gate.polarities)
+    m = np.eye(2 ** (k + 1), dtype=complex)
+    fire = sum(p << (k - i) for i, p in enumerate(gate.polarities))  # target 0
+    if gate.kind in ("Z", "CZ"):
+        m[fire + 1, fire + 1] = -1
+    else:
+        m[fire : fire + 2, fire : fire + 2] = [[0, 1], [1, 0]]
+    return m
+
+
 def random_gate(rng) -> tuple[Gate, int]:
     """Random gate plus its arity, for circuit fuzzing."""
     kind = rng.choice(["H", "X", "Z", "RX", "RY", "CX", "CZ", "MCX", "MCZ"])
@@ -68,7 +87,7 @@ def apply_kernel(batch: np.ndarray, gate: Gate, positions) -> None:
     """Dispatch one gate to the batch kernels: H, RX and RY with entries
     from its dense matrix, the controlled kinds with their polarities."""
     if gate.kind in ("H", "RX", "RY"):
-        m = gate.matrix()
+        m = gate_matrix(gate)
         entries = m.ravel() if np.iscomplexobj(batch) else m.real.ravel()
         apply_1q(batch, positions[0], *entries)
     else:
@@ -103,7 +122,7 @@ def test_rx_pi_swaps_probabilities():
     # Oracle: multiply the RX(pi) matrix by the encoded state directly.
     p = 0.3
     state_vec = np.array([math.sqrt(1 - p), math.sqrt(p)], dtype=complex)
-    expected = rx(math.pi).matrix() @ state_vec
+    expected = gate_matrix(rx(math.pi)) @ state_vec
 
     s = StateVector(1, state_vec.copy()).apply(rx(math.pi), [0])
     np.testing.assert_allclose(s.amps, expected, atol=1e-14)
@@ -228,7 +247,7 @@ def test_gate_matrices_are_pinned():
         mcz((0, 1)): np.diag([1, 1, 1, -1, 1, 1, 1, 1]),
     }
     for gate, matrix in expected.items():
-        got = gate.matrix()
+        got = gate_matrix(gate)
         assert got.dtype == complex and np.array_equal(got, matrix), gate
 
 
@@ -238,7 +257,7 @@ def test_every_gate_matrix_is_unitary():
     gates += [rx(rng.uniform(-6, 6)) for _ in range(5)]
     gates += [ry(rng.uniform(-6, 6)) for _ in range(5)]
     for g in gates:
-        m = g.matrix()
+        m = gate_matrix(g)
         np.testing.assert_allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12)
 
 
@@ -260,7 +279,7 @@ def test_inplace_application_matches_kron_oracle():
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
 
-        oracle = embed_oracle(gate.matrix(), positions, n)
+        oracle = embed_oracle(gate_matrix(gate), positions, n)
         got = StateVector(n, amps.copy()).apply(gate, positions).amps
         np.testing.assert_allclose(got, oracle @ amps, atol=1e-12)
 
@@ -366,26 +385,26 @@ def test_run_rejects_fragment_wider_than_register():
         StateVector(1).run(CircuitFragment(2).append(H, 1))
 
 
-def test_with_zeros_puts_the_fresh_qubits_after_a_vectors_qubits():
+def test_insert_zeros_puts_the_fresh_qubits_after_a_vectors_qubits():
     amps = np.random.default_rng(81).normal(size=8) + 0j
     expected = np.zeros(8 << 2, dtype=complex)
     expected[::4] = amps
-    state = with_zeros(amps, 2)
-    assert state.n_qubits == 5
-    assert np.array_equal(state.amps, expected)
+    out = insert_zeros(amps[None, :, None], 2)
+    assert out.shape == (1, 2**5)
+    assert np.array_equal(out[0], expected)
 
 
-def test_with_zeros_puts_the_fresh_qubits_between_a_matrixs_row_and_column_qubits():
+def test_insert_zeros_puts_the_fresh_qubits_between_a_matrixs_row_and_column_qubits():
     rng = np.random.default_rng(82)
     m = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     expected = np.zeros(2**6, dtype=complex)  # 2 row qubits, 3 fresh, 1 column qubit
     for row in range(4):
         for col in range(2):
             expected[row * 2**4 + col] = m[row, col]
-    state = with_zeros(m, 3)
-    assert state.n_qubits == 6
-    assert np.array_equal(state.amps, expected)
-    assert np.array_equal(with_zeros(m, 0).amps, m.ravel())
+    out = insert_zeros(m[None], 3)
+    assert out.shape == (1, 2**6)
+    assert np.array_equal(out[0], expected)
+    assert np.array_equal(insert_zeros(m[None], 0)[0], m.ravel())
 
 
 def test_mcx_triggers_on_all_zeros_with_negative_polarity():
@@ -395,7 +414,7 @@ def test_mcx_triggers_on_all_zeros_with_negative_polarity():
 
 
 # ---------------------------------------------------------------------------
-# fused programs
+# fused runs
 # ---------------------------------------------------------------------------
 
 
@@ -422,12 +441,12 @@ def random_fragment(rng, n: int, count: int) -> CircuitFragment:
 
 
 def kron_unitary(fragment: CircuitFragment) -> np.ndarray:
-    """The fragment's 2^n x 2^n unitary: each Gate.matrix() np.kron'd with
+    """The fragment's 2^n x 2^n unitary: each gate_matrix() np.kron'd with
     the identity on the other qubits, its axes moved to the gate's qubits."""
     n = fragment.qubit_span
     total = np.eye(2**n, dtype=complex)
     for gate, qubits in fragment.ops:
-        full = np.kron(gate.matrix(), np.eye(2 ** (n - len(qubits))))  # gate qubits first
+        full = np.kron(gate_matrix(gate), np.eye(2 ** (n - len(qubits))))  # gate qubits first
         order = list(qubits) + [q for q in range(n) if q not in qubits]
         perm = list(np.argsort(order))
         full = full.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
@@ -440,10 +459,10 @@ def test_a_fragment_within_the_window_fuses_to_its_kron_product():
     for n in range(1, FUSION_WIDTH + 1):
         for _ in range(10):
             frag = random_fragment(rng, n, 12)
-            (step,) = fuse(frag).steps
-            lo, matrix = step
-            assert lo == 0 and not matrix.flags.writeable
-            np.testing.assert_allclose(matrix, kron_unitary(frag), rtol=0, atol=1e-13)
+            ((lo, _),) = _windows(frag)  # one block
+            assert lo == 0
+            rows = run_fused(frag, np.eye(2**n))  # row i is U e_i
+            np.testing.assert_allclose(rows.T, kron_unitary(frag), rtol=0, atol=1e-13)
 
 
 def test_fused_programs_match_gate_by_gate_runs():
@@ -453,22 +472,22 @@ def test_fused_programs_match_gate_by_gate_runs():
     for n in range(1, 9):
         for _ in range(15):
             frag = random_fragment(rng, n, int(rng.integers(1, 40)))
-            program = fuse(frag)
             amps = random_state(rng, n)
-            fused = program.run(amps[None].copy())[0]
+            fused = run_fused(frag, amps[None])[0]
             np.testing.assert_allclose(
                 fused, StateVector(n, amps).run(frag).amps, rtol=0, atol=1e-13
             )
-            for head, _ in program.steps:
-                if isinstance(head, Gate):
-                    wide_kinds.add(head.kind if len(set(head.polarities)) == 2 else "one polarity")
+            for lo, ops in _windows(frag):
+                if lo is None:
+                    ((gate, _),) = ops
+                    wide_kinds.add(gate.kind if len(set(gate.polarities)) == 2 else "one polarity")
                 elif n > FUSION_WIDTH:
-                    first_window |= head == 0
-                    last_window |= head == n - FUSION_WIDTH
-            # a register wider than the program's span takes it too, like StateVector.run
+                    first_window |= lo == 0
+                    last_window |= lo == n - FUSION_WIDTH
+            # a register wider than the fragment's span takes it too, like StateVector.run
             wider = random_state(rng, n + 1)
             np.testing.assert_allclose(
-                program.run(wider[None].copy())[0],
+                run_fused(frag, wider[None])[0],
                 StateVector(n + 1, wider).run(frag).amps, rtol=0, atol=1e-13,
             )
     # wide gates with mixed polarities of both types ran as kernel steps
@@ -477,4 +496,31 @@ def test_fused_programs_match_gate_by_gate_runs():
 
 def test_a_program_rejects_a_narrower_register():
     with pytest.raises(ValueError, match="spans 2"):
-        fuse(CircuitFragment(2).append(H, 1)).run(StateVector(1).amps[None])
+        run_fused(CircuitFragment(2).append(H, 1), StateVector(1).amps[None])
+
+
+@pytest.mark.parametrize("wide_first", [True, False], ids=["kernel-first", "block-first"])
+def test_run_fused_leaves_its_argument_unchanged(wide_first):
+    # a 5-qubit MCX is wider than the window, so it runs through its kernel
+    frag = CircuitFragment(5)
+    if not wide_first:
+        frag.append(ry(0.3), 4)
+    frag.append(mcx((1, 0, 1, 1)), 0, 1, 2, 3, 4).append(H, 0).append(CZ, 1, 2)
+    ((lo, _), *_) = _windows(frag)
+    assert (lo is None) == wide_first
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(3, 2**5)) + 1j * rng.normal(size=(3, 2**5))
+    before = a.copy()
+    out = run_fused(frag, a)
+    assert np.array_equal(a, before)
+    if not wide_first:
+        # a block reads its input, so one window allocates one batch, its
+        # output, and no copy of the caller's batch
+        big = np.zeros((4, 2**12), dtype=complex)
+        tracemalloc.start()
+        run_fused(CircuitFragment(5).append(ry(0.3), 4), big)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.5 * big.nbytes
+    for row, amps in zip(out, before):
+        np.testing.assert_allclose(row, StateVector(5, amps).run(frag).amps, rtol=0, atol=1e-13)
