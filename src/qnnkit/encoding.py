@@ -184,8 +184,9 @@ def amplitude_encoding_batch(rows) -> np.ndarray:
     w = W[gray[i]] (``_cross_signs``). These are the products that
     ``apply_1q`` forms on the swapped pairs, joined by the same sums up
     to order, and after the ladder's last CX no pair is swapped. A step
-    forms its cross term in one buffer and updates ``pairs`` in place,
-    the same two products and one sum.
+    forms its cross term in one buffer, s pairs[:, ::-1] signed by w,
+    which is exact for w = +-1, and updates ``pairs`` in place: the same
+    two products and one sum, and no coefficient table per row.
     """
     levels = _level_angles(_rows(rows, 2))
     count = len(levels[0])
@@ -198,8 +199,9 @@ def amplitude_encoding_batch(rows) -> np.ndarray:
         pairs = np.zeros((count, 2, 2**level))
         pairs[:, 0] = amps
         cross = np.empty_like(pairs)
-        for c, t in zip(cos[steps], sin[steps] * _cross_signs(level)):
-            np.multiply(t, pairs[:, ::-1], out=cross)
+        for c, s, w in zip(cos[steps], sin[steps], _cross_signs(level)):
+            np.multiply(pairs[:, ::-1], s, out=cross)
+            cross *= w
             pairs *= c
             pairs += cross
         amps = pairs.swapaxes(1, 2).reshape(count, 2 << level)  # qubit l is the last bit

@@ -14,16 +14,20 @@ Two semantics coexist on purpose:
   register. ``circuit_inference_batch`` reads that circuit's output
   marginals for a batch of inputs by exact register-factored simulation
   of the same fragments. Once per parameter set it builds the pre-tail
-  map, the image of each of the 2^n encoded basis states under the v
-  stage and then each u gadget on its own n + 1 qubits, and one
-  observable of the n/p tail per output on the output's light cone. Per
-  row, one product with the map gives every u register, each register
-  hands on only its ancilla's 2 x 2 reduced state, and each output is
-  read from those states through its observable.
-  ``circuit_inference`` is its batch of one. ``max_qubits`` therefore
-  bounds the plan's ``simulated_qubits`` (for k u neurons the larger of
-  the map's ceil(log2(k 2^(2n + 1))) and, with a p layer, 2k + the p
-  widths), not its ``compiled_qubits``.
+  map, the image of each of the 2^n encoded basis states. Without a u
+  layer the net is one pure state on its n + p qubits until the final
+  measurement: the map runs the v stage and the n/p tail, and a row's
+  outputs are the marginals of its one product with the map. With k u
+  neurons the map runs the v stage and then each u gadget on its own
+  n + 1 qubits, and one observable of the n/p tail is built per output
+  on the output's light cone; per row, one product with the map gives
+  every u register, each register hands on only its ancilla's 2 x 2
+  reduced state, and each output is read from those states through its
+  observable. ``circuit_inference`` is its batch of one. ``max_qubits``
+  therefore bounds the plan's ``simulated_qubits`` (2n + p without a u
+  layer; for k u neurons the larger of the map's
+  ceil(log2(k 2^(2n + 1))) and, with a p layer, 2k + the p widths), not
+  its ``compiled_qubits``.
 
 Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets) and
@@ -71,7 +75,7 @@ from .neurons import (
     v_view_forward_batch,
 )
 from .rules import validate_architecture
-from .statevec import CircuitFragment, insert_zeros, run_fused
+from .statevec import CircuitFragment, insert_zeros, marginals_batch, run_fused
 
 CHECKPOINT_FORMAT = "qnnkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -82,8 +86,7 @@ DEFAULT_MAX_QUBITS = 24
 
 # circuit_inference_batch simulates its rows in chunks whose widest
 # arrays hold at most this many values in all (16 MiB of amplitudes), or
-# one row: per row, the widest register, the encoder's last ladder
-# table, 2^(2n - 1) coefficients for n input qubits, or the 4^c entries
+# one row: per row, its image under the pre-tail map, or the 4^c entries
 # of the density matrix on an output's c light-cone qubits.
 ORACLE_BATCH_AMPLITUDES = 2**20
 
@@ -157,7 +160,7 @@ class Plan:
     p_width: int  # p outputs in all, one fresh qubit each
     compiled_qubits: int  # register of build_network_circuit
     simulated_qubits: int  # ceil(log2) of the largest amplitude array circuit_inference holds
-    observable_qubits: int  # widest light cone of an output on the stage qubits
+    observable_qubits: int  # widest light cone of an output on the u ancillas, 0 without u
     shapes: tuple  # of (v_thetas, uw_latent or None, n_thetas, pw_latent)
 
     def check_qubit_cap(self, max_qubits: int) -> None:
@@ -174,15 +177,17 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
 
     With k u neurons on n qubits the compiled register holds k registers
     of n + 1 qubits (n without a u layer) plus the p outputs. The factored
-    simulation holds, per parameter set, the pre-tail map: the 2^n images
-    of the v stage's basis states, each the k u registers side by side,
-    k 2^(2n + 1) amplitudes, or 2^(2n) without a u layer. An output's
-    light cone through the n/p tail is its own stage qubit without a p
-    layer, and every stage qubit (k, or n without u) with one. Per
-    parameter set, the observable of the last output is built from 2^c
-    basis states of its c cone qubits plus all p outputs, and each row
-    holds a 2^c x 2^c density matrix. ``simulated_qubits`` is the larger
-    of ceil(log2) of the map and 2c + the p widths.
+    simulation holds, per parameter set, the pre-tail map: the images of
+    the 2^n encoded basis states. Without a u layer each image is the
+    whole net's state on n + p qubits, 2^(2n + p) amplitudes in all, and
+    no observable is built. With one, each image is the k u registers
+    side by side, k 2^(2n + 1) amplitudes, and an output's light cone
+    through the n/p tail is its own u ancilla without a p layer and all
+    k ancillas with one. Per parameter set, the observable of the last
+    output is built from 2^c basis states of its c cone qubits plus all
+    p outputs, and each row holds a 2^c x 2^c density matrix.
+    ``simulated_qubits`` is the larger of ceil(log2) of the map and
+    2c + the p widths.
     """
     kinds = "".join(l.kind for l in arch.layers)
     v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers
@@ -209,11 +214,11 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
         stages.append(Stage(layer.kind, layer.width, indices))
         width = layer.width
     p_width = sum(s.width for s in stages if s.kind == "p")
-    if u_width is None:
-        compiled, pre_tail = n + p_width, 2 * n
+    if u_width is None:  # 2^n images of n + p qubits, read as marginals
+        compiled, pre_tail, cone = n + p_width, 2 * n + p_width, 0
     else:  # ceil(log2(k 2^(2n + 1)))
         compiled, pre_tail = u_width * (n + 1) + p_width, (u_width - 1).bit_length() + 2 * n + 1
-    cone = (n if u_width is None else u_width) if p_width else 1
+        cone = u_width if p_width else 1
     simulated = max(pre_tail, 2 * cone + p_width)
     u_shape = None if u_width is None else (u_width, arch.input_dim)
     blocks = sum(l.repeat for l in arch.layers[:v])
@@ -592,10 +597,12 @@ _ORACLE_MEMO: dict = {}
 
 
 def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore) -> tuple:
-    """(pre-tail map, k, observables) for the parameters as they are now:
-    the ``_pre_tail_map`` of ``_oracle_fragments``' v stage and k u
-    gadgets (k = 0 without a u layer), and the ``_observables`` of its
-    tail.
+    """(pre-tail map, k, readout) for the parameters as they are now.
+
+    With k u neurons: the ``_pre_tail_map`` of ``_oracle_fragments``' v
+    stage and u gadgets, and as readout the ``_observables`` of its tail.
+    Without a u layer, k = 0: the map of the v stage and the tail joined
+    into one fragment on n + p qubits, and as readout the output qubits.
 
     The key is read from the arrays at every call, so an in-place update
     misses; a miss replaces the one entry.
@@ -604,25 +611,31 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     programs = _ORACLE_MEMO.get(key)
     if programs is None:
         v, u_frags, tail, outputs = _oracle_fragments(arch, plan, params)
-        observables = _observables(tail, outputs, plan.u_width or arch.n_qubits)
-        programs = (_pre_tail_map(v, u_frags), len(u_frags), observables)
+        if u_frags:
+            readout = _observables(tail, outputs, plan.u_width)
+        else:  # one pure state until the final measurement
+            v = CircuitFragment(tail.qubit_span).extend(v).extend(tail)
+            readout = tuple(outputs)
+        programs = (_pre_tail_map(arch.n_qubits, v, u_frags), len(u_frags), readout)
         _ORACLE_MEMO.clear()
         _ORACLE_MEMO[key] = programs
     return programs
 
 
-def _pre_tail_map(v: CircuitFragment, u_frags: list) -> np.ndarray:
+def _pre_tail_map(n: int, v: CircuitFragment, u_frags: list) -> np.ndarray:
     """Read-only (2^n, W) complex array whose row i is the image of the
-    basis state e_i: V e_i, W = 2^n, or with k u neurons the k registers
+    encoded basis state e_i: V e_i, with the qubits after the first n of
+    ``v`` in |0>, W = 2^span(v); or with k u neurons the k registers
     U_j (V e_i (x) |0>) side by side, W = k 2^(n + 1), each ancilla last.
 
     Both are linear in the encoded amplitudes, so a row's states are its
-    encoding times this map. It is built by running the v stage on the
-    2^n basis states through ``run_fused``, then each u gadget on them
-    widened by its ancilla in |0>.
+    encoding times this map. It is built by running ``v`` (without a u
+    layer, the v stage and the n/p tail) on the 2^n basis states through
+    ``run_fused``, then each u gadget on them widened by its ancilla in
+    |0>.
     """
-    size = 2**v.qubit_span
-    images = run_fused(v, np.eye(size))
+    size = 2**n
+    images = run_fused(v, insert_zeros(np.eye(size)[:, :, None], v.qubit_span - n))
     if u_frags:
         widened = insert_zeros(images[:, :, None], 1)
         images = np.empty((size, len(u_frags), widened.shape[1]), dtype=complex)
@@ -635,10 +648,10 @@ def _pre_tail_map(v: CircuitFragment, u_frags: list) -> np.ndarray:
 
 def _observables(tail: CircuitFragment, outputs: list[int], stage_width: int) -> tuple:
     """For each group of outputs with the same light cone on the first
-    ``stage_width`` qubits of ``tail``: (cone, output positions, M), M
-    holding one 2^c x 2^c Hermitian observable per output, so that the
-    output reads tr(M_o rho) for the stage qubits' reduced state rho on
-    the c cone qubits.
+    ``stage_width`` qubits of ``tail``, the u ancillas: (cone, output
+    positions, M), M holding one 2^c x 2^c Hermitian observable per
+    output, so that the output reads tr(M_o rho) for the ancillas'
+    reduced state rho on the c cone qubits.
 
     An output's light cone is the set of qubits, and the ops, reached by
     walking the tail backwards from it: an op joins when it touches a
@@ -687,18 +700,21 @@ def circuit_inference_batch(
     exact, register-factored simulation of the network that
     ``build_network_circuit`` compiles for each row.
 
-    After its u gadget, a u register is touched only through its
-    ancilla, and the u registers are separate copies. So each u neuron
-    acts alone on the v stage's state plus its ancilla, and the register
-    is replaced by its ancilla's 2 x 2 reduced density matrix
-    G = M^T conj(M), M being the 2^n x 2 rest-by-ancilla amplitude
-    matrix. The stage qubits' state is then the product of the k G's, or
-    the v state itself without a u layer. The n/p tail is read in the
+    Without a u layer the net is one pure state until the final
+    measurement: a row's state on the n + p qubits is one product of its
+    encoding with the ``_pre_tail_map`` of the v stage and the n/p tail,
+    and its outputs are that state's marginals. With a u layer, after
+    its u gadget a u register is touched only through its ancilla, and
+    the u registers are separate copies. So each u neuron acts alone on
+    the v stage's state plus its ancilla, and the register is replaced
+    by its ancilla's 2 x 2 reduced density matrix G = M^T conj(M), M
+    being the 2^n x 2 rest-by-ancilla amplitude matrix. The ancillas'
+    state is then the product of the k G's. The n/p tail is read in the
     Heisenberg picture: output o is tr(M_o rho), rho being that state
     reduced to o's light cone, and M_o the fixed observable
     ``_observables`` builds once per parameter set. This is exact,
-    because the tail touches only the stage qubits and its p outputs
-    start in |0>. ``max_qubits`` caps ``pipeline(arch).simulated_qubits``,
+    because the tail touches only the ancillas and its p outputs start
+    in |0>. ``max_qubits`` caps ``pipeline(arch).simulated_qubits``,
     ceil(log2) of the largest amplitude array held; rows run in chunks of
     at most ``ORACLE_BATCH_AMPLITUDES`` values in their widest per-row
     arrays.
@@ -706,15 +722,15 @@ def circuit_inference_batch(
     Only the amplitude encoding depends on the input, and it runs without
     a gate list: ``amplitude_encoding_batch`` gives the amplitudes that
     ``amplitude_encoding_fragment`` prepares for each row, bit for bit.
-    The v stage and each u gadget are the ``_oracle_fragments`` that the
-    compiled circuit places. They depend only on the parameters, as the
-    observables do, and the states they give are linear in the encoded
+    The v stage, each u gadget and the tail are the ``_oracle_fragments``
+    that the compiled circuit places. They depend only on the
+    parameters, and the states they give are linear in the encoded
     amplitudes. So once per parameter set they run through
     ``statevec.run_fused`` on the 2^n basis states, giving the
-    ``_pre_tail_map``, and per row the v state, or all k u registers
+    ``_pre_tail_map``, and per row the net's state, or all k u registers
     side by side, is one product of the encoding with that map: one
     stacked ``np.matmul`` for the chunk, and one more for every G. The
-    map is kept with the observables in a one-entry memo keyed by
+    map is kept with the readout in a one-entry memo keyed by
     ``arch`` and the shape, dtype and bytes of every parameter array,
     read at each call, so an in-place update is a miss. This pays
     because callers repeat parameters: ``qnnkit verify`` and the
@@ -727,10 +743,9 @@ def circuit_inference_batch(
     plan.check_qubit_cap(max_qubits)
     X = _checked_input(arch, X, ndim=2)
     programs = _oracle_programs(arch, plan, params)
-    # per row: its image under the pre-tail map, the encoder's last
-    # ladder table, and rho
+    # per row: its image under the pre-tail map, and rho
     psi_qubits = (programs[0].shape[1] - 1).bit_length()
-    widest = max(psi_qubits, 2 * arch.n_qubits - 1, 2 * plan.observable_qubits)
+    widest = max(psi_qubits, 2 * plan.observable_qubits)
     rows = max(1, ORACLE_BATCH_AMPLITUDES >> widest)
     out = np.empty((len(X), arch.num_classes))
     for start in range(0, len(X), rows):
@@ -750,37 +765,25 @@ def circuit_inference(
 
 def _oracle_rows(programs: tuple, X: np.ndarray) -> np.ndarray:
     """``circuit_inference_batch`` of the rows ``X``, given the memo's
-    pre-tail map, u width k and observables."""
-    pre_tail, k, observables = programs
+    pre-tail map, u width k and readout."""
+    pre_tail, k, readout = programs
     encoded = amplitude_encoding_batch(X)
     psi = np.matmul(encoded[:, None, :], pre_tail)[:, 0]  # each row's own product
-    if k:
-        registers = psi.reshape(len(X), k, -1, 2)  # each M, its ancilla last
-        grams = np.matmul(registers.swapaxes(2, 3), registers.conj())  # (B, k, 2, 2)
-    out = np.empty((len(X), sum(len(positions) for _, positions, _ in observables)))
-    for cone, positions, m in observables:
-        if k:
-            rho = grams[:, cone[0]]
-            for j in cone[1:]:  # np.kron(rho, G_j) per row
-                rho = rho[:, :, None, :, None] * grams[:, j, None, :, None, :]
-                rho = rho.reshape(len(X), 2 * rho.shape[1], -1)
-        else:
-            rho = _reduced_state(psi, cone)
+    if not k:
+        return marginals_batch(psi, readout)
+    registers = psi.reshape(len(X), k, -1, 2)  # each M, its ancilla last
+    grams = np.matmul(registers.swapaxes(2, 3), registers.conj())  # (B, k, 2, 2)
+    out = np.empty((len(X), sum(len(positions) for _, positions, _ in readout)))
+    for cone, positions, m in readout:
+        rho = grams[:, cone[0]]
+        for j in cone[1:]:  # np.kron(rho, G_j) per row
+            rho = rho[:, :, None, :, None] * grams[:, j, None, :, None, :]
+            rho = rho.reshape(len(X), 2 * rho.shape[1], -1)
         # Re tr(M rho) = Re sum rho_ab conj(M_ab) for Hermitian M, as one
         # real product per row of rho's and M's interleaved re/im values
         flat = rho.reshape(len(X), 1, -1).view(float)
         out[:, positions] = np.matmul(flat, m.reshape(len(m), -1).view(float).T)[:, 0]
     return out
-
-
-def _reduced_state(states: np.ndarray, qubits) -> np.ndarray:
-    """(B, 2^c, 2^c): the reduced density matrix of each (B, 2^m) row of
-    ``states`` on the c listed qubits, the first the most significant."""
-    m = states.shape[1].bit_length() - 1
-    order = [0, *(1 + q for q in qubits), *(1 + q for q in range(m) if q not in qubits)]
-    a = states.reshape((len(states),) + (2,) * m).transpose(order)
-    a = a.reshape(len(states), 2 ** len(qubits), -1)
-    return np.matmul(a, a.conj().swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------

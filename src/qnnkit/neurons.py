@@ -271,11 +271,9 @@ def amplitude_sign_flips(w) -> CircuitFragment:
         raise ValueError(f"weight length must be a power of two, got {size}")
 
     anf = (w < 0).astype(int)
-    for bit in range(n):
-        step = 1 << bit
-        for k in range(size):
-            if k & step:
-                anf[k] ^= anf[k ^ step]
+    for bit in range(n):  # anf[k] ^= anf[k ^ 2^bit] wherever k has that bit set
+        h = anf.reshape(-1, 2, 1 << bit)
+        h[:, 1] ^= h[:, 0]
 
     frag = CircuitFragment(n)
     for mask in range(1, size):

@@ -15,14 +15,8 @@ cost O(2^n) per state, never O(4^n); a StateVector is a batch of one
 complex state. The X-type kernel ``controlled_x`` (a swap) and the
 Z-type ``phase_flip`` (a sign flip) take the same (controls,
 polarities, target), the gate's own polarities, so both are exact.
-The trainer calls only ``controlled_x``, for its V block tables. It
-runs its batch amplitude-major, as a C-ordered (2^n, B) transpose, and
-each RY there is one row gather through an n x 2^n partner table
-followed by ``apply_1q``'s products and one sum, so the bytes are
-``apply_1q``'s. ``apply_1q`` on the batch itself was 1.8-2.7x slower
-for the v stage (n = 4-6, B = 32, 2 blocks), and the simulator would
-need 704 MiB for the table at 22 qubits. A StateVector is
-exclusively owned while mutated; nothing here shares state between threads.
+A StateVector is exclusively owned while mutated; nothing here shares
+state between threads.
 
 A CircuitFragment is built one way: ``append`` is where every gate
 joins, and it checks the gate's qubits once, with the same
@@ -36,18 +30,11 @@ run of gates whose qubits fit ``FUSION_WIDTH`` (W = 4) adjacent qubits
 becomes one 2^W x 2^W matrix, applied as one ``np.matmul`` on
 ``a.reshape(B * 2**lo, 2**W, -1)``; a gate wider than the window runs
 through its kernel. Building a block costs more than running its gates
-once, so it pays only where the same gates run on many states, as in
-``model.circuit_inference_batch``. Only when it builds its one-entry
-memo, once per parameter set, does that oracle run its parameter-only
-parts, each once, on basis states: the v stage and u gadgets on the
-2^n encoded basis states, for its pre-tail map, and each output's light
-cone of its n/p tail, for that output's observable. Its rows then run
-no fragment and no gate kernel: their encoding is
-``encoding.amplitude_encoding_batch``, no gates at all, and their
-states are one product with the map.
+once, so it pays only where the same gates run on many states, such
+as a fragment's images of all the basis states.
 ``StateVector.run`` stays gate by gate, for circuits that run on one
 state, such as the gadgets and compiled circuits of the tests and
-demos, and tests hold ``run_fused`` and the gate-free encoding to it.
+demos, and tests hold ``run_fused`` to it.
 W = 5 measured no faster on the oracle's 5- to 10-qubit registers and
 slower on 20 qubits.
 """

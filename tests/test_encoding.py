@@ -1,6 +1,7 @@
 """Encoding tests: analytic encodings, preparation circuits, round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_the_encoded_state_is_the_fragments_run_bit_for_bit():
             expected = StateVector(n).run(amplitude_encoding_fragment(row)).amps
             assert np.array_equal(encoded, expected)
             assert np.array_equal(amplitude_encoding_batch(row[None])[0], expected)
+
+
+def test_the_batch_encoder_holds_no_coefficient_table_per_row():
+    # 64 rows of 2^8 values: the states are 128 KiB, where the last
+    # level's cross-term coefficients for every step would be 16 MiB
+    rows = np.random.default_rng(17).uniform(-1.0, 1.0, size=(64, 256))
+    amplitude_encoding_batch(rows)  # fills the per-level caches
+    tracemalloc.start()
+    try:
+        amplitude_encoding_batch(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_the_batch_encoder_takes_rows_only():

@@ -107,7 +107,8 @@ def test_core_has_no_unused_imports(path):
 
 
 def definitions(source: str):
-    """(line, name) of every top-level function and class and every non-dunder method."""
+    """(line, name) of every top-level function and class, and (line,
+    ".name") of every non-dunder method, which only an attribute reaches."""
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
@@ -116,21 +117,24 @@ def definitions(source: str):
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield item.lineno, item.name
+                    yield item.lineno, "." + item.name
 
 
 def references(source: str, traced: bool = False):
-    """Every name ``source`` refers to: names, attributes and imported names.
+    """Every name ``source`` refers to: each name it reads or imports, and
+    ".attr" for each attribute.
 
-    With ``traced``, also the attribute that each ``tracer.wrap(owner,
-    "attr", ...)`` replaces, as the benchmark worker's tracing does. A
-    definition is not a reference to itself.
+    A name that is only assigned is no reference, and a bare name is none
+    to a method: a local variable spelled like a dead method does not keep
+    it. With ``traced``, also ".attr" for the attribute that each
+    ``tracer.wrap(owner, "attr", ...)`` replaces, as the benchmark
+    worker's tracing does. A definition is not a reference to itself.
     """
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield "." + node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
         elif (
@@ -143,7 +147,13 @@ def references(source: str, traced: bool = False):
             and len(node.args) >= 2
             and isinstance(node.args[1], ast.Constant)
         ):
-            yield node.args[1].value
+            yield "." + node.args[1].value
+
+
+def is_used(name: str, used: set) -> bool:
+    """A top-level ``name`` is used as a bare name or an attribute, a
+    method ".name" only as an attribute."""
+    return name in used or "." + name in used
 
 
 def test_dead_names_are_found():
@@ -155,14 +165,23 @@ def test_dead_names_are_found():
         "    def read(self): pass\n"
         "    def traced(self): pass\n"
         "    def gone(self): pass\n"
+        "def stored(): pass\n"
     )
-    used = set(references("from box import used\nBox().read()\n"))
+    user = (
+        "from box import used\n"
+        "Box().read()\n"
+        "def local():\n"
+        "    gone = stored = 1\n"  # locals named like a dead method and function
+        "    return gone\n"
+    )
+    used = set(references(user))
     used |= set(references("tracer.wrap(Box, 'traced', 'box.traced')\n", traced=True))
-    assert [(line, name) for line, name in definitions(source) if name not in used] == [
+    assert [(line, name) for line, name in definitions(source) if not is_used(name, used)] == [
         (2, "dead"),
-        (7, "gone"),
+        (7, ".gone"),
+        (8, "stored"),
     ]
-    assert "traced" not in set(references("tracer.wrap(Box, 'traced', 'box.traced')\n"))
+    assert ".traced" not in set(references("tracer.wrap(Box, 'traced', 'box.traced')\n"))
 
 
 def test_every_name_defined_in_the_core_is_used():
@@ -177,7 +196,7 @@ def test_every_name_defined_in_the_core_is_used():
         f"{path.name}:{line}: {name}"
         for path in sorted((ROOT / "src" / "qnnkit").glob("*.py"))
         for line, name in definitions(path.read_text(encoding="utf-8"))
-        if name not in used
+        if not is_used(name, used)
     ]
     assert dead == []
 
@@ -193,6 +212,6 @@ def test_no_name_in_the_core_is_used_only_by_tests_and_demos():
         f"{path.name}:{line}: {name}"
         for path in sorted((ROOT / "src" / "qnnkit").glob("*.py"))
         for line, name in definitions(path.read_text(encoding="utf-8"))
-        if name not in used
+        if not is_used(name, used)
     ]
     assert test_only == []

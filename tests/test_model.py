@@ -1018,9 +1018,49 @@ def test_the_batched_oracle_takes_an_empty_batch_and_refuses_one_sample():
         circuit_inference_batch(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
 
 
-@pytest.mark.parametrize("arch", net_cases())
+def test_a_u_less_net_chunks_its_rows_by_its_image_under_the_map(monkeypatch):
+    # n = 8 and p = 2: a row's image holds 2^10 amplitudes and nothing per
+    # row is wider, so 2^20 values make chunks of 1024 rows
+    from qnnkit import model
+
+    arch = from_kinds(256, 2, "vp")
+    chunks = []
+
+    def spied(programs, X):
+        chunks.append(len(X))
+        return np.zeros((len(X), arch.num_classes))
+
+    monkeypatch.setattr(model, "_oracle_rows", spied)
+    X = np.ones((2048, arch.input_dim))
+    circuit_inference_batch(arch, init_parameters(arch, seed=0), X)
+    assert chunks == [1024, 1024]
+
+
+def net_cases_with(u_layer: bool):
+    """The ``net_cases()`` with a u layer, or those without one."""
+    for case in net_cases():
+        if (pipeline(case.values[0]).u_width is not None) == u_layer:
+            yield case
+
+
+@pytest.mark.parametrize("arch", net_cases_with(u_layer=False))
+def test_a_u_less_memo_holds_the_output_qubits_and_no_observable(arch):
+    # one pure state until the final measurement: its outputs are marginals
+    # of the map's image on n + p qubits, and the plan counts no light cone
+    from qnnkit import model
+
+    plan = pipeline(arch)
+    params = init_parameters(arch, seed=0)
+    pre_tail, k, readout = model._oracle_programs(arch, plan, params)
+    outputs = model._oracle_fragments(arch, plan, params)[3]
+    assert (k, readout, plan.observable_qubits) == (0, tuple(outputs), 0)
+    assert pre_tail.shape == (2**arch.n_qubits, 2 ** (arch.n_qubits + plan.p_width))
+
+
+@pytest.mark.parametrize("arch", net_cases_with(u_layer=True))
 def test_every_observable_is_hermitian_with_eigenvalues_in_the_unit_interval(arch):
-    # M_o = T_0^H Pi_o T_0 for an isometry T_0 and a projector Pi_o
+    # M_o = T_0^H Pi_o T_0 for an isometry T_0 and a projector Pi_o; a net
+    # without a u layer has none, its outputs being marginals
     from qnnkit import model
 
     plan = pipeline(arch)
