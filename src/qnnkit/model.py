@@ -19,11 +19,12 @@ Two semantics coexist on purpose:
   measurement: the map runs the v stage and the n/p tail, and a row's
   outputs are the marginals of its one product with the map. With k u
   neurons the map runs the v stage and then each u gadget on its own
-  n + 1 qubits, and one observable of the n/p tail is built per output
-  on the output's light cone; per row, one product with the map gives
-  every u register, each register hands on only its ancilla's 2 x 2
-  reduced state, and each output is read from those states through its
-  observable. ``circuit_inference`` is its batch of one. ``max_qubits``
+  n + 1 qubits, and one real table of the n/p tail is built per output
+  over the stage basis of the output's light cone; per row, one product
+  with the map gives every u register, each register hands on only its
+  ancilla's Pr[0] and Pr[1], a classical bit, and each output is its
+  table weighted by the product distribution of its cone's bits.
+  ``circuit_inference`` is its batch of one. ``max_qubits``
   therefore bounds the plan's ``simulated_qubits`` (2n + p without a u
   layer; for k u neurons the larger of the map's
   ceil(log2(k 2^(2n + 1))) and, with a p layer, 2k + the p widths), not
@@ -86,8 +87,8 @@ DEFAULT_MAX_QUBITS = 24
 
 # circuit_inference_batch simulates its rows in chunks whose widest
 # arrays hold at most this many values in all (16 MiB of amplitudes), or
-# one row: per row, its image under the pre-tail map, or the 4^c entries
-# of the density matrix on an output's c light-cone qubits.
+# one row: per row, its image under the pre-tail map, or the 2^c
+# probabilities of the bits on an output's c light-cone qubits.
 ORACLE_BATCH_AMPLITUDES = 2**20
 
 
@@ -160,7 +161,7 @@ class Plan:
     p_width: int  # p outputs in all, one fresh qubit each
     compiled_qubits: int  # register of build_network_circuit
     simulated_qubits: int  # ceil(log2) of the largest amplitude array circuit_inference holds
-    observable_qubits: int  # widest light cone of an output on the u ancillas, 0 without u
+    observable_qubits: int  # widest light cone c of an output on the u ancillas, 0 without u
     shapes: tuple  # of (v_thetas, uw_latent or None, n_thetas, pw_latent)
 
     def check_qubit_cap(self, max_qubits: int) -> None:
@@ -180,12 +181,12 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
     simulation holds, per parameter set, the pre-tail map: the images of
     the 2^n encoded basis states. Without a u layer each image is the
     whole net's state on n + p qubits, 2^(2n + p) amplitudes in all, and
-    no observable is built. With one, each image is the k u registers
-    side by side, k 2^(2n + 1) amplitudes, and an output's light cone
-    through the n/p tail is its own u ancilla without a p layer and all
-    k ancillas with one. Per parameter set, the observable of the last
-    output is built from 2^c basis states of its c cone qubits plus all
-    p outputs, and each row holds a 2^c x 2^c density matrix.
+    no table is built. With one, each image is the k u registers side by
+    side, k 2^(2n + 1) amplitudes, and an output's light cone through the
+    n/p tail is its own u ancilla without a p layer and all k ancillas
+    with one. Per parameter set, the table of the last output is built
+    from 2^c basis states of its c cone qubits plus all p outputs, and
+    each row holds 2^c probabilities of its cone's bits.
     ``simulated_qubits`` is the larger of ceil(log2) of the map and
     2c + the p widths.
     """
@@ -592,7 +593,7 @@ def build_network_circuit(arch: ArchitectureSpec, params: ParameterStore, x) -> 
     return NetworkCircuit(frag, [k * n + q for q in outputs])
 
 
-# At most one entry: the pre-tail map and observables of the last parameter set seen.
+# At most one entry: the pre-tail map and readout of the last parameter set seen.
 _ORACLE_MEMO: dict = {}
 
 
@@ -600,7 +601,7 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     """(pre-tail map, k, readout) for the parameters as they are now.
 
     With k u neurons: the ``_pre_tail_map`` of ``_oracle_fragments``' v
-    stage and u gadgets, and as readout the ``_observables`` of its tail.
+    stage and u gadgets, and as readout the ``_tail_tables`` of its tail.
     Without a u layer, k = 0: the map of the v stage and the tail joined
     into one fragment on n + p qubits, and as readout the output qubits.
 
@@ -612,7 +613,7 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     if programs is None:
         v, u_frags, tail, outputs = _oracle_fragments(arch, plan, params)
         if u_frags:
-            readout = _observables(tail, outputs, plan.u_width)
+            readout = _tail_tables(tail, outputs, plan.u_width)
         else:  # one pure state until the final measurement
             v = CircuitFragment(tail.qubit_span).extend(v).extend(tail)
             readout = tuple(outputs)
@@ -646,20 +647,19 @@ def _pre_tail_map(n: int, v: CircuitFragment, u_frags: list) -> np.ndarray:
     return images
 
 
-def _observables(tail: CircuitFragment, outputs: list[int], stage_width: int) -> tuple:
+def _tail_tables(tail: CircuitFragment, outputs: list[int], stage_width: int) -> tuple:
     """For each group of outputs with the same light cone on the first
     ``stage_width`` qubits of ``tail``, the u ancillas: (cone, output
-    positions, M), M holding one 2^c x 2^c Hermitian observable per
-    output, so that the output reads tr(M_o rho) for the ancillas'
-    reduced state rho on the c cone qubits.
+    positions, T), T holding one real row of 2^c values per output.
+    T_o(b) is output o's probability of reading 1 when the tail starts
+    from the stage basis state |b> on the c cone qubits, the first the
+    most significant bit of b, with the p outputs in |0>.
 
     An output's light cone is the set of qubits, and the ops, reached by
     walking the tail backwards from it: an op joins when it touches a
     qubit already in the cone. The cone's ops run, fused, on the cone's
-    stage basis states with its p outputs in |0>; row i of ``rows`` is
-    then T_0 e_i, and M_o = T_0^H Pi_o T_0 for the projector Pi_o onto the
-    output reading 1. M_o is made Hermitian exactly by averaging it with
-    its conjugate transpose.
+    stage basis states with its p outputs in |0>, and row o of T is
+    output o's marginal of those runs.
     """
     groups: dict = {}
     for position, output in enumerate(outputs):
@@ -674,20 +674,16 @@ def _observables(tail: CircuitFragment, outputs: list[int], stage_width: int) ->
         for gate, qubits in reversed(ops):
             frag.append(gate, *(index[q] for q in qubits))
         stage = tuple(q for q in order if q < stage_width)
-        size = 2 ** len(stage)
-        basis = insert_zeros(np.eye(size, dtype=complex)[:, :, None], len(order) - len(stage))
-        rows = run_fused(frag, basis)
-        ones = rows.reshape(size, 2 ** index[output], 2, -1)[:, :, 1].reshape(size, -1)
-        m = ones.conj() @ ones.T
-        positions, matrices = groups.setdefault(stage, ([], []))
+        basis = insert_zeros(np.eye(2 ** len(stage))[:, :, None], len(order) - len(stage))
+        positions, tables = groups.setdefault(stage, ([], []))
         positions.append(position)
-        matrices.append((m + m.conj().T) / 2)
-    observables = []
-    for stage, (positions, matrices) in groups.items():
-        m = np.array(matrices)
-        m.flags.writeable = False
-        observables.append((stage, positions, m))
-    return tuple(observables)
+        tables.append(marginals_batch(run_fused(frag, basis), [index[output]])[:, 0])
+    readout = []
+    for stage, (positions, tables) in groups.items():
+        t = np.array(tables)
+        t.flags.writeable = False
+        readout.append((stage, positions, t))
+    return tuple(readout)
 
 
 def circuit_inference_batch(
@@ -707,12 +703,13 @@ def circuit_inference_batch(
     its u gadget a u register is touched only through its ancilla, and
     the u registers are separate copies. So each u neuron acts alone on
     the v stage's state plus its ancilla, and the register is replaced
-    by its ancilla's 2 x 2 reduced density matrix G = M^T conj(M), M
-    being the 2^n x 2 rest-by-ancilla amplitude matrix. The ancillas'
-    state is then the product of the k G's. The n/p tail is read in the
-    Heisenberg picture: output o is tr(M_o rho), rho being that state
-    reduced to o's light cone, and M_o the fixed observable
-    ``_observables`` builds once per parameter set. This is exact,
+    by its ancilla's reduced state, which is diagonal: the gadget's MCX
+    moves one register basis state to ancilla 1, so ancilla j is a
+    classical bit, Pr_j[0] and Pr_j[1] being the squared norms of the
+    register's two ancilla halves. The tail's stage qubits then hold the
+    product distribution P(b) = prod_j Pr_j[b_j], and output o is
+    sum_b P(b) T_o(b) over o's light cone, T_o being the real table that
+    ``_tail_tables`` builds once per parameter set. This is exact,
     because the tail touches only the ancillas and its p outputs start
     in |0>. ``max_qubits`` caps ``pipeline(arch).simulated_qubits``,
     ceil(log2) of the largest amplitude array held; rows run in chunks of
@@ -729,9 +726,9 @@ def circuit_inference_batch(
     ``statevec.run_fused`` on the 2^n basis states, giving the
     ``_pre_tail_map``, and per row the net's state, or all k u registers
     side by side, is one product of the encoding with that map: one
-    stacked ``np.matmul`` for the chunk, and one more for every G. The
-    map is kept with the readout in a one-entry memo keyed by
-    ``arch`` and the shape, dtype and bytes of every parameter array,
+    stacked ``np.matmul`` for the chunk, and one more per light cone for
+    its tables. The map is kept with the readout in a one-entry memo
+    keyed by ``arch`` and the shape, dtype and bytes of every parameter array,
     read at each call, so an in-place update is a miss. This pays
     because callers repeat parameters: ``qnnkit verify`` and the
     benchmark's verify workloads pass the same ones for every sample
@@ -743,9 +740,9 @@ def circuit_inference_batch(
     plan.check_qubit_cap(max_qubits)
     X = _checked_input(arch, X, ndim=2)
     programs = _oracle_programs(arch, plan, params)
-    # per row: its image under the pre-tail map, and rho
+    # per row: its image under the pre-tail map, and a cone's distribution
     psi_qubits = (programs[0].shape[1] - 1).bit_length()
-    widest = max(psi_qubits, 2 * plan.observable_qubits)
+    widest = max(psi_qubits, plan.observable_qubits)
     rows = max(1, ORACLE_BATCH_AMPLITUDES >> widest)
     out = np.empty((len(X), arch.num_classes))
     for start in range(0, len(X), rows):
@@ -771,18 +768,18 @@ def _oracle_rows(programs: tuple, X: np.ndarray) -> np.ndarray:
     psi = np.matmul(encoded[:, None, :], pre_tail)[:, 0]  # each row's own product
     if not k:
         return marginals_batch(psi, readout)
-    registers = psi.reshape(len(X), k, -1, 2)  # each M, its ancilla last
-    grams = np.matmul(registers.swapaxes(2, 3), registers.conj())  # (B, k, 2, 2)
+    # the u ancillas reach the tail as classical bits: each u gadget's MCX
+    # moves one register basis state, so every ancilla's reduced state is
+    # diagonal, and its cone's state is the product distribution of them
+    registers = psi.reshape(len(X), k, -1, 2)  # each register, its ancilla last
+    probs = (registers * registers.conj()).real
+    bits = np.matmul(np.ones(probs.shape[2]), probs)  # (B, k, 2): Pr[0], Pr[1]
     out = np.empty((len(X), sum(len(positions) for _, positions, _ in readout)))
-    for cone, positions, m in readout:
-        rho = grams[:, cone[0]]
-        for j in cone[1:]:  # np.kron(rho, G_j) per row
-            rho = rho[:, :, None, :, None] * grams[:, j, None, :, None, :]
-            rho = rho.reshape(len(X), 2 * rho.shape[1], -1)
-        # Re tr(M rho) = Re sum rho_ab conj(M_ab) for Hermitian M, as one
-        # real product per row of rho's and M's interleaved re/im values
-        flat = rho.reshape(len(X), 1, -1).view(float)
-        out[:, positions] = np.matmul(flat, m.reshape(len(m), -1).view(float).T)[:, 0]
+    for cone, positions, t in readout:
+        dist = bits[:, cone[0]]
+        for j in cone[1:]:
+            dist = (dist[:, :, None] * bits[:, j, None, :]).reshape(len(X), -1)
+        out[:, positions] = np.matmul(dist[:, None, :], t.T)[:, 0]
     return out
 
 

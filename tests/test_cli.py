@@ -694,7 +694,7 @@ def test_verify_respects_qubit_cap(tmp_path, capsys):
     )
     assert code == 1
     # compiled, this net has 42 qubits; the factored simulation builds the
-    # last output's observable from 2^8 basis states of 8 + 2 qubits
+    # last output's table from 2^8 basis states of 8 + 2 qubits
     assert "needs 18 qubits" in capsys.readouterr().err
 
 

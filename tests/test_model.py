@@ -19,6 +19,7 @@ from qnnkit.arch import (
     from_kinds,
     load_architecture,
 )
+from qnnkit.encoding import amplitude_encoding_batch
 from qnnkit.model import (
     ResourceLimitError,
     TrainConfig,
@@ -692,7 +693,7 @@ def test_circuit_inference_respects_qubit_cap():
     # ten u registers of 7 qubits compile to 70 qubits, but the factored
     # simulation holds only the pre-tail map, the ten registers' images
     # of the 2^6 basis states (10 * 2^13 amplitudes), and each output
-    # reads its own ancilla's 2 x 2 state
+    # reads its own ancilla's Pr[1]
     arch = from_kinds(64, 10, "vu")
     assert pipeline(arch).simulated_qubits == 17
     params = init_parameters(arch, seed=0)
@@ -700,7 +701,7 @@ def test_circuit_inference_respects_qubit_cap():
     np.testing.assert_allclose(
         circuit_inference(arch, params, x), forward(arch, params, x).probs[0], atol=1e-9
     )
-    # the last output's observable is built from 2^12 basis states of 12 + 2 qubits
+    # the last output's table is built from 2^12 basis states of 12 + 2 qubits
     wide = ArchitectureSpec(4, 2, [LayerSpec("v", 2), LayerSpec("u", 12), LayerSpec("p", 2)])
     assert pipeline(wide).simulated_qubits == 26
     with pytest.raises(ResourceLimitError, match="needs 26 qubits"):
@@ -940,7 +941,7 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
 
 def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
     # every state the oracle simulates, the v and u registers' images of
-    # the basis states and the tail rows its observables are built from,
+    # the basis states and the tail rows its tables are built from,
     # is run by ``run_fused``, and the pre-tail map holds the u
     # registers side by side; on a batch of one, the largest of them
     # holds at most 2^simulated_qubits amplitudes, and more than half that
@@ -958,7 +959,7 @@ def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
     for arch in small_random_archs() + nets:
         x = np.linspace(0.1, 1.0, arch.input_dim)
         sizes.clear()
-        model._ORACLE_MEMO.clear()  # so the observables are built again
+        model._ORACLE_MEMO.clear()  # so the tables are built again
         circuit_inference_batch(arch, init_parameters(arch, seed=0), x[None])
         (pre_tail, _, _), = model._ORACLE_MEMO.values()
         sizes.append(pre_tail.size)
@@ -1044,7 +1045,7 @@ def net_cases_with(u_layer: bool):
 
 
 @pytest.mark.parametrize("arch", net_cases_with(u_layer=False))
-def test_a_u_less_memo_holds_the_output_qubits_and_no_observable(arch):
+def test_a_u_less_memo_holds_the_output_qubits_and_no_table(arch):
     # one pure state until the final measurement: its outputs are marginals
     # of the map's image on n + p qubits, and the plan counts no light cone
     from qnnkit import model
@@ -1057,26 +1058,107 @@ def test_a_u_less_memo_holds_the_output_qubits_and_no_observable(arch):
     assert pre_tail.shape == (2**arch.n_qubits, 2 ** (arch.n_qubits + plan.p_width))
 
 
+def u_cases():
+    """The ``net_cases()`` with a u layer, and u nets with longer tails."""
+    yield from net_cases_with(u_layer=True)
+    for kinds in ("vunp", "vupp", "vunpnp", "vunnp"):
+        yield pytest.param(from_kinds(4, 2, kinds, hidden=3), id=kinds)
+
+
+@pytest.mark.parametrize("arch", u_cases())
+def test_every_u_ancilla_reaches_the_tail_as_a_classical_bit(arch):
+    # the oracle reads a cone's state as the product distribution of the u
+    # marginals, because each ancilla's reduced state G = M^T conj(M) is
+    # diagonal: a u gadget's MCX moves one register basis state r to the
+    # ancilla, so M[r, 0] = 0 and M[s, 1] = 0 for every other s, and
+    # G_01 = sum_s M[s, 0] conj(M[s, 1]) is a sum of exact zeros; G is
+    # read from the pre-tail map the memo holds, without its tables
+    from qnnkit import model
+
+    plan = pipeline(arch)
+    rng = np.random.default_rng(89)
+    for seed in range(2):
+        v, u_frags, _, _ = model._oracle_fragments(arch, plan, init_parameters(arch, seed=seed))
+        pre_tail, k = model._pre_tail_map(arch.n_qubits, v, u_frags), len(u_frags)
+        X = rng.uniform(-1.0, 1.0, size=(16, arch.input_dim))
+        X[0, : arch.input_dim // 2] = 0.0  # a zero block in the encoding
+        registers = (amplitude_encoding_batch(X) @ pre_tail).reshape(len(X), k, -1, 2)
+        g01 = np.einsum("bkr,bkr->bk", registers[..., 0], registers[..., 1].conj())
+        assert np.max(np.abs(g01)) <= 1e-15, arch.name
+
+
 @pytest.mark.parametrize("arch", net_cases_with(u_layer=True))
-def test_every_observable_is_hermitian_with_eigenvalues_in_the_unit_interval(arch):
-    # M_o = T_0^H Pi_o T_0 for an isometry T_0 and a projector Pi_o; a net
-    # without a u layer has none, its outputs being marginals
+def test_every_tail_table_holds_one_probability_per_cone_basis_state(arch):
+    # T_o(b) is output o's Pr[1] from the stage basis state |b>, so each
+    # entry lies in [0, 1]; a net without a u layer has no table, its
+    # outputs being marginals
     from qnnkit import model
 
     plan = pipeline(arch)
     for seed in range(2):
-        _, _, observables = model._oracle_programs(arch, plan, init_parameters(arch, seed=seed))
-        positions = sorted(p for _, group, _ in observables for p in group)
+        _, _, tables = model._oracle_programs(arch, plan, init_parameters(arch, seed=seed))
+        positions = sorted(p for _, group, _ in tables for p in group)
         assert positions == list(range(arch.num_classes))
-        for cone, group, matrices in observables:
-            assert matrices.shape == (len(group),) + (2 ** len(cone),) * 2
-            assert len(cone) <= plan.observable_qubits
-            for m in matrices:
-                assert np.array_equal(m, m.conj().T), arch.name
-                eigenvalues = np.linalg.eigvalsh(m)
-                assert eigenvalues.min() >= -1e-12 and eigenvalues.max() <= 1 + 1e-12, arch.name
-        widest = max(len(cone) for cone, _, _ in observables)
-        assert widest == plan.observable_qubits, arch.name
+        for cone, group, t in tables:
+            assert t.dtype == float and not t.flags.writeable, arch.name
+            assert t.shape == (len(group), 2 ** len(cone)), arch.name
+            assert t.min() >= 0.0 and t.max() <= 1 + 1e-12, arch.name
+        assert max(len(cone) for cone, _, _ in tables) == plan.observable_qubits, arch.name
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [
+        load_architecture(NETS / "vun.arch"),
+        load_architecture(NETS / "mixed.arch"),
+        from_kinds(4, 2, "vupp", hidden=3),
+    ],
+    ids=["vun", "mixed", "vupp"],
+)
+def test_each_tail_table_entry_is_a_gate_by_gate_marginal(arch):
+    # the whole tail runs through ``apply_gate`` from |b> on the cone's
+    # stage qubits, random bits on the others, which lie outside the cone
+    # and so cannot move the output, and the p outputs in |0>
+    from qnnkit import model
+
+    plan = pipeline(arch)
+    rng = np.random.default_rng(97)
+    for seed in range(2):
+        params = init_parameters(arch, seed=seed)
+        _, _, tail, outputs = model._oracle_fragments(arch, plan, params)
+        _, _, tables = model._oracle_programs(arch, plan, params)
+        span = tail.qubit_span
+        for cone, group, t in tables:
+            bits = np.zeros((2 ** len(cone), span), dtype=int)
+            bits[:, : plan.u_width] = rng.integers(0, 2, size=plan.u_width)
+            for i, q in enumerate(cone):  # the first cone qubit is b's most significant bit
+                bits[:, q] = np.arange(2 ** len(cone)) >> (len(cone) - 1 - i) & 1
+            amps = np.eye(2**span, dtype=complex)[bits @ (1 << np.arange(span)[::-1])]
+            for gate, qubits in tail.ops:
+                statevec.apply_gate(amps, gate, qubits)
+            expected = statevec.marginals_batch(amps, [outputs[p] for p in group]).T
+            np.testing.assert_allclose(t, expected, rtol=0, atol=1e-15, err_msg=arch.name)
+
+
+def test_the_readout_weighs_each_table_entry_by_the_probability_of_its_bits():
+    # under the H-sandwich p gadget each output's table is constant in b,
+    # so no net tells the order of b's bits; one-hot tables do: output b
+    # reads Pr[b], the first cone qubit being b's most significant bit
+    from qnnkit import model
+
+    arch = load_architecture(NETS / "mixed.arch")
+    pre_tail, k, _ = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
+    X = np.random.default_rng(101).uniform(-1.0, 1.0, size=(3, arch.input_dim))
+    registers = (amplitude_encoding_batch(X) @ pre_tail).reshape(len(X), k, -1, 2)
+    bits = np.sum(np.abs(registers) ** 2, axis=2)  # each ancilla's Pr[0] and Pr[1]
+    cone = (3, 0, 1)
+    readout = ((cone, list(range(8)), np.eye(8)),)
+    expected = np.ones((len(X), 8))
+    for b in range(8):
+        for i, j in enumerate(cone):
+            expected[:, b] *= bits[:, j, b >> (2 - i) & 1]
+    out = model._oracle_rows((pre_tail, k, readout), X)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -1089,14 +1171,36 @@ def test_every_observable_is_hermitian_with_eigenvalues_in_the_unit_interval(arc
     ],
     ids=["vu-10", "vun", "mixed", "mnist4-vup"],
 )
-def test_a_p_layer_widens_the_observables_to_every_u_ancilla(arch, size):
+def test_a_p_layer_widens_the_tail_tables_to_every_u_ancilla(arch, size):
     # without a p layer each output reads its own ancilla; a p neuron
-    # reads all k of them, so its observable spans 2^k x 2^k
+    # reads all k of them, so its table holds 2^k values
     from qnnkit import model
 
-    _, _, observables = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
-    assert {m.shape[1:] for _, _, m in observables} == {(size, size)}
-    assert sum(len(group) for _, group, _ in observables) == arch.num_classes
+    _, _, tables = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
+    assert {t.shape[1] for _, _, t in tables} == {size}
+    assert sum(len(group) for _, group, _ in tables) == arch.num_classes
+
+
+def test_a_u_net_chunks_its_rows_by_its_widest_per_row_array(monkeypatch):
+    # k = 10 u neurons on n = 2 qubits, all read by a p layer: a row's
+    # image holds 10 * 2^5 amplitudes and its cone's distribution 2^10
+    # probabilities, so 2^20 values make chunks of 1024 rows; the chunk
+    # bound reads only the plan and the map, so the tables are left out
+    from qnnkit import model
+
+    arch = from_kinds(4, 2, "vup", hidden=10)
+    chunks = []
+
+    def spied(programs, X):
+        chunks.append(len(X))
+        return np.zeros((len(X), arch.num_classes))
+
+    monkeypatch.setattr(model, "_ORACLE_MEMO", {})  # so no test sees the memo without tables
+    monkeypatch.setattr(model, "_tail_tables", lambda *args: ())
+    monkeypatch.setattr(model, "_oracle_rows", spied)
+    X = np.ones((256, arch.input_dim))
+    circuit_inference_batch(arch, init_parameters(arch, seed=0), X)
+    assert chunks == [256]
 
 
 # ---------------------------------------------------------------------------
