@@ -106,10 +106,11 @@ def build_v_block(n: int, theta) -> CircuitFragment:
 # through the layer's RYs and reads all n angle gradients of the layer off
 # one GEMM G = mu^T psi with the taped input (see v_stage_backward). That
 # GEMM is the one step whose rounding depends on memory layout: BLAS sums
-# in another order for transposed operands. The theta gradients are pinned
-# bit for bit across versions (ROADMAP item 4), so each GEMM sees the
-# operand layouts of the original batch-major stage. psi is row-major
-# (B, 2^n) at a block's first layer (``x`` itself, or a C copy) and the
+# in another order for transposed operands. Each GEMM sees the operand
+# layouts of the batch-major stage that the amplitude-major one replaced,
+# which kept the theta gradients byte-identical to it, so training
+# reproduces earlier runs. No test pins those bytes across versions.
+# psi is row-major (B, 2^n) at a block's first layer (``x`` itself, or a C copy) and the
 # ``.T`` view of the ring's row gather (column-major) after the ring. mu
 # is row-major (B, 2^n) in the first GEMM, before the first unring, and
 # the ``.T`` view of the amplitude-major adjoint in every later one.

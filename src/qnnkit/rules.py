@@ -196,7 +196,7 @@ class ValidationReport:
                 f"principle {j.verdict.principle}, {j.verdict.status.value}{extra}"
             )
         for flag in self.encoding_flags:
-            lines.append(f"  goal-2 flag: {flag}")
+            lines.append(f"  encoding flag: {flag}")
         lines.append("verdict: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 

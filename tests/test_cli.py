@@ -214,10 +214,12 @@ def test_verify_checkpoint_with_wrong_shapes_exits_two(tmp_path, capsys):
     from qnnkit.model import init_parameters, save_checkpoint
 
     spec = parse_architecture(FEASIBLE_ARCH)
-    params = init_parameters(spec, seed=0)
-    params.v_thetas = params.v_thetas[:, :-1]  # every row one angle short
     ckpt = tmp_path / "short.json"
-    save_checkpoint(ckpt, spec, params)
+    save_checkpoint(ckpt, spec, init_parameters(spec, seed=0))
+    payload = json.loads(ckpt.read_text())
+    for row in payload["parameters"]["v_thetas"]:
+        row.pop()  # every row one angle short, which save_checkpoint refuses to write
+    ckpt.write_text(json.dumps(payload))
     arch = write(tmp_path, "ok.arch", FEASIBLE_ARCH)
     code = main(["verify", "--arch", arch, "--checkpoint", str(ckpt), "--out", str(tmp_path / "v")])
     err = capsys.readouterr().err

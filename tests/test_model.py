@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -149,17 +150,56 @@ def test_trainer_and_oracle_reject_a_short_input_alike(walker, case):
 
 @pytest.mark.parametrize("shape", [(1, 6), (2, 6)], ids=["1x6", "2x6"])
 def test_the_v_stage_refuses_angles_of_the_wrong_shape(shape):
-    # a 4-qubit V block takes 8 angles: the trainer and the oracle refuse 6 alike
+    # a 4-qubit V block takes 8 angles: the stage itself refuses 6, and the
+    # trainer and the oracle refuse the store alike, before any stage runs
     arch = load_architecture(NETS / "mnist2-vu.arch")
     params = dataclasses.replace(init_parameters(arch, seed=0), v_thetas=np.zeros(shape))
     x = np.full(16, 0.25)
-    for call in (
-        lambda: v_stage_forward(x[None], params.v_thetas),
-        lambda: forward(arch, params, x),
-        lambda: circuit_inference(arch, params, x),
-    ):
-        with pytest.raises(ValueError, match="^V block on 4 qubits needs 8 angles, got "):
+    with pytest.raises(ValueError, match="^V block on 4 qubits needs 8 angles, got "):
+        v_stage_forward(x[None], params.v_thetas)
+    for call in (lambda: forward(arch, params, x), lambda: circuit_inference(arch, params, x)):
+        with pytest.raises(ValueError, match=rf"^parameter shapes \(\({shape[0]}, 6\), .* do not fit "):
             call()
+
+
+def misfit_stores():
+    """(arch, params) pairs whose store does not fit its arch: one per group,
+    and a u latent on a u-less net."""
+    mixed = load_architecture(NETS / "mixed.arch")
+    params = init_parameters(mixed, seed=0)
+    yield pytest.param(mixed, dataclasses.replace(params, v_thetas=np.zeros((2, 6))), id="v")
+    yield pytest.param(mixed, dataclasses.replace(params, uw_latent=np.ones((2, 16))), id="u")
+    yield pytest.param(mixed, dataclasses.replace(params, n_thetas=[np.zeros(1)]), id="n")
+    yield pytest.param(mixed, dataclasses.replace(params, n_thetas=[]), id="n-missing")
+    yield pytest.param(mixed, dataclasses.replace(params, pw_latent=[np.ones((2, 1))]), id="p")
+    vnp = from_kinds(16, 2, "vnp")
+    extra_u = dataclasses.replace(init_parameters(vnp, seed=0), uw_latent=np.ones((2, 16)))
+    yield pytest.param(vnp, extra_u, id="u-less")
+
+
+@pytest.mark.parametrize("arch, params", misfit_stores())
+def test_every_walker_refuses_a_store_that_does_not_fit_its_arch(tmp_path, arch, params):
+    # one shape check: the trainer, the oracle, the circuit builder and both
+    # checkpoint functions raise the same error, and a refused save writes
+    # nothing; a u latent on a u-less net is no "None". The oracle's memo
+    # key holds every shape, so a misfit store always misses it
+    x = np.full(arch.input_dim, 0.25)
+    message = rf"^parameter shapes .* do not fit {re.escape(arch.name)}, which needs "
+    path = tmp_path / "misfit.json"
+    for call in (
+        lambda: forward(arch, params, x),
+        lambda: forward_batch(arch, params, x[None]),
+        lambda: circuit_inference(arch, params, x),
+        lambda: circuit_inference_batch(arch, params, x[None]),
+        lambda: build_network_circuit(arch, params, x),
+        lambda: save_checkpoint(path, arch, params),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert not path.exists()
+    path.write_text(_checkpoint_text(arch, params), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +731,9 @@ def test_circuit_contains_only_unitary_gates_and_final_measurement():
 
 def test_circuit_inference_respects_qubit_cap():
     # ten u registers of 7 qubits compile to 70 qubits, but the factored
-    # simulation holds only the pre-tail map, the ten registers' images
-    # of the 2^6 basis states (10 * 2^13 amplitudes), and each output
-    # reads its own ancilla's Pr[1]
+    # simulation runs one register at a time on the 2^6 basis states and
+    # holds the twenty forms of the ten ancillas' halves (20 * 2^12
+    # values), and each output reads its own ancilla's Pr[1]
     arch = from_kinds(64, 10, "vu")
     assert pipeline(arch).simulated_qubits == 17
     params = init_parameters(arch, seed=0)
@@ -941,10 +981,11 @@ def test_gate_kernel_calls_do_not_depend_on_the_input(monkeypatch):
 
 def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
     # every state the oracle simulates, the v and u registers' images of
-    # the basis states and the tail rows its tables are built from,
-    # is run by ``run_fused``, and the pre-tail map holds the u
-    # registers side by side; on a batch of one, the largest of them
-    # holds at most 2^simulated_qubits amplitudes, and more than half that
+    # the basis states and the tail rows its tables are built from, is run
+    # by ``run_fused``, and the memo's forms hold m 4^n reals, with k u
+    # neurons as many as the k registers side by side (m = 2k); on a batch
+    # of one, the largest of them holds at most 2^simulated_qubits values,
+    # and more than half that
     from qnnkit import model
 
     sizes = []
@@ -961,9 +1002,9 @@ def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
         sizes.clear()
         model._ORACLE_MEMO.clear()  # so the tables are built again
         circuit_inference_batch(arch, init_parameters(arch, seed=0), x[None])
-        (pre_tail, _, _), = model._ORACLE_MEMO.values()
-        sizes.append(pre_tail.size)
-        assert (max(sizes) - 1).bit_length() == pipeline(arch).simulated_qubits, arch.name
+        (forms, _), = model._ORACLE_MEMO.values()
+        widest = (max(sizes + [forms.size]) - 1).bit_length()
+        assert widest == pipeline(arch).simulated_qubits, arch.name
 
 
 def net_cases():
@@ -990,8 +1031,8 @@ def test_each_batch_row_is_the_single_sample_output_bit_for_bit(arch):
 
 @pytest.mark.parametrize("arch", net_cases())
 def test_a_warm_oracle_runs_no_program_and_no_gate_kernel(monkeypatch, arch):
-    # once the memo holds the pre-tail map, a row is a product with it:
-    # no fragment runs through ``run_fused``, so no gate kernel either
+    # once the memo holds the forms, a row is products with them: no
+    # fragment runs through ``run_fused``, so no gate kernel either
     from qnnkit import model
 
     params = init_parameters(arch, seed=0)
@@ -1020,8 +1061,9 @@ def test_the_batched_oracle_takes_an_empty_batch_and_refuses_one_sample():
 
 
 def test_a_u_less_net_chunks_its_rows_by_its_image_under_the_map(monkeypatch):
-    # n = 8 and p = 2: a row's image holds 2^10 amplitudes and nothing per
-    # row is wider, so 2^20 values make chunks of 1024 rows
+    # n = 8 and m = 2 outputs: a row's products F x with the memo's forms
+    # hold 2 * 2^8 values and nothing per row is wider, so 2^20 values make
+    # chunks of 2048 rows
     from qnnkit import model
 
     arch = from_kinds(256, 2, "vp")
@@ -1032,9 +1074,9 @@ def test_a_u_less_net_chunks_its_rows_by_its_image_under_the_map(monkeypatch):
         return np.zeros((len(X), arch.num_classes))
 
     monkeypatch.setattr(model, "_oracle_rows", spied)
-    X = np.ones((2048, arch.input_dim))
+    X = np.ones((4096, arch.input_dim))
     circuit_inference_batch(arch, init_parameters(arch, seed=0), X)
-    assert chunks == [1024, 1024]
+    assert chunks == [2048, 2048]
 
 
 def net_cases_with(u_layer: bool):
@@ -1046,16 +1088,26 @@ def net_cases_with(u_layer: bool):
 
 @pytest.mark.parametrize("arch", net_cases_with(u_layer=False))
 def test_a_u_less_memo_holds_the_output_qubits_and_no_table(arch):
-    # one pure state until the final measurement: its outputs are marginals
-    # of the map's image on n + p qubits, and the plan counts no light cone
+    # one pure state until the final measurement: output o's marginal is
+    # x^T F_o x, F_o being the form of o's |1> half of the v stage and the
+    # tail run as one fragment on n + p qubits; the readout is no table,
+    # and the plan counts no light cone
     from qnnkit import model
 
     plan = pipeline(arch)
     params = init_parameters(arch, seed=0)
-    pre_tail, k, readout = model._oracle_programs(arch, plan, params)
-    outputs = model._oracle_fragments(arch, plan, params)[3]
-    assert (k, readout, plan.observable_qubits) == (0, tuple(outputs), 0)
-    assert pre_tail.shape == (2**arch.n_qubits, 2 ** (arch.n_qubits + plan.p_width))
+    forms, readout = model._oracle_programs(arch, plan, params)
+    assert (readout, plan.observable_qubits) == (None, 0)
+    assert forms.shape == (arch.num_classes, 2**arch.n_qubits, 2**arch.n_qubits)
+    assert forms.dtype == float and not forms.flags.writeable
+    assert np.array_equal(forms, forms.transpose(0, 2, 1))
+    X = np.random.default_rng(103).uniform(-1.0, 1.0, size=(3, arch.input_dim))
+    x = amplitude_encoding_batch(X)
+    np.testing.assert_allclose(
+        np.einsum("bi,mij,bj->bm", x, forms, x),
+        [full_simulation(arch, params, row, fused=False) for row in X],
+        rtol=0, atol=1e-14,
+    )
 
 
 def u_cases():
@@ -1071,20 +1123,40 @@ def test_every_u_ancilla_reaches_the_tail_as_a_classical_bit(arch):
     # marginals, because each ancilla's reduced state G = M^T conj(M) is
     # diagonal: a u gadget's MCX moves one register basis state r to the
     # ancilla, so M[r, 0] = 0 and M[s, 1] = 0 for every other s, and
-    # G_01 = sum_s M[s, 0] conj(M[s, 1]) is a sum of exact zeros; G is
-    # read from the pre-tail map the memo holds, without its tables
+    # G_01 = sum_s M[s, 0] conj(M[s, 1]) is a sum of exact zeros. Each u
+    # register is run here gate by gate, the v stage and its gadget through
+    # ``apply_gate`` on the 2^n encoded basis states with the ancilla last
+    # in |0>, and the memo's forms 2j and 2j + 1 are Re(H H^H) of register
+    # j's |0> and |1> halves H, to the rounding of sums over 2^n states:
+    # the memo's runs are fused (2.2e-15 apart at n = 6, 4.4e-16 at n = 4)
     from qnnkit import model
 
     plan = pipeline(arch)
+    n = arch.n_qubits
     rng = np.random.default_rng(89)
     for seed in range(2):
-        v, u_frags, _, _ = model._oracle_fragments(arch, plan, init_parameters(arch, seed=seed))
-        pre_tail, k = model._pre_tail_map(arch.n_qubits, v, u_frags), len(u_frags)
+        params = init_parameters(arch, seed=seed)
+        v, u_frags, _, _ = model._oracle_fragments(arch, plan, params)
+        forms, _ = model._oracle_programs(arch, plan, params)
+        assert forms.shape == (2 * len(u_frags), 2**n, 2**n), arch.name
         X = rng.uniform(-1.0, 1.0, size=(16, arch.input_dim))
         X[0, : arch.input_dim // 2] = 0.0  # a zero block in the encoding
-        registers = (amplitude_encoding_batch(X) @ pre_tail).reshape(len(X), k, -1, 2)
-        g01 = np.einsum("bkr,bkr->bk", registers[..., 0], registers[..., 1].conj())
-        assert np.max(np.abs(g01)) <= 1e-15, arch.name
+        image = np.eye(2 ** (n + 1), dtype=complex)[::2]  # row i: e_i (x) |0>
+        for gate, qubits in v.ops:
+            statevec.apply_gate(image, gate, qubits)
+        for j, u in enumerate(u_frags):
+            register = image.copy()
+            for gate, qubits in u.ops:
+                statevec.apply_gate(register, gate, qubits)
+            states = (amplitude_encoding_batch(X) @ register).reshape(len(X), -1, 2)
+            g01 = np.sum(states[:, :, 0] * states[:, :, 1].conj(), axis=1)
+            assert np.max(np.abs(g01)) <= 1e-15, arch.name
+            for b, half in enumerate(register.reshape(2**n, 2**n, 2).transpose(2, 0, 1)):
+                np.testing.assert_allclose(
+                    forms[2 * j + b], (half @ half.conj().T).real,
+                    rtol=0, atol=2**n * np.finfo(float).eps,
+                    err_msg=f"{arch.name}: u neuron {j}, ancilla half {b}",
+                )
 
 
 @pytest.mark.parametrize("arch", net_cases_with(u_layer=True))
@@ -1096,7 +1168,7 @@ def test_every_tail_table_holds_one_probability_per_cone_basis_state(arch):
 
     plan = pipeline(arch)
     for seed in range(2):
-        _, _, tables = model._oracle_programs(arch, plan, init_parameters(arch, seed=seed))
+        _, tables = model._oracle_programs(arch, plan, init_parameters(arch, seed=seed))
         positions = sorted(p for _, group, _ in tables for p in group)
         assert positions == list(range(arch.num_classes))
         for cone, group, t in tables:
@@ -1126,7 +1198,7 @@ def test_each_tail_table_entry_is_a_gate_by_gate_marginal(arch):
     for seed in range(2):
         params = init_parameters(arch, seed=seed)
         _, _, tail, outputs = model._oracle_fragments(arch, plan, params)
-        _, _, tables = model._oracle_programs(arch, plan, params)
+        _, tables = model._oracle_programs(arch, plan, params)
         span = tail.qubit_span
         for cone, group, t in tables:
             bits = np.zeros((2 ** len(cone), span), dtype=int)
@@ -1147,17 +1219,17 @@ def test_the_readout_weighs_each_table_entry_by_the_probability_of_its_bits():
     from qnnkit import model
 
     arch = load_architecture(NETS / "mixed.arch")
-    pre_tail, k, _ = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
+    forms, _ = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
     X = np.random.default_rng(101).uniform(-1.0, 1.0, size=(3, arch.input_dim))
-    registers = (amplitude_encoding_batch(X) @ pre_tail).reshape(len(X), k, -1, 2)
-    bits = np.sum(np.abs(registers) ** 2, axis=2)  # each ancilla's Pr[0] and Pr[1]
+    x = amplitude_encoding_batch(X)
+    bits = np.einsum("bi,mij,bj->bm", x, forms, x).reshape(len(X), -1, 2)  # Pr[0], Pr[1]
     cone = (3, 0, 1)
     readout = ((cone, list(range(8)), np.eye(8)),)
     expected = np.ones((len(X), 8))
     for b in range(8):
         for i, j in enumerate(cone):
             expected[:, b] *= bits[:, j, b >> (2 - i) & 1]
-    out = model._oracle_rows((pre_tail, k, readout), X)
+    out = model._oracle_rows((forms, readout), X)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
 
@@ -1176,16 +1248,17 @@ def test_a_p_layer_widens_the_tail_tables_to_every_u_ancilla(arch, size):
     # reads all k of them, so its table holds 2^k values
     from qnnkit import model
 
-    _, _, tables = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
+    _, tables = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
     assert {t.shape[1] for _, _, t in tables} == {size}
     assert sum(len(group) for _, group, _ in tables) == arch.num_classes
 
 
 def test_a_u_net_chunks_its_rows_by_its_widest_per_row_array(monkeypatch):
     # k = 10 u neurons on n = 2 qubits, all read by a p layer: a row's
-    # image holds 10 * 2^5 amplitudes and its cone's distribution 2^10
-    # probabilities, so 2^20 values make chunks of 1024 rows; the chunk
-    # bound reads only the plan and the map, so the tables are left out
+    # products with the 20 forms hold 20 * 2^2 values and its cone's
+    # distribution 2^10 probabilities, so 2^20 values make chunks of 1024
+    # rows; the chunk bound reads only the plan and the forms, so the
+    # tables are left out
     from qnnkit import model
 
     arch = from_kinds(4, 2, "vup", hidden=10)
@@ -1304,3 +1377,30 @@ def test_p_layer_on_dephased_qubits_deviation_is_measured():
     assert np.all(np.isfinite(exact))
     assert exact[0] == pytest.approx(0.25, abs=1e-9)  # (1/2)^2: two dead factors
     assert deviation > 0.01
+
+
+@pytest.mark.parametrize(
+    "arch, m",
+    [
+        (load_architecture(NETS / "mixed.arch"), 4),
+        (load_architecture(NETS / "mnist4-vup.arch"), 8),
+        (from_kinds(4, 2, "vunp", hidden=3), 3),
+    ],
+    ids=["mixed", "mnist4-vup", "vunp"],
+)
+def test_a_p_layer_reading_m_u_ancillas_outputs_two_to_the_minus_m_for_every_input(arch, m):
+    # the README's "measured approximation", stated plainly: under the
+    # H-sandwich p gadget every input reaches the MCX as a uniform
+    # superposition of its m controls (an RX of an n layer, between two
+    # Hadamards, only moves phases), so the circuit returns 2^-m for every
+    # input, while the factorized outputs vary. A p gadget with exact
+    # semantics changes these numbers on purpose
+    rng = np.random.default_rng(107)
+    for seed in range(2):
+        params = init_parameters(arch, seed=seed)
+        X = rng.uniform(-1.0, 1.0, size=(64, arch.input_dim))
+        X[0, : arch.input_dim // 2] = 0.0  # a zero block in the encoding
+        exact = circuit_inference_batch(arch, params, X)
+        np.testing.assert_allclose(exact, 2.0**-m, rtol=0, atol=1e-15, err_msg=arch.name)
+        factorized = forward_batch(arch, params, X).probs
+        assert np.ptp(factorized, axis=0).max() > 1e-3, arch.name

@@ -205,6 +205,19 @@ def test_report_text_rendering_mentions_every_junction():
     assert text.count("path") == len(report.junctions)
 
 
+def test_report_text_names_each_encoding_flag_as_the_json_report_does():
+    # ``qnnkit check`` prints this text; check_report.json lists the same
+    # flags under ``encoding_flags``
+    report = validate_architecture(from_kinds(4, 2, "vnu"))
+    assert report.passed
+    flagged = [line for line in report.render_text().splitlines() if "flag" in line]
+    assert flagged == [
+        "  encoding flag: u[2] canonically consumes amplitude encoding but receives "
+        "probability from n[1]"
+    ]
+    assert report.to_dict()["encoding_flags"] == [flagged[0].removeprefix("  encoding flag: ")]
+
+
 def test_report_dict_round_trip_fields():
     report = validate_architecture(from_kinds(16, 3, "vunp", hidden=8))
     d = report.to_dict()
