@@ -230,15 +230,21 @@ def cmd_verify(args) -> int:
     for start in range(0, args.samples, VERIFY_ROWS):
         # an (R, d) draw gives the values of R draws of d, in the same order
         X = rng.uniform(0.01, 1.0, size=(min(VERIFY_ROWS, args.samples - start), arch.input_dim))
-        exact_rows = circuit_inference_batch(arch, params, X, max_qubits=args.max_qubits)
-        for i, (factorized, exact) in enumerate(zip(forward_batch(arch, params, X).probs, exact_rows)):
-            deviation = float(np.max(np.abs(factorized - exact)))
-            tie = any(np.sum(p >= p.max() - TIE_ATOL) > 1 for p in (factorized, exact))
-            match = int(not tie and np.argmax(factorized) == np.argmax(exact))
-            rows.append({"sample": start + i, "max_abs_deviation": deviation, "argmax_agree": match})
-            worst = max(worst, deviation)
-            agree += match
-            ties += tie
+        exact = circuit_inference_batch(arch, params, X, max_qubits=args.max_qubits)
+        factorized = forward_batch(arch, params, X).probs
+        deviation = np.max(np.abs(factorized - exact), axis=1).tolist()
+        # a row whose top class ties within TIE_ATOL in either half is no agreement
+        tie = np.zeros(len(X), dtype=bool)
+        for p in (factorized, exact):
+            tie |= np.sum(p >= p.max(axis=1, keepdims=True) - TIE_ATOL, axis=1) > 1
+        match = ~tie & (np.argmax(factorized, axis=1) == np.argmax(exact, axis=1))
+        rows += [
+            {"sample": start + i, "max_abs_deviation": d, "argmax_agree": m}
+            for i, (d, m) in enumerate(zip(deviation, match.astype(int).tolist()))
+        ]
+        worst = max(worst, *deviation)
+        agree += int(match.sum())
+        ties += int(tie.sum())
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

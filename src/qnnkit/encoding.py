@@ -12,12 +12,10 @@ Two encodings are supported:
   qubit of ``probability_encoding_fragment``.
 
 Both return only the fragment; run it on a fresh ``StateVector``. The
-exact oracle instead takes ``amplitude_encoding_batch``: for each row of
-a (B, 2^n) batch, the amplitudes of the amplitude fragment's run, bit
-for bit, computed from the same ladder angles with no gate list,
-because every CX of a ladder only swaps the pairs of some prefixes, a
-sign per prefix. Each ladder step is then one rotation of every row's
-prefix pairs, in place; a single row is a batch of one.
+exact oracle reads each row as ``normalize_rows(row)``, the state the
+amplitude fragment prepares in exact arithmetic; tests hold the
+fragment's run to it within 1e-14, signed rows, zero blocks and basis
+rows included.
 """
 
 from __future__ import annotations
@@ -88,17 +86,6 @@ def _ladder(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gray, np.matmul(gray_walsh, angles[..., None])[..., 0] / size
 
 
-@functools.cache
-def _cross_signs(level: int) -> np.ndarray:
-    """Read-only (2^l, 1, 2, 2^l) signs of the cross terms of level l's
-    ladder steps: step i gives prefix p's pair the terms -w hi and +w lo,
-    with w = W[gray[i], p]; axis 1 is for the rows of a batch."""
-    walsh = _gray(level)[1]
-    signs = np.stack([-walsh, walsh], axis=1)[:, None]
-    signs.setflags(write=False)
-    return signs
-
-
 def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> CircuitFragment:
     """RY(angles[p]) on ``target`` for each control pattern p (controls[0] = MSB).
 
@@ -121,15 +108,14 @@ def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> Circu
     return frag
 
 
-def _rows(data, ndim: int) -> np.ndarray:
-    """``data`` as a (B, 2^n) batch of floats; ValueError unless it has
-    ``ndim`` axes (one value row or a batch of rows), the last of 2^n >= 2."""
+def _rows(data) -> np.ndarray:
+    """``data`` as a (1, 2^n) batch of floats; ValueError unless it is one
+    axis of 2^n >= 2 values."""
     data = np.asarray(data, dtype=float)
-    size = data.shape[-1] if data.ndim == ndim else 0
+    size = len(data) if data.ndim == 1 else 0
     if size < 2 or size & (size - 1):
-        what = "2^n >= 2 values in one axis" if ndim == 1 else "a batch of rows of 2^n >= 2 values"
-        raise ValueError(f"amplitude encoding takes {what}, got {data.shape}")
-    return data.reshape(-1, size)
+        raise ValueError(f"amplitude encoding takes 2^n >= 2 values in one axis, got {data.shape}")
+    return data[None]
 
 
 def _level_angles(rows: np.ndarray) -> list[np.ndarray]:
@@ -161,51 +147,11 @@ def amplitude_encoding_fragment(data) -> CircuitFragment:
     gets a multiplexed RY over qubits 0..l-1 with the ``_level_angles``.
     Applied to |0...0> the fragment gives ``normalize_rows(data[None])[0]``.
     """
-    levels = [angles[0] for angles in _level_angles(_rows(data, 1))]
+    levels = [angles[0] for angles in _level_angles(_rows(data))]
     frag = CircuitFragment(len(levels))
     for level, angles in enumerate(levels):
         frag.extend(multiplexed_ry(angles, list(range(level)), level, len(levels)))
     return frag
-
-
-def amplitude_encoding_batch(rows) -> np.ndarray:
-    """(B, 2^n): for each row of a (B, 2^n) batch, the 2^n real amplitudes
-    that ``amplitude_encoding_fragment(row)`` prepares on |0...0>, bit for
-    bit, computed without a gate list.
-
-    Qubits after l are still |0> when qubit l's ladder runs, so each
-    row's state is a pair (lo, hi) per prefix p, held as a (B, 2, 2^l)
-    array, and every CX of the ladder only swaps some prefixes' pairs.
-    Before step i the pair of p is swapped exactly when W[gray[i], p] = -1
-    (``_ladder``), so RY(beta[i]) on the swapped pairs is RY(-beta[i]) on
-    the unswapped ones, and the whole step, for every row and prefix, is
-    one rotation: pairs = c pairs + T pairs[:, ::-1], where T's rows are
-    -s w and s w, with c = cos(beta[i]/2), s = sin(beta[i]/2) and
-    w = W[gray[i]] (``_cross_signs``). These are the products that
-    ``apply_1q`` forms on the swapped pairs, joined by the same sums up
-    to order, and after the ladder's last CX no pair is swapped. A step
-    forms its cross term in one buffer, s pairs[:, ::-1] signed by w,
-    which is exact for w = +-1, and updates ``pairs`` in place: the same
-    two products and one sum, and no coefficient table per row.
-    """
-    levels = _level_angles(_rows(rows, 2))
-    count = len(levels[0])
-    # every step's half angle, level after level, as (steps, B, 1, 1)
-    half = np.concatenate([_ladder(angles)[1] for angles in levels], axis=1).T / 2
-    cos, sin = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
-    amps = np.ones((count, 1))
-    for level in range(len(levels)):
-        steps = slice(2**level - 1, 2 ** (level + 1) - 1)
-        pairs = np.zeros((count, 2, 2**level))
-        pairs[:, 0] = amps
-        cross = np.empty_like(pairs)
-        for c, s, w in zip(cos[steps], sin[steps], _cross_signs(level)):
-            np.multiply(pairs[:, ::-1], s, out=cross)
-            cross *= w
-            pairs *= c
-            pairs += cross
-        amps = pairs.swapaxes(1, 2).reshape(count, 2 << level)  # qubit l is the last bit
-    return amps
 
 
 def probability_encoding_fragment(data) -> CircuitFragment:

@@ -62,7 +62,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .arch import ArchitectureSpec, ArchitectureError, LayerSpec
-from .encoding import amplitude_encoding_batch, amplitude_encoding_fragment, normalize_rows
+from .encoding import amplitude_encoding_fragment, normalize_rows
 from .neurons import (
     binarize,
     build_n_neuron,
@@ -741,16 +741,16 @@ def circuit_inference_batch(
     ``ORACLE_BATCH_AMPLITUDES`` values in their widest per-row arrays.
 
     Only the amplitude encoding depends on the input, and it runs without
-    a gate list: ``amplitude_encoding_batch`` gives the real amplitudes x
-    that ``amplitude_encoding_fragment`` prepares for each row, bit for
-    bit. The v stage, each u gadget and the tail are the
-    ``_oracle_fragments`` that the compiled circuit places. They depend
-    only on the parameters, and the states they give are linear in x. So
-    each output marginal, and each ancilla's Pr[0] and Pr[1], is the
-    squared norm of x H for one half H of the images of the 2^n basis
-    states: the real quadratic form x^T F x, F = Re(H H^H). Once per
-    parameter set the fragments run through ``statevec.run_fused`` on
-    the 2^n basis states, and ``_oracle_programs`` keeps one F per
+    a gate list: each row is read as x = ``normalize_rows(row)``, the real
+    amplitudes that ``amplitude_encoding_fragment`` prepares in exact
+    arithmetic, and the trainer's own input. The v stage, each u gadget
+    and the tail are the ``_oracle_fragments`` that the compiled circuit
+    places. They depend only on the parameters, and the states they give
+    are linear in x. So each output marginal, and each ancilla's Pr[0] and
+    Pr[1], is the squared norm of x H for one half H of the images of the
+    2^n basis states: the real quadratic form x^T F x, F = Re(H H^H).
+    Once per parameter set the fragments run through ``statevec.run_fused``
+    on the 2^n basis states, and ``_oracle_programs`` keeps one F per
     quantity; per row, two stacked ``np.matmul`` calls read every
     quantity, with no complex arithmetic, and one more per light cone
     reads its tables. The forms are kept with the readout in a one-entry
@@ -789,7 +789,7 @@ def _oracle_rows(programs: tuple, X: np.ndarray) -> np.ndarray:
     """``circuit_inference_batch`` of the rows ``X``, given the memo's
     quadratic forms and readout."""
     forms, readout = programs
-    x = amplitude_encoding_batch(X)[:, :, None]  # real, one column per row
+    x = normalize_rows(X)[:, :, None]  # real, one column per row
     # each row's own products: F x for every form, then x^T F x
     fx = np.matmul(forms.reshape(-1, x.shape[1]), x).reshape(len(X), len(forms), -1)
     values = np.matmul(fx, x)[:, :, 0]

@@ -747,6 +747,38 @@ def test_verify_reports_the_widest_light_cone(tmp_path, name, qubits):
     assert tuple(manifest[key] for key in keys) == qubits
 
 
+@pytest.mark.parametrize("name, tied", [("mixed", True), ("mnist2-vu", False)])
+def test_verify_csv_is_the_per_row_rule_on_the_batched_halves(tmp_path, capsys, name, tied):
+    # verify compares each chunk as arrays; every row of verify.csv and the
+    # summary are the one-row-at-a-time rule on the same draws, across a
+    # chunk boundary: mixed's exact outputs tie every row, mnist2-vu's none
+    from qnnkit.arch import load_architecture
+    from qnnkit.cli import TIE_ATOL, VERIFY_ROWS
+    from qnnkit.model import circuit_inference_batch, forward_batch, init_parameters
+
+    samples, seed = VERIFY_ROWS + 76, 7
+    out = tmp_path / "verify"
+    argv = ["verify", "--arch", str(NETS / f"{name}.arch"), "--samples", str(samples)]
+    assert main([*argv, "--seed", str(seed), "--out", str(out)]) == 0
+    arch = load_architecture(NETS / f"{name}.arch")
+    params = init_parameters(arch, seed)
+    X = np.random.default_rng(seed).uniform(0.01, 1.0, size=(samples, arch.input_dim))
+    halves = zip(forward_batch(arch, params, X).probs, circuit_inference_batch(arch, params, X))
+    expected, worst, agree, ties = [], 0.0, 0, 0
+    for i, (factorized, exact) in enumerate(halves):
+        deviation = float(np.max(np.abs(factorized - exact)))
+        tie = any(np.sum(p >= p.max() - TIE_ATOL) > 1 for p in (factorized, exact))
+        match = int(not tie and np.argmax(factorized) == np.argmax(exact))
+        expected.append({"sample": str(i), "max_abs_deviation": str(deviation), "argmax_agree": str(match)})
+        worst, agree, ties = max(worst, deviation), agree + match, ties + tie
+    assert read_csv(out / "verify.csv") == expected
+    assert ties == (samples if tied else 0)
+    assert capsys.readouterr().out == (
+        f"verify: {samples} samples, max deviation {worst:.3e}, "
+        f"argmax agreement {agree}/{samples} ({ties} tied, not counted)\n"
+    )
+
+
 @pytest.mark.parametrize("chunk", [1024, 4])
 def test_verify_checks_the_inputs_of_one_draw_per_sample(tmp_path, capsys, monkeypatch, chunk):
     # verify draws its inputs as (R, d) arrays, R rows at a time: the values of R draws of d

@@ -1,19 +1,22 @@
 """Encoding tests: analytic encodings, preparation circuits, round trips."""
 
 import math
-import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qnnkit.arch import load_architecture
 from qnnkit.encoding import (
-    amplitude_encoding_batch,
     amplitude_encoding_fragment,
     multiplexed_ry,
     normalize_rows,
     probability_encoding_fragment,
 )
+from qnnkit.model import circuit_inference_batch, init_parameters
 from qnnkit.statevec import StateVector
+
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 
 def multiplexor_oracle(amps: np.ndarray, angles, controls, target, n) -> np.ndarray:
@@ -112,43 +115,28 @@ def encoding_rows(n: int, rng) -> list[np.ndarray]:
     return rows + list(basis) + list(-basis)
 
 
-def test_the_encoded_state_is_the_fragments_run_bit_for_bit():
+def test_the_fragments_run_is_normalize_rows_on_zero_blocks_and_basis_rows():
+    # the oracle reads each row as normalize_rows(row), which the fragment
+    # prepares in exact arithmetic; its ladder rounds 2.2e-16 away at n = 1,
+    # 1.1e-15 at n = 6 and 2.7e-15 at n = 7, so 1e-14 holds it with room
     rng = np.random.default_rng(13)
     for n in range(1, 8):
         rows = np.array(encoding_rows(n, rng))
-        batch = amplitude_encoding_batch(rows)
-        assert batch.shape == rows.shape
-        for row, encoded in zip(rows, batch):
-            expected = StateVector(n).run(amplitude_encoding_fragment(row)).amps
-            assert np.array_equal(encoded, expected)
-            assert np.array_equal(amplitude_encoding_batch(row[None])[0], expected)
+        for row, expected in zip(rows, normalize_rows(rows)):
+            prepared = StateVector(n).run(amplitude_encoding_fragment(row)).amps
+            np.testing.assert_allclose(prepared, expected, rtol=0, atol=1e-14, err_msg=f"n = {n}")
 
 
-def test_the_batch_encoder_holds_no_coefficient_table_per_row():
-    # 64 rows of 2^8 values: the states are 128 KiB, where the last
-    # level's cross-term coefficients for every step would be 16 MiB
-    rows = np.random.default_rng(17).uniform(-1.0, 1.0, size=(64, 256))
-    amplitude_encoding_batch(rows)  # fills the per-level caches
-    tracemalloc.start()
-    try:
-        amplitude_encoding_batch(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-
-
-def test_the_batch_encoder_takes_rows_only():
-    assert amplitude_encoding_batch(np.zeros((0, 8))).shape == (0, 8)
-    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]):
-        with pytest.raises(ValueError, match="a batch of rows of 2\\^n >= 2 values"):
-            amplitude_encoding_batch(bad)
+def oracle_of_one_row(row):
+    """The exact oracle on ``nets/vun.arch``, whose input is 4 values, of ``row`` as a batch of one."""
+    arch = load_architecture(NETS / "vun.arch")
+    return circuit_inference_batch(arch, init_parameters(arch, seed=0), row[None])
 
 
 @pytest.mark.parametrize(
     "encode",
-    [amplitude_encoding_fragment, lambda row: amplitude_encoding_batch(row[None])[0]],
-    ids=["amplitude_encoding_fragment", "amplitude_encoding_batch"],
+    [amplitude_encoding_fragment, oracle_of_one_row],
+    ids=["amplitude_encoding_fragment", "circuit_inference_batch"],
 )
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_both_encoders_refuse_a_zero_or_non_finite_row_as_normalize_rows_does(encode, bad):

@@ -20,7 +20,7 @@ from qnnkit.arch import (
     from_kinds,
     load_architecture,
 )
-from qnnkit.encoding import amplitude_encoding_batch
+from qnnkit.encoding import normalize_rows
 from qnnkit.model import (
     ResourceLimitError,
     TrainConfig,
@@ -1102,7 +1102,7 @@ def test_a_u_less_memo_holds_the_output_qubits_and_no_table(arch):
     assert forms.dtype == float and not forms.flags.writeable
     assert np.array_equal(forms, forms.transpose(0, 2, 1))
     X = np.random.default_rng(103).uniform(-1.0, 1.0, size=(3, arch.input_dim))
-    x = amplitude_encoding_batch(X)
+    x = normalize_rows(X)
     np.testing.assert_allclose(
         np.einsum("bi,mij,bj->bm", x, forms, x),
         [full_simulation(arch, params, row, fused=False) for row in X],
@@ -1148,7 +1148,7 @@ def test_every_u_ancilla_reaches_the_tail_as_a_classical_bit(arch):
             register = image.copy()
             for gate, qubits in u.ops:
                 statevec.apply_gate(register, gate, qubits)
-            states = (amplitude_encoding_batch(X) @ register).reshape(len(X), -1, 2)
+            states = (normalize_rows(X) @ register).reshape(len(X), -1, 2)
             g01 = np.sum(states[:, :, 0] * states[:, :, 1].conj(), axis=1)
             assert np.max(np.abs(g01)) <= 1e-15, arch.name
             for b, half in enumerate(register.reshape(2**n, 2**n, 2).transpose(2, 0, 1)):
@@ -1221,7 +1221,7 @@ def test_the_readout_weighs_each_table_entry_by_the_probability_of_its_bits():
     arch = load_architecture(NETS / "mixed.arch")
     forms, _ = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
     X = np.random.default_rng(101).uniform(-1.0, 1.0, size=(3, arch.input_dim))
-    x = amplitude_encoding_batch(X)
+    x = normalize_rows(X)
     bits = np.einsum("bi,mij,bj->bm", x, forms, x).reshape(len(X), -1, 2)  # Pr[0], Pr[1]
     cone = (3, 0, 1)
     readout = ((cone, list(range(8)), np.eye(8)),)
