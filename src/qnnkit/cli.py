@@ -76,10 +76,15 @@ def _write_manifest(out_dir: Path, command: str, config: dict, **facts) -> None:
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """The header, then each row's values in column order, as csv.DictWriter
+    writes them: a missing key is an empty field, an unknown one a ValueError."""
+    unknown = set().union(*rows).difference(columns)
+    if unknown:
+        raise ValueError(f"dict contains fields not in fieldnames: {sorted(unknown)}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "") for c in columns] for row in rows)
 
 
 def _write_results(out_dir: Path, args, arch, label: str, test_acc: float, metrics=None) -> dict:

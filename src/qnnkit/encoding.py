@@ -35,12 +35,12 @@ class EncodingKind(Enum):
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` (B, N) divided by its L2 norm.
+    """Each row of ``x`` (B, N), or the one row x (N,), divided by its L2 norm.
 
     ValueError on a row whose norm is zero or not finite, which a NaN or
     an infinite value gives.
     """
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if not np.all((norms > 0) & np.isfinite(norms)):
         raise ValueError("cannot amplitude-encode an all-zero or non-finite input row")
     return x / norms
@@ -70,20 +70,17 @@ def _gray(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ladder(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Gray order, rotation angles) of the multiplexed-RY ladder for the 2^k
-    ``angles`` in the last axis.
+    ``angles``.
 
     Step i of the ladder is RY(beta[i]) on the target, then a CX from the
     control where gray[i] and gray[i + 1] differ. beta = (1/2^k) A^T alpha
     with A[p, i] = (-1)^popcount(p & gray(i)): the CXs before step i have
     swapped the target pair of prefix p exactly when popcount(p & gray[i])
     is odd, which flips the sign of that rotation on p. A is the
-    Walsh-Hadamard matrix with its columns in Gray order. Each row's
-    product is its own matrix-vector product, as for one row alone: one
-    matrix-matrix product for all rows would round some of them otherwise.
+    Walsh-Hadamard matrix with its columns in Gray order.
     """
-    size = angles.shape[-1]
-    gray, gray_walsh = _gray(size.bit_length() - 1)
-    return gray, np.matmul(gray_walsh, angles[..., None])[..., 0] / size
+    gray, gray_walsh = _gray(len(angles).bit_length() - 1)
+    return gray, gray_walsh @ angles / len(angles)
 
 
 def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> CircuitFragment:
@@ -108,36 +105,36 @@ def multiplexed_ry(angles, controls: list[int], target: int, span: int) -> Circu
     return frag
 
 
-def _rows(data) -> np.ndarray:
-    """``data`` as a (1, 2^n) batch of floats; ValueError unless it is one
-    axis of 2^n >= 2 values."""
+def _row(data) -> np.ndarray:
+    """``data`` as a 1-D array of floats; ValueError unless it is one axis
+    of 2^n >= 2 values."""
     data = np.asarray(data, dtype=float)
     size = len(data) if data.ndim == 1 else 0
     if size < 2 or size & (size - 1):
         raise ValueError(f"amplitude encoding takes 2^n >= 2 values in one axis, got {data.shape}")
-    return data[None]
+    return data
 
 
-def _level_angles(rows: np.ndarray) -> list[np.ndarray]:
-    """Angles of the Mottonen preparation of each row of a (B, 2^n) batch:
-    entry l is (B, 2^l), the multiplexor angles on qubit l, one per prefix.
+def _level_angles(row: np.ndarray) -> list[np.ndarray]:
+    """Angles of the Mottonen preparation of one row of 2^n values: entry l
+    holds the 2^l multiplexor angles on qubit l, one per prefix.
 
     Angle p splits the norm of block p between its two halves; on the
     last qubit each block is one pair of amplitudes, so its angle splits
     the signed pair and sets the signs too.
     """
-    v = normalize_rows(rows)
-    n = v.shape[1].bit_length() - 1
+    v = normalize_rows(row)
+    n = len(v).bit_length() - 1
     halves = []
     for level in range(n):
-        # axis 2: the two halves of the block under each prefix, as signed
+        # axis 1: the two halves of the block under each prefix, as signed
         # values on the last level and as norms before it
-        block = v.reshape(len(v), 2**level, 2, 2 ** (n - level - 1))
+        block = v.reshape(2**level, 2, 2 ** (n - level - 1))
         # np.linalg.norm's own sum, without its conj copy of real values
-        halves.append(block[..., 0] if level == n - 1 else np.sqrt(np.add.reduce(block * block, axis=3)))
-    halves = np.concatenate(halves, axis=1)  # every level's prefixes, (B, 2^n - 1, 2)
-    angles = 2.0 * np.arctan2(halves[..., 1], halves[..., 0])
-    return [angles[:, 2**level - 1 : 2 ** (level + 1) - 1] for level in range(n)]
+        halves.append(block[..., 0] if level == n - 1 else np.sqrt(np.add.reduce(block * block, axis=2)))
+    halves = np.concatenate(halves)  # every level's prefixes, (2^n - 1, 2)
+    angles = 2.0 * np.arctan2(halves[:, 1], halves[:, 0])
+    return [angles[2**level - 1 : 2 ** (level + 1) - 1] for level in range(n)]
 
 
 def amplitude_encoding_fragment(data) -> CircuitFragment:
@@ -145,9 +142,9 @@ def amplitude_encoding_fragment(data) -> CircuitFragment:
 
     Recursive construction (Mottonen et al., quant-ph/0407010): qubit l
     gets a multiplexed RY over qubits 0..l-1 with the ``_level_angles``.
-    Applied to |0...0> the fragment gives ``normalize_rows(data[None])[0]``.
+    Applied to |0...0> the fragment gives ``normalize_rows(data)``.
     """
-    levels = [angles[0] for angles in _level_angles(_rows(data))]
+    levels = _level_angles(_row(data))
     frag = CircuitFragment(len(levels))
     for level, angles in enumerate(levels):
         frag.extend(multiplexed_ry(angles, list(range(level)), level, len(levels)))

@@ -94,9 +94,12 @@ def build_v_block(n: int, theta) -> CircuitFragment:
 # real arrays. The stage runs them amplitude-major: it transposes the
 # (B, 2^n) batch once into a C-ordered (2^n, B) array, so each gate moves
 # whole rows. An RY on qubit q mixes each amplitude with its partner
-# across bit q: one row gather ``take(partner, axis=0)``, then the
-# simulator's 1-qubit kernel arithmetic, products then one sum (see
-# _ry_layer), byte-identical to apply_1q. A block's CX ring only permutes
+# across bit q. It scales the batch by s and by -s into one stacked
+# scratch array, gathers each row's signed partner term from it with one
+# row ``take``, and adds c times the row: the simulator's 1-qubit kernel
+# arithmetic, products then one sum, byte-identical to apply_1q (see
+# _ry_layer). A pass takes the cosines and sines of its angles once, and
+# all its gates share one scratch array. A block's CX ring only permutes
 # basis states, so it is one row gather too, exact like the CX gates it
 # replaces. Every step but the gathers is elementwise, so the layout
 # changes no rounding there.
@@ -118,41 +121,63 @@ def build_v_block(n: int, theta) -> CircuitFragment:
 
 @functools.cache
 def _v_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables of an n-qubit V block: (ring, unring, partner, pair, sign).
+    """Read-only index tables of an n-qubit V block: (ring, unring, signed, pair, sign).
 
     For an amplitude-major batch A (2^n, B), ``A.take(ring, axis=0)``
-    applies the CX ring and ``A.take(unring, axis=0)`` undoes it.
-    ``partner[q, i]`` is i ^ bit_q, where bit_q is qubit q's bit of the
-    index, and ``sign[q, i]`` is +1 where i has that bit set, -1 where it
-    has not. For a (2^n, 2^n) matrix G, ``G.ravel()[pair[q, i]]`` is
-    G[i, partner[q, i]].
+    applies the CX ring and ``A.take(unring, axis=0)`` undoes it. With
+    bit_q qubit q's bit of an index, ``signed[q, i]`` is row i ^ bit_q of
+    the stacked (2 * 2^n, B) array [s A; -s A]: of its top half where i
+    has bit_q set, of its bottom half where it has not. ``sign[q, i]`` is
+    +1 where i has bit_q set, -1 where it has not, and for a (2^n, 2^n)
+    matrix G, ``G.ravel()[pair[q, i]]`` is G[i, i ^ bit_q].
     """
-    idx = np.arange(2**n)
+    size = 2**n
+    idx = np.arange(size)
     ring = idx[None, :].copy()  # the ring run on the indices themselves
     for c, t in entangler_pairs(n):
         controlled_x(ring, (c,), (1,), t)
     ring = ring[0]
     bit = 1 << (n - 1 - np.arange(n))[:, None]  # qubit 0 is the MSB
     partner = idx ^ bit
-    sign = np.where(idx & bit, 1.0, -1.0)
-    tables = (ring, np.argsort(ring), partner, idx * 2**n + partner, sign)
+    clear = (idx & bit) == 0
+    signed = partner + size * clear
+    tables = (ring, np.argsort(ring), signed, idx * size + partner, np.where(clear, -1.0, 1.0))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _ry_layer(a: np.ndarray, partner: np.ndarray, sign: np.ndarray, angles) -> np.ndarray:
-    """RY(angles[q]) on each qubit q in turn of the amplitude-major batch
-    a (2^n, B), as a new C-ordered array.
+def _rotations(thetas: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """(c, pairs) of RY(theta) for each of the angles, in ``ravel`` order:
+    c[k] is cos(theta / 2) and pairs[k] is [s, -s] with s = sin(theta / 2),
+    as in ``ry_entries``, shaped (2, 1, 1) to scale a stacked batch."""
+    half = (thetas / 2).ravel().tolist()
+    pairs = np.empty((len(half), 2, 1, 1))
+    sines = pairs[:, 0, 0, 0]
+    sines[:] = list(map(math.sin, half))
+    np.negative(sines, out=pairs[:, 1, 0, 0])
+    return list(map(math.cos, half)), pairs
 
-    Row i becomes c a[i] + (s sign[i]) a[i ^ bit]: with bit clear that is
-    apply_1q's c x0 + (-s) x1, with it set s x0 + c x1 summed the other
-    way round, and one addition commutes exactly.
+
+def _ry_layer(
+    a: np.ndarray, signed: np.ndarray, c, pairs, both: np.ndarray, stacked: np.ndarray
+) -> np.ndarray:
+    """RY(theta_q) on each qubit q in turn of the amplitude-major batch
+    a (2^n, B), as a new C-ordered array. ``c`` and ``pairs`` hold
+    _rotations' values from the layer's first angle on, of which the
+    layer uses n. ``both`` is (2, 2^n, B) scratch and ``stacked`` its
+    (2 * 2^n, B) view.
+
+    Each gate writes [s a; -s a] into the scratch and gathers row i's
+    partner term from it, then adds c a[i]: with bit_q clear that is
+    apply_1q's c x0 + (-s) x1, with it set s x0 + c x1. Negating s
+    negates its product exactly, signed zeros included, and one addition
+    commutes exactly, so each row has apply_1q's bytes.
     """
-    for q, theta in enumerate(angles):
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        new = c * a
-        new += (s * sign[q, :, None]) * a.take(partner[q], axis=0)
+    for row, cq, pair in zip(signed, c, pairs):
+        np.multiply(a, pair, out=both)
+        new = stacked.take(row, axis=0)
+        new += cq * a
         a = new
     return a
 
@@ -188,15 +213,19 @@ def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict
     n = x.shape[1].bit_length() - 1
     if thetas.ndim != 2 or thetas.shape[1] != 2 * n:
         raise ValueError(f"V block on {n} qubits needs {2 * n} angles, got {thetas.shape}")
-    ring, _, partner, _, sign = _v_tables(n)
+    ring, _, signed, _, _ = _v_tables(n)
+    c, pairs = _rotations(thetas)
+    # one scratch for every gate of the pass, in the two shapes each gate uses
+    stacked = np.empty((2 * x.shape[1], x.shape[0]))
+    both = stacked.reshape(2, *x.shape[::-1])
     inputs = []
     a = np.ascontiguousarray(x.T)
-    for block in thetas:
+    for k in range(0, thetas.size, 2 * n):  # each block's first angle in c and pairs
         inputs.append(np.ascontiguousarray(a.T) if inputs else x)
-        a = _ry_layer(a, partner, sign, block[:n])
+        a = _ry_layer(a, signed, c[k:], pairs[k:], both, stacked)
         a = a.take(ring, axis=0)
         inputs.append(a.T)
-        a = _ry_layer(a, partner, sign, block[n:])
+        a = _ry_layer(a, signed, c[k + n :], pairs[k + n :], both, stacked)
     tape = {"ops": _v_stage_ops(n, len(thetas)), "thetas": thetas, "inputs": inputs}
     return np.ascontiguousarray(a.T), tape
 
@@ -214,13 +243,16 @@ def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.n
     """
     thetas = tape["thetas"]
     n = thetas.shape[1] // 2
-    _, unring, partner, pair, sign = _v_tables(n)
+    _, unring, signed, pair, sign = _v_tables(n)
+    c, pairs = _rotations(-thetas)  # RY^-1 = RY^T = RY(-theta)
     lam = np.array(np.asarray(grad_out, dtype=float).T, order="C")
+    stacked = np.empty((2 * lam.shape[0], lam.shape[1]))
+    both = stacked.reshape(2, *lam.shape)
     grad_theta = np.empty_like(thetas)
     for k in reversed(range(len(tape["inputs"]))):
         b, layer = divmod(k, 2)
         angles = slice(layer * n, (layer + 1) * n)
-        lam = _ry_layer(lam, partner, sign, -thetas[b, angles])  # RY^-1 = RY^T = RY(-theta)
+        lam = _ry_layer(lam, signed, c[k * n :], pairs[k * n :], both, stacked)
         # the first GEMM takes mu row-major, so mu^T (this lam) column-major; see above
         mu_t = np.asfortranarray(lam) if k == len(tape["inputs"]) - 1 else lam
         G = mu_t @ tape["inputs"][k]

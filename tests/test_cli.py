@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnnkit.cli import build_parser, main
+from qnnkit.cli import _write_csv, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 NETS = ROOT / "nets"
@@ -141,6 +141,20 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert manifest["command"] == "train"
     assert manifest["config"]["seed"] == 0
     assert (out / "checkpoint.json").exists()
+
+
+def test_csv_rows_are_written_as_dict_writer_writes_them(tmp_path):
+    # a missing key is an empty field; an unknown key is refused
+    columns = ["epoch", "train_loss", "test_accuracy"]
+    rows = [{"epoch": 1, "train_loss": 0.1 + 0.2}, {"epoch": 2, "train_loss": "a,b", "test_accuracy": None}]
+    _write_csv(tmp_path / "new.csv", columns, rows)
+    with open(tmp_path / "dict.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "dict.csv").read_bytes()
+    with pytest.raises(ValueError, match="fields not in fieldnames"):
+        _write_csv(tmp_path / "bad.csv", columns, [{"epoch": 1, "loss": 0.5}])
 
 
 def test_train_is_bit_identical_across_reruns(tmp_path):

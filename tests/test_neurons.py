@@ -438,13 +438,34 @@ def test_v_stage_batch_agrees_with_single_samples():
         np.testing.assert_allclose(out[i], single[0], atol=1e-12)
 
 
-def test_v_stage_forward_is_the_block_circuit_bit_for_bit():
+def with_signed_zeros(rng, batch):
+    """``batch`` with about a quarter of its entries set to +0.0 or -0.0,
+    and its last row all signed zeros when it has more than one."""
+    zeros = rng.choice([0.0, -0.0], size=batch.shape)
+    batch = np.where(rng.random(batch.shape) < 0.25, zeros, batch)
+    if len(batch) > 1:
+        batch[-1] = zeros[-1]
+    return batch
+
+
+def v_stage_case(rng, n, batch_size):
+    """Angles in (-3 pi, 3 pi), so cos and sin of their halves take both
+    signs, and a batch of random unit rows with signed zeros put in."""
+    thetas = rng.uniform(-3 * np.pi, 3 * np.pi, size=(3, 2 * n))
+    batch = np.stack([random_unit(rng, 2**n) for _ in range(batch_size)])
+    return thetas, with_signed_zeros(rng, batch)
+
+
+# The kernels compare with tobytes(): np.array_equal counts -0.0 equal to
+# +0.0, and the trainer's RY negates products, so only the bytes show a
+# zero of the wrong sign.
+@pytest.mark.parametrize("batch_size", [1, 5, 32, 400], ids=lambda b: f"B{b}")
+def test_v_stage_forward_is_the_block_circuit_bit_for_bit(batch_size):
     # The ring gather must reproduce the CX gates exactly, and the RYs must
     # run the same kernel arithmetic as the circuit's gate list.
-    rng = np.random.default_rng(18)
+    rng = np.random.default_rng(18 + batch_size)
     for n in (1, 2, 3, 6):
-        thetas = rng.uniform(-np.pi, np.pi, size=(3, 2 * n))
-        batch = np.stack([random_unit(rng, 2**n) for _ in range(4)])
+        thetas, batch = v_stage_case(rng, n, batch_size)
         expected = batch.copy()
         for theta in thetas:
             for gate, qubits in build_v_block(n, theta).ops:
@@ -453,7 +474,7 @@ def test_v_stage_forward_is_the_block_circuit_bit_for_bit():
                 else:
                     controlled_x(expected, qubits[:1], (1,), qubits[1])
         out, _ = v_stage_forward(batch, thetas)
-        assert np.array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 5, 32], ids=lambda b: f"B{b}")
@@ -463,9 +484,8 @@ def test_v_stage_backward_is_the_adjoint_circuit_bit_for_bit(batch_size):
     # ring as its CX gates in reverse.
     rng = np.random.default_rng(20 + batch_size)
     for n in (1, 2, 3, 6):
-        thetas = rng.uniform(-np.pi, np.pi, size=(3, 2 * n))
-        batch = np.stack([random_unit(rng, 2**n) for _ in range(batch_size)])
-        grad_out = rng.normal(size=batch.shape)
+        thetas, batch = v_stage_case(rng, n, batch_size)
+        grad_out = with_signed_zeros(rng, rng.normal(size=batch.shape))
         expected = grad_out.copy()
         for theta in thetas[::-1]:
             ops = build_v_block(n, theta).ops
@@ -477,7 +497,7 @@ def test_v_stage_backward_is_the_adjoint_circuit_bit_for_bit(batch_size):
         out, tape = v_stage_forward(batch, thetas)
         assert out.flags.c_contiguous
         _, grad_x = v_stage_backward(tape, grad_out)
-        assert np.array_equal(grad_x, expected)
+        assert np.ascontiguousarray(grad_x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 5, 32], ids=lambda b: f"B{b}")
