@@ -16,20 +16,22 @@ Two semantics coexist on purpose:
   of the same fragments. A row's encoded amplitudes x are real, and each
   quantity it reads is the squared norm of x H for a half H of the
   images of the 2^n encoded basis states: the real quadratic form
-  x^T F x, F = Re(H H^H). Once per parameter set the oracle keeps these
-  forms. Without a u layer the net is one pure state on its n + p qubits
-  until the final measurement, and output o's form is o's |1> half of
-  the v stage and the n/p tail run together. With k u neurons the forms
-  are each ancilla's |0> and |1> halves after the v stage and its u
-  gadget, so a row reads each ancilla's Pr[0] and Pr[1], a classical
-  bit; one real table of the n/p tail is built per output over the
-  stage basis of the output's light cone, and each output is its table
-  weighted by the product distribution of its cone's bits.
-  ``circuit_inference`` is its batch of one. ``max_qubits``
-  therefore bounds the plan's ``simulated_qubits`` (2n + p without a u
-  layer, or 2n + ceil(log2 m) for m outputs without a p layer either;
-  for k u neurons the larger of the forms' ceil(log2(2k 4^n))
-  and, with a p layer, 2k + the p widths), not its ``compiled_qubits``.
+  x^T F x, F = Re(H H^H). Once per parameter set the oracle keeps one
+  form per measured qubit, its |1> half. Without a u layer the net is one
+  pure state on its n + p qubits until the final measurement, and output
+  o's form is o's |1> half of the v stage and the n/p tail run together.
+  With k u neurons ancilla j's form is its |1> half after the v stage and
+  its u gadget, the trainer's (V w_j)(V w_j)^T / 2^n, so a row reads each
+  ancilla's Pr[1] = u_j, a classical bit with Pr[0] = 1 - u_j; one real
+  table of the n/p tail is built per output over the stage basis of the
+  output's light cone, and each output is its table weighted by the
+  product distribution of its cone's bits. ``circuit_inference`` is its
+  batch of one. ``max_qubits`` therefore bounds the plan's
+  ``simulated_qubits``, 2n + max(e, ceil(log2 m)) for the e qubits a run
+  adds to the n encoded ones and the m forms (e = p and m outputs
+  without a u layer, e = 1 and m = k with one), or with a p layer after
+  a u layer 2k + the p widths if that is larger; not its
+  ``compiled_qubits``.
 
 Each factorized stage runs its neuron's batched closed form from
 ``neurons`` (the same forms criterion 1 checks against the gadgets) and
@@ -92,8 +94,9 @@ DEFAULT_MAX_QUBITS = 24
 
 # circuit_inference_batch reads its rows in chunks whose widest arrays
 # hold at most this many real values in all (8 MiB), or one row: per row,
-# its products F x with the m forms of the memo, m 2^n values, or the 2^c
-# probabilities of the bits on an output's c light-cone qubits.
+# its products F x with the m forms of the memo (one per output, or one
+# per u ancilla), m 2^n values, or the 2^c probabilities of the bits on
+# an output's c light-cone qubits.
 ORACLE_BATCH_AMPLITUDES = 2**20
 
 
@@ -165,7 +168,7 @@ class Plan:
     stages: tuple[Stage, ...]
     p_width: int  # p outputs in all, one fresh qubit each
     compiled_qubits: int  # register of build_network_circuit
-    simulated_qubits: int  # ceil(log2) of the largest amplitude array circuit_inference holds
+    simulated_qubits: int  # ceil(log2) of the largest array circuit_inference holds
     observable_qubits: int  # widest light cone c of an output on the u ancillas, 0 without u
     shapes: tuple  # of (v_thetas, uw_latent or None, n_thetas, pw_latent)
 
@@ -184,19 +187,18 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
     With k u neurons on n qubits the compiled register holds k registers
     of n + 1 qubits (n without a u layer) plus the p outputs. The factored
     simulation runs, per parameter set, the images of the 2^n encoded
-    basis states. Without a u layer each image is the whole net's state
-    on n + p qubits, 2^(2n + p) amplitudes in all, and no table is built.
-    With one, it runs one u register at a time, 2^(2n + 1) amplitudes,
-    and keeps 2k real 2^n x 2^n forms, 2k 4^n values: as many as the k
-    registers side by side. An output's light cone through the n/p tail
-    is its own u ancilla without a p layer and all k ancillas with one.
-    Per parameter set, the table of the last output is built from 2^c
-    basis states of its c cone qubits plus all p outputs, and each row
-    holds 2^c probabilities of its cone's bits. ``simulated_qubits`` is
-    the larger of ceil(log2) of the images or of the forms and 2c + the
-    p widths. Without a u layer the m outputs keep m 4^n values, which
-    outgrow the images only without a p layer, where they add
-    ceil(log2 m) qubits to 2n.
+    basis states, each run adding e qubits to the n encoded ones: without
+    a u layer one run of the whole net, e = p, and with one a run per u
+    register, one at a time, e = 1 for its ancilla; 2^(2n + e)
+    amplitudes. It keeps one real 2^n x 2^n form per measured qubit, m
+    4^n values for the m = num_classes outputs without a u layer or the
+    m = k ancillas with one, so ``images`` = 2n + max(e, ceil(log2 m)).
+    An output's light cone through the n/p tail is its own u ancilla
+    without a p layer and all k ancillas with one. Per parameter set, the
+    table of the last output is built from 2^c basis states of its c cone
+    qubits plus all p outputs, and each row holds 2^c probabilities of its
+    cone's bits. ``simulated_qubits`` is the larger of ``images`` and
+    2c + the p widths; no table is built without a u layer (c = 0).
     """
     kinds = "".join(l.kind for l in arch.layers)
     v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers
@@ -223,12 +225,12 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
         stages.append(Stage(layer.kind, layer.width, indices))
         width = layer.width
     p_width = sum(s.width for s in stages if s.kind == "p")
-    if u_width is None:  # 2^n images of n + p qubits, or the outputs' forms
-        compiled, cone = n + p_width, 0
-        images = 2 * n + max(p_width, (arch.num_classes - 1).bit_length())
-    else:  # the forms: ceil(log2(2k 4^n))
-        compiled, images = u_width * (n + 1) + p_width, (u_width - 1).bit_length() + 2 * n + 1
+    if u_width is None:  # the run adds the p outputs; a form per output
+        compiled, added, forms, cone = n + p_width, p_width, arch.num_classes, 0
+    else:  # a u register's run adds its ancilla; a form per ancilla
+        compiled, added, forms = u_width * (n + 1) + p_width, 1, u_width
         cone = u_width if p_width else 1
+    images = 2 * n + max(added, (forms - 1).bit_length())
     simulated = max(images, 2 * cone + p_width)
     u_shape = None if u_width is None else (u_width, arch.input_dim)
     blocks = sum(l.repeat for l in arch.layers[:v])
@@ -624,15 +626,16 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     """(forms, readout) for the parameters as they are now.
 
     ``forms`` is a read-only real (m, 2^n, 2^n) array holding one
-    Re(H H^H) per half H of the images of the 2^n encoded basis states,
-    so that for a real encoding x the squared norm of x H is x^T F x.
-    With k u neurons, m = 2k: ancilla j's |0> and |1> halves after the v
-    stage and u gadget j, each gadget's forms built from its own run, so
+    ``_real_forms`` Re(H H^H) per measured qubit, H being the qubit's |1>
+    half of the images of the 2^n encoded basis states, so that for a real
+    encoding x its Pr[1] is x^T F x. With k u neurons, m = k: ancilla j's
+    |1> half after the v stage and u gadget j, each from its own run, so
     the k registers are never held side by side, and the readout is the
-    ``_tail_tables`` of the tail. Without a u layer
-    the v stage and the tail, joined into one fragment on n + p qubits,
-    run as one pure state, m is the number of outputs, each form is its
-    output qubit's |1> half, and the readout is None.
+    ``_tail_tables`` of the tail. Each run is unitary and x a unit vector,
+    so the ancilla's |0> half needs no form: Pr[0] = 1 - Pr[1]. Without a
+    u layer the v stage and the tail, joined into one fragment on n + p
+    qubits, run as one pure state, m is the number of outputs, each form
+    is its output qubit's |1> half, and the readout is None.
 
     The key is read from the arrays at every call, so an in-place update
     misses; a miss checks the parameter shapes (in ``_oracle_fragments``)
@@ -644,15 +647,15 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
         v, u_frags, tail, outputs = _oracle_fragments(arch, plan, params)
         size = 2**arch.n_qubits
         readout = _tail_tables(tail, outputs, plan.u_width) if u_frags else None
-        forms = np.empty((2 * len(u_frags) or len(outputs), size, size))
-        if u_frags:  # one register at a time, each ancilla's |0> and |1> halves
-            image = insert_zeros(run_fused(v, np.eye(size))[:, :, None], 1)  # ancilla last, |0>
+        forms = np.empty((len(u_frags) or len(outputs), size, size))
+        if u_frags:  # one register at a time, read at its ancilla, the last qubit
+            image = insert_zeros(run_fused(v, np.eye(size)), 1)
             for j, u in enumerate(u_frags):
-                _real_forms(run_fused(u, image).reshape(size, size, 2).T, forms[2 * j :])
-        else:  # one pure state until the final measurement; each output's |1> half
+                _real_forms(run_fused(u, image), [arch.n_qubits], forms[j:])
+        else:  # one pure state until the final measurement, read at each output
             joined = CircuitFragment(tail.qubit_span).extend(v).extend(tail)
-            state = run_fused(joined, insert_zeros(np.eye(size)[:, :, None], plan.p_width)).T
-            _real_forms((state.reshape(2**q, 2, -1, size)[:, 1] for q in outputs), forms)
+            state = run_fused(joined, insert_zeros(np.eye(size), plan.p_width))
+            _real_forms(state, outputs, forms)
         forms.flags.writeable = False
         _ORACLE_MEMO.clear()
         programs = (forms, readout)
@@ -660,15 +663,17 @@ def _oracle_programs(arch: ArchitectureSpec, plan: Plan, params: ParameterStore)
     return programs
 
 
-def _real_forms(halves, out: np.ndarray) -> None:
-    """Write Re(H H^H) to ``out[i]`` for the i-th half H of ``halves``, each
-    given as H^T: its last axis runs over the 2^n encoded basis states, the
-    others over the half's amplitudes. For a real row x, x^T F x is the
-    squared norm of x H. Each form is g^T g, g being the real and imaginary
-    parts of H^T stacked: one product of g with itself, so exactly
-    symmetric. No half outlives the call, so a caller that passes one
-    register's halves holds no register once it returns."""
-    for form, h in zip(out, halves):
+def _real_forms(run: np.ndarray, qubits: list[int], out: np.ndarray) -> None:
+    """Write Re(H H^H) to ``out[i]`` for H the |1> half of qubit
+    ``qubits[i]`` in ``run``, the (2^n, 2^w) images of the 2^n encoded
+    basis states, qubit 0 the most significant. For a real row x, x^T F x
+    is the squared norm of x H, the qubit's Pr[1]. Each form is g^T g, g
+    being the real and imaginary parts of H^T stacked: one product of g
+    with itself, so exactly symmetric. No half outlives the call, so a
+    caller that passes one register's run holds no register once it
+    returns."""
+    for form, q in zip(out, qubits):
+        h = run.T.reshape(2**q, 2, -1, len(form))[:, 1]
         g = np.concatenate((h.real, h.imag)).reshape(-1, len(form))
         np.matmul(g.T, g, out=form)
 
@@ -700,7 +705,7 @@ def _tail_tables(tail: CircuitFragment, outputs: list[int], stage_width: int) ->
         for gate, qubits in reversed(ops):
             frag.append(gate, *(index[q] for q in qubits))
         stage = tuple(q for q in order if q < stage_width)
-        basis = insert_zeros(np.eye(2 ** len(stage))[:, :, None], len(order) - len(stage))
+        basis = insert_zeros(np.eye(2 ** len(stage)), len(order) - len(stage))
         positions, tables = groups.setdefault(stage, ([], []))
         positions.append(position)
         tables.append(marginals_batch(run_fused(frag, basis), [index[output]])[:, 0])
@@ -730,8 +735,8 @@ def circuit_inference_batch(
     stage's state plus its ancilla, and the register is replaced by its
     ancilla's reduced state, which is diagonal: the gadget's MCX moves one
     register basis state to ancilla 1, so ancilla j is a classical bit,
-    Pr_j[0] and Pr_j[1] being the squared norms of the register's two
-    ancilla halves. The tail's stage qubits then hold the product
+    Pr_j[1] being the squared norm of the register's |1> ancilla half and
+    Pr_j[0] = 1 - Pr_j[1]. The tail's stage qubits then hold the product
     distribution P(b) = prod_j Pr_j[b_j], and output o is
     sum_b P(b) T_o(b) over o's light cone, T_o being the real table that
     ``_tail_tables`` builds once per parameter set. This is exact,
@@ -746,9 +751,9 @@ def circuit_inference_batch(
     arithmetic, and the trainer's own input. The v stage, each u gadget
     and the tail are the ``_oracle_fragments`` that the compiled circuit
     places. They depend only on the parameters, and the states they give
-    are linear in x. So each output marginal, and each ancilla's Pr[0] and
-    Pr[1], is the squared norm of x H for one half H of the images of the
-    2^n basis states: the real quadratic form x^T F x, F = Re(H H^H).
+    are linear in x. So each output marginal, and each ancilla's Pr[1], is
+    the squared norm of x H for the |1> half H of the images of the 2^n
+    basis states: the real quadratic form x^T F x, F = Re(H H^H).
     Once per parameter set the fragments run through ``statevec.run_fused``
     on the 2^n basis states, and ``_oracle_programs`` keeps one F per
     quantity; per row, two stacked ``np.matmul`` calls read every
@@ -792,13 +797,14 @@ def _oracle_rows(programs: tuple, X: np.ndarray) -> np.ndarray:
     x = normalize_rows(X)[:, :, None]  # real, one column per row
     # each row's own products: F x for every form, then x^T F x
     fx = np.matmul(forms.reshape(-1, x.shape[1]), x).reshape(len(X), len(forms), -1)
-    values = np.matmul(fx, x)[:, :, 0]
+    values = np.matmul(fx, x)  # (B, m, 1): each measured qubit's Pr[1]
     if readout is None:
-        return values
+        return values[:, :, 0]
     # the u ancillas reach the tail as classical bits: each u gadget's MCX
     # moves one register basis state, so every ancilla's reduced state is
-    # diagonal, and its cone's state is the product distribution of them
-    bits = values.reshape(len(X), -1, 2)  # (B, k, 2): Pr[0], Pr[1]
+    # diagonal, and its cone's state is the product distribution of them;
+    # a register's run is unitary and x a unit vector, so Pr[0] = 1 - Pr[1]
+    bits = np.concatenate((1.0 - values, values), axis=2)  # (B, k, 2): Pr[0], Pr[1]
     out = np.empty((len(X), sum(len(positions) for _, positions, _ in readout)))
     for cone, positions, t in readout:
         dist = bits[:, cone[0]]

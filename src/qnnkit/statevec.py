@@ -288,10 +288,9 @@ def marginals_batch(a: np.ndarray, qubits) -> np.ndarray:
 
 
 def insert_zeros(a: np.ndarray, extra: int) -> np.ndarray:
-    """Each (R, C) state of the (B, R, C) batch ``a`` with ``extra`` fresh
-    qubits in |0...0> between its row and column qubits, as (B, R 2^extra C)
-    complex amplitudes; C = 1 puts them after a vector's qubits."""
-    out = np.zeros((a.shape[0], a.shape[1], 1 << extra, a.shape[2]), dtype=complex)
+    """Each state of the (B, R) batch ``a`` with ``extra`` fresh qubits in
+    |0...0> after its own, as (B, R 2^extra) complex amplitudes."""
+    out = np.zeros((*a.shape, 1 << extra), dtype=complex)
     out[:, :, 0] = a
     return out.reshape(len(a), -1)
 

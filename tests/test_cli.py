@@ -744,11 +744,11 @@ def test_verify_runs_a_net_too_wide_to_compile_within_the_cap(tmp_path, capsys):
     assert code == 0
     assert all(float(r["max_abs_deviation"]) <= 1e-9 for r in read_csv(out / "verify.csv"))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 15)
+    assert (manifest["compiled_qubits"], manifest["simulated_qubits"]) == (28, 14)
 
 
 @pytest.mark.parametrize(
-    "name, qubits", [("mixed", (22, 11, 4)), ("mnist2-vu", (10, 10, 1)), ("vun", (3, 5, 1))]
+    "name, qubits", [("mixed", (22, 10, 4)), ("mnist2-vu", (10, 9, 1)), ("vun", (3, 5, 1))]
 )
 def test_verify_reports_the_widest_light_cone(tmp_path, name, qubits):
     # a p layer reads every stage qubit, so its outputs' cones hold all k

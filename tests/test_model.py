@@ -732,10 +732,10 @@ def test_circuit_contains_only_unitary_gates_and_final_measurement():
 def test_circuit_inference_respects_qubit_cap():
     # ten u registers of 7 qubits compile to 70 qubits, but the factored
     # simulation runs one register at a time on the 2^6 basis states and
-    # holds the twenty forms of the ten ancillas' halves (20 * 2^12
-    # values), and each output reads its own ancilla's Pr[1]
+    # holds the ten forms of the ten ancillas' Pr[1] (10 * 2^12 values),
+    # and each output reads its own ancilla's Pr[1]
     arch = from_kinds(64, 10, "vu")
-    assert pipeline(arch).simulated_qubits == 17
+    assert pipeline(arch).simulated_qubits == 16
     params = init_parameters(arch, seed=0)
     x = np.linspace(0.1, 1.0, 64)
     np.testing.assert_allclose(
@@ -983,9 +983,9 @@ def test_simulated_qubit_count_is_the_widest_state_allocated(monkeypatch):
     # every state the oracle simulates, the v and u registers' images of
     # the basis states and the tail rows its tables are built from, is run
     # by ``run_fused``, and the memo's forms hold m 4^n reals, with k u
-    # neurons as many as the k registers side by side (m = 2k); on a batch
-    # of one, the largest of them holds at most 2^simulated_qubits values,
-    # and more than half that
+    # neurons one form per ancilla (m = k); on a batch of one, the largest
+    # of them holds at most 2^simulated_qubits values, and more than half
+    # that
     from qnnkit import model
 
     sizes = []
@@ -1126,9 +1126,11 @@ def test_every_u_ancilla_reaches_the_tail_as_a_classical_bit(arch):
     # G_01 = sum_s M[s, 0] conj(M[s, 1]) is a sum of exact zeros. Each u
     # register is run here gate by gate, the v stage and its gadget through
     # ``apply_gate`` on the 2^n encoded basis states with the ancilla last
-    # in |0>, and the memo's forms 2j and 2j + 1 are Re(H H^H) of register
-    # j's |0> and |1> halves H, to the rounding of sums over 2^n states:
-    # the memo's runs are fused (2.2e-15 apart at n = 6, 4.4e-16 at n = 4)
+    # in |0>, and the memo's form j is Re(H1 H1^H) of register j's |1>
+    # half H1, to the rounding of sums over 2^n states: the memo's runs
+    # are fused (2.2e-15 apart at n = 6, 4.4e-16 at n = 4). The register's
+    # run is unitary, so Re(H0 H0^H) + Re(H1 H1^H) = I, to the same
+    # rounding, and a row reads its ancilla's Pr[0] as 1 - Pr[1]
     from qnnkit import model
 
     plan = pipeline(arch)
@@ -1138,7 +1140,7 @@ def test_every_u_ancilla_reaches_the_tail_as_a_classical_bit(arch):
         params = init_parameters(arch, seed=seed)
         v, u_frags, _, _ = model._oracle_fragments(arch, plan, params)
         forms, _ = model._oracle_programs(arch, plan, params)
-        assert forms.shape == (2 * len(u_frags), 2**n, 2**n), arch.name
+        assert forms.shape == (len(u_frags), 2**n, 2**n), arch.name
         X = rng.uniform(-1.0, 1.0, size=(16, arch.input_dim))
         X[0, : arch.input_dim // 2] = 0.0  # a zero block in the encoding
         image = np.eye(2 ** (n + 1), dtype=complex)[::2]  # row i: e_i (x) |0>
@@ -1151,12 +1153,37 @@ def test_every_u_ancilla_reaches_the_tail_as_a_classical_bit(arch):
             states = (normalize_rows(X) @ register).reshape(len(X), -1, 2)
             g01 = np.sum(states[:, :, 0] * states[:, :, 1].conj(), axis=1)
             assert np.max(np.abs(g01)) <= 1e-15, arch.name
-            for b, half in enumerate(register.reshape(2**n, 2**n, 2).transpose(2, 0, 1)):
-                np.testing.assert_allclose(
-                    forms[2 * j + b], (half @ half.conj().T).real,
-                    rtol=0, atol=2**n * np.finfo(float).eps,
-                    err_msg=f"{arch.name}: u neuron {j}, ancilla half {b}",
-                )
+            h0, h1 = register.reshape(2**n, 2**n, 2).transpose(2, 0, 1)
+            np.testing.assert_allclose(
+                forms[j], (h1 @ h1.conj().T).real,
+                rtol=0, atol=2**n * np.finfo(float).eps, err_msg=f"{arch.name}: u neuron {j}",
+            )
+            np.testing.assert_allclose(
+                (h0 @ h0.conj().T).real + forms[j], np.eye(2**n),
+                rtol=0, atol=2**n * np.finfo(float).eps, err_msg=f"{arch.name}: u neuron {j}",
+            )
+
+
+@pytest.mark.parametrize("arch", u_cases())
+def test_each_u_form_is_the_trainers_quadratic_form(arch):
+    # the trainer's u neuron j outputs (x V . w_j)^2 / 2^n for the v
+    # stage's real map V, the rows of V being the images of the basis
+    # states: the form (V w_j)(V w_j)^T / 2^n, which the circuit's Pr[1] of
+    # ancilla j must equal on every input, not only on the rows drawn
+    from qnnkit import model
+
+    plan = pipeline(arch)
+    size = 2**arch.n_qubits
+    for seed in range(2):
+        params = init_parameters(arch, seed=seed)
+        forms, _ = model._oracle_programs(arch, plan, params)
+        V = v_stage_forward(np.eye(size), params.v_thetas)[0]
+        for j, w in enumerate(params.u_weights()):
+            vw = V @ w
+            np.testing.assert_allclose(
+                forms[j], np.outer(vw, vw) / size, rtol=0, atol=1e-15,
+                err_msg=f"{arch.name}, seed {seed}: u neuron {j}",
+            )
 
 
 @pytest.mark.parametrize("arch", net_cases_with(u_layer=True))
@@ -1222,7 +1249,8 @@ def test_the_readout_weighs_each_table_entry_by_the_probability_of_its_bits():
     forms, _ = model._oracle_programs(arch, pipeline(arch), init_parameters(arch, seed=0))
     X = np.random.default_rng(101).uniform(-1.0, 1.0, size=(3, arch.input_dim))
     x = normalize_rows(X)
-    bits = np.einsum("bi,mij,bj->bm", x, forms, x).reshape(len(X), -1, 2)  # Pr[0], Pr[1]
+    u = np.einsum("bi,mij,bj->bm", x, forms, x)  # each ancilla's Pr[1]
+    bits = np.stack((1 - u, u), axis=-1)  # Pr[0], Pr[1]
     cone = (3, 0, 1)
     readout = ((cone, list(range(8)), np.eye(8)),)
     expected = np.ones((len(X), 8))
@@ -1255,7 +1283,7 @@ def test_a_p_layer_widens_the_tail_tables_to_every_u_ancilla(arch, size):
 
 def test_a_u_net_chunks_its_rows_by_its_widest_per_row_array(monkeypatch):
     # k = 10 u neurons on n = 2 qubits, all read by a p layer: a row's
-    # products with the 20 forms hold 20 * 2^2 values and its cone's
+    # products with the 10 forms hold 10 * 2^2 values and its cone's
     # distribution 2^10 probabilities, so 2^20 values make chunks of 1024
     # rows; the chunk bound reads only the plan and the forms, so the
     # tables are left out
