@@ -277,6 +277,8 @@ def cmd_sweep(args) -> int:
     config = _train_config(args)
     arch = load_architecture(args.arch)
     pipeline(arch)  # every r trains the same layer sequence, so check it once
+    if all(l.kind != "v" for l in arch.layers):  # every r would train the same net
+        raise ArchitectureError(f"sweep varies v-layer repeats, and {arch.name} has no v layer")
     train_ds, test_ds, _ = _dataset(args, arch)
     check_trainable(arch)  # a refusal is bad usage, not a failed run
     out_dir = Path(args.out)

@@ -117,7 +117,7 @@ class ResourceLimitError(Exception):
 class ParameterStore:
     """All trainable state: real angles plus latent shadows of binary weights."""
 
-    v_thetas: np.ndarray  # (blocks, 2 * n_qubits)
+    v_thetas: np.ndarray  # (blocks, 2 * n_qubits); blocks = 0 without a v layer
     uw_latent: np.ndarray | None  # (u_width, input_dim) or None
     n_thetas: list[np.ndarray] = field(default_factory=list)  # per n-layer
     pw_latent: list[np.ndarray] = field(default_factory=list)  # per p-layer
@@ -182,7 +182,11 @@ class Plan:
 
 @functools.cache  # specs and plans are frozen, so equal specs share one plan
 def pipeline(arch: ArchitectureSpec) -> Plan:
-    """The plan of an architecture that fits the trainable template v+ u? [np]*.
+    """The plan of an architecture that fits the trainable template v* u? [np]*.
+
+    A net with no v layer, such as QuantumFlow's u and n designs, has a v
+    stage of zero blocks, (0, 2n) angles, which every walker runs like any
+    other: it passes the encoded input through unchanged.
 
     With k u neurons on n qubits the compiled register holds k registers
     of n + 1 qubits (n without a u layer) plus the p outputs. The factored
@@ -201,9 +205,7 @@ def pipeline(arch: ArchitectureSpec) -> Plan:
     2c + the p widths; no table is built without a u layer (c = 0).
     """
     kinds = "".join(l.kind for l in arch.layers)
-    v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers
-    if v == 0:
-        raise ArchitectureError("trainable networks start with at least one v-layer")
+    v = len(kinds) - len(kinds.lstrip("v"))  # the leading v layers, maybe none
     tail = v + kinds.startswith("u", v)  # the first n or p layer
     if set(kinds[tail:]) - {"n", "p"}:
         raise ArchitectureError(
@@ -313,8 +315,9 @@ def forward_batch(
         acts, d = u_forward_batch(amps, params.u_weights())
         trace.stages.append({"kind": "u", "input": amps, "dot": d, "output": acts})
     else:
-        # probability view of the v stage; with no layer after it, the
-        # first num_classes qubits are the class outputs
+        # probability view of the v stage, the encoded input itself when
+        # it has no blocks; with no layer after it, the first num_classes
+        # qubits are the class outputs
         acts = v_view_forward_batch(amps, arch.n_qubits if plan.stages else arch.num_classes)
         trace.stages.append({"kind": "view", "input": amps, "output": acts})
 
@@ -867,6 +870,8 @@ def load_checkpoint(path) -> tuple[ArchitectureSpec, ParameterStore]:
         p = payload["parameters"]
         groups = (p[f.name] for f in fields(ParameterStore))
         params = ParameterStore(*groups).map(_numbers)
+        if params.v_thetas.shape == (0,):  # JSON writes no v blocks, (0, 2n), as []
+            params.v_thetas = params.v_thetas.reshape(0, 2 * arch.n_qubits)
     except RecursionError:
         raise ValueError("JSON nested too deeply to read") from None
     except KeyError as exc:

@@ -207,6 +207,25 @@ def test_eval_roundtrips_checkpoint(tmp_path, capsys):
         )
 
 
+def test_a_net_with_no_v_layer_trains_evaluates_and_verifies(tmp_path, capsys):
+    # its checkpoint holds no v blocks, "v_thetas": [], and loads back
+    arch = write(tmp_path, "un.arch", UN_ARCH)
+    ckpt = str(tmp_path / "train" / "checkpoint.json")
+    runs = [
+        ["train", "--arch", arch, *XOR_TRAIN, "--out", str(tmp_path / "train")],
+        ["eval", "--checkpoint", ckpt, "--dataset", "xor", "--out", str(tmp_path / "eval")],
+        ["verify", "--arch", arch, "--checkpoint", ckpt, "--out", str(tmp_path / "verify")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv[0]
+    assert json.loads(Path(ckpt).read_text())["parameters"]["v_thetas"] == []
+    trained = read_csv(tmp_path / "train" / "results.csv")[0]
+    evaluated = read_csv(tmp_path / "eval" / "results.csv")[0]
+    assert evaluated["test_accuracy"] == trained["test_accuracy"]
+    rows = read_csv(tmp_path / "verify" / "verify.csv")
+    assert max(float(r["max_abs_deviation"]) for r in rows) <= 1e-15
+
+
 def test_eval_missing_checkpoint_exits_two(tmp_path, capsys):
     no_params = tmp_path / "no_params.json"
     no_params.write_text(
@@ -248,13 +267,17 @@ def test_verify_checkpoint_with_wrong_shapes_exits_two(tmp_path, capsys):
 
 WIDE_ARCH = "input_dim 16\nclasses 2\nlayer v width=4\nlayer u width=2\n"
 
+# QuantumFlow-style: no v layer, so train, eval and verify take it, and
+# sweep, which varies the v-layer repeats, refuses it.
+UN_ARCH = "input_dim 4\nclasses 2\nlayer u width=2\nlayer n width=2\n"
+
 # Fits the template, and check and verify take it, but it cannot train:
 # with one class the loss and every gradient are 0.
 ONE_CLASS_ARCH = "input_dim 16\nclasses 1\nlayer v width=4\nlayer u width=1\n"
 ONE_CLASS_MNIST = ["--dataset", "mnist", "--classes", "3", "--data-dir", "{tmp}/valid", "--epochs", "1"]
 
-# Outside the trainable template v+ u? [np]*, though the file parses.
-U_FIRST_ARCH = "input_dim 4\nclasses 2\nlayer u width=2\n"
+# Outside the trainable template v* u? [np]*, though the file parses.
+U_FIRST_ARCH = "input_dim 4\nclasses 2\nlayer u width=2\nlayer u width=2\n"
 VPU_ARCH = "input_dim 4\nclasses 2\nlayer v width=2\nlayer p width=2\nlayer u width=2\n"
 # n layers have one angle per channel; there is no theta= option
 THETA_ARCH = FEASIBLE_ARCH.replace("layer n width=4", "layer n width=4 theta=shared")
@@ -281,8 +304,9 @@ BAD_CHECKPOINTS = {
 def write_bad_checkpoints(tmp_path):
     """{tmp}/<name>.json for every malformed checkpoint that BAD_INPUT_CASES
     names: each of BAD_CHECKPOINTS, and ok.arch's own checkpoint with a NaN
-    angle, with "repeat": 2.0, with "version": true, or with an angle of
-    "1" or true; {tmp}/deep.json nests too deeply to read."""
+    angle, with "repeat": 2.0, with "version": true, with "v_thetas": [],
+    which a net with no v layer saves, or with an angle of "1" or true;
+    {tmp}/deep.json nests too deeply to read."""
     from qnnkit.arch import parse_architecture
     from qnnkit.model import init_parameters, save_checkpoint
 
@@ -296,6 +320,8 @@ def write_bad_checkpoints(tmp_path):
     write(tmp_path, "float-repeat.json", json.dumps(saved))
     saved["architecture"]["layers"][0]["repeat"] = 2
     write(tmp_path, "version-true.json", json.dumps(dict(saved, version=True)))
+    no_v = dict(saved["parameters"], v_thetas=[])
+    write(tmp_path, "empty-v.json", json.dumps(dict(saved, parameters=no_v)))
     for name, angle in (("angle-str", "1"), ("angle-true", True)):
         saved["parameters"]["v_thetas"][0][0] = angle
         write(tmp_path, f"{name}.json", json.dumps(saved))
@@ -391,7 +417,12 @@ BAD_INPUT_CASES = {
     "sweep-lr-zero": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--lr", "0"], "> 0"),
     "momentum-negative": (["train", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--momentum", "-0.5"], "--momentum must be a finite number >= 0, got -0.5"),
     "lr-decay-infinite": (["sweep", "--arch", "{tmp}/ok.arch", *XOR_TRAIN, "--lr-decay", "inf"], "--lr-decay must be a finite number >= 0, got inf"),
-    "train-u-first": (["train", "--arch", "{tmp}/ufirst.arch", *XOR_TRAIN], "ufirst.arch: trainable networks start"),
+    "train-u-first": (["train", "--arch", "{tmp}/ufirst.arch", *XOR_TRAIN], "ufirst.arch: after the v/u stage"),
+    # before any dataset is read: {tmp}/empty holds no MNIST files
+    "sweep-no-v-layer": (
+        ["sweep", "--arch", "{tmp}/un.arch", "--data-dir", "{tmp}/empty"],
+        "un.arch: sweep varies v-layer repeats, and u+n has no v layer",
+    ),
     "verify-v-p-u": (["verify", "--arch", "{tmp}/vpu.arch"], "vpu.arch: after the v/u stage"),
     "sweep-v-p-u": (["sweep", "--arch", "{tmp}/vpu.arch", *XOR_TRAIN], "vpu.arch: after the v/u stage"),
     # outside the template and infeasible: train checks the template first
@@ -438,6 +469,11 @@ BAD_INPUT_CASES = {
     "verify-checkpoint-float-repeat": (
         ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/float-repeat.json"],
         "float-repeat.json: a field has the wrong type (v-layer repeat must be an integer, got 2.0)",
+    ),
+    # ok.arch's own checkpoint with no v blocks, as a v-free net saves them
+    "verify-checkpoint-empty-v": (
+        ["verify", "--arch", "{tmp}/ok.arch", "--checkpoint", "{tmp}/empty-v.json"],
+        "empty-v.json: parameter shapes",
     ),
     # ok.arch's own checkpoint with "version": true, which equals 1
     "eval-checkpoint-version-true": (
@@ -490,6 +526,7 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     write(tmp_path, "wide.arch", WIDE_ARCH)
     write(tmp_path, "vun.arch", VUN_ARCH)
     write(tmp_path, "ufirst.arch", U_FIRST_ARCH)
+    write(tmp_path, "un.arch", UN_ARCH)
     write(tmp_path, "vpu.arch", VPU_ARCH)
     write(tmp_path, "vuu.arch", INFEASIBLE_ARCH)
     write(tmp_path, "theta.arch", THETA_ARCH)
@@ -549,7 +586,7 @@ def test_the_checkpoint_reader_raises_value_error_for_every_malformed_file(tmp_p
             name = Path(argv[argv.index("--checkpoint") + 1]).name
             if reason.startswith(f"{name}: "):
                 expected[name] = reason.removeprefix(f"{name}: ")
-    assert len(expected) == 12  # the two above and ten in BAD_INPUT_CASES
+    assert len(expected) == 13  # the two above and eleven in BAD_INPUT_CASES
     for name, message in expected.items():
         with pytest.raises(ValueError) as info:
             load_checkpoint(tmp_path / name)

@@ -56,6 +56,8 @@ def small_random_archs():
         from_kinds(8, 2, "vunp", repeat=2),
         from_kinds(4, 2, "vp"),
         from_kinds(8, 3, "vnp"),
+        from_kinds(4, 2, "u"),
+        from_kinds(8, 3, "un"),
     ]
 
 
@@ -586,7 +588,7 @@ def test_vu_argmax_agreement_on_random_instances():
 def test_every_compiled_qubit_is_touched_and_outputs_are_in_range():
     nets = [load_architecture(path) for path in sorted(NETS.glob("*.arch"))]
     archs = [a for a in small_random_archs() + nets if pipeline(a).compiled_qubits <= 24]
-    assert len(archs) == 11  # the three 64-input nets compile to 28-60 qubits
+    assert len(archs) == 13  # the four 64-input nets compile to 28-60 qubits
     for arch in archs:
         params = init_parameters(arch, seed=0)
         circ = build_network_circuit(arch, params, np.linspace(0.1, 1.0, arch.input_dim))
@@ -681,6 +683,7 @@ def test_the_circuit_takes_every_gate_from_the_encoding_and_the_neuron_builders(
     [
         ("mixed", 281),
         ("mnist2-vu", 128),
+        ("mnist4-un", 658),
         ("mnist4-vu", 780),
         ("mnist4-vup", 1647),
         ("vu", 722),
@@ -813,9 +816,10 @@ def test_circuit_inference_gives_a_row_and_its_multiples_the_same_outputs(arch):
 
 @st.composite
 def factored_archs(draw):
-    """v+ u? [n|p]+ architectures that compile to at most 16 qubits."""
+    """v* u? [n|p]+ architectures that compile to at most 16 qubits."""
     n = width = draw(st.integers(1, 3))
-    layers = [LayerSpec("v", n, repeat=draw(st.integers(1, 2)))]
+    repeat = draw(st.integers(0, 2))
+    layers = [LayerSpec("v", n, repeat=repeat)] if repeat else []
     if draw(st.booleans()):
         width = draw(st.integers(1, 3))
         layers.append(LayerSpec("u", width))
@@ -1310,19 +1314,20 @@ def test_a_u_net_chunks_its_rows_by_its_widest_per_row_array(monkeypatch):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    arch = from_kinds(8, 3, "vunp", repeat=2)
-    params = init_parameters(arch, seed=13)
-    path = tmp_path / "model.qnn.json"
-    save_checkpoint(path, arch, params)
-    arch2, params2 = load_checkpoint(path)
-    assert arch2.layers == arch.layers
-    assert arch2.input_dim == arch.input_dim
-    for a, b in zip(params.arrays(), params2.arrays()):
-        np.testing.assert_array_equal(a, b)
-    x = np.linspace(0.1, 1.0, 8)
-    np.testing.assert_array_equal(
-        forward(arch, params, x).probs, forward(arch2, params2, x).probs
-    )
+    # a net with no v layer saves its (0, 6) angles as [] and loads them back
+    for arch in (from_kinds(8, 3, "vunp", repeat=2), from_kinds(8, 3, "un")):
+        params = init_parameters(arch, seed=13)
+        path = tmp_path / "model.qnn.json"
+        save_checkpoint(path, arch, params)
+        arch2, params2 = load_checkpoint(path)
+        assert arch2.layers == arch.layers
+        assert arch2.input_dim == arch.input_dim
+        for a, b in zip(params.arrays(), params2.arrays()):
+            np.testing.assert_array_equal(a, b, strict=True)
+        x = np.linspace(0.1, 1.0, 8)
+        np.testing.assert_array_equal(
+            forward(arch, params, x).probs, forward(arch2, params2, x).probs
+        )
 
 
 def _checkpoint_text(arch, params):

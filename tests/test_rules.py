@@ -179,18 +179,20 @@ def test_the_engine_serves_the_pinned_junction_table():
 
 
 def template_kind_sequences():
-    """Every v+ u? [np]* sequence with 1-2 v layers, an optional u and up to 3 n/p layers."""
-    for v_layers in (1, 2):
+    """Every non-empty v* u? [np]* sequence with 0-2 v layers, an optional u
+    and up to 3 n/p layers."""
+    for v_layers in (0, 1, 2):
         for u in ((), ("u",)):
             for tail_len in range(4):
                 for tail in itertools.product("np", repeat=tail_len):
-                    yield ("v",) * v_layers + u + tail
+                    if v_layers or u or tail:
+                        yield ("v",) * v_layers + u + tail
 
 
 def test_every_template_architecture_passes_the_rules():
     # the CLI checks only the template before training, relying on this
     sequences = list(template_kind_sequences())
-    assert len(sequences) == 60
+    assert len(sequences) == 89
     for kinds in sequences:
         arch = from_kinds(4, 2, kinds, hidden=3)  # u, n and p widths do not matter to the rules
         pipeline(arch)
