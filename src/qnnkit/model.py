@@ -39,13 +39,15 @@ that form's gradient, so ``forward_batch`` and ``backward_batch`` only
 pass arrays between stages and parameter slots; the circuit takes every
 gate from the same module's builders. The two agree exactly through v,
 u and n stages (a run of n layers is one stage: its RX gates compose to
-one RX with the summed angle); p layers consuming qubits that earlier
-gadgets have already entangled are the approximate case, and `qnnkit
-verify` exists to measure that gap rather than hide it. Stated plainly:
-under the current H-sandwich p gadget, a p neuron that reads m u
-ancillas (or earlier p outputs) returns exactly 2^-m through the circuit
-for every input, 0.0625 on ``nets/mixed.arch``, while its factorized
-output varies with the input.
+one RX with the summed angle; likewise the v stage runs each block's
+second RY layer and the next block's first as one RY layer with the
+summed angles, so r blocks run r + 1 RY layers); p layers consuming
+qubits that earlier gadgets have already entangled are the approximate
+case, and `qnnkit verify` exists to measure that gap rather than hide
+it. Stated plainly: under the current H-sandwich p gadget, a p neuron
+that reads m u ancillas (or earlier p outputs) returns exactly 2^-m
+through the circuit for every input, 0.0625 on ``nets/mixed.arch``,
+while its factorized output varies with the input.
 
 Binary weights train through latent real shadows: the forward pass
 always consumes sign(latent), gradients pass straight through the sign

@@ -12,7 +12,9 @@ Kinds and their I/O encodings:
 
 - V: variational block, amplitude in / amplitude out (or a probability
   view), reuses its input qubits. 2n trainable RY angles per block with
-  a CX entangler between the two RY layers.
+  a CX entangler between the two RY layers. Adjacent blocks' facing RY
+  layers compose, so the trainer runs r blocks as r + 1 RY layers and r
+  blocks hold (r + 1) n independent angles, not 2rn.
 - U: amplitude in / probability out on one fresh ancilla. Binary +-1
   weights enter as amplitude sign flips, one Z or multi-controlled Z per
   term of their algebraic normal form, up to the global sign w[0], which
@@ -104,19 +106,23 @@ def build_v_block(n: int, theta) -> CircuitFragment:
 # replaces. Every step but the gathers is elementwise, so the layout
 # changes no rounding there.
 #
+# Block b's second RY layer and block b + 1's first act on the same qubits
+# with no gate between them, and RY(a) RY(b) = RY(a + b), so r blocks run
+# as r + 1 RY layers separated by r rings (see _layer_angles); a net with
+# 0 or 1 blocks merges nothing.
+#
 # The forward pass tapes the input of every RY layer. The backward pass is
 # adjoint differentiation one layer at a time: it pulls the adjoint back
 # through the layer's RYs and reads all n angle gradients of the layer off
 # one GEMM G = mu^T psi with the taped input (see v_stage_backward). That
 # GEMM is the one step whose rounding depends on memory layout: BLAS sums
-# in another order for transposed operands. Each GEMM sees the operand
-# layouts of the batch-major stage that the amplitude-major one replaced,
-# which kept the theta gradients byte-identical to it, so training
-# reproduces earlier runs. No test pins those bytes across versions.
-# psi is row-major (B, 2^n) at a block's first layer (``x`` itself, or a C copy) and the
-# ``.T`` view of the ring's row gather (column-major) after the ring. mu
-# is row-major (B, 2^n) in the first GEMM, before the first unring, and
-# the ``.T`` view of the amplitude-major adjoint in every later one.
+# in another order for transposed operands. psi is x as given at the
+# first layer and the ``.T`` view of the ring's row gather (column-major)
+# at every later one. mu is the ``.T`` view of the amplitude-major
+# adjoint, except in the first GEMM, which takes it row-major (B, 2^n):
+# the layouts the unmerged stage used for a 1-block net, whose theta
+# gradients thus keep their bytes. That copy cost no measurable time at
+# (n, B) = (4, 1) or (6, 32).
 
 
 @functools.cache
@@ -196,15 +202,24 @@ def _v_stage_ops(n: int, blocks: int) -> tuple[tuple, ...]:
     return tuple(ops)
 
 
+def _layer_angles(thetas: np.ndarray) -> np.ndarray:
+    """The (blocks + 1, n) angles of the RY layers the stage runs, none
+    without blocks: block 0's first layer, the sum of each block's second
+    layer and the next block's first, and the last block's second layer.
+    The first and last rows are taken as they are, so a -0.0 stays -0.0."""
+    n = thetas.shape[1] // 2
+    return np.concatenate((thetas[:1, :n], thetas[:-1, n:] + thetas[1:, :n], thetas[-1:, n:]))
+
+
 def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run all V blocks over a batch x (B, 2^n); returns (out, tape).
 
     ValueError unless x is (B, 2^n) with n >= 1 and thetas is
     (blocks, 2n). ``out`` is a new C-ordered (B, 2^n) array. The tape
     holds the angles, the logical gate list ``ops`` and ``inputs``: the
-    (B, 2^n) input of each of the 2 * blocks RY layers, in the layouts
-    the GEMM of v_stage_backward needs, the first being ``x`` itself
-    (kept by reference, not copied).
+    (B, 2^n) input of each of the blocks + 1 RY layers (see _layer_angles),
+    the first being ``x`` itself (kept by reference, not copied) and each
+    later one the ``.T`` view of the ring's row gather before it.
     """
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
@@ -214,18 +229,17 @@ def v_stage_forward(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, dict
     if thetas.ndim != 2 or thetas.shape[1] != 2 * n:
         raise ValueError(f"V block on {n} qubits needs {2 * n} angles, got {thetas.shape}")
     ring, _, signed, _, _ = _v_tables(n)
-    c, pairs = _rotations(thetas)
+    c, pairs = _rotations(_layer_angles(thetas))
     # one scratch for every gate of the pass, in the two shapes each gate uses
     stacked = np.empty((2 * x.shape[1], x.shape[0]))
     both = stacked.reshape(2, *x.shape[::-1])
-    inputs = []
+    inputs = [x] if len(thetas) else []
     a = np.ascontiguousarray(x.T)
-    for k in range(0, thetas.size, 2 * n):  # each block's first angle in c and pairs
-        inputs.append(np.ascontiguousarray(a.T) if inputs else x)
+    for k in range(0, len(c), n):  # each layer's first angle in c and pairs
+        if k:
+            a = a.take(ring, axis=0)
+            inputs.append(a.T)
         a = _ry_layer(a, signed, c[k:], pairs[k:], both, stacked)
-        a = a.take(ring, axis=0)
-        inputs.append(a.T)
-        a = _ry_layer(a, signed, c[k + n :], pairs[k + n :], both, stacked)
     tape = {"ops": _v_stage_ops(n, len(thetas)), "thetas": thetas, "inputs": inputs}
     return np.ascontiguousarray(a.T), tape
 
@@ -238,28 +252,28 @@ def v_stage_backward(tape: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np.n
     q commutes with the RYs on the other qubits, so with mu = R^T lambda
     the gradient of angle q is sum_b mu_b . K_q psi_b = 1/2 sum_i
     sign_q[i] G[i, i ^ bit_q] for G = mu^T psi. mu is then the adjoint of
-    the layer's input. The adjoint runs amplitude-major like the forward
+    the layer's input. A merged layer runs the sum of two block angles,
+    and the stage depends on them only through that sum, so both get the
+    layer's gradient. The adjoint runs amplitude-major like the forward
     pass; the input gradient is returned as the (B, 2^n) ``.T`` view.
     """
     thetas = tape["thetas"]
     n = thetas.shape[1] // 2
     _, unring, signed, pair, sign = _v_tables(n)
-    c, pairs = _rotations(-thetas)  # RY^-1 = RY^T = RY(-theta)
+    c, pairs = _rotations(-_layer_angles(thetas))  # RY^-1 = RY^T = RY(-theta)
     lam = np.array(np.asarray(grad_out, dtype=float).T, order="C")
     stacked = np.empty((2 * lam.shape[0], lam.shape[1]))
     both = stacked.reshape(2, *lam.shape)
-    grad_theta = np.empty_like(thetas)
-    for k in reversed(range(len(tape["inputs"]))):
-        b, layer = divmod(k, 2)
-        angles = slice(layer * n, (layer + 1) * n)
+    grad = np.empty((len(tape["inputs"]), n))
+    for k in reversed(range(len(grad))):
         lam = _ry_layer(lam, signed, c[k * n :], pairs[k * n :], both, stacked)
         # the first GEMM takes mu row-major, so mu^T (this lam) column-major; see above
-        mu_t = np.asfortranarray(lam) if k == len(tape["inputs"]) - 1 else lam
+        mu_t = np.asfortranarray(lam) if k == len(grad) - 1 else lam
         G = mu_t @ tape["inputs"][k]
-        grad_theta[b, angles] = 0.5 * np.einsum("qi,qi->q", G.ravel()[pair], sign)
-        if layer:
+        grad[k] = 0.5 * np.einsum("qi,qi->q", G.ravel()[pair], sign)
+        if k:
             lam = lam.take(unring, axis=0)
-    return grad_theta, lam.T
+    return np.concatenate((grad[:-1], grad[1:]), axis=1), lam.T
 
 
 @functools.cache

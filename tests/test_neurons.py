@@ -448,56 +448,108 @@ def with_signed_zeros(rng, batch):
     return batch
 
 
-def v_stage_case(rng, n, batch_size):
+def v_stage_case(rng, n, batch_size, blocks):
     """Angles in (-3 pi, 3 pi), so cos and sin of their halves take both
-    signs, and a batch of random unit rows with signed zeros put in."""
-    thetas = rng.uniform(-3 * np.pi, 3 * np.pi, size=(3, 2 * n))
+    signs, with signed zeros put in, the first and the last always -0.0,
+    and a batch of random unit rows with signed zeros."""
+    thetas = rng.uniform(-3 * np.pi, 3 * np.pi, size=(blocks, 2 * n))
+    zeros = rng.choice([0.0, -0.0], size=thetas.shape)
+    thetas = np.where(rng.random(thetas.shape) < 0.25, zeros, thetas)
+    thetas[0, 0] = thetas[-1, -1] = -0.0
     batch = np.stack([random_unit(rng, 2**n) for _ in range(batch_size)])
     return thetas, with_signed_zeros(rng, batch)
 
 
+def merged_layers(thetas):
+    """The RY layers the v stage runs: block 0's first layer as drawn, each
+    block's second layer summed with the next block's first, and the last
+    block's second layer as drawn."""
+    n = thetas.shape[1] // 2
+    return [thetas[0, :n], *(thetas[:-1, n:] + thetas[1:, :n]), thetas[-1, n:]]
+
+
+def run_layers(state, n, layers):
+    """Run RY layers, the CX ring between each two, in place through the
+    simulator's kernels."""
+    ring = build_v_block(n, np.zeros(2 * n)).ops[n:-n]
+    for k, angles in enumerate(layers):
+        if k:
+            for gate, qubits in ring:
+                controlled_x(state, qubits[:1], (1,), qubits[1])
+        for q, theta in enumerate(angles):
+            apply_1q(state, q, *ry_entries(theta))
+    return state
+
+
+def run_layers_adjoint(state, n, layers):
+    """run_layers' inverse: each RY layer as RY(-theta) in qubit order, each
+    ring as its CX gates in reverse."""
+    ring = build_v_block(n, np.zeros(2 * n)).ops[n:-n]
+    for k, angles in reversed(list(enumerate(layers))):
+        for q, theta in enumerate(angles):
+            apply_1q(state, q, *ry_entries(-theta))
+        if k:
+            for gate, qubits in ring[::-1]:
+                controlled_x(state, qubits[:1], (1,), qubits[1])
+    return state
+
+
 # The kernels compare with tobytes(): np.array_equal counts -0.0 equal to
 # +0.0, and the trainer's RY negates products, so only the bytes show a
-# zero of the wrong sign.
+# zero of the wrong sign. The stage runs adjacent blocks' facing RY layers
+# as one RY of the summed angle, which is exact in real arithmetic but not
+# in floating point, so the bytes are pinned to the merged layer list and
+# the unmerged block circuit is held to a tolerance; with one block the
+# two are the same circuit, bytes included.
 @pytest.mark.parametrize("batch_size", [1, 5, 32, 400], ids=lambda b: f"B{b}")
 def test_v_stage_forward_is_the_block_circuit_bit_for_bit(batch_size):
     # The ring gather must reproduce the CX gates exactly, and the RYs must
     # run the same kernel arithmetic as the circuit's gate list.
     rng = np.random.default_rng(18 + batch_size)
-    for n in (1, 2, 3, 6):
-        thetas, batch = v_stage_case(rng, n, batch_size)
-        expected = batch.copy()
-        for theta in thetas:
-            for gate, qubits in build_v_block(n, theta).ops:
-                if gate.kind == "RY":
-                    apply_1q(expected, qubits[0], *ry_entries(gate.theta))
-                else:
-                    controlled_x(expected, qubits[:1], (1,), qubits[1])
+    for n, blocks in itertools.product((1, 2, 3, 6), (1, 3)):
+        thetas, batch = v_stage_case(rng, n, batch_size, blocks)
         out, _ = v_stage_forward(batch, thetas)
+        expected = run_layers(batch.copy(), n, merged_layers(thetas))
         assert out.tobytes() == expected.tobytes()
+        unmerged = batch.copy()
+        for theta in thetas:  # one RY per angle, as in build_v_block
+            run_layers(unmerged, n, [theta[:n], theta[n:]])
+        np.testing.assert_allclose(out, unmerged, rtol=0, atol=1e-14)
+        if blocks == 1:
+            assert out.tobytes() == unmerged.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 5, 32], ids=lambda b: f"B{b}")
 def test_v_stage_backward_is_the_adjoint_circuit_bit_for_bit(batch_size):
-    # The input adjoint must be the block circuit run backwards with the
-    # kernel's arithmetic: each RY layer as RY(-theta) in qubit order, the
-    # ring as its CX gates in reverse.
+    # The input adjoint must be the merged layers run backwards with the
+    # kernel's arithmetic.
     rng = np.random.default_rng(20 + batch_size)
-    for n in (1, 2, 3, 6):
-        thetas, batch = v_stage_case(rng, n, batch_size)
+    for n, blocks in itertools.product((1, 2, 3, 6), (1, 3)):
+        thetas, batch = v_stage_case(rng, n, batch_size, blocks)
         grad_out = with_signed_zeros(rng, rng.normal(size=batch.shape))
-        expected = grad_out.copy()
-        for theta in thetas[::-1]:
-            ops = build_v_block(n, theta).ops
-            for gate, qubits in ops[-n:] + ops[n:-n][::-1] + ops[:n]:
-                if gate.kind == "RY":
-                    apply_1q(expected, qubits[0], *ry_entries(-gate.theta))
-                else:
-                    controlled_x(expected, qubits[:1], (1,), qubits[1])
         out, tape = v_stage_forward(batch, thetas)
         assert out.flags.c_contiguous
-        _, grad_x = v_stage_backward(tape, grad_out)
-        assert np.ascontiguousarray(grad_x).tobytes() == expected.tobytes()
+        grad_x = np.ascontiguousarray(v_stage_backward(tape, grad_out)[1])
+        expected = run_layers_adjoint(grad_out.copy(), n, merged_layers(thetas))
+        assert grad_x.tobytes() == expected.tobytes()
+        unmerged = grad_out.copy()
+        for theta in thetas[::-1]:
+            run_layers_adjoint(unmerged, n, [theta[:n], theta[n:]])
+        np.testing.assert_allclose(grad_x, unmerged, rtol=0, atol=1e-14)
+        if blocks == 1:
+            assert grad_x.tobytes() == unmerged.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [2, 3], ids=lambda b: f"blocks{b}")
+def test_both_angles_of_a_merged_layer_get_its_gradient_bytes(blocks):
+    # The stage depends on block b's second angles and block b + 1's first
+    # only through their sum, so their gradients are one layer's.
+    rng = np.random.default_rng(60 + blocks)
+    for n in (1, 2, 3, 6):
+        thetas, batch = v_stage_case(rng, n, 5, blocks)
+        _, tape = v_stage_forward(batch, thetas)
+        grad_theta, _ = v_stage_backward(tape, rng.normal(size=batch.shape))
+        assert grad_theta[:-1, n:].tobytes() == grad_theta[1:, :n].tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 5, 32], ids=lambda b: f"B{b}")
